@@ -82,11 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "both")
     p.add_argument("--n-max", type=int, default=10000)
     p.add_argument("--delta-p", type=_float_list, default=(0.5, 1.0, 1.5, 2.0))
-    p.add_argument(
-        "--exhaustive",
-        action="store_true",
-        help="scan every even antenna count instead of coarse-then-window",
-    )
 
     p = subs.add_parser("gain-vs-delta-mc", help="gain versus spacing with mutual coupling")
     _add_common(p, "1")
@@ -127,7 +122,6 @@ def _spec_from_args(args: argparse.Namespace) -> SweepSpec:
             kind=kind,
             n_max=args.n_max,
             delta_p_values=args.delta_p,
-            exhaustive=args.exhaustive,
             **common,
         )
     if kind == "gain_vs_delta_mc":

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import toeplitz
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError
 from .geometry import DerivedConstants, SystemConfig, symmetric_uniform_layout
 
 
@@ -33,79 +31,16 @@ def sinc_j0(x):
     return float(out) if out.ndim == 0 else out
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 100):
-    """Eigendecomposition of a real symmetric matrix by cyclic Jacobi rotations.
-
-    Sweeps until the off-diagonal Frobenius norm drops to ``tol``.  Returns
-    (eigenvalues, eigenvectors) sorted ascending, eigenvectors as columns.
-    """
-    a = np.array(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("expected a symmetric matrix")
-    n = a.shape[0]
-    v = np.eye(n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                if abs(apq) <= 1e-20 * (abs(a[p, p]) + abs(a[q, q]) + 1e-300):
-                    # negligible against the diagonal; rotating would stall
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                # hypot keeps the rotation well-defined for huge tau
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise NumericsError(f"Jacobi sweep did not reach off-diagonal norm {tol}")
-    w = np.diag(a).copy()
-    order = np.argsort(w)
-    return w[order], v[:, order]
-
-
-@dataclass(eq=False)
-class CouplingMatrix:
-    """Symmetric sinc-Toeplitz coupling matrix with a lazily cached spectrum."""
-
-    n: int
-    delta: float
-    matrix: np.ndarray
-    _spectrum: tuple | None = field(default=None, repr=False)
-
-    def eigendecomposition(self):
-        """(eigenvalues, eigenvectors), computed once by cyclic Jacobi rotations."""
-        if self._spectrum is None:
-            self._spectrum = jacobi_eigh(self.matrix)
-        return self._spectrum
-
-
-def coupling_matrix(n: int, delta: float, consts: DerivedConstants) -> CouplingMatrix:
-    """Coupling matrix for N antennas at uniform spacing ``delta`` (m)."""
+def coupling_matrix(n: int, delta: float, consts: DerivedConstants) -> np.ndarray:
+    """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
+    ``delta`` (m)."""
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"antenna count must be even and >= 2, got {n}")
     if not delta > 0:
         raise ConfigError("spacing must be > 0; use the closed-form limit for delta = 0")
-    k = np.arange(n, dtype=float)
-    first_row = sinc_j0(consts.k0 * delta * k)
-    return CouplingMatrix(n=n, delta=delta, matrix=toeplitz(first_row))
+    i = np.arange(n)
+    first_row = sinc_j0(consts.k0 * delta * i)
+    return first_row[abs(i[:, None] - i)]
 
 
 class InverseSqrt(NamedTuple):
@@ -113,14 +48,14 @@ class InverseSqrt(NamedTuple):
     floored: int
 
 
-def inv_sqrt(c: CouplingMatrix, eig_floor: float = 1e-10) -> InverseSqrt:
+def inv_sqrt(c: np.ndarray, eig_floor: float = 1e-10) -> InverseSqrt:
     """Inverse matrix square root via the spectral decomposition.
 
     Eigenvalues below ``eig_floor`` are floored before the -1/2 power; the
     count of floored eigenvalues is returned so near-singular coupling at tiny
     spacing is visible to the caller.
     """
-    w, v = c.eigendecomposition()
+    w, v = np.linalg.eigh(c)
     floored = int(np.sum(w < eig_floor))
     w_safe = np.maximum(w, eig_floor)
     return InverseSqrt(matrix=(v * w_safe**-0.5) @ v.T, floored=floored)

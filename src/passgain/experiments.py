@@ -6,11 +6,12 @@ notation, so a fixed seed always yields byte-identical files.  Per-series
 peaks are emitted as single-row ``<series>_peak`` markers.
 
 The Monte Carlo sweep draws user positions from a seeded PCG64 generator and,
-per draw, searches the best even antenna count: a coarse geometric scan
-(ratio 1.2) followed by an exhaustive pass over +/-20 percent around the
-coarse best, which finds the global maximum of a unimodal profile.  The gain
-of every nested symmetric layout is obtained from prefix sums of the per-pair
-channel contributions, so the whole search costs one pass over the offsets.
+per draw, finds the best even antenna count exactly.  The gain of every nested
+symmetric layout is obtained from prefix sums of the per-pair channel
+contributions; a draw can use the nested layouts whose leftmost antenna lies
+right of the feed, and the best of those is read off the running maximum of
+the gain profile.  The whole search costs one pass over the offsets and one
+lookup per draw.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class SweepSpec:
     n_eff_values: tuple[float, ...] = ()
     grid_step: float = 0.01
     x_max: float = 10.0
-    exhaustive: bool = False
 
     def __post_init__(self):
         if self.kind not in _SWEEP_KINDS:
@@ -145,29 +145,13 @@ def _pair_bounds(delta_right, delta_left, cfg, consts, alpha):
     return consts.eta * s**2 / (2.0 * m)
 
 
-def _search_best_m(values, m_cap, exhaustive=False):
-    """1-based index of the best pair count within the first ``m_cap`` entries.
-
-    Default is the coarse-geometric-then-window strategy; ``exhaustive``
-    scans every entry (fallback for profiles that are not unimodal).
-    """
-    m_cap = min(int(m_cap), len(values))
-    if m_cap < 1:
-        raise ConfigError("no feasible antenna count for this draw")
-    if exhaustive:
-        return int(np.argmax(values[:m_cap])) + 1
-    coarse = []
-    m = 1
-    while m <= m_cap:
-        coarse.append(m)
-        m = max(m + 1, int(round(m * 1.2)))
-    if coarse[-1] != m_cap:
-        coarse.append(m_cap)
-    idx = np.asarray(coarse, dtype=int) - 1
-    m0 = int(idx[np.argmax(values[idx])]) + 1
-    lo = max(1, math.floor(0.8 * m0))
-    hi = min(m_cap, math.ceil(1.2 * m0))
-    return lo + int(np.argmax(values[lo - 1 : hi]))
+def _layouts(m_max, cfg, consts):
+    """Per-side offsets ``(delta_right, delta_left)`` of the uniform and the
+    refined layout with ``m_max`` antenna pairs, keyed by layout kind."""
+    half = gain.uniform_deltas(2 * m_max, cfg, consts)
+    d_right, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="right")
+    d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left")
+    return {"uniform": (half, half), "refined": (d_right, d_left)}
 
 
 def run_fub_curve(x_max: float = 10.0, step: float = 0.01):
@@ -219,10 +203,7 @@ def run_gain_vs_n(
 
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        half = gain.uniform_deltas(2 * m_max, cfg_dp, consts)
-        d_right, _, _ = refine.refined_half_deltas(m_max, cfg_dp, consts, side="right")
-        d_left, _, _ = refine.refined_half_deltas(m_max, cfg_dp, consts, side="left")
-        layouts = {"uniform": (half, half), "refined": (d_right, d_left)}
+        layouts = _layouts(m_max, cfg_dp, consts)
 
         for label, alpha in cases:
             for kind, (dr, dl) in layouts.items():
@@ -235,6 +216,7 @@ def run_gain_vs_n(
                 m_peak = int(np.argmax(g)) + 1
                 points.append(CurvePoint(f"{series}_peak", float(2 * m_peak), float(g[m_peak - 1])))
 
+            half, _ = layouts["uniform"]
             b = _pair_bounds(half, half, cfg_dp, consts, alpha)
             b = b * _feed_factor(half, cfg_dp, alpha)
             series = f"bound_dp{dp:g}_{label}"
@@ -273,11 +255,10 @@ def run_maxgain_vs_spacing(
     trials: int = 1000,
     seed: int = 0,
     n_max: int = 10000,
-    exhaustive: bool = False,
 ):
     """Monte Carlo maximum gain versus minimum spacing, with baselines.
 
-    Per user draw the best even antenna count in [2, n_max] is searched for
+    Per user draw the best even antenna count in [2, n_max] is found for
     the refined and the uniform layout under each loss case; the movable and
     fixed single-antenna baselines and the closed-form bound estimate complete
     the figure.  Standard errors above 5 percent of the mean are flagged.
@@ -293,27 +274,26 @@ def run_maxgain_vs_spacing(
             f"feed at {feed_x0} m can fall right of a drawn user position"
         )
 
+    feed_run = x_us - feed_x0
     m_max = n_max // 2
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        half = gain.uniform_deltas(2 * m_max, cfg_dp, consts)
-        d_right, _, _ = refine.refined_half_deltas(m_max, cfg_dp, consts, side="right")
-        d_left, _, _ = refine.refined_half_deltas(m_max, cfg_dp, consts, side="left")
-        layouts = {"uniform": (half, half), "refined": (d_right, d_left)}
+        layouts = _layouts(m_max, cfg_dp, consts)
 
         for label, alpha in cases:
+            factor = 10.0 ** (-alpha * feed_run / 10.0)
             for kind, (dr, dl) in layouts.items():
                 g0 = _pair_gains(dr, dl, cfg_dp, consts, alpha)
-                # the uniform profile is not unimodal in N, so it always gets
-                # the exhaustive fallback; the refined profile is unimodal
-                scan_all = exhaustive or kind == "uniform"
-                best = np.empty(trials)
-                for t, x_u in enumerate(x_us):
-                    cap = int(np.searchsorted(dl, x_u - feed_x0, side="right"))
-                    m_best = _search_best_m(g0, cap, exhaustive=scan_all)
-                    factor = 10.0 ** (-alpha * (x_u - feed_x0) / 10.0)
-                    best[t] = g0[m_best - 1] * factor
+                # a draw may use the first `cap` pairs: those left of its
+                # projection that still lie right of the feed
+                caps = np.searchsorted(dl, feed_run, side="right")
+                if np.any(caps < 1):
+                    raise ConfigError(
+                        f"no feasible antenna count for {int(np.sum(caps < 1))} draw(s): "
+                        f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
+                    )
+                best = np.maximum.accumulate(g0)[caps - 1] * factor
                 mean, err = _mean_stderr(best)
                 points.append(CurvePoint(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
@@ -428,7 +408,6 @@ def run_sweep(spec: SweepSpec):
             trials=spec.trials,
             seed=spec.seed,
             n_max=spec.n_max,
-            exhaustive=spec.exhaustive,
         )
     if spec.kind == "gain_vs_delta_mc":
         return run_gain_vs_delta_mc(spec.cfg, spec.n_values, step=spec.grid_step)

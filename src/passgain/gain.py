@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ConfigError, NumericsError
 from .geometry import DerivedConstants, SystemConfig
@@ -72,20 +71,70 @@ def uniform_integrand(x, cfg: SystemConfig, consts: DerivedConstants):
     return 2.0 * np.exp(-1j * k0d * root) * np.cos(k0d * cfg.delta_p * cfg.n_eff * x) / root
 
 
+def _panel_integral(
+    n: int,
+    cfg: SystemConfig,
+    consts: DerivedConstants,
+    k_img: int,
+    rel_tol: float,
+    max_evals: int,
+) -> complex:
+    """(1/eps) sum_{|m| <= k_img} (-1)^m int_0^B f(x) exp(j 2 pi m x / eps) dx.
+
+    f is :func:`uniform_integrand`, B = N eps / 2 and eps = wavelength / d.
+    Each antenna cell of width eps is split into ceil(k_img + delta_p (n_eff + 1))
+    equal Gauss-Legendre panels, at most one cycle of the fastest phase each.
+    The panels are integrated at two Gauss orders; if they disagree by more
+    than ``rel_tol`` of the phase-free sum, or would need more than
+    ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
+    """
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    eps = consts.wavelength / cfg.d_m
+    dp, ne = cfg.delta_p, cfg.n_eff
+    upper = n * eps / 2.0
+    per_antenna = math.ceil(k_img + dp * (ne + 1.0))
+    panels = (n // 2) * per_antenna
+    orders = (16, 24)
+    if panels * sum(orders) > max_evals:
+        raise NumericsError(
+            f"panel quadrature for N={n} needs {panels * sum(orders)} evaluations, "
+            f"above max_evals={max_evals}"
+        )
+
+    edges = np.linspace(0.0, upper, panels + 1)
+    width = np.diff(edges)[:, None]
+    m = np.arange(1, k_img + 1)[:, None]
+    estimates = []
+    for order in orders:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
+        images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
+        values = (uniform_integrand(x, cfg, consts) * images).reshape(panels, order)
+        estimates.append(np.sum(values * weights * width) / (2.0 * eps))
+    scale = 2.0 * math.asinh(dp * upper) / (dp * eps)
+    spread = abs(estimates[1] - estimates[0]) / scale
+    if not spread <= rel_tol:
+        raise NumericsError(
+            f"panel quadrature did not converge for N={n}: orders {orders} differ by "
+            f"{spread:.1e} of the phase-free sum"
+        )
+    return complex(estimates[1])
+
+
 def gain_uniform_single_integral(
     n: int,
     cfg: SystemConfig,
     consts: DerivedConstants,
-    abs_tol: float = 1e-10,
+    rel_tol: float = 1e-10,
     max_evals: int = 10**6,
 ) -> float:
     """The paper's single-integral continuum form of :func:`gain_uniform`.
 
     ``eta |I|^2 / (N d^2 eps^2)`` with ``I`` the integral of
-    :func:`uniform_integrand` over [0, N eps / 2], evaluated by adaptive
-    Gauss-Kronrod quadrature on the real and imaginary parts separately.  The
-    subdivision budget is sized from the integrand's fastest phase (the guided
-    term at ``k0 d delta_p (n_eff + 1)`` per unit x).
+    :func:`uniform_integrand` over [0, N eps / 2], evaluated on the
+    Gauss-Legendre panels of :func:`gain_uniform_integral` with no images;
+    ``rel_tol`` and ``max_evals`` bound that quadrature the same way.
 
     This is only the m = 0 term of the Poisson sum behind
     :func:`gain_uniform_integral`.  Once the phase advance per antenna,
@@ -93,29 +142,8 @@ def gain_uniform_single_integral(
     sum carries an aliased lobe that this integral lacks (97-100 percent off
     at 28 GHz, d = 3 m, delta_p = 0.5 and N = 100..1000).
     """
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
-    eps = consts.wavelength / cfg.d_m
-    upper = n * eps / 2.0
-    cycles = consts.k0 * cfg.d_m * cfg.delta_p * (cfg.n_eff + 1.0) * upper / (2.0 * math.pi)
-    limit = int(min(max_evals // 21, max(200, 10.0 * cycles)))
-
-    def part(selector):
-        out = quad(
-            lambda x: selector(uniform_integrand(x, cfg, consts)),
-            0.0,
-            upper,
-            epsabs=abs_tol,
-            epsrel=1e-12,
-            limit=limit,
-            full_output=1,
-        )
-        if len(out) > 3:
-            raise NumericsError(f"quadrature did not converge for N={n}: {out[3]}")
-        return out[0]
-
-    integral = complex(part(np.real), part(np.imag))
-    return float(consts.eta * abs(integral) ** 2 / (n * cfg.d_m**2 * eps**2))
+    integral = _panel_integral(n, cfg, consts, 0, rel_tol, max_evals)
+    return float(consts.eta * abs(integral) ** 2 / (n * cfg.d_m**2))
 
 
 def _image_tail(a: float, k: int) -> float:
@@ -167,39 +195,10 @@ def gain_uniform_integral(
     than ``rel_tol`` of the phase-free sum, or would need more than
     ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
     """
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
-    eps = consts.wavelength / cfg.d_m
     dp, ne = cfg.delta_p, cfg.n_eff
-    upper = n * eps / 2.0
     k_img = math.ceil(dp * (ne + 1.0)) + 1
-    per_antenna = math.ceil(k_img + dp * (ne + 1.0))
-    panels = (n // 2) * per_antenna
-    orders = (16, 24)
-    if panels * sum(orders) > max_evals:
-        raise NumericsError(
-            f"image quadrature for N={n} needs {panels * sum(orders)} evaluations, "
-            f"above max_evals={max_evals}"
-        )
-
-    edges = np.linspace(0.0, upper, panels + 1)
-    width = np.diff(edges)[:, None]
-    m = np.arange(1, k_img + 1)[:, None]
-    estimates = []
-    for order in orders:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
-        images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
-        values = (uniform_integrand(x, cfg, consts) * images).reshape(panels, order)
-        estimates.append(np.sum(values * weights * width) / (2.0 * eps))
-    scale = 2.0 * math.asinh(dp * upper) / (dp * eps)
-    spread = abs(estimates[1] - estimates[0]) / scale
-    if not spread <= rel_tol:
-        raise NumericsError(
-            f"image quadrature did not converge for N={n}: orders {orders} differ by "
-            f"{spread:.1e} of the phase-free sum"
-        )
-
+    integral = _panel_integral(n, cfg, consts, k_img, rel_tol, max_evals)
+    upper = n * (consts.wavelength / cfg.d_m) / 2.0
     k0d = consts.k0 * cfg.d_m
 
     def endpoint(x: float) -> complex:
@@ -211,7 +210,7 @@ def gain_uniform_integral(
             total += complex(math.cos(phi), math.sin(phi)) * _image_tail(a, k_img)
         return total / (2j * math.pi * root)
 
-    summed = estimates[1] + endpoint(upper) - endpoint(0.0)
+    summed = integral + endpoint(upper) - endpoint(0.0)
     return float(consts.eta * abs(summed) ** 2 / (n * cfg.d_m**2))
 
 

@@ -11,7 +11,7 @@ All lengths are in metres, frequencies in Hz, loss in dB/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError
@@ -28,6 +28,7 @@ class SystemConfig:
     antenna of whatever layout is being evaluated.  ``alpha_wg_db_per_m`` is the
     waveguide propagation loss (0 for the lossless configuration).
     ``delta_p`` is the minimum inter-antenna spacing in carrier wavelengths.
+    Every numeric field must be finite.
     """
 
     f_c_hz: float = 28e9
@@ -39,6 +40,12 @@ class SystemConfig:
     delta_p: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "x_0_m" and value is None:
+                continue  # "auto" feed
+            if not math.isfinite(value):
+                raise ConfigError(f"invalid-config: {f.name} must be finite, got {value}")
         if not self.f_c_hz > 0:
             raise ConfigError(f"invalid-config: f_c_hz must be > 0, got {self.f_c_hz}")
         if not self.d_m > 0:

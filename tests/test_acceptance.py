@@ -128,7 +128,7 @@ def test_05_coupling_oracle_equivalence():
         worst = max(worst, abs(a_matrix - a_closed) / a_closed)
 
     identity_err = float(
-        np.max(np.abs(coupling_matrix(2, lam / 2, CONSTS).matrix - np.eye(2)))
+        np.max(np.abs(coupling_matrix(2, lam / 2, CONSTS) - np.eye(2)))
     )
     a_mc_half = gain_mc(2, lam / 2, CFG, CONSTS)
     a_free_half = array_gain_exact(

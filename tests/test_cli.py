@@ -74,6 +74,28 @@ def test_bad_config_exits_2(tmp_path, content):
     assert "config error" in res.stderr
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["f_c_hz = inf\n", "d_m = inf\n", "alpha_wg_db_per_m = inf\n", "x_0_m = nan\n",
+     "x_u_m = inf\n"],
+)
+def test_non_finite_config_exits_2(tmp_path, content):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(content)
+    res = run_cli("gain-vs-n", "--config", str(cfgfile), "--n-max", "20", "--delta-p", "0.5",
+                  "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+    assert content.split()[0] in res.stderr
+
+
+def test_cli_import_leaves_scipy_out():
+    code = "import sys, passgain.cli; print('scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"
+
+
 def test_unknown_flag_exits_2(tmp_path):
     res = run_cli("fub-curve", "--out", str(tmp_path / "x.csv"), "--frobnicate")
     assert res.returncode == 2

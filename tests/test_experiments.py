@@ -1,4 +1,6 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +8,10 @@ import pytest
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError
 from passgain.experiments import (
+    USER_HALF_RANGE_M,
     CurvePoint,
     SweepSpec,
     _pair_gains,
-    _search_best_m,
     run_fmc_curve,
     run_fub_curve,
     run_gain_vs_delta_mc,
@@ -18,7 +20,7 @@ from passgain.experiments import (
     run_sweep,
     write_csv,
 )
-from passgain.gain import gain_limit, max_gain_estimate
+from passgain.gain import gain_limit, max_gain_estimate, uniform_deltas
 from passgain.geometry import AntennaLayout, SystemConfig
 from passgain.refine import refined_half_deltas
 
@@ -101,13 +103,47 @@ def test_pair_gains_match_exact_channel(consts):
             assert fast == pytest.approx(reference, rel=1e-12)
 
 
-def test_search_matches_exhaustive_on_unimodal():
-    m = np.arange(1, 4001, dtype=float)
-    values = np.exp(-((np.log(m) - np.log(900)) ** 2))
-    for cap in (50, 1000, 4000):
-        assert _search_best_m(values, cap) == _search_best_m(values, cap, exhaustive=True)
-    with pytest.raises(ConfigError):
-        _search_best_m(values, 0)
+def test_maxgain_search_matches_brute_force_argmax(consts):
+    # per draw, the argmax over every pair count whose leftmost antenna lies
+    # right of the feed, on the sweep's own PCG64 draws.  With the feed at
+    # -20 m the cap binds for part of the draws at both spacings
+    cfg = SystemConfig(x_0_m=-20.0)
+    trials, seed, n_max = 50, 21, 4000
+    dps = (0.5, 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pts = by_series(
+            run_maxgain_vs_spacing(cfg, dps, BOTH_CASES, trials=trials, seed=seed, n_max=n_max)
+        )
+    rng = np.random.Generator(np.random.PCG64(seed))
+    runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
+    m_max = n_max // 2
+    for dp in dps:
+        c = replace(cfg, delta_p=dp)
+        half = uniform_deltas(n_max, c, consts)
+        refined = tuple(
+            refined_half_deltas(m_max, c, consts, side=side)[0] for side in ("right", "left")
+        )
+        for kind, (dr, dl) in (("uniform", (half, half)), ("refined", refined)):
+            for label, alpha in BOTH_CASES:
+                g = _pair_gains(dr, dl, c, consts, alpha)
+                best = np.array([
+                    g[: np.count_nonzero(dl <= run)].max() * 10.0 ** (-alpha * run / 10.0)
+                    for run in runs
+                ])
+                mean = best.mean()
+                stderr = best.std(ddof=1) / math.sqrt(trials)
+                row = {p.x: p for p in pts[f"{kind}_{label}"]}[dp]
+                assert row.y == pytest.approx(mean, rel=1e-12)
+                assert row.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-12 * mean)
+
+
+def test_maxgain_rejects_draw_without_feasible_count():
+    # the first antenna sits 0.5 delta_p wavelengths = 10.7 m left of the
+    # user, more than the feed run of every draw within 10.7 m of the feed
+    cfg = SystemConfig(x_0_m=-15.0, delta_p=2000.0)
+    with pytest.raises(ConfigError, match="no feasible antenna count"):
+        run_maxgain_vs_spacing(cfg, (2000.0,), BOTH_CASES, trials=30, seed=0, n_max=20)
 
 
 # ------------------------------------------------------------------- curves

@@ -90,18 +90,23 @@ def test_eps_scale(cfg, consts):
 
 
 def test_integral_gain_cross_checked_by_simpson(cfg, consts):
-    # quadrature oracle: fixed-grid Simpson at high resolution
+    # quadrature oracle: fixed-grid Simpson at high resolution.  The last
+    # input (28 GHz, n_eff 2, delta_p 2, N 6000: 18,000 phase cycles) is
+    # where adaptive Gauss-Kronrod quadrature ran out of subintervals
     from scipy.integrate import simpson
 
-    for n in (100, 200):
-        eps = consts.wavelength / cfg.d_m
-        xs = np.linspace(0.0, n * eps / 2.0, 200001)
-        vals = uniform_integrand(xs, cfg, consts)
+    wide = SystemConfig(n_eff=2.0, delta_p=2.0, alpha_wg_db_per_m=0.0)
+    for c, k, n, points in (
+        (cfg, consts, 100, 200001),
+        (cfg, consts, 200, 200001),
+        (wide, derive_constants(wide), 6000, 4000001),
+    ):
+        eps = k.wavelength / c.d_m
+        xs = np.linspace(0.0, n * eps / 2.0, points)
+        vals = uniform_integrand(xs, c, k)
         integral = complex(simpson(vals.real, x=xs), simpson(vals.imag, x=xs))
-        expected = consts.eta * abs(integral) ** 2 / (n * cfg.d_m**2 * eps**2)
-        assert gain_uniform_single_integral(n, cfg, consts) == pytest.approx(
-            expected, rel=1e-8
-        )
+        expected = k.eta * abs(integral) ** 2 / (n * c.d_m**2 * eps**2)
+        assert gain_uniform_single_integral(n, c, k) == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("delta_p", [0.1, 0.5, 1.0, 2.0])
