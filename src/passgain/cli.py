@@ -8,7 +8,8 @@ Subcommands map one-to-one onto the experiment sweeps and write CSV:
     passgain maxgain-vs-spacing  --out fig_maxgain.csv --trials 1000 --seed 7
     passgain gain-vs-delta-mc    --out fig_mc.csv --n-list 2,4
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (including
+an overflow or a division by zero at extreme inputs).
 """
 
 from __future__ import annotations
@@ -136,15 +137,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = _spec_from_args(args)
-        points = run_sweep(spec)
-        write_csv(points, args.out, seed=spec.seed)
+        rows = write_csv(run_sweep(spec), args.out, seed=spec.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NumericsError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+    except (NumericsError, ArithmeticError) as exc:  # e.g. overflow at extreme inputs
+        print(f"numeric failure: {exc if isinstance(exc, NumericsError) else repr(exc)}",
+              file=sys.stderr)
         return 3
-    print(f"wrote {len(points)} rows to {args.out}")
+    print(f"wrote {rows} rows to {args.out}")
     return 0
 
 

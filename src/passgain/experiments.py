@@ -1,9 +1,12 @@
 """Figure-level experiment sweeps and deterministic CSV output.
 
-Each sweep produces a list of :class:`CurvePoint` rows; :func:`write_csv`
-serializes them sorted by (series, x) with 12-significant-digit scientific
-notation, so a fixed seed always yields byte-identical files.  Per-series
-peaks are emitted as single-row ``<series>_peak`` markers.
+Each sweep produces a list of :class:`Curve` series blocks whose ``x``, ``y``
+and ``stderr`` are each a scalar or a 1-D array, a scalar filling its block;
+per-series peaks are single-row ``<series>_peak`` blocks.  :func:`write_csv`
+writes the rows sorted by (series, x) with 12-significant-digit scientific
+notation, so a fixed seed always yields byte-identical files.  It works by
+column, once per file: one stable sort, one finiteness check, each distinct x
+and stderr value formatted once, the rows streamed out in chunks.
 
 The Monte Carlo sweep draws user positions from a seeded PCG64 generator and,
 per draw, finds the best even antenna count exactly.  The gain of every nested
@@ -35,6 +38,8 @@ USER_HALF_RANGE_M = 15.0
 DEFAULT_FEED_X0_M = -30.0
 FLUID_RANGE_WAVELENGTHS = 500.0
 FIXED_ANTENNA_X_M = 0.0
+# Rows formatted and written per chunk by write_csv.
+_CSV_CHUNK_ROWS = 8192
 
 _SWEEP_KINDS = (
     "fub_curve",
@@ -46,13 +51,14 @@ _SWEEP_KINDS = (
 
 
 @dataclass(frozen=True)
-class CurvePoint:
-    """One CSV row: series label, abscissa, value, Monte Carlo standard error."""
+class Curve:
+    """A block of CSV rows of one series: abscissae, values and Monte Carlo
+    standard errors, each a scalar or a 1-D array of the block's length."""
 
     series: str
-    x: float
-    y: float
-    stderr: float = 0.0
+    x: float | np.ndarray
+    y: float | np.ndarray
+    stderr: float | np.ndarray = 0.0
 
 
 @dataclass(frozen=True)
@@ -90,24 +96,52 @@ class SweepSpec:
             raise ConfigError("grid step must be > 0")
 
 
-def write_csv(points, path: str | Path, seed: int = 0) -> None:
-    """Write curve points as ``series,x,y,stderr`` rows sorted by (series, x).
+def _column(values, sizes) -> np.ndarray:
+    """Concatenate per-block scalars or arrays; a scalar fills its block."""
+    parts = [v if getattr(v, "ndim", 0) else np.full(n, v) for v, n in zip(values, sizes)]
+    return np.concatenate([np.empty(0), *parts])
+
+
+def _text(values: np.ndarray, memo: dict) -> list:
+    """``%.11e`` text of every value; ``memo`` holds the text of each bit
+    pattern (so 0.0 and -0.0 apart) already formatted."""
+    return [memo[b] if b in memo else memo.setdefault(b, "%.11e" % v)
+            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
+
+
+def write_csv(curves, path: str | Path, seed: int = 0) -> int:
+    """Write curve blocks as ``series,x,y,stderr`` rows sorted by (series, x),
+    rows with equal keys in input order, and return the number of rows.
 
     The seed goes into a leading ``#`` comment line; all numbers use
     12-significant-digit scientific notation, making output byte-stable."""
-    rows = sorted(points, key=lambda p: (p.series, p.x))
-    for p in rows:
-        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.stderr)):
-            raise ConfigError(f"non-finite curve point in series {p.series!r}: {p}")
+    curves = list(curves)
+    names = sorted({c.series for c in curves})
+    rank = {name: i for i, name in enumerate(names)}
+    sizes = [getattr(c.x, "size", 1) for c in curves]
+    ranks = np.repeat(np.array([rank[c.series] for c in curves], dtype=int), sizes)
+    x, y, err = (_column([getattr(c, f) for c in curves], sizes) for f in ("x", "y", "stderr"))
+    order = np.lexsort((x, ranks))
+    ranks, x, y, err = ranks[order], x[order], y[order], err[order]
+    bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(err))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ConfigError(f"non-finite curve point in series {names[ranks[i]]!r}: "
+                          f"x={x[i]:.11e}, y={y[i]:.11e}, stderr={err[i]:.11e}")
+    labels, memo = np.array([f"{name}," for name in names], dtype=object), {}
     path = Path(path)
     try:
         with path.open("w", newline="") as fh:
-            fh.write(f"# seed={seed}\n")
-            fh.write("series,x,y,stderr\n")
-            for p in rows:
-                fh.write(f"{p.series},{p.x:.11e},{p.y:.11e},{p.stderr:.11e}\n")
+            fh.write(f"# seed={seed}\nseries,x,y,stderr\n")
+            for a in range(0, y.size, _CSV_CHUNK_ROWS):
+                rows = slice(a, a + _CSV_CHUNK_ROWS)
+                fields = [None] * (4 * y[rows].size)
+                fields[0::4], fields[1::4] = labels[ranks[rows]].tolist(), _text(x[rows], memo)
+                fields[2::4], fields[3::4] = y[rows].tolist(), _text(err[rows], memo)
+                fh.write("%s%s,%.11e,%s\n" * y[rows].size % tuple(fields))
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
+    return y.size
 
 
 def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
@@ -158,9 +192,7 @@ def run_fub_curve(x_max: float = 10.0, step: float = 0.01):
     """Tabulate the bound shape function and mark its maximizer."""
     xstar, fstar = gain.find_xstar()
     xs = step * np.arange(1, int(round(x_max / step)) + 1)
-    points = [CurvePoint("fub", float(x), float(gain.f_ub(x))) for x in xs]
-    points.append(CurvePoint("fub_peak", xstar, fstar))
-    return points
+    return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", xstar, fstar)]
 
 
 def run_fmc_curve(n_eff_values, step: float = 0.005):
@@ -168,13 +200,7 @@ def run_fmc_curve(n_eff_values, step: float = 0.005):
     if not n_eff_values:
         raise ConfigError("need at least one refractive-index value")
     xs = step * np.arange(0, int(round(1.0 / step)) + 1)
-    points = []
-    for ne in n_eff_values:
-        series = f"fmc_neff{ne:g}"
-        points.extend(
-            CurvePoint(series, float(x), float(coupling.f_mc(x, ne))) for x in xs
-        )
-    return points
+    return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
 
 
 def _case_feed(cfg: SystemConfig, default: float | None):
@@ -198,7 +224,8 @@ def run_gain_vs_n(
         raise ConfigError("the antenna-count step must be a positive even integer")
     consts = derive_constants(cfg)
     m_max = n_max // 2
-    sample = np.arange(1, m_max + 1, n_step // 2)
+    counts = 2.0 * np.arange(1, m_max + 1)
+    sample = np.arange(0, m_max, n_step // 2)
     points = []
 
     for dp in delta_p_values:
@@ -206,27 +233,26 @@ def run_gain_vs_n(
         layouts = _layouts(m_max, cfg_dp, consts)
 
         for label, alpha in cases:
-            for kind, (dr, dl) in layouts.items():
-                g = _pair_gains(dr, dl, cfg_dp, consts, alpha)
-                g = g * _feed_factor(dl, cfg_dp, alpha)
-                series = f"{kind}_dp{dp:g}_{label}"
-                points.extend(
-                    CurvePoint(series, float(2 * m), float(g[m - 1])) for m in sample
-                )
-                m_peak = int(np.argmax(g)) + 1
-                points.append(CurvePoint(f"{series}_peak", float(2 * m_peak), float(g[m_peak - 1])))
-
+            gains = {
+                kind: _pair_gains(dr, dl, cfg_dp, consts, alpha) * _feed_factor(dl, cfg_dp, alpha)
+                for kind, (dr, dl) in layouts.items()
+            }
             half, _ = layouts["uniform"]
-            b = _pair_bounds(half, half, cfg_dp, consts, alpha)
-            b = b * _feed_factor(half, cfg_dp, alpha)
-            series = f"bound_dp{dp:g}_{label}"
-            points.extend(CurvePoint(series, float(2 * m), float(b[m - 1])) for m in sample)
-            m_peak = int(np.argmax(b)) + 1
-            points.append(CurvePoint(f"{series}_peak", float(2 * m_peak), float(b[m_peak - 1])))
+            bound = _pair_bounds(half, half, cfg_dp, consts, alpha)
+            gains["bound"] = bound * _feed_factor(half, cfg_dp, alpha)
+            for kind, g in gains.items():
+                series = f"{kind}_dp{dp:g}_{label}"
+                points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
 
     fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-    points.extend(CurvePoint("fixed", float(2 * m), fixed) for m in sample)
+    points.append(Curve("fixed", counts[sample], fixed))
     return points
+
+
+def _peak(series: str, xs, ys) -> Curve:
+    """Single-row ``<series>_peak`` block at the first maximum of ``ys``."""
+    i = int(np.argmax(ys))
+    return Curve(f"{series}_peak", float(xs[i]), float(ys[i]))
 
 
 def _feed_factor(delta_left, cfg, alpha):
@@ -295,7 +321,7 @@ def run_maxgain_vs_spacing(
                     )
                 best = np.maximum.accumulate(g0)[caps - 1] * factor
                 mean, err = _mean_stderr(best)
-                points.append(CurvePoint(f"{kind}_{label}", float(dp), mean, err))
+                points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
                     warnings.warn(
                         f"{kind}_{label} at delta_p={dp:g}: standard error {err:.3e} "
@@ -304,7 +330,7 @@ def run_maxgain_vs_spacing(
                         stacklevel=2,
                     )
 
-        points.append(CurvePoint("bound", float(dp), gain.max_gain_estimate(cfg_dp, consts)))
+        points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp, consts)))
 
         fluid_reach = FLUID_RANGE_WAVELENGTHS * consts.wavelength
         fluid1 = np.full(trials, consts.eta / cfg.d_m**2)
@@ -312,7 +338,7 @@ def run_maxgain_vs_spacing(
         fixed = consts.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
         for name, vals in (("fluid1", fluid1), ("fluid2", fluid2), ("fixed", fixed)):
             mean, err = _mean_stderr(vals)
-            points.append(CurvePoint(name, float(dp), mean, err))
+            points.append(Curve(name, float(dp), mean, err))
     return points
 
 
@@ -359,25 +385,19 @@ def run_gain_vs_delta_mc(
                 nomc_vals[i] = array_gain_exact(layout, cfg, consts, alpha_wg=0.0)
         floored_calls += sum(1 for w in caught if "floored" in str(w.message))
 
-        points.extend(CurvePoint(mc_series, float(x), float(v)) for x, v in zip(xs, mc_vals))
-        points.extend(CurvePoint(nomc_series, float(x), float(v)) for x, v in zip(xs, nomc_vals))
-        points.append(CurvePoint(nomc_series, 0.0, n * consts.eta / cfg.d_m**2))
+        points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
+                   Curve(nomc_series, 0.0, n * consts.eta / cfg.d_m**2)]
         if n == 2:
-            points.append(CurvePoint(mc_series, 0.0, consts.eta / cfg.d_m**2))
-        i_mc = int(np.argmax(mc_vals))
-        points.append(CurvePoint(f"{mc_series}_peak", float(xs[i_mc]), float(mc_vals[i_mc])))
-        i_ex = int(np.argmax(nomc_vals))
-        points.append(CurvePoint(f"{nomc_series}_peak", float(xs[i_ex]), float(nomc_vals[i_ex])))
+            points.append(Curve(mc_series, 0.0, consts.eta / cfg.d_m**2))
+        points += [_peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
 
     if 2 in n_values:
         closed = np.array([coupling.gain_mc_two_closed(float(x) * consts.wavelength, cfg, consts) for x in xs])
-        points.append(CurvePoint("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg, consts)))
-        points.extend(CurvePoint("closed_N2", float(x), float(v)) for x, v in zip(xs, closed))
-        i_cl = int(np.argmax(closed))
-        points.append(CurvePoint("closed_N2_peak", float(xs[i_cl]), float(closed[i_cl])))
+        points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg, consts)),
+                   Curve("closed_N2", xs, closed), _peak("closed_N2", xs, closed)]
 
     fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-    points.extend(CurvePoint("fixed", float(x), fixed) for x in xs)
+    points.append(Curve("fixed", xs, fixed))
 
     if floored_calls:
         warnings.warn(

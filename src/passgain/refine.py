@@ -16,11 +16,20 @@ combined path ``sqrt(d^2 + delta^2) - n_eff * delta`` is strictly decreasing
 ``wavelength / (n_eff - 1)``.  Each side is built sequentially from the inside
 out, restoring the nominal ``delta_p * wavelength`` gap before every step, so
 refinement only ever widens gaps.
+
+A shifted antenna sits on the root u(j) of ``combined path = j * wavelength``,
+so the index j' its successor aims for depends on j alone (at most
+ceil((n_eff + 1) delta_p) + 1 above j on the right, ceil(n_eff delta_p) + 1
+below it on the left).  :func:`refined_half_deltas` tabulates u(j) and j' with
+numpy over a window of indices, walks only the integers in Python and repeats
+the float steps ``delta = seed + max(0, u - seed)``, so its output is
+bit-identical to the antenna-by-antenna recurrence.  The whole walk is then
+checked at once: each seed must call for the index walked, each path must hit
+its target to within 1e-9 m.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,33 +39,60 @@ from .geometry import AntennaLayout, DerivedConstants, SystemConfig
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
+# Wavelength indices tabulated per refill of the lattice walk's window.
+_WINDOW = 2048
 
 
-def combined_path(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Free-space plus signed in-waveguide path of an antenna at offset ``delta``."""
-    return math.hypot(cfg.d_m, delta) + cfg.n_eff * delta
+def combined_path(delta, cfg: SystemConfig, consts: DerivedConstants):
+    """Free-space plus signed in-waveguide path of an antenna at offset ``delta``
+    (a scalar or an array)."""
+    return np.hypot(cfg.d_m, delta) + cfg.n_eff * delta
+
+
+def _lattice_index(delta, cfg: SystemConfig, consts: DerivedConstants, side: str):
+    """Index (as float) of the wavelength multiple an antenna seeded at offset
+    ``delta`` aligns to: at or above its path on the right, at or below on the left."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        if side == "right":
+            return np.ceil((combined_path(delta, cfg, consts) - _PATH_SNAP_M) / consts.wavelength)
+        return np.floor((combined_path(-delta, cfg, consts) + _PATH_SNAP_M) / consts.wavelength)
+
+
+def _exact_index(x) -> int:
+    if not abs(x) < 2.0**53:
+        raise NumericsError(f"refinement lattice index {x:.6g} is not a finite exact integer")
+    return int(x)
+
+
+def _root(t, cfg: SystemConfig, side: str):
+    """Offset whose combined path on ``side`` equals the target ``t`` (a scalar
+    or an array); NaN or inf where none exists.  With s = sqrt(t^2 + d^2 (n^2 - 1)),
+    (t^2 - d^2) / (t n + s) and (d^2 - t^2) / (s + t n) cancel nothing as n_eff -> 1;
+    a left t <= 0 takes (s - t n) / (n^2 - 1), as the latter is 0/0 at t = -d."""
+    ne, d, t = cfg.n_eff, cfg.d_m, np.asarray(t, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        s = np.sqrt(t * t + d * d * (ne * ne - 1.0))
+        if side == "right":
+            return ((t * t - d * d) / (t * ne + s))[()]
+        return np.where(t > 0, (d * d - t * t) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
 
 
 def target_path(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Next wavelength multiple at or above the combined path (right side)."""
     if delta_n < 0:
         raise ConfigError("right-side offsets must be >= 0")
-    lam = consts.wavelength
-    p = combined_path(delta_n, cfg, consts)
-    return lam * math.ceil((p - _PATH_SNAP_M) / lam)
+    return consts.wavelength * _lattice_index(delta_n, cfg, consts, "right")
 
 
 def target_path_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Next wavelength multiple at or below the combined path (left side)."""
     if delta_n < 0:
         raise ConfigError("left-side offsets must be >= 0")
-    lam = consts.wavelength
-    p = combined_path(-delta_n, cfg, consts)
-    return lam * math.floor((p + _PATH_SNAP_M) / lam)
+    return consts.wavelength * _lattice_index(delta_n, cfg, consts, "left")
 
 
 def _check_residual(path: float, target: float, where: str) -> None:
-    if abs(path - target) > _PATH_SNAP_M:
+    if not abs(path - target) <= _PATH_SNAP_M:
         raise NumericsError(f"{where}: refined path misses target by {path - target:.3e} m")
 
 
@@ -64,12 +100,7 @@ def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) ->
     """Outward shift aligning a right-side antenna: closed-form solution of
     sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
     d_n = target_path(delta_n, cfg, consts)
-    ne, d = cfg.n_eff, cfg.d_m
-    if abs(ne - 1.0) <= 1e-9:
-        u = (d_n * d_n - d * d) / (2.0 * d_n)
-    else:
-        u = (d_n * ne - math.sqrt(d_n * d_n + d * d * (ne * ne - 1.0))) / (ne * ne - 1.0)
-    v = max(0.0, u - delta_n)
+    v = max(0.0, _root(d_n, cfg, "right") - delta_n)
     _check_residual(combined_path(delta_n + v, cfg, consts), d_n, "refine_shift")
     return v
 
@@ -78,13 +109,9 @@ def refine_shift_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstant
     """Outward (leftward) shift aligning a left-side antenna: solves
     sqrt(d^2 + (delta+w)^2) - n_eff (delta+w) = target."""
     t = target_path_left(delta_n, cfg, consts)
-    ne, d = cfg.n_eff, cfg.d_m
-    if abs(ne - 1.0) <= 1e-9:
-        if t <= 0:
-            raise NumericsError("left-side targets are exhausted (path below one wavelength)")
-        u = (d * d - t * t) / (2.0 * t)
-    else:
-        u = (math.sqrt(t * t + d * d * (ne * ne - 1.0)) - t * ne) / (ne * ne - 1.0)
+    u = _root(t, cfg, "left")
+    if not np.isfinite(u):
+        raise NumericsError(f"left-side targets are exhausted (no offset has path {t:.3e} m)")
     w = max(0.0, u - delta_n)
     _check_residual(combined_path(-(delta_n + w), cfg, consts), t, "refine_shift_left")
     return w
@@ -100,33 +127,60 @@ def refined_half_deltas(
 
     Starting from ``delta_1 = delta_p * wavelength / 2``, each antenna is
     shifted outward onto its wavelength multiple and the next one is seeded a
-    nominal gap further out.  Returns (deltas, shifts, targets) as arrays of
-    length ``n_half``.
+    nominal gap further out, by the lattice walk of the module docstring.
+    Returns (deltas, shifts, targets) as arrays of length ``n_half``.
     """
     if n_half < 1:
         raise ConfigError("need at least one antenna per side")
-    if side == "right":
-        shift_fn, sign = refine_shift, 1.0
-    elif side == "left":
-        shift_fn, sign = refine_shift_left, -1.0
-    else:
+    if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    sign, lam = (1 if side == "right" else -1), consts.wavelength
+    step = cfg.delta_p * lam
+    seed = step / 2.0
+    j = base = _exact_index(_lattice_index(seed, cfg, consts, side))
+    size = 0
+    # typed buffers: no per-antenna Python objects, no regrowth
+    walked, deltas = (memoryview(bytearray(8 * n_half)).cast(f) for f in "qd")
+    for n in range(n_half):
+        k = (j - base) * sign
+        if not 0 <= k < size:
+            # tabulate j, j + sign, ... up to the first non-finite successor,
+            # freeing the old window first
+            base, k, roots, succ = j, 0, (), ()
+            u = _root(lam * (j + sign * np.arange(_WINDOW, dtype=float)), cfg, side)
+            nxt = _lattice_index(u + step, cfg, consts, side)
+            size = int(np.argmin(np.append(np.abs(nxt) < 2.0**53, False)))
+            roots, succ = u[:size].tolist(), nxt[:size].astype(np.int64).tolist()
+            if not size:
+                break
+        walked[n] = j
+        v = roots[k] - seed
+        if v > 0.0:
+            seed += v  # seed + max(0, u - seed), bit for bit
+            j = succ[k]
+        else:  # unshifted: the seed lies off u(j), which the table assumes
+            j = _exact_index(_lattice_index(seed + step, cfg, consts, side))
+        deltas[n] = seed
+        seed += step
+    else:
+        n = n_half
 
-    step = cfg.delta_p * consts.wavelength
-    deltas = np.empty(n_half)
-    shifts = np.empty(n_half)
-    targets = np.empty(n_half)
-    delta = step / 2.0
-    for i in range(n_half):
-        v = shift_fn(delta, cfg, consts)
-        delta += v
-        deltas[i] = delta
-        shifts[i] = v
-        # The refined path sits on a wavelength multiple; record that multiple.
-        p = combined_path(sign * delta, cfg, consts)
-        targets[i] = consts.wavelength * round(p / consts.wavelength)
-        delta += step
-    return deltas, shifts, targets
+    walked, deltas = np.array(walked[:n], dtype=float), np.array(deltas[:n])
+    targets = lam * walked
+    seeds = np.concatenate(([step / 2.0], deltas + step))[:n]
+    with np.errstate(invalid="ignore", over="ignore"):
+        shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
+        miss = combined_path(sign * deltas, cfg, consts) - targets
+    bad = (_lattice_index(seeds, cfg, consts, side) != walked) | ~(shifts >= 0.0)
+    bad |= ~(np.abs(miss) <= _PATH_SNAP_M)
+    if n == n_half and not bad.any():
+        return deltas, shifts, targets
+    i = int(np.argmax(np.append(bad, True)))  # first failed antenna, or where the walk stopped
+    t = lam * (walked[i] if i < n else j)
+    if side == "left" and t <= 0.0:
+        raise NumericsError(f"left-side targets are exhausted at antenna {i + 1} (target {t:.3e} m)")
+    how = f"by {miss[i]:.3e} m" if i < n else "(no finite lattice index)"
+    raise NumericsError(f"{side}-side antenna {i + 1}: refined path misses target {t:.6e} m {how}")
 
 
 @dataclass(frozen=True)

@@ -89,6 +89,25 @@ def test_non_finite_config_exits_2(tmp_path, content):
     assert content.split()[0] in res.stderr
 
 
+EXTREME_RUNS = {
+    "gain-vs-n": ("--n-max", "200"),
+    "maxgain-vs-spacing": ("--n-max", "2000"),
+    "gain-vs-delta-mc": ("--grid-step", "0.1"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXTREME_RUNS))
+@pytest.mark.parametrize("content", ["d_m = 1e300\n", "f_c_hz = 1e-300\n", "x_u_m = 1e300\n"])
+def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
+    cfgfile = tmp_path / "extreme.cfg"
+    cfgfile.write_text(content)
+    res = run_cli(command, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"),
+                  *EXTREME_RUNS[command])
+    assert res.returncode in (0, 2, 3), res.stderr
+    assert "Traceback" not in res.stderr
+    assert res.stderr.count("\n") == (res.returncode != 0), res.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, passgain.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)

@@ -9,7 +9,7 @@ from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError
 from passgain.experiments import (
     USER_HALF_RANGE_M,
-    CurvePoint,
+    Curve,
     SweepSpec,
     _pair_gains,
     run_fmc_curve,
@@ -27,13 +27,36 @@ from passgain.refine import refined_half_deltas
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
 
 
-def by_series(points):
+def expand(curves):
+    """One scalar Curve per CSV row, in input order."""
+    for c in curves:
+        n = np.size(c.x)
+        for x, y, e in zip(*(np.broadcast_to(v, n).tolist() for v in (c.x, c.y, c.stderr))):
+            yield Curve(c.series, x, y, e)
+
+
+def by_series(curves):
     out = {}
-    for p in points:
+    for p in expand(curves):
         out.setdefault(p.series, []).append(p)
     for rows in out.values():
         rows.sort(key=lambda p: p.x)
     return out
+
+
+def reference_write_csv(curves, path, seed=0):
+    """The per-row writer the column-wise one replaced: sort the rows by
+    (series, x), check each, format each."""
+    rows = sorted(expand(curves), key=lambda p: (p.series, p.x))
+    for p in rows:
+        if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.stderr)):
+            raise ConfigError(f"non-finite curve point in series {p.series!r}: {p}")
+    with open(path, "w", newline="") as fh:
+        fh.write(f"# seed={seed}\n")
+        fh.write("series,x,y,stderr\n")
+        for p in rows:
+            fh.write(f"{p.series},{p.x:.11e},{p.y:.11e},{p.stderr:.11e}\n")
+    return len(rows)
 
 
 # ---------------------------------------------------------------- write_csv
@@ -47,10 +70,10 @@ def test_write_csv_empty(tmp_path):
 
 def test_write_csv_sorts_interleaved(tmp_path):
     pts = [
-        CurvePoint("b", 2.0, 1.0),
-        CurvePoint("a", 5.0, 2.0),
-        CurvePoint("b", 1.0, 3.0),
-        CurvePoint("a", 0.5, 4.0),
+        Curve("b", 2.0, 1.0),
+        Curve("a", 5.0, 2.0),
+        Curve("b", 1.0, 3.0),
+        Curve("a", 0.5, 4.0),
     ]
     path = tmp_path / "sorted.csv"
     write_csv(pts, path)
@@ -59,14 +82,59 @@ def test_write_csv_sorts_interleaved(tmp_path):
     assert keys == sorted(keys, key=lambda t: (t[0], float(t[1])))
 
 
+def _random_blocks(rng):
+    names = ["b", "a", "a_peak", "c", "b"]
+    blocks = []
+    for _ in range(12):
+        name = names[rng.integers(len(names))]
+        n = int(rng.integers(1, 40))
+        x = np.round(rng.uniform(-3, 3, n), 1)  # ties within and across blocks
+        y = rng.normal(size=n) * 10.0 ** rng.integers(-12, 12)
+        stderr = rng.choice([0.0, 1e-3, 2.5]) if rng.random() < 0.5 else np.abs(y) / 7.0
+        blocks.append(Curve(name, x, y, stderr))
+        blocks.append(Curve(name, float(x[0]), float(rng.normal())))
+    return blocks
+
+
+WRITER_CASES = {
+    "random_blocks": _random_blocks(np.random.default_rng(5)),
+    "tied_x": [Curve("s", np.zeros(4), np.arange(4.0)), Curve("s", 0.0, -1.0),
+               Curve("r", np.array([1.0, 1.0]), np.array([3.0, 2.0]), 0.5)],
+    "scalar_blocks": [Curve("b", 2.0, 1.0), Curve("a", 5.0, 2.0, 0.1), Curve("b", 1.0, 3.0),
+                      Curve("a", 0.5, 4.0)],
+    "negative_zero": [Curve("z", np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -0.0]), -0.0),
+                      Curve("z", -0.0, 5.0)],
+    "fixed_value_block": [Curve("fixed", np.arange(2.0, 12.0, 2.0), 0.25)],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_write_csv_matches_per_row_reference(tmp_path, case):
+    curves = WRITER_CASES[case]
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    assert write_csv(curves, new, seed=3) == reference_write_csv(curves, ref, seed=3)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_non_finite_names_series(tmp_path):
+    for bad in (Curve("bad", np.arange(3.0), np.array([1.0, np.inf, 2.0])),
+                Curve("bad", np.array([0.0, np.nan]), 1.0),
+                Curve("bad", 1.0, 1.0, float("nan"))):
+        curves = [Curve("good", np.arange(5.0), np.ones(5)), bad]
+        for writer in (write_csv, reference_write_csv):
+            with pytest.raises(ConfigError, match="'bad'"):
+                writer(curves, tmp_path / "x.csv")
+
+
 def test_write_csv_rejects_non_finite(tmp_path):
     with pytest.raises(ConfigError):
-        write_csv([CurvePoint("a", 0.0, float("nan"))], tmp_path / "x.csv")
+        write_csv([Curve("a", 0.0, float("nan"))], tmp_path / "x.csv")
 
 
 def test_write_csv_format(tmp_path):
     path = tmp_path / "fmt.csv"
-    write_csv([CurvePoint("s", 1.0, 9.99e-5, 0.0)], path, seed=1)
+    write_csv([Curve("s", 1.0, 9.99e-5, 0.0)], path, seed=1)
     row = path.read_text().splitlines()[2]
     assert row == "s,1.00000000000e+00,9.99000000000e-05,0.00000000000e+00"
 

@@ -1,10 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from passgain import refine
 from passgain.channel import array_gain_exact
-from passgain.errors import ConfigError
+from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_uniform, upper_bound_sum
 from passgain.geometry import SystemConfig, derive_constants
 from passgain.refine import (
@@ -170,3 +172,131 @@ def test_build_refined_layout_validation(cfg, consts):
         build_refined_layout(3, cfg, consts)
     with pytest.raises(ConfigError):
         build_refined_layout(0, cfg, consts)
+
+
+# ------------------------------------------------------------- lattice walk
+
+
+def sequential_half_deltas(n_half, cfg, consts, side):
+    """Oracle: the per-antenna recurrence the lattice walk replaced, built from
+    the public per-antenna functions.  Returns (deltas, shifts, targets) of
+    the antennas refined before the first NumericsError, and the number of
+    antennas refined (n_half when none was raised)."""
+    shift_fn, sign = (refine_shift, 1.0) if side == "right" else (refine_shift_left, -1.0)
+    lam = consts.wavelength
+    step = cfg.delta_p * lam
+    deltas, shifts, targets = [], [], []
+    delta = step / 2.0
+    for _ in range(n_half):
+        try:
+            v = shift_fn(delta, cfg, consts)
+        except NumericsError:
+            break
+        delta += v
+        deltas.append(delta)
+        shifts.append(v)
+        targets.append(lam * round(combined_path(sign * delta, cfg, consts) / lam))
+        delta += step
+    return np.array(deltas), np.array(shifts), np.array(targets), len(deltas)
+
+
+N_HALVES = (1, 7, 3000)
+
+
+@pytest.mark.filterwarnings("error")  # no NaN index is ever cast or compared
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n_eff", [1.0, 1.1, 1.44, 2.0])
+def test_lattice_walk_matches_sequential_recurrence(n_eff, side):
+    raised = 0
+    for delta_p in (0.1, 0.5, 1.0, 1.5, 2.0, 7.3):
+        cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
+        consts = derive_constants(cfg)
+        *expected, refined = sequential_half_deltas(max(N_HALVES), cfg, consts, side)
+        edge = {refined, refined + 1} - {0} if refined < max(N_HALVES) else set()
+        for n_half in sorted({*N_HALVES, *edge}):
+            if refined < n_half:
+                raised += 1
+                with pytest.raises(NumericsError, match="exhausted" if side == "left" else ""):
+                    refined_half_deltas(n_half, cfg, consts, side=side)
+                continue
+            got = refined_half_deltas(n_half, cfg, consts, side=side)
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b[:n_half])
+    # with n_eff = 1 the left path falls below one wavelength after 128-280
+    # antennas; the walk's windows reach past index 0 well before a target
+    # does, and only the antenna after the last refined one raises
+    assert (raised > 0) == ((n_eff, side) == (1.0, "left"))
+
+
+def test_lattice_walk_keeps_the_sequential_rounding():
+    # setting delta = u(j) directly, instead of seed + (u(j) - seed), is one
+    # ulp off at the first antenna here
+    cfg = SystemConfig(n_eff=1.1, delta_p=0.1, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    deltas, _, targets = refined_half_deltas(7, cfg, consts, side="left")
+    assert deltas[0] != refine._root(targets[0], cfg, "left")
+    assert np.array_equal(deltas, sequential_half_deltas(7, cfg, consts, "left")[0])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_lattice_walk_seed_within_snap_of_a_multiple(side):
+    # delta_p puts the first seed 2e-10 m outside the offset whose path is a
+    # multiple, so its path is within the 1e-9 m snap: that antenna keeps its
+    # seed (shift 0), which lies off the root u(j)
+    base = SystemConfig(alpha_wg_db_per_m=0.0)
+    consts = derive_constants(base)
+    lam = consts.wavelength
+    j = 290 if side == "right" else 270
+    cfg = replace(base, delta_p=2.0 * (refine._root(j * lam, base, side) + 2e-10) / lam)
+    deltas, shifts, targets = refined_half_deltas(200, cfg, consts, side=side)
+    assert shifts[0] == 0.0 and targets[0] == j * lam
+    for a, b in zip((deltas, shifts, targets), sequential_half_deltas(200, cfg, consts, side)):
+        assert np.array_equal(a, b)
+
+
+def test_walk_rejects_non_finite_lattice_index():
+    cfg = SystemConfig(d_m=1e300)
+    with pytest.raises(NumericsError, match="lattice index"):
+        refined_half_deltas(10, cfg, derive_constants(cfg), side="right")
+
+
+# ------------------------------------------------------------ stable roots
+
+
+@pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-12, 1.0000001, 1.001, 1.44, 2.0])
+def test_roots_hold_the_path_near_unit_index(n_eff):
+    cfg = SystemConfig(n_eff=n_eff, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    lam = consts.wavelength
+    j = np.arange(1, 20001)
+    right = cfg.d_m + lam * j
+    u = refine._root(right, cfg, "right")
+    assert np.max(np.abs(combined_path(u, cfg, consts) - right)) <= 1e-12
+    left = cfg.d_m * j / j.size  # targets in (0, d]
+    u = refine._root(left, cfg, "left")
+    assert np.max(np.abs(combined_path(-u, cfg, consts) - left)) <= 1e-12
+
+
+def test_left_root_at_negative_target():
+    # the rationalized left form is 0/0 at t = -d; the direct one holds t <= 0
+    cfg = SystemConfig(alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    t = -cfg.d_m * (1.0 + 1e-9)
+    u = refine._root(t, cfg, "left")
+    assert abs(combined_path(-u, cfg, consts) - t) <= 1e-12
+
+
+def test_nearly_unit_index_refines_right_and_exhausts_left():
+    cfg = SystemConfig(n_eff=1.0000001, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    deltas, _, targets = refined_half_deltas(3000, cfg, consts, side="right")
+    assert np.max(np.abs(combined_path(deltas, cfg, consts) - targets)) <= 1e-9
+    # left: every antenna with a positive target refines; past them the walk
+    # runs through chains of unshifted antennas at 1e5..1e7 m, like the
+    # recurrence, until float64 cannot hold 1e-9 m there
+    *expected, refined = sequential_half_deltas(3000, cfg, consts, "left")
+    assert np.sum(expected[2] > 0.0) > 250 and np.any(np.diff(expected[2]) == 0.0)
+    for a, b in zip(refined_half_deltas(refined, cfg, consts, side="left"), expected):
+        assert np.array_equal(a, b)
+    with pytest.raises(NumericsError, match="left-side targets are exhausted"):
+        refined_half_deltas(refined + 1, cfg, consts, side="left")
