@@ -1,13 +1,13 @@
 """Array-gain analysis for pinching-antenna systems on a dielectric waveguide.
 
-Core surface: scenario/layout types (:mod:`passgain.geometry`), exact channel
-and gain (:mod:`passgain.channel`), closed-form gains and bounds
+Core surface: scenario/layout types (:mod:`passgain.geometry`), exact array
+gain (:mod:`passgain.channel`), closed-form gains and bounds
 (:mod:`passgain.gain`), position refinement (:mod:`passgain.refine`),
 mutual coupling (:mod:`passgain.coupling`), and figure-level experiments with
 a CLI (:mod:`passgain.experiments`, :mod:`passgain.cli`).
 """
 
-from .channel import ChannelState, array_gain_exact, channel_state, los_coefficient
+from .channel import array_gain_exact
 from .errors import ConfigError, NumericsError
 from .geometry import (
     SPEED_OF_LIGHT,
@@ -23,17 +23,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AntennaLayout",
-    "ChannelState",
     "ConfigError",
     "DerivedConstants",
     "NumericsError",
     "SPEED_OF_LIGHT",
     "SystemConfig",
     "array_gain_exact",
-    "channel_state",
     "derive_constants",
     "load_scenario",
-    "los_coefficient",
     "symmetric_uniform_layout",
     "__version__",
 ]

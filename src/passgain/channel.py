@@ -1,73 +1,20 @@
-"""Line-of-sight channel coefficients, in-waveguide phases, and exact array gain.
+"""Exact array gain over the line-of-sight spherical-wave channel.
 
 The spherical-wave coefficient of an antenna at ``[x_n, 0, d]`` seen from the
 user at ``[x_u, 0, 0]`` is ``sqrt(eta) * exp(-j k0 r) / r`` with
 ``r = sqrt((x_u - x_n)^2 + d^2)``.  On top of that, the signal picks up the
 in-waveguide phase ``2 pi (x_n - x_0) / lambda_g`` and, with lossy waveguides,
-an amplitude attenuation accumulated from the feed point.
+an amplitude attenuation ``10^(-alpha (x_n - x_0) / 20)`` accumulated from the
+feed point.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
 from .geometry import AntennaLayout, DerivedConstants, SystemConfig, resolve_feed
-
-
-def los_coefficient(x_n: float, cfg: SystemConfig, consts: DerivedConstants) -> complex:
-    """Free-space LoS channel coefficient of a single antenna at ``x_n``."""
-    r = math.hypot(cfg.x_u_m - x_n, cfg.d_m)
-    return math.sqrt(consts.eta) * cmath.exp(-1j * consts.k0 * r) / r
-
-
-def inwaveguide_phase(x_n: float, x_0: float, consts: DerivedConstants) -> float:
-    """Phase accumulated inside the waveguide from the feed point to ``x_n``, rad."""
-    if x_n < x_0 - 1e-12:
-        raise ConfigError(f"antenna at {x_n} m lies left of the feed point at {x_0} m")
-    return 2.0 * math.pi * (x_n - x_0) / consts.lambda_g
-
-
-def waveguide_attenuation(x_n: float, x_0: float, alpha_wg_db_per_m: float) -> float:
-    """Amplitude attenuation 10^(-alpha (x_n - x_0) / 20) of the radiated signal."""
-    if x_n < x_0 - 1e-12:
-        raise ConfigError(f"antenna at {x_n} m lies left of the feed point at {x_0} m")
-    return 10.0 ** (-alpha_wg_db_per_m * (x_n - x_0) / 20.0)
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelState:
-    """Per-antenna channel arrays for one layout: LoS coefficient h, in-waveguide
-    phase phi (rad), and amplitude attenuation att (1 when the loss is zero)."""
-
-    h: np.ndarray
-    phi: np.ndarray
-    att: np.ndarray
-
-
-def channel_state(
-    layout: AntennaLayout,
-    cfg: SystemConfig,
-    consts: DerivedConstants,
-    alpha_wg: float | None = None,
-) -> ChannelState:
-    """Evaluate the channel for every antenna of a layout.
-
-    ``alpha_wg`` overrides the configured waveguide loss; this lets one layout
-    be scored under both the lossless and the lossy configuration.
-    """
-    alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
-    x0 = resolve_feed(cfg, layout)
-    x = np.asarray(layout.positions, dtype=float)
-    r = np.hypot(cfg.x_u_m - x, cfg.d_m)
-    h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
-    phi = 2.0 * math.pi * (x - x0) / consts.lambda_g
-    att = 10.0 ** (-alpha * (x - x0) / 20.0)
-    return ChannelState(h=h, phi=phi, att=att)
 
 
 def array_gain_exact(
@@ -81,8 +28,16 @@ def array_gain_exact(
     Equal power split over the N antennas:
     ``a = |sum_n att_n h_n exp(-j phi_n)|^2 / N``.  With zero loss the value is
     independent of the feed position because the common in-waveguide phase from
-    the feed to the array has unit modulus.
+    the feed to the array has unit modulus.  ``alpha_wg`` overrides the
+    configured waveguide loss, so one layout can be scored under both the
+    lossless and the lossy configuration.
     """
-    state = channel_state(layout, cfg, consts, alpha_wg=alpha_wg)
-    total = np.sum(state.att * state.h * np.exp(-1j * state.phi))
+    alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
+    x0 = resolve_feed(cfg, layout)
+    x = np.asarray(layout.positions, dtype=float)
+    r = np.hypot(cfg.x_u_m - x, cfg.d_m)
+    h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
+    phi = 2.0 * math.pi * (x - x0) / consts.lambda_g
+    att = 10.0 ** (-alpha * (x - x0) / 20.0)
+    total = np.sum(att * h * np.exp(-1j * phi))
     return float(abs(total) ** 2 / layout.n)

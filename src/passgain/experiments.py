@@ -28,7 +28,7 @@ import numpy as np
 
 from . import coupling, gain, refine
 from .channel import array_gain_exact
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .geometry import SystemConfig, derive_constants, symmetric_uniform_layout
 
 # Monte Carlo user-position half-range and default feed location for the
@@ -40,14 +40,10 @@ FLUID_RANGE_WAVELENGTHS = 500.0
 FIXED_ANTENNA_X_M = 0.0
 # Rows formatted and written per chunk by write_csv.
 _CSV_CHUNK_ROWS = 8192
-
-_SWEEP_KINDS = (
-    "fub_curve",
-    "fmc_curve",
-    "gain_vs_n",
-    "maxgain_vs_spacing",
-    "gain_vs_delta_mc",
-)
+# Largest array a sweep lays out: grid points, Monte Carlo trials, antenna
+# pairs, coupling-matrix entries.  Larger inputs are rejected from their count,
+# before anything is allocated.
+MAX_SWEEP_SIZE = 10**6
 
 
 @dataclass(frozen=True)
@@ -59,41 +55,6 @@ class Curve:
     x: float | np.ndarray
     y: float | np.ndarray
     stderr: float | np.ndarray = 0.0
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """Parameters of one experiment sweep; only the fields relevant to the
-    chosen kind are consulted."""
-
-    kind: str
-    cfg: SystemConfig
-    seed: int = 0
-    trials: int = 1000
-    cases: tuple[tuple[str, float], ...] = (("case1", 0.0),)
-    n_max: int = 6000
-    n_step: int = 2
-    delta_p_values: tuple[float, ...] = (0.5, 1.0)
-    n_values: tuple[int, ...] = (2, 4)
-    n_eff_values: tuple[float, ...] = ()
-    grid_step: float = 0.01
-    x_max: float = 10.0
-
-    def __post_init__(self):
-        if self.kind not in _SWEEP_KINDS:
-            raise ConfigError(f"unknown sweep kind {self.kind!r}")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if not self.cases:
-            raise ConfigError("at least one waveguide-loss case is required")
-        if self.kind == "gain_vs_n" and not self.delta_p_values:
-            raise ConfigError("delta_p grid must be non-empty")
-        if self.kind == "maxgain_vs_spacing" and not self.delta_p_values:
-            raise ConfigError("delta_p grid must be non-empty")
-        if self.kind == "gain_vs_delta_mc" and not self.n_values:
-            raise ConfigError("antenna-count list must be non-empty")
-        if self.grid_step <= 0:
-            raise ConfigError("grid step must be > 0")
 
 
 def _column(values, sizes) -> np.ndarray:
@@ -144,6 +105,28 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     return y.size
 
 
+def _check_size(what: str, count) -> None:
+    if count > MAX_SWEEP_SIZE:
+        raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
+
+
+def _grid_count(span: float, step: float) -> int:
+    """Number of grid steps ``round(span / step)``, for a finite positive step
+    and at most MAX_SWEEP_SIZE points."""
+    if not 0.0 < step < math.inf:
+        raise ConfigError(f"grid step must be finite and > 0, got {step}")
+    _check_size("grid points", span / step)
+    return int(round(span / step))
+
+
+def _check_finite(values, series: str, alpha: float) -> None:
+    """Raise NumericsError when a sweep's gains left the float range, which
+    the loss factors referenced to the user's projection do at high loss."""
+    if not np.all(np.isfinite(values)):
+        raise NumericsError(f"series {series!r} overflows the float range at "
+                            f"alpha_wg_db_per_m = {alpha:g}")
+
+
 def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
     """Exact gains of all nested symmetric-count layouts, via prefix sums.
 
@@ -188,38 +171,40 @@ def _layouts(m_max, cfg, consts):
     return {"uniform": (half, half), "refined": (d_right, d_left)}
 
 
-def run_fub_curve(x_max: float = 10.0, step: float = 0.01):
+def run_fub_curve(x_max: float, step: float):
     """Tabulate the bound shape function and mark its maximizer."""
+    if not math.isfinite(x_max):
+        raise ConfigError(f"x_max must be finite, got {x_max}")
+    xs = step * np.arange(1, _grid_count(x_max, step) + 1)
     xstar, fstar = gain.find_xstar()
-    xs = step * np.arange(1, int(round(x_max / step)) + 1)
     return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", xstar, fstar)]
 
 
-def run_fmc_curve(n_eff_values, step: float = 0.005):
+def run_fmc_curve(n_eff_values, step: float):
     """Tabulate the coupling shape function over one wavelength of spacing."""
     if not n_eff_values:
         raise ConfigError("need at least one refractive-index value")
-    xs = step * np.arange(0, int(round(1.0 / step)) + 1)
+    for ne in n_eff_values:
+        if not 1.0 <= ne < math.inf:
+            raise ConfigError(f"n_eff must be finite and >= 1, got {ne}")
+    xs = step * np.arange(0, _grid_count(1.0, step) + 1)
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
-
-
-def _case_feed(cfg: SystemConfig, default: float | None):
-    """Feed x-coordinate for sweeps: explicit config value, else the default
-    (None keeps "auto" = leftmost antenna)."""
-    return cfg.x_0_m if cfg.x_0_m is not None else default
 
 
 def run_gain_vs_n(
     cfg: SystemConfig,
     delta_p_values,
     cases,
-    n_max: int = 6000,
-    n_step: int = 2,
+    n_max: int,
+    n_step: int,
 ):
     """Gain versus antenna count: phase-free bound, refined layout, uniform
     layout, and the fixed-antenna baseline, per spacing and loss case."""
+    if not delta_p_values:
+        raise ConfigError("delta_p grid must be non-empty")
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
+    _check_size("antenna pairs", n_max // 2)
     if n_step < 2 or n_step % 2 != 0:
         raise ConfigError("the antenna-count step must be a positive even integer")
     consts = derive_constants(cfg)
@@ -233,15 +218,17 @@ def run_gain_vs_n(
         layouts = _layouts(m_max, cfg_dp, consts)
 
         for label, alpha in cases:
-            gains = {
-                kind: _pair_gains(dr, dl, cfg_dp, consts, alpha) * _feed_factor(dl, cfg_dp, alpha)
-                for kind, (dr, dl) in layouts.items()
-            }
-            half, _ = layouts["uniform"]
-            bound = _pair_bounds(half, half, cfg_dp, consts, alpha)
-            gains["bound"] = bound * _feed_factor(half, cfg_dp, alpha)
+            with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
+                gains = {
+                    kind: _pair_gains(dr, dl, cfg_dp, consts, alpha) * _feed_factor(dl, cfg_dp, alpha)
+                    for kind, (dr, dl) in layouts.items()
+                }
+                half, _ = layouts["uniform"]
+                bound = _pair_bounds(half, half, cfg_dp, consts, alpha)
+                gains["bound"] = bound * _feed_factor(half, cfg_dp, alpha)
             for kind, g in gains.items():
                 series = f"{kind}_dp{dp:g}_{label}"
+                _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
 
     fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
@@ -278,9 +265,9 @@ def run_maxgain_vs_spacing(
     cfg: SystemConfig,
     delta_p_values,
     cases,
-    trials: int = 1000,
-    seed: int = 0,
-    n_max: int = 10000,
+    trials: int,
+    seed: int,
+    n_max: int,
 ):
     """Monte Carlo maximum gain versus minimum spacing, with baselines.
 
@@ -289,12 +276,16 @@ def run_maxgain_vs_spacing(
     fixed single-antenna baselines and the closed-form bound estimate complete
     the figure.  Standard errors above 5 percent of the mean are flagged.
     """
+    if not delta_p_values:
+        raise ConfigError("delta_p grid must be non-empty")
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    _check_size("Monte Carlo trials", trials)
+    _check_size("antenna pairs", n_max // 2)
     consts = derive_constants(cfg)
     rng = np.random.Generator(np.random.PCG64(seed))
     x_us = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials)
-    feed_x0 = _case_feed(cfg, DEFAULT_FEED_X0_M)
-    if feed_x0 is None:
-        raise ConfigError("the max-gain sweep needs a fixed feed point")
+    feed_x0 = DEFAULT_FEED_X0_M if cfg.x_0_m is None else cfg.x_0_m
     if feed_x0 > -USER_HALF_RANGE_M:
         raise ConfigError(
             f"feed at {feed_x0} m can fall right of a drawn user position"
@@ -310,7 +301,6 @@ def run_maxgain_vs_spacing(
         for label, alpha in cases:
             factor = 10.0 ** (-alpha * feed_run / 10.0)
             for kind, (dr, dl) in layouts.items():
-                g0 = _pair_gains(dr, dl, cfg_dp, consts, alpha)
                 # a draw may use the first `cap` pairs: those left of its
                 # projection that still lie right of the feed
                 caps = np.searchsorted(dl, feed_run, side="right")
@@ -319,7 +309,10 @@ def run_maxgain_vs_spacing(
                         f"no feasible antenna count for {int(np.sum(caps < 1))} draw(s): "
                         f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
                     )
-                best = np.maximum.accumulate(g0)[caps - 1] * factor
+                with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
+                    g0 = _pair_gains(dr, dl, cfg_dp, consts, alpha)
+                    best = np.maximum.accumulate(g0)[caps - 1] * factor
+                _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
                 points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
@@ -352,7 +345,7 @@ def _mean_stderr(values):
 def run_gain_vs_delta_mc(
     cfg: SystemConfig,
     n_values,
-    step: float = 0.005,
+    step: float,
     delta_min_wl: float = 1e-3,
 ):
     """Gain versus inter-antenna spacing with and without mutual coupling.
@@ -362,8 +355,12 @@ def run_gain_vs_delta_mc(
     analytic rows: N antennas collapsed onto one point give N eta / d^2
     without coupling, and eta / d^2 for the coupling-aware pair.
     """
+    if not n_values:
+        raise ConfigError("antenna-count list must be non-empty")
+    for n in n_values:
+        _check_size("coupling-matrix entries", n * n)
     consts = derive_constants(cfg)
-    count = int(round((1.0 - delta_min_wl) / step))
+    count = _grid_count(1.0 - delta_min_wl, step)
     xs = delta_min_wl + step * np.arange(0, count + 1)
     xs = xs[xs <= 1.0 + 1e-12]
     if xs[-1] < 1.0 - 1e-12:
@@ -407,28 +404,3 @@ def run_gain_vs_delta_mc(
             stacklevel=2,
         )
     return points
-
-
-def run_sweep(spec: SweepSpec):
-    """Dispatch a sweep specification to its implementation."""
-    if spec.kind == "fub_curve":
-        return run_fub_curve(x_max=spec.x_max, step=spec.grid_step)
-    if spec.kind == "fmc_curve":
-        n_effs = spec.n_eff_values or (spec.cfg.n_eff,)
-        return run_fmc_curve(n_effs, step=spec.grid_step)
-    if spec.kind == "gain_vs_n":
-        return run_gain_vs_n(
-            spec.cfg, spec.delta_p_values, spec.cases, n_max=spec.n_max, n_step=spec.n_step
-        )
-    if spec.kind == "maxgain_vs_spacing":
-        return run_maxgain_vs_spacing(
-            spec.cfg,
-            spec.delta_p_values,
-            spec.cases,
-            trials=spec.trials,
-            seed=spec.seed,
-            n_max=spec.n_max,
-        )
-    if spec.kind == "gain_vs_delta_mc":
-        return run_gain_vs_delta_mc(spec.cfg, spec.n_values, step=spec.grid_step)
-    raise ConfigError(f"unknown sweep kind {spec.kind!r}")

@@ -1,65 +1,89 @@
-import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from passgain.channel import (
-    array_gain_exact,
-    channel_state,
-    inwaveguide_phase,
-    los_coefficient,
-    waveguide_attenuation,
-)
+from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError
 from passgain.gain import gain_symmetric
-from passgain.geometry import AntennaLayout, SystemConfig, symmetric_uniform_layout
+from passgain.geometry import AntennaLayout, SystemConfig, resolve_feed, symmetric_uniform_layout
+
+
+def pair(x_left, x_right):
+    return AntennaLayout(positions=(x_left, x_right), center=x_left, min_spacing=0.0)
+
+
+def lone_antenna_power(x, cfg, consts):
+    """|h|^2 of an antenna at ``x`` fed where it stands: its partner 1 m
+    further along a 1e4 dB/m waveguide keeps 10^-500 of its amplitude, which
+    is exactly 0 in float64, so the pair's gain is |h|^2 / 2."""
+    return 2.0 * array_gain_exact(pair(x, x + 1.0), cfg, consts, alpha_wg=1e4)
 
 
 def test_overhead_antenna_power(cfg, consts):
     # |h|^2 = eta / d^2 for the antenna directly above the user
-    h = los_coefficient(cfg.x_u_m, cfg, consts)
-    assert abs(h) ** 2 == pytest.approx(8.07e-8, rel=1e-3)
-    assert abs(h) ** 2 == pytest.approx(consts.eta / cfg.d_m**2, rel=1e-12)
+    power = lone_antenna_power(cfg.x_u_m, cfg, consts)
+    assert power == pytest.approx(8.07e-8, rel=1e-3)
+    assert power == pytest.approx(consts.eta / cfg.d_m**2, rel=1e-12)
 
 
 def test_overhead_antenna_phase(cfg, consts):
-    h = los_coefficient(cfg.x_u_m, cfg, consts)
-    expected = cmath.phase(cmath.exp(-1j * consts.k0 * cfg.d_m))
-    assert cmath.phase(h) == pytest.approx(expected, abs=1e-12)
+    # The overhead antenna (phase -k0 d) and one m guided wavelengths further
+    # on (in-waveguide phase 2 pi m, free-space phase -k0 r) interfere with
+    # the phase difference k0 (r - d): law of cosines on the two phasors.
+    for m in (1, 7, 40):
+        s = m * consts.lambda_g
+        d, r = cfg.d_m, math.hypot(s, cfg.d_m)
+        cross = 2 * math.cos(consts.k0 * (r - d)) / (d * r)
+        expected = consts.eta / 2 * (1 / d**2 + 1 / r**2 + cross)
+        got = array_gain_exact(pair(cfg.x_u_m, cfg.x_u_m + s), cfg, consts, alpha_wg=0.0)
+        assert got == pytest.approx(expected, rel=1e-10)
 
 
 def test_magnitude_even_in_offset(cfg, consts):
     for off in (0.001, 0.5, 2.7):
-        left = abs(los_coefficient(cfg.x_u_m - off, cfg, consts))
-        right = abs(los_coefficient(cfg.x_u_m + off, cfg, consts))
+        left = lone_antenna_power(cfg.x_u_m - off, cfg, consts)
+        right = lone_antenna_power(cfg.x_u_m + off, cfg, consts)
         assert left == pytest.approx(right, rel=1e-15)
 
 
 def test_inwaveguide_phase_values(cfg, consts):
-    assert inwaveguide_phase(0.0, 0.0, consts) == 0.0
-    assert inwaveguide_phase(consts.lambda_g, 0.0, consts) == pytest.approx(
-        2 * math.pi, rel=1e-12
-    )
-    # one free-space wavelength of waveguide covers n_eff guided wavelengths
-    assert inwaveguide_phase(consts.wavelength, 0.0, consts) == pytest.approx(
-        2 * math.pi * 1.44, rel=1e-12
-    )
+    # A pair mirrored about the user shares r, so only the in-waveguide phase
+    # 2 pi s / lambda_g between them is left: 2 eta / r^2 cos^2(pi s / lambda_g).
+    # One guided wavelength adds in phase, half of one cancels, and one
+    # free-space wavelength covers n_eff guided wavelengths.
+    for s, cos2 in ((consts.lambda_g, 1.0), (consts.lambda_g / 2, 0.0),
+                    (consts.wavelength, math.cos(math.pi * 1.44) ** 2)):
+        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg, consts, alpha_wg=0.0)
+        expected = 2 * consts.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * consts.eta)
 
 
 def test_feed_right_of_antenna_rejected(consts):
+    lay = pair(-1.0, 1.0)
+    fed_at_origin = SystemConfig(x_0_m=0.0)
     with pytest.raises(ConfigError):
-        inwaveguide_phase(-1.0, 0.0, consts)
+        resolve_feed(fed_at_origin, lay)
     with pytest.raises(ConfigError):
-        waveguide_attenuation(-1.0, 0.0, 0.08)
+        array_gain_exact(lay, fed_at_origin, consts)
 
 
-def test_attenuation_values():
-    assert waveguide_attenuation(5.0, 0.0, 0.0) == 1.0
-    assert waveguide_attenuation(30.0, 0.0, 0.08) == pytest.approx(0.7586, rel=1e-4)
-    xs = np.linspace(0.0, 50.0, 40)
-    att = [waveguide_attenuation(float(x), 0.0, 0.08) for x in xs]
-    assert all(b <= a for a, b in zip(att, att[1:]))
+def test_attenuation_values(consts):
+    # The feed-to-array run attenuates every antenna alike, so moving the feed
+    # `run` metres left scales the gain by the power factor 10^(-alpha run / 10).
+    lossy = SystemConfig(alpha_wg_db_per_m=0.08)
+    lay = symmetric_uniform_layout(lossy, 8, 0.02)
+
+    def gain_fed_from(run, alpha):
+        return array_gain_exact(lay, replace(lossy, x_0_m=lay.leftmost - run), consts,
+                                alpha_wg=alpha)
+
+    assert gain_fed_from(5.0, 0.0) == pytest.approx(gain_fed_from(0.0, 0.0), rel=1e-12)
+    amplitude = math.sqrt(gain_fed_from(30.0, 0.08) / gain_fed_from(0.0, 0.08))
+    assert amplitude == pytest.approx(0.7586, rel=1e-4)
+    gains = [gain_fed_from(float(run), 0.08) for run in np.linspace(0.0, 50.0, 40)]
+    assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
 def test_exact_gain_matches_symmetric_form(cfg, consts):
@@ -107,10 +131,8 @@ def test_triangle_inequality_bound(cfg, consts):
         n = 2 * int(rng.integers(1, 25))
         spacing = float(rng.uniform(0.3, 3.0)) * consts.wavelength
         lay = symmetric_uniform_layout(cfg, n, spacing)
-        state = channel_state(lay, cfg, consts, alpha_wg=0.0)
         bound = consts.eta / n * np.sum(1.0 / np.hypot(np.array(lay.deltas()), cfg.d_m)) ** 2
         assert array_gain_exact(lay, cfg, consts, alpha_wg=0.0) <= bound * (1 + 1e-9)
-        assert np.all(state.att == 1.0)
 
 
 def test_loss_never_raises_gain(cfg, consts):

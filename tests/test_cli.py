@@ -1,7 +1,15 @@
+import argparse
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+from passgain.cli import SUBCOMMANDS, build_parser
+from passgain.experiments import MAX_SWEEP_SIZE
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(*args):
@@ -132,3 +140,79 @@ def test_case_flag_selects_series(tmp_path):
     assert res.returncode == 0
     text = out.read_text()
     assert "case2" in text and "case1" not in text
+
+
+def subcommand_parsers():
+    parser = build_parser()
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subs.choices
+
+
+def test_parser_subcommands_match_table():
+    parsers = subcommand_parsers()
+    assert list(parsers) == list(SUBCOMMANDS)
+    flags = {name: {opt for a in p._actions for opt in a.option_strings}
+             for name, p in parsers.items()}
+    assert all({"--config", "--out", "--seed"} <= f for f in flags.values())
+    assert [name for name, f in flags.items() if "--trials" in f] == ["maxgain-vs-spacing"]
+    assert [name for name, f in flags.items() if "--case" in f] == [
+        "gain-vs-n", "maxgain-vs-spacing"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("fub-curve", "--trials", "3"), ("fmc-curve", "--case", "2"),
+     ("gain-vs-delta-mc", "--case", "1")],
+)
+def test_flag_of_another_subcommand_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([*argv, "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_lines_parse():
+    text = README.read_text()
+    block = text[text.index("## CLI"):]
+    block = block[block.index("```sh") + len("```sh"):]
+    lines = [l for l in block[:block.index("```")].splitlines() if l.startswith("passgain ")]
+    assert [shlex.split(l)[1] for l in lines] == list(SUBCOMMANDS)
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+# Each is rejected from its count or its value before the sweep allocates.
+BAD_NUMBERS = [
+    ("fub-curve", "--grid-step", "nan"),
+    ("fmc-curve", "--grid-step", "nan"),
+    ("gain-vs-delta-mc", "--grid-step", "nan"),
+    ("fub-curve", "--x-max", "nan"),
+    ("gain-vs-delta-mc", "--grid-step", "inf"),
+    ("fub-curve", "--grid-step", "1e-300"),
+    ("fub-curve", "--x-max", "inf"),
+    ("fmc-curve", "--n-eff-list", "0.5"),
+    ("fmc-curve", "--n-eff-list", "inf"),
+    ("maxgain-vs-spacing", "--trials", str(MAX_SWEEP_SIZE + 1)),
+    ("maxgain-vs-spacing", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
+    ("gain-vs-n", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
+    ("gain-vs-delta-mc", "--n-list", f"2,{int(MAX_SWEEP_SIZE**0.5) + 2}"),
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMBERS, ids="_".join)
+def test_bad_numeric_flag_exits_2(tmp_path, argv):
+    res = run_cli(*argv, "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("alpha", ["60", "1e300"])
+def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
+    cfgfile = tmp_path / "lossy.cfg"
+    cfgfile.write_text(f"alpha_wg_db_per_m = {alpha}\n")
+    res = run_cli("gain-vs-n", "--config", str(cfgfile), "--n-max", "6000",
+                  "--delta-p", "0.5,1", "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr.startswith("numeric failure:") and res.stderr.count("\n") == 1
+    assert "alpha_wg_db_per_m" in res.stderr

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from passgain.channel import array_gain_exact
-from passgain.errors import ConfigError
+from passgain.errors import ConfigError, NumericsError
 from passgain.experiments import (
     USER_HALF_RANGE_M,
     Curve,
-    SweepSpec,
     _pair_gains,
     run_fmc_curve,
     run_fub_curve,
     run_gain_vs_delta_mc,
     run_gain_vs_n,
     run_maxgain_vs_spacing,
-    run_sweep,
     write_csv,
 )
 from passgain.gain import gain_limit, max_gain_estimate, uniform_deltas
@@ -425,22 +423,43 @@ def test_mc_sweep_zero_rows(mc_points, consts, cfg):
     assert free0.y == 2 * consts.eta / cfg.d_m**2
 
 
-# ---------------------------------------------------------------- SweepSpec
+# ---------------------------------------------------------------- input checks
 
 
-def test_sweep_spec_validation(cfg):
-    with pytest.raises(ConfigError):
-        SweepSpec(kind="nope", cfg=cfg)
-    with pytest.raises(ConfigError):
-        SweepSpec(kind="fub_curve", cfg=cfg, trials=0)
-    with pytest.raises(ConfigError):
-        SweepSpec(kind="gain_vs_n", cfg=cfg, delta_p_values=())
-    with pytest.raises(ConfigError):
-        SweepSpec(kind="fub_curve", cfg=cfg, grid_step=0.0)
+def test_runners_reject_bad_inputs(cfg):
+    bad_calls = [
+        lambda: run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=0, seed=0, n_max=100),
+        lambda: run_maxgain_vs_spacing(cfg, (), BOTH_CASES, trials=5, seed=0, n_max=100),
+        lambda: run_gain_vs_n(cfg, (), BOTH_CASES, n_max=100, n_step=2),
+        lambda: run_gain_vs_delta_mc(cfg, (), step=0.1),
+        lambda: run_fub_curve(x_max=4.0, step=0.0),
+        lambda: run_fmc_curve((1.44,), step=0.0),
+        lambda: run_gain_vs_delta_mc(cfg, (2,), step=0.0),
+    ]
+    for call in bad_calls:
+        with pytest.raises(ConfigError):
+            call()
 
 
-def test_run_sweep_dispatch(cfg):
-    pts = run_sweep(SweepSpec(kind="fub_curve", cfg=cfg, x_max=4.0, grid_step=0.1))
-    assert any(p.series == "fub_peak" for p in pts)
-    pts = run_sweep(SweepSpec(kind="fmc_curve", cfg=cfg, grid_step=0.05))
-    assert any(p.series == "fmc_neff1.44" for p in pts)
+@pytest.mark.parametrize("alpha", [60.0, 1e300])
+def test_gain_vs_n_loss_overflow_names_the_loss(alpha):
+    # the loss factors referenced to the user's projection leave the float
+    # range; numpy raises nothing of its own and the sweep names the loss that did it
+    lossy = SystemConfig(alpha_wg_db_per_m=alpha)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
+            run_gain_vs_n(lossy, (0.5, 1.0), (("case2", alpha),), n_max=6000, n_step=2)
+
+
+def test_maxgain_survives_loss_overflow_beyond_the_feed():
+    # at 60 dB/m the gains overflow only for pairs left of the feed, which no
+    # draw can use: the sweep keeps its finite rows and numpy raises nothing
+    lossy = SystemConfig(alpha_wg_db_per_m=60.0)
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.warns(RuntimeWarning, match="standard error"):  # 50 draws only
+            pts = run_maxgain_vs_spacing(lossy, (2.0,), (("case2", 60.0),), trials=50,
+                                         seed=0, n_max=10000)
+    assert all(np.isfinite(p.y) and p.y > 0 for p in pts)
+    with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
+        run_maxgain_vs_spacing(lossy, (2.0,), (("case2", 1e300),), trials=50, seed=0,
+                               n_max=10000)
