@@ -17,6 +17,21 @@ import numpy as np
 from .geometry import AntennaLayout, DerivedConstants, SystemConfig, resolve_feed
 
 
+def los_channel(offsets, cfg: SystemConfig, consts: DerivedConstants):
+    """Spherical-wave coefficients ``sqrt(eta) exp(-j k0 r) / r`` of antennas at
+    signed ``offsets`` (m, any shape) along the waveguide from the user's
+    projection, ``r = hypot(offset, d)``."""
+    r = np.hypot(offsets, cfg.d_m)
+    return math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
+
+
+def abs_squared(z):
+    """``|z|^2`` of a complex array, rounded as ``abs(z) ** 2`` of a numpy scalar
+    is (libm hypot, then libm pow), which keeps the CSV bits of the
+    point-by-point sweeps; ``np.abs`` and ``** 2`` on arrays round otherwise."""
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
 def array_gain_exact(
     layout: AntennaLayout,
     cfg: SystemConfig,
@@ -35,8 +50,7 @@ def array_gain_exact(
     alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
     x0 = resolve_feed(cfg, layout)
     x = np.asarray(layout.positions, dtype=float)
-    r = np.hypot(cfg.x_u_m - x, cfg.d_m)
-    h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
+    h = los_channel(cfg.x_u_m - x, cfg, consts)
     phi = 2.0 * math.pi * (x - x0) / consts.lambda_g
     att = 10.0 ** (-alpha * (x - x0) / 20.0)
     total = np.sum(att * h * np.exp(-1j * phi))

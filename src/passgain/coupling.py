@@ -8,6 +8,13 @@ symmetric array becomes ``|h^T C^(-1/2) phi|^2 / N``.  At half-wavelength
 spacing ``C`` is the identity and coupling vanishes; as the spacing shrinks
 ``C`` approaches a rank-one matrix and its small eigenvalues must be floored
 before inversion.
+
+:func:`coupling_matrix`, :func:`inv_sqrt` and :func:`gain_mc` take one spacing
+or a 1-D array of S spacings.  An array is solved as one (S, N, N) stack: one
+``eigh`` call, ``C^(-1/2) = (V W^(-1/2)) V^T`` by one stacked matmul, and the
+channel taken at the offsets ``+/-(k - 1/2) delta`` from the user, so the
+result does not depend on where the user stands.  A stack holds S N^2
+entries; the caller picks S.
 """
 
 from __future__ import annotations
@@ -18,8 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .channel import abs_squared, los_channel
 from .errors import ConfigError
-from .geometry import DerivedConstants, SystemConfig, symmetric_uniform_layout
+from .geometry import DerivedConstants, SystemConfig, symmetric_offsets, uniform_spacings
 
 
 def sinc_j0(x):
@@ -31,74 +39,86 @@ def sinc_j0(x):
     return float(out) if out.ndim == 0 else out
 
 
-def coupling_matrix(n: int, delta: float, consts: DerivedConstants) -> np.ndarray:
+def coupling_matrix(n: int, delta, consts: DerivedConstants) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
-    ``delta`` (m)."""
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
-    if not delta > 0:
-        raise ConfigError("spacing must be > 0; use the closed-form limit for delta = 0")
+    ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
     i = np.arange(n)
-    first_row = sinc_j0(consts.k0 * delta * i)
-    return first_row[abs(i[:, None] - i)]
+    first_rows = sinc_j0(consts.k0 * uniform_spacings(n, delta)[..., None] * i)
+    return first_rows[..., abs(i[:, None] - i)]
 
 
 class InverseSqrt(NamedTuple):
     matrix: np.ndarray
-    floored: int
+    floored: int | np.ndarray
 
 
 def inv_sqrt(c: np.ndarray, eig_floor: float = 1e-10) -> InverseSqrt:
-    """Inverse matrix square root via the spectral decomposition.
+    """Inverse matrix square root via the spectral decomposition, of one
+    matrix or of a stack (..., N, N) in a single ``eigh`` call.
 
     Eigenvalues below ``eig_floor`` are floored before the -1/2 power; the
-    count of floored eigenvalues is returned so near-singular coupling at tiny
-    spacing is visible to the caller.
+    count of floored eigenvalues (an int for one matrix, an array for a
+    stack) is returned so near-singular coupling at tiny spacing is visible
+    to the caller.
     """
     w, v = np.linalg.eigh(c)
-    floored = int(np.sum(w < eig_floor))
+    floored = np.sum(w < eig_floor, axis=-1)
     w_safe = np.maximum(w, eig_floor)
-    return InverseSqrt(matrix=(v * w_safe**-0.5) @ v.T, floored=floored)
+    matrix = (v * w_safe[..., None, :] ** -0.5) @ np.swapaxes(v, -1, -2)
+    return InverseSqrt(matrix=matrix, floored=int(floored) if floored.ndim == 0 else floored)
 
 
 def gain_mc(
     n: int,
-    delta: float,
+    delta,
     cfg: SystemConfig,
     consts: DerivedConstants,
     eig_floor: float = 1e-10,
-) -> float:
+):
     """Coupling-aware gain |h^T C^(-1/2) phi|^2 / N of the uniform symmetric array.
 
-    In-waveguide phases are referenced to the array center; the reference only
-    contributes a unit-modulus factor and leaves the magnitude unchanged.
-    Warns when the coupling spectrum had to be floored.
+    ``delta`` is one spacing (m), giving a float, or a 1-D array of S
+    spacings, giving an array: the S coupling matrices are solved as one
+    (S, N, N) stack, so the caller bounds S N^2.  The channel is taken at the
+    offsets ``+/-(k - 1/2) delta`` from the user and the in-waveguide phases
+    are referenced to the array center; the model is translation-invariant
+    and the reference only contributes a unit-modulus factor.  Warns once
+    per call, with the number of spacings, when the coupling spectrum had to
+    be floored.
     """
-    layout = symmetric_uniform_layout(cfg, n, delta)
-    x = np.asarray(layout.positions)
-    r = np.hypot(cfg.x_u_m - x, cfg.d_m)
-    h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
-    phi_vec = np.exp(-1j * consts.k0 * cfg.n_eff * (x - cfg.x_u_m))
-
     root = inv_sqrt(coupling_matrix(n, delta, consts), eig_floor=eig_floor)
-    if root.floored:
+    offsets = symmetric_offsets(n, delta)
+    h = los_channel(offsets, cfg, consts)
+    phi_vec = np.exp(-1j * consts.k0 * cfg.n_eff * offsets)
+    h_root = (h[..., None, :] @ root.matrix)[..., 0, :]
+    total = (h_root[..., None, :] @ phi_vec[..., :, None])[..., 0, 0]
+
+    floored = np.asarray(root.floored) > 0
+    if floored.any():
+        hit = np.asarray(delta, dtype=float)[floored]
         warnings.warn(
-            f"coupling matrix near-singular at spacing {delta:.3e} m: "
-            f"{root.floored} eigenvalue(s) floored at {eig_floor:g}",
+            f"coupling matrix near-singular at {hit.size} of {floored.size} spacing(s) "
+            f"(smallest {hit.min():.3e} m): eigenvalues floored at {eig_floor:g}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return float(abs(h @ root.matrix @ phi_vec) ** 2 / n)
+    gains = abs_squared(total) / n
+    return float(gains) if gains.ndim == 0 else gains
 
 
-def gain_mc_two_closed(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
+def gain_mc_two_closed(delta, cfg: SystemConfig, consts: DerivedConstants):
     """Closed-form coupling-aware gain of the two-antenna array:
-    2 eta cos^2(n_eff k0 delta / 2) / ((d^2 + delta^2/4) (1 + j0(k0 delta)))."""
-    if delta < 0:
+    2 eta cos^2(n_eff k0 delta / 2) / ((d^2 + delta^2/4) (1 + j0(k0 delta))),
+    for one spacing (a float) or a 1-D array of them."""
+    delta = np.asarray(delta, dtype=float)
+    if np.any(delta < 0):
         raise ConfigError("spacing must be >= 0")
-    num = 2.0 * consts.eta * math.cos(cfg.n_eff * consts.k0 * delta / 2.0) ** 2
-    den = (cfg.d_m**2 + delta**2 / 4.0) * (1.0 + sinc_j0(consts.k0 * delta))
-    return num / den
+    # squares through libm pow, as Python's float ** 2, which keeps the CSV
+    # bits of the point-by-point sweep (x * x can differ in the last bit)
+    num = 2.0 * consts.eta * np.float_power(np.cos(cfg.n_eff * consts.k0 * delta / 2.0), 2)
+    den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + sinc_j0(consts.k0 * delta))
+    out = num / den
+    return float(out) if out.ndim == 0 else out
 
 
 def gain_mc_two_approx(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:

@@ -15,6 +15,12 @@ contributions; a draw can use the nested layouts whose leftmost antenna lies
 right of the feed, and the best of those is read off the running maximum of
 the gain profile.  The whole search costs one pass over the offsets and one
 lookup per draw.
+
+The coupling sweep hands each antenna count N its spacing grid in chunks of
+``MAX_SWEEP_SIZE // N^2`` spacings (at least one); each chunk is one stacked
+eigensolve in :func:`coupling.gain_mc`, so no stack holds more than
+MAX_SWEEP_SIZE matrix entries.  Its coupling-free rows use the same offsets
+from the user.
 """
 
 from __future__ import annotations
@@ -27,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import coupling, gain, refine
-from .channel import array_gain_exact
+from .channel import abs_squared, los_channel
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, derive_constants, symmetric_uniform_layout
+from .geometry import SystemConfig, derive_constants, symmetric_offsets
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -175,7 +181,10 @@ def run_fub_curve(x_max: float, step: float):
     """Tabulate the bound shape function and mark its maximizer."""
     if not math.isfinite(x_max):
         raise ConfigError(f"x_max must be finite, got {x_max}")
-    xs = step * np.arange(1, _grid_count(x_max, step) + 1)
+    count = _grid_count(x_max, step)
+    if count < 1:
+        raise ConfigError(f"x_max = {x_max:g} leaves no grid point at step {step:g}")
+    xs = step * np.arange(1, count + 1)
     xstar, fstar = gain.find_xstar()
     return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", xstar, fstar)]
 
@@ -342,6 +351,26 @@ def _mean_stderr(values):
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
+def _uncoupled_gains(n, spacings, cfg, consts):
+    """Lossless coupling-free gains of the uniform symmetric layouts at
+    ``spacings``, in the arithmetic of ``array_gain_exact`` on the offsets
+    from the user.  An explicit feed must lie left of every layout."""
+    offsets = symmetric_offsets(n, spacings)
+    leftmost = offsets[:, :1]
+    if cfg.x_0_m is None:
+        feed = leftmost
+    else:
+        feed = cfg.x_0_m - cfg.x_u_m
+        inside = feed > leftmost[:, 0] + 1e-12
+        if inside.any():
+            i = int(np.argmax(inside))
+            raise ConfigError(f"feed point x_0={cfg.x_0_m} m lies right of the leftmost "
+                              f"antenna at {cfg.x_u_m + leftmost[i, 0]} m")
+    phi = 2.0 * math.pi * (offsets - feed) / consts.lambda_g
+    total = np.sum(los_channel(offsets, cfg, consts) * np.exp(-1j * phi), axis=-1)
+    return abs_squared(total) / n
+
+
 def run_gain_vs_delta_mc(
     cfg: SystemConfig,
     n_values,
@@ -353,7 +382,8 @@ def run_gain_vs_delta_mc(
     The grid covers [delta_min_wl, 1] wavelengths (coupling matrices are
     singular at zero spacing); the exact zero-spacing values are emitted as
     analytic rows: N antennas collapsed onto one point give N eta / d^2
-    without coupling, and eta / d^2 for the coupling-aware pair.
+    without coupling, and eta / d^2 for the coupling-aware pair.  The grid
+    is solved in chunks, as the module docstring says.
     """
     if not n_values:
         raise ConfigError("antenna-count list must be non-empty")
@@ -365,23 +395,21 @@ def run_gain_vs_delta_mc(
     xs = xs[xs <= 1.0 + 1e-12]
     if xs[-1] < 1.0 - 1e-12:
         xs = np.append(xs, 1.0)  # the sweep covers the full wavelength
+    spacings = xs * consts.wavelength
+    half = spacings[0] / 2.0
+    if not cfg.x_u_m - half < cfg.x_u_m < cfg.x_u_m + half:
+        raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far out for float64 to resolve "
+                          f"antennas {spacings[0]:.3e} m apart around the user")
     points = []
-    floored_calls = 0
 
     for n in n_values:
+        size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
+        chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
+        nomc_vals = np.concatenate([_uncoupled_gains(n, s, cfg, consts) for s in chunks])
+        mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg, consts) for s in chunks])
+
         mc_series = f"mc_N{n}"
         nomc_series = f"nomc_N{n}"
-        mc_vals = np.empty(xs.size)
-        nomc_vals = np.empty(xs.size)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", RuntimeWarning)
-            for i, x in enumerate(xs):
-                spacing = float(x) * consts.wavelength
-                mc_vals[i] = coupling.gain_mc(n, spacing, cfg, consts)
-                layout = symmetric_uniform_layout(cfg, n, spacing)
-                nomc_vals[i] = array_gain_exact(layout, cfg, consts, alpha_wg=0.0)
-        floored_calls += sum(1 for w in caught if "floored" in str(w.message))
-
         points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
                    Curve(nomc_series, 0.0, n * consts.eta / cfg.d_m**2)]
         if n == 2:
@@ -389,18 +417,10 @@ def run_gain_vs_delta_mc(
         points += [_peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
 
     if 2 in n_values:
-        closed = np.array([coupling.gain_mc_two_closed(float(x) * consts.wavelength, cfg, consts) for x in xs])
+        closed = coupling.gain_mc_two_closed(spacings, cfg, consts)
         points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg, consts)),
                    Curve("closed_N2", xs, closed), _peak("closed_N2", xs, closed)]
 
     fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
     points.append(Curve("fixed", xs, fixed))
-
-    if floored_calls:
-        warnings.warn(
-            f"coupling spectrum floored in {floored_calls} grid evaluations "
-            "(near-singular at small spacing)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return points

@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigError
 
 # Exact SI value, fixed for reproducibility.
@@ -77,13 +79,24 @@ class DerivedConstants:
 
 
 def derive_constants(cfg: SystemConfig) -> DerivedConstants:
-    """Derive wavelength, wavenumber, guided wavelength and path-loss constant."""
+    """Derive wavelength, wavenumber, guided wavelength and path-loss constant.
+
+    A carrier so low that the wavelength or ``eta`` leaves the float range
+    is a configuration error naming ``f_c_hz``.
+    """
     lam = SPEED_OF_LIGHT / cfg.f_c_hz
+    try:
+        eta = (lam / (4.0 * math.pi)) ** 2
+    except OverflowError:
+        eta = math.inf
+    if not (math.isfinite(lam) and math.isfinite(eta)):
+        raise ConfigError(f"invalid-config: f_c_hz = {cfg.f_c_hz:g} gives a wavelength of "
+                          f"{lam:g} m, whose path-loss constant leaves the float range")
     return DerivedConstants(
         wavelength=lam,
         k0=2.0 * math.pi / lam,
         lambda_g=lam / cfg.n_eff,
-        eta=(lam / (4.0 * math.pi)) ** 2,
+        eta=eta,
     )
 
 
@@ -124,18 +137,32 @@ class AntennaLayout:
         return tuple(x - self.center for x in self.positions)
 
 
+def uniform_spacings(n: int, spacing) -> np.ndarray:
+    """``spacing`` (one value or a 1-D array) as a float array, after checking
+    that the even-count model covers ``n`` antennas and every spacing is > 0."""
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    spacing = np.asarray(spacing, dtype=float)
+    if not np.all(spacing > 0):
+        raise ConfigError(f"spacing must be > 0, got {spacing[~(spacing > 0)].flat[0]}")
+    return spacing
+
+
+def symmetric_offsets(n: int, spacing) -> np.ndarray:
+    """Offsets ``+/-(k - 1/2) * spacing``, k = 1..n/2, of the equally spaced
+    layout mirror-symmetric about the user, left to right: shape (n,) for one
+    spacing and (S, n) for a 1-D array of S spacings."""
+    half = (np.arange(1, n // 2 + 1) - 0.5) * uniform_spacings(n, spacing)[..., None]
+    return np.concatenate([-half[..., ::-1], half], axis=-1)
+
+
 def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> AntennaLayout:
     """Equally spaced layout mirror-symmetric about the user.
 
     Antenna k = 1..n/2 sits at ``x_u +/- (k - 1/2) * spacing``; the model only
     covers even antenna counts, so odd ``n`` is rejected.
     """
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
-    if not spacing > 0:
-        raise ConfigError(f"spacing must be > 0, got {spacing}")
-    half = [(k - 0.5) * spacing for k in range(1, n // 2 + 1)]
-    positions = [cfg.x_u_m - h for h in reversed(half)] + [cfg.x_u_m + h for h in half]
+    positions = (cfg.x_u_m + symmetric_offsets(n, spacing)).tolist()
     return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m, min_spacing=spacing)
 
 

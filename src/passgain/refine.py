@@ -25,7 +25,9 @@ numpy over a window of indices, walks only the integers in Python and repeats
 the float steps ``delta = seed + max(0, u - seed)``, so its output is
 bit-identical to the antenna-by-antenna recurrence.  The whole walk is then
 checked at once: each seed must call for the index walked, each path must hit
-its target to within 1e-9 m.
+its target to within 1e-9 m, or to 4 ulp of the path's larger term
+``sqrt(d^2 + delta^2) + n_eff |delta|`` where that is more: float64 resolves
+no better, and 1e-9 m is below its resolution beyond about 2e6 m.
 """
 
 from __future__ import annotations
@@ -91,9 +93,19 @@ def target_path_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants
     return consts.wavelength * _lattice_index(delta_n, cfg, consts, "left")
 
 
-def _check_residual(path: float, target: float, where: str) -> None:
-    if not abs(path - target) <= _PATH_SNAP_M:
-        raise NumericsError(f"{where}: refined path misses target by {path - target:.3e} m")
+def _path_tolerance(delta, cfg: SystemConfig):
+    """Largest accepted |path - target| at offset ``delta``: the snap, or 4 ulp
+    of the path's larger term (on the left the path is a difference of two
+    terms, and its rounding error scales with them, not with the path)."""
+    return np.maximum(_PATH_SNAP_M,
+                      4 * np.spacing(np.hypot(cfg.d_m, delta) + cfg.n_eff * np.abs(delta)))
+
+
+def _check_residual(delta: float, target: float, cfg: SystemConfig, consts: DerivedConstants,
+                    where: str) -> None:
+    miss = combined_path(delta, cfg, consts) - target
+    if not abs(miss) <= _path_tolerance(delta, cfg):
+        raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
 
 
 def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
@@ -101,7 +113,7 @@ def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) ->
     sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
     d_n = target_path(delta_n, cfg, consts)
     v = max(0.0, _root(d_n, cfg, "right") - delta_n)
-    _check_residual(combined_path(delta_n + v, cfg, consts), d_n, "refine_shift")
+    _check_residual(delta_n + v, d_n, cfg, consts, "refine_shift")
     return v
 
 
@@ -113,7 +125,7 @@ def refine_shift_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstant
     if not np.isfinite(u):
         raise NumericsError(f"left-side targets are exhausted (no offset has path {t:.3e} m)")
     w = max(0.0, u - delta_n)
-    _check_residual(combined_path(-(delta_n + w), cfg, consts), t, "refine_shift_left")
+    _check_residual(-(delta_n + w), t, cfg, consts, "refine_shift_left")
     return w
 
 
@@ -172,7 +184,7 @@ def refined_half_deltas(
         shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
         miss = combined_path(sign * deltas, cfg, consts) - targets
     bad = (_lattice_index(seeds, cfg, consts, side) != walked) | ~(shifts >= 0.0)
-    bad |= ~(np.abs(miss) <= _PATH_SNAP_M)
+    bad |= ~(np.abs(miss) <= _path_tolerance(deltas, cfg))
     if n == n_half and not bad.any():
         return deltas, shifts, targets
     i = int(np.argmax(np.append(bad, True)))  # first failed antenna, or where the walk stopped

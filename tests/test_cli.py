@@ -116,6 +116,41 @@ def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
     assert res.stderr.count("\n") == (res.returncode != 0), res.stderr
 
 
+@pytest.mark.parametrize(
+    "content", ["f_c_hz = 1e-300\n", "f_c_hz = 1e-150\n", "x_u_m = 1e300\n"])
+def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
+    # a wavelength or eta beyond the float range, or a user so far out that
+    # float64 cannot tell the antennas apart around it
+    cfgfile = tmp_path / "extreme.cfg"
+    cfgfile.write_text(content)
+    res = run_cli("gain-vs-delta-mc", "--config", str(cfgfile), "--grid-step", "0.1",
+                  "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+    assert content.split()[0] in res.stderr
+
+
+def test_readme_mc_sweep_prints_one_floor_warning(tmp_path):
+    res = run_cli("gain-vs-delta-mc", "--n-list", "2,4", "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.count("RuntimeWarning") == 1 and res.stderr.count("floored") == 1
+
+
+def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
+    # at 1e6 wavelengths the refined paths sit near 5.8e6 m, where float64
+    # cannot hold the 1e-9 m path check: the refinement now passes, and the
+    # default feed at -30 m is then rightly refused as lying inside the array
+    argv = ("maxgain-vs-spacing", "--delta-p", "1e6", "--trials", "5", "--n-max", "1200",
+            "--out", str(tmp_path / "x.csv"))
+    res = run_cli(*argv)
+    assert res.returncode == 2, res.stderr
+    assert "lies left of the feed" in res.stderr
+    cfgfile = tmp_path / "far_feed.cfg"
+    cfgfile.write_text("x_0_m = -20000\n")
+    res = run_cli(*argv, "--config", str(cfgfile))
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_import_leaves_scipy_out():
     code = "import sys, passgain.cli; print('scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -190,6 +225,7 @@ BAD_NUMBERS = [
     ("gain-vs-delta-mc", "--grid-step", "inf"),
     ("fub-curve", "--grid-step", "1e-300"),
     ("fub-curve", "--x-max", "inf"),
+    ("fub-curve", "--x-max", "-5"),
     ("fmc-curve", "--n-eff-list", "0.5"),
     ("fmc-curve", "--n-eff-list", "inf"),
     ("maxgain-vs-spacing", "--trials", str(MAX_SWEEP_SIZE + 1)),

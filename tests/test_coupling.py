@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,3 +172,90 @@ def test_gain_mc_rejects_bad_input(cfg, consts):
         gain_mc(5, 0.001, cfg, consts)
     with pytest.raises(ConfigError):
         gain_mc_two_closed(-0.1, cfg, consts)
+
+
+# ------------------------------------------------------- stacked eigensolve
+
+
+def spacing_grid(consts, step=0.01):
+    return (1e-3 + step * np.arange(0, 100)) * consts.wavelength
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 16, 32])
+def test_gain_mc_array_equals_scalar_calls(cfg, consts, n):
+    spacings = spacing_grid(consts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the floored region
+        batched = gain_mc(n, spacings, cfg, consts)
+        single = np.array([gain_mc(n, float(s), cfg, consts) for s in spacings])
+    assert batched.shape == spacings.shape
+    wide = spacings >= 0.5 * consts.wavelength
+    np.testing.assert_allclose(batched[wide], single[wide], rtol=1e-13, atol=0)
+    if n < 8:
+        np.testing.assert_allclose(batched[~wide], single[~wide], rtol=1e-10, atol=0)
+
+
+def test_scalar_spacing_returns_float(cfg, consts):
+    lam = consts.wavelength
+    assert type(gain_mc(4, 0.6 * lam, cfg, consts)) is float
+    assert type(gain_mc_two_closed(0.6 * lam, cfg, consts)) is float
+    assert type(inv_sqrt(coupling_matrix(4, 0.6 * lam, consts)).floored) is int
+
+
+def test_stacked_matrices_equal_single_ones(consts):
+    spacings = spacing_grid(consts, step=0.1)
+    stack = coupling_matrix(6, spacings, consts)
+    assert stack.shape == (spacings.size, 6, 6)
+    for s, c in zip(spacings, stack):
+        assert np.array_equal(c, coupling_matrix(6, float(s), consts))
+    root = inv_sqrt(stack)
+    assert root.matrix.shape == stack.shape
+    for c, m, k in zip(stack, root.matrix, root.floored):
+        single = inv_sqrt(c)
+        assert np.array_equal(m, single.matrix) and k == single.floored
+
+
+def test_closed_form_array_equals_scalar_calls(cfg, consts):
+    spacings = np.linspace(0.0, 1.0, 257) * consts.wavelength
+    closed = gain_mc_two_closed(spacings, cfg, consts)
+    assert np.array_equal(closed, [gain_mc_two_closed(float(s), cfg, consts) for s in spacings])
+    with pytest.raises(ConfigError):
+        gain_mc_two_closed(np.array([0.1, -1e-9, 0.2]), cfg, consts)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3])
+def test_array_with_bad_spacing_rejected(cfg, consts, bad):
+    spacings = spacing_grid(consts)
+    spacings[37] = bad
+    with pytest.raises(ConfigError, match="spacing must be > 0"):
+        gain_mc(4, spacings, cfg, consts)
+    with pytest.raises(ConfigError, match="spacing must be > 0"):
+        coupling_matrix(4, spacings, consts)
+
+
+def test_array_with_odd_count_rejected(cfg, consts):
+    with pytest.raises(ConfigError, match="even"):
+        gain_mc(5, spacing_grid(consts), cfg, consts)
+    with pytest.raises(ConfigError, match="even"):
+        coupling_matrix(7, spacing_grid(consts), consts)
+
+
+def test_floor_warns_once_per_call_with_the_count(cfg, consts):
+    spacings = spacing_grid(consts, step=0.005)[:40]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gain_mc(4, spacings, cfg, consts)
+    assert len(caught) == 1
+    assert "floored" in str(caught[0].message)
+    floored = int(np.sum(inv_sqrt(coupling_matrix(4, spacings, consts)).floored > 0))
+    assert floored > 0 and f"at {floored} of 40 spacing(s)" in str(caught[0].message)
+
+
+def test_gain_mc_ignores_the_user_position(cfg, consts):
+    # the channel is taken at offsets from the user: far out, where absolute
+    # positions lose the sub-millimetre gaps, nothing changes
+    spacings = spacing_grid(consts)
+    far = replace(cfg, x_u_m=1e5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert np.array_equal(gain_mc(4, spacings, far, consts), gain_mc(4, spacings, cfg, consts))

@@ -5,7 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from passgain import coupling, experiments
 from passgain.channel import array_gain_exact
+from passgain.coupling import inv_sqrt
 from passgain.errors import ConfigError, NumericsError
 from passgain.experiments import (
     USER_HALF_RANGE_M,
@@ -19,7 +21,12 @@ from passgain.experiments import (
     write_csv,
 )
 from passgain.gain import gain_limit, max_gain_estimate, uniform_deltas
-from passgain.geometry import AntennaLayout, SystemConfig
+from passgain.geometry import (
+    AntennaLayout,
+    SystemConfig,
+    derive_constants,
+    symmetric_uniform_layout,
+)
 from passgain.refine import refined_half_deltas
 
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
@@ -423,6 +430,85 @@ def test_mc_sweep_zero_rows(mc_points, consts, cfg):
     assert free0.y == 2 * consts.eta / cfg.d_m**2
 
 
+def mc_csv_rows(cfg, path, n_values=(2, 4)):
+    """The bytes of the coupling sweep's CSV at the default grid step."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        write_csv(run_gain_vs_delta_mc(cfg, n_values, step=0.005), path)
+    return path.read_bytes()
+
+
+def test_mc_sweep_rows_equal_point_by_point_reference(cfg, consts):
+    # point-by-point reference, bit for bit: array_gain_exact on the layout,
+    # h @ C^(-1/2) @ phi per spacing, and the closed form in Python floats
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows = by_series(run_gain_vs_delta_mc(cfg, (2, 8), step=0.005))
+        for n in (2, 8):
+            xs = np.array([p.x for p in rows[f"mc_N{n}"] if p.x > 0])
+            mc_ref, nomc_ref = [], []
+            for x in xs:
+                layout = symmetric_uniform_layout(cfg, n, float(x) * consts.wavelength)
+                nomc_ref.append(array_gain_exact(layout, cfg, consts, alpha_wg=0.0))
+                pos = np.asarray(layout.positions)
+                r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
+                h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
+                phi = np.exp(-1j * consts.k0 * cfg.n_eff * (pos - cfg.x_u_m))
+                root = inv_sqrt(coupling.coupling_matrix(n, float(x) * consts.wavelength, consts))
+                mc_ref.append(float(abs(h @ root.matrix @ phi) ** 2 / n))
+            assert [p.y for p in rows[f"mc_N{n}"] if p.x > 0] == mc_ref
+            assert [p.y for p in rows[f"nomc_N{n}"] if p.x > 0] == nomc_ref
+    spacings = np.linspace(0.0, 1.0, 1429)[1:] * consts.wavelength
+    closed_ref = [2.0 * consts.eta * math.cos(cfg.n_eff * consts.k0 * s / 2.0) ** 2
+                  / ((cfg.d_m**2 + s**2 / 4.0) * (1.0 + coupling.sinc_j0(consts.k0 * s)))
+                  for s in spacings.tolist()]
+    assert coupling.gain_mc_two_closed(spacings, cfg, consts).tolist() == closed_ref
+
+
+def test_mc_sweep_chunks_keep_bytes_and_cap(cfg, tmp_path, monkeypatch):
+    whole = mc_csv_rows(cfg, tmp_path / "whole.csv", (2, 4, 8))
+    stacks = []
+
+    def recording_inv_sqrt(c, *args, **kwargs):
+        stacks.append(c.shape)
+        return inv_sqrt(c, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "MAX_SWEEP_SIZE", 1000)
+    monkeypatch.setattr(coupling, "inv_sqrt", recording_inv_sqrt)
+    chunked = mc_csv_rows(cfg, tmp_path / "chunked.csv", (2, 4, 8))
+    assert chunked == whole
+    assert all(math.prod(shape) <= 1000 for shape in stacks)
+    per_n = {n: [s[0] for s in stacks if s[-1] == n] for n in (2, 4, 8)}
+    assert len(per_n[4]) >= 3 and len(per_n[8]) >= 3
+    assert all(sum(sizes) == 201 for sizes in per_n.values())
+
+
+def test_mc_sweep_translation_invariant(cfg, tmp_path):
+    # far from the origin the absolute positions lose the 1e-5 m gaps to
+    # rounding; the sweep works on offsets from the user and keeps every row
+    near = mc_csv_rows(cfg, tmp_path / "near.csv").decode().splitlines()
+    far = mc_csv_rows(replace(cfg, x_u_m=1e5), tmp_path / "far.csv").decode().splitlines()
+    keep = ("mc_", "nomc_", "closed_N2")
+    rows = [line for line in near if line.startswith(keep)]
+    assert len(rows) > 1000
+    assert rows == [line for line in far if line.startswith(keep)]
+
+
+def test_mc_sweep_checks_the_explicit_feed(cfg):
+    # at one wavelength the leftmost of four antennas sits 1.5 wavelengths left
+    lam = derive_constants(cfg).wavelength
+    with pytest.raises(ConfigError, match="lies right of the leftmost antenna"):
+        run_gain_vs_delta_mc(replace(cfg, x_0_m=-1.4 * lam), (2, 4), step=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        run_gain_vs_delta_mc(replace(cfg, x_0_m=-1.5 * lam), (2, 4), step=0.1)
+
+
+def test_mc_sweep_names_an_unresolvable_user_position(cfg):
+    with pytest.raises(ConfigError, match="x_u_m"):
+        run_gain_vs_delta_mc(replace(cfg, x_u_m=1e300), (2,), step=0.1)
+
+
 # ---------------------------------------------------------------- input checks
 
 
@@ -433,6 +519,8 @@ def test_runners_reject_bad_inputs(cfg):
         lambda: run_gain_vs_n(cfg, (), BOTH_CASES, n_max=100, n_step=2),
         lambda: run_gain_vs_delta_mc(cfg, (), step=0.1),
         lambda: run_fub_curve(x_max=4.0, step=0.0),
+        lambda: run_fub_curve(x_max=-5.0, step=0.01),
+        lambda: run_gain_vs_delta_mc(cfg, (2, 3), step=0.1),
         lambda: run_fmc_curve((1.44,), step=0.0),
         lambda: run_gain_vs_delta_mc(cfg, (2,), step=0.0),
     ]

@@ -39,6 +39,13 @@ def test_derive_constants_pure(cfg):
     assert (a.wavelength, a.k0, a.lambda_g, a.eta) == (b.wavelength, b.k0, b.lambda_g, b.eta)
 
 
+@pytest.mark.parametrize("f_c_hz", [1e-300, 1e-150])
+def test_carrier_beyond_the_float_range_names_f_c_hz(f_c_hz):
+    # the wavelength (1e-300 Hz) or eta (1e-150 Hz) leaves the float range
+    with pytest.raises(ConfigError, match="f_c_hz"):
+        derive_constants(SystemConfig(f_c_hz=f_c_hz))
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("f_c_hz", 0.0), ("d_m", -1.0), ("n_eff", 0.99), ("alpha_wg_db_per_m", -0.1), ("delta_p", 0.0)],

@@ -286,17 +286,36 @@ def test_left_root_at_negative_target():
     assert abs(combined_path(-u, cfg, consts) - t) <= 1e-12
 
 
-def test_nearly_unit_index_refines_right_and_exhausts_left():
+def test_nearly_unit_index_refines_both_sides():
     cfg = SystemConfig(n_eff=1.0000001, alpha_wg_db_per_m=0.0)
     consts = derive_constants(cfg)
     deltas, _, targets = refined_half_deltas(3000, cfg, consts, side="right")
     assert np.max(np.abs(combined_path(deltas, cfg, consts) - targets)) <= 1e-9
     # left: every antenna with a positive target refines; past them the walk
-    # runs through chains of unshifted antennas at 1e5..1e7 m, like the
-    # recurrence, until float64 cannot hold 1e-9 m there
+    # runs through chains of unshifted antennas out to 8e7 m, like the
+    # recurrence.  There float64 cannot hold 1e-9 m: the paths hit their
+    # targets to within 4 ulp of their terms instead
     *expected, refined = sequential_half_deltas(3000, cfg, consts, "left")
+    assert refined == 3000
     assert np.sum(expected[2] > 0.0) > 250 and np.any(np.diff(expected[2]) == 0.0)
-    for a, b in zip(refined_half_deltas(refined, cfg, consts, side="left"), expected):
+    deltas, shifts, targets = refined_half_deltas(3000, cfg, consts, side="left")
+    for a, b in zip((deltas, shifts, targets), expected):
         assert np.array_equal(a, b)
-    with pytest.raises(NumericsError, match="left-side targets are exhausted"):
-        refined_half_deltas(refined + 1, cfg, consts, side="left")
+    miss = np.abs(combined_path(-deltas, cfg, consts) - targets)
+    terms = np.hypot(cfg.d_m, deltas) + cfg.n_eff * deltas
+    assert deltas[-1] > 8e7 and np.max(miss) > 1e-9
+    assert np.all(miss <= np.maximum(1e-9, 4 * np.spacing(terms)))
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_path_check_at_huge_spacing_is_float_resolution(side):
+    # at 1e6 wavelengths the paths reach 1e7 m, whose ulp is about 1.9e-9 m:
+    # the walk is held to 4 ulp of the path's terms, not to the 1e-9 m snap
+    cfg = SystemConfig(delta_p=1e6, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    deltas, _, targets = refined_half_deltas(600, cfg, consts, side=side)
+    sign = 1.0 if side == "right" else -1.0
+    miss = np.abs(combined_path(sign * deltas, cfg, consts) - targets)
+    terms = np.hypot(cfg.d_m, deltas) + cfg.n_eff * deltas
+    assert np.max(miss) > 1e-9
+    assert np.all(miss <= 4 * np.spacing(terms))
