@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -133,6 +134,21 @@ def _check_finite(values, series: str, alpha: float) -> None:
                             f"alpha_wg_db_per_m = {alpha:g}")
 
 
+_Pairs = namedtuple("_Pairs", "dr dl rr rl er el")
+
+
+def _pair_phasors(delta_right, delta_left, cfg, consts) -> _Pairs:
+    """Per-side offsets, distances ``r`` and phasors ``exp(-j theta)`` of the
+    antenna pairs: the loss-free part of their gains, shared by all loss cases."""
+    dr = np.asarray(delta_right, dtype=float)
+    dl = np.asarray(delta_left, dtype=float)
+    rr = np.hypot(cfg.d_m, dr)
+    rl = np.hypot(cfg.d_m, dl)
+    er = np.exp(-1j * (consts.k0 * (rr + cfg.n_eff * dr)))
+    el = np.exp(-1j * (consts.k0 * (rl - cfg.n_eff * dl)))
+    return _Pairs(dr, dl, rr, rl, er, el)
+
+
 def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
     """Exact gains of all nested symmetric-count layouts, via prefix sums.
 
@@ -142,26 +158,24 @@ def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
     to the user's projection; the caller multiplies by the squared amplitude
     factor of the feed-to-projection stretch (common to all antennas).
     """
-    dr = np.asarray(delta_right, dtype=float)
-    dl = np.asarray(delta_left, dtype=float)
-    rr = np.hypot(cfg.d_m, dr)
-    rl = np.hypot(cfg.d_m, dl)
-    theta_r = consts.k0 * (rr + cfg.n_eff * dr)
-    theta_l = consts.k0 * (rl - cfg.n_eff * dl)
-    qr = 10.0 ** (-alpha * dr / 20.0)
-    ql = 10.0 ** (alpha * dl / 20.0)
-    z = qr * np.exp(-1j * theta_r) / rr + ql * np.exp(-1j * theta_l) / rl
+    return _phasor_gains(_pair_phasors(delta_right, delta_left, cfg, consts), consts, alpha)
+
+
+def _phasor_gains(phasors, consts, alpha):
+    """:func:`_pair_gains` from the layout's :func:`_pair_phasors`."""
+    dr, dl, rr, rl, er, el = phasors
+    if alpha == 0.0:  # the loss factors are exactly 1
+        z = er / rr + el / rl
+    else:
+        z = 10.0 ** (-alpha * dr / 20.0) * er / rr + 10.0 ** (alpha * dl / 20.0) * el / rl
     s = np.cumsum(z)
     m = np.arange(1, z.size + 1)
     return consts.eta * np.abs(s) ** 2 / (2.0 * m)
 
 
-def _pair_bounds(delta_right, delta_left, cfg, consts, alpha):
+def _pair_bounds(phasors, consts, alpha):
     """Phase-free upper bounds of all nested layouts (prefix-sum form)."""
-    dr = np.asarray(delta_right, dtype=float)
-    dl = np.asarray(delta_left, dtype=float)
-    rr = np.hypot(cfg.d_m, dr)
-    rl = np.hypot(cfg.d_m, dl)
+    dr, dl, rr, rl, _, _ = phasors
     z = 10.0 ** (-alpha * dr / 20.0) / rr + 10.0 ** (alpha * dl / 20.0) / rl
     s = np.cumsum(z)
     m = np.arange(1, z.size + 1)
@@ -169,12 +183,14 @@ def _pair_bounds(delta_right, delta_left, cfg, consts, alpha):
 
 
 def _layouts(m_max, cfg, consts):
-    """Per-side offsets ``(delta_right, delta_left)`` of the uniform and the
-    refined layout with ``m_max`` antenna pairs, keyed by layout kind."""
+    """:func:`_pair_phasors` of the uniform and the refined layout with
+    ``m_max`` antenna pairs, keyed by layout kind."""
     half = gain.uniform_deltas(2 * m_max, cfg, consts)
     d_right, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="right")
     d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left")
-    return {"uniform": (half, half), "refined": (d_right, d_left)}
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
+        return {"uniform": _pair_phasors(half, half, cfg, consts),
+                "refined": _pair_phasors(d_right, d_left, cfg, consts)}
 
 
 def run_fub_curve(x_max: float, step: float):
@@ -229,20 +245,29 @@ def run_gain_vs_n(
         for label, alpha in cases:
             with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
                 gains = {
-                    kind: _pair_gains(dr, dl, cfg_dp, consts, alpha) * _feed_factor(dl, cfg_dp, alpha)
-                    for kind, (dr, dl) in layouts.items()
+                    kind: _phasor_gains(ph, consts, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
+                    for kind, ph in layouts.items()
                 }
-                half, _ = layouts["uniform"]
-                bound = _pair_bounds(half, half, cfg_dp, consts, alpha)
-                gains["bound"] = bound * _feed_factor(half, cfg_dp, alpha)
+                uniform = layouts["uniform"]
+                gains["bound"] = (_pair_bounds(uniform, consts, alpha)
+                                  * _feed_factor(uniform.dl, cfg_dp, alpha))
             for kind, g in gains.items():
                 series = f"{kind}_dp{dp:g}_{label}"
                 _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
 
-    fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-    points.append(Curve("fixed", counts[sample], fixed))
+    points.append(Curve("fixed", counts[sample], _fixed_gain(cfg, consts)))
     return points
+
+
+def _fixed_gain(cfg, consts):
+    """Gain of the single antenna fixed at ``FIXED_ANTENNA_X_M``."""
+    try:
+        gap2 = (cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2
+    except OverflowError:
+        raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far from the fixed antenna at "
+                          f"x = {FIXED_ANTENNA_X_M:g} m for float64") from None
+    return consts.eta / (gap2 + cfg.d_m**2)
 
 
 def _peak(series: str, xs, ys) -> Curve:
@@ -309,17 +334,17 @@ def run_maxgain_vs_spacing(
 
         for label, alpha in cases:
             factor = 10.0 ** (-alpha * feed_run / 10.0)
-            for kind, (dr, dl) in layouts.items():
+            for kind, ph in layouts.items():
                 # a draw may use the first `cap` pairs: those left of its
                 # projection that still lie right of the feed
-                caps = np.searchsorted(dl, feed_run, side="right")
+                caps = np.searchsorted(ph.dl, feed_run, side="right")
                 if np.any(caps < 1):
                     raise ConfigError(
                         f"no feasible antenna count for {int(np.sum(caps < 1))} draw(s): "
                         f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
                     )
                 with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-                    g0 = _pair_gains(dr, dl, cfg_dp, consts, alpha)
+                    g0 = _phasor_gains(ph, consts, alpha)
                     best = np.maximum.accumulate(g0)[caps - 1] * factor
                 _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
@@ -421,6 +446,5 @@ def run_gain_vs_delta_mc(
         points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg, consts)),
                    Curve("closed_N2", xs, closed), _peak("closed_N2", xs, closed)]
 
-    fixed = consts.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-    points.append(Curve("fixed", xs, fixed))
+    points.append(Curve("fixed", xs, _fixed_gain(cfg, consts)))
     return points

@@ -18,16 +18,20 @@ out, restoring the nominal ``delta_p * wavelength`` gap before every step, so
 refinement only ever widens gaps.
 
 A shifted antenna sits on the root u(j) of ``combined path = j * wavelength``,
-so the index j' its successor aims for depends on j alone (at most
-ceil((n_eff + 1) delta_p) + 1 above j on the right, ceil(n_eff delta_p) + 1
-below it on the left).  :func:`refined_half_deltas` tabulates u(j) and j' with
-numpy over a window of indices, walks only the integers in Python and repeats
-the float steps ``delta = seed + max(0, u - seed)``, so its output is
-bit-identical to the antenna-by-antenna recurrence.  The whole walk is then
-checked at once: each seed must call for the index walked, each path must hit
-its target to within 1e-9 m, or to 4 ulp of the path's larger term
-``sqrt(d^2 + delta^2) + n_eff |delta|`` where that is more: float64 resolves
-no better, and 1e-9 m is below its resolution beyond about 2e6 m.
+and its successor aims for the index ceil(g(j)) past j, g smooth and monotone,
+so each side is a few runs of indices j, j + c, j + 2c, ...  A numpy pass of
+:func:`refined_half_deltas` takes u over such a run, guesses each seed as the
+largest of the front's chain of unshifted seeds and the seeds one and two gaps
+past a root, repeats ``delta = seed + max(0, u - seed)`` and keeps the antennas
+up to the first guess that is not the true seed or calls for another index.
+The next pass starts from that seed, so the output is bit-identical to the
+antenna-by-antenna recurrence.  It stops before an antenna whose successor
+index is 2**53 or more, past which float64 skips integers.  Near 1e6
+wavelengths float rounding flips the increment every few antennas, and the
+walk takes a pass per flip.  The whole walk is checked at once: each seed
+must call for the index walked, each path must hit its target to within
+1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
+float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ from .geometry import AntennaLayout, DerivedConstants, SystemConfig
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
-# Wavelength indices tabulated per refill of the lattice walk's window.
-_WINDOW = 2048
+# Warnings silenced in the walk and its checks, which report NaN and inf roots.
+_QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
 def combined_path(delta, cfg: SystemConfig, consts: DerivedConstants):
@@ -54,31 +58,26 @@ def combined_path(delta, cfg: SystemConfig, consts: DerivedConstants):
 def _lattice_index(delta, cfg: SystemConfig, consts: DerivedConstants, side: str):
     """Index (as float) of the wavelength multiple an antenna seeded at offset
     ``delta`` aligns to: at or above its path on the right, at or below on the left."""
-    with np.errstate(invalid="ignore", over="ignore"):
-        if side == "right":
-            return np.ceil((combined_path(delta, cfg, consts) - _PATH_SNAP_M) / consts.wavelength)
-        return np.floor((combined_path(-delta, cfg, consts) + _PATH_SNAP_M) / consts.wavelength)
+    if side == "right":
+        return np.ceil((combined_path(delta, cfg, consts) - _PATH_SNAP_M) / consts.wavelength)
+    return np.floor((combined_path(-delta, cfg, consts) + _PATH_SNAP_M) / consts.wavelength)
 
 
-def _exact_index(x) -> int:
-    if not abs(x) < 2.0**53:
-        raise NumericsError(f"refinement lattice index {x:.6g} is not a finite exact integer")
-    return int(x)
-
-
+@np.errstate(**_QUIET)
 def _root(t, cfg: SystemConfig, side: str):
     """Offset whose combined path on ``side`` equals the target ``t`` (a scalar
     or an array); NaN or inf where none exists.  With s = sqrt(t^2 + d^2 (n^2 - 1)),
     (t^2 - d^2) / (t n + s) and (d^2 - t^2) / (s + t n) cancel nothing as n_eff -> 1;
     a left t <= 0 takes (s - t n) / (n^2 - 1), as the latter is 0/0 at t = -d."""
-    ne, d, t = cfg.n_eff, cfg.d_m, np.asarray(t, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        s = np.sqrt(t * t + d * d * (ne * ne - 1.0))
-        if side == "right":
-            return ((t * t - d * d) / (t * ne + s))[()]
-        return np.where(t > 0, (d * d - t * t) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
+    ne, dd, t = cfg.n_eff, cfg.d_m * cfg.d_m, np.asarray(t, dtype=float)
+    tt = t * t
+    s = np.sqrt(tt + dd * (ne * ne - 1.0))
+    if side == "right":
+        return ((tt - dd) / (t * ne + s))[()]
+    return np.where(t > 0, (dd - tt) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
 
 
+@np.errstate(**_QUIET)
 def target_path(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Next wavelength multiple at or above the combined path (right side)."""
     if delta_n < 0:
@@ -86,6 +85,7 @@ def target_path(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> 
     return consts.wavelength * _lattice_index(delta_n, cfg, consts, "right")
 
 
+@np.errstate(**_QUIET)
 def target_path_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Next wavelength multiple at or below the combined path (left side)."""
     if delta_n < 0:
@@ -108,6 +108,7 @@ def _check_residual(delta: float, target: float, cfg: SystemConfig, consts: Deri
         raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
 
 
+@np.errstate(**_QUIET)
 def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Outward shift aligning a right-side antenna: closed-form solution of
     sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
@@ -117,6 +118,7 @@ def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) ->
     return v
 
 
+@np.errstate(**_QUIET)
 def refine_shift_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
     """Outward (leftward) shift aligning a left-side antenna: solves
     sqrt(d^2 + (delta+w)^2) - n_eff (delta+w) = target."""
@@ -129,12 +131,9 @@ def refine_shift_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstant
     return w
 
 
-def refined_half_deltas(
-    n_half: int,
-    cfg: SystemConfig,
-    consts: DerivedConstants,
-    side: str = "right",
-):
+@np.errstate(**_QUIET)
+def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants,
+                        side: str = "right"):
     """Sequentially refined offsets for one side of the array.
 
     Starting from ``delta_1 = delta_p * wavelength / 2``, each antenna is
@@ -149,40 +148,44 @@ def refined_half_deltas(
     sign, lam = (1 if side == "right" else -1), consts.wavelength
     step = cfg.delta_p * lam
     seed = step / 2.0
-    j = base = _exact_index(_lattice_index(seed, cfg, consts, side))
-    size = 0
-    # typed buffers: no per-antenna Python objects, no regrowth
-    walked, deltas = (memoryview(bytearray(8 * n_half)).cast(f) for f in "qd")
-    for n in range(n_half):
-        k = (j - base) * sign
-        if not 0 <= k < size:
-            # tabulate j, j + sign, ... up to the first non-finite successor,
-            # freeing the old window first
-            base, k, roots, succ = j, 0, (), ()
-            u = _root(lam * (j + sign * np.arange(_WINDOW, dtype=float)), cfg, side)
-            nxt = _lattice_index(u + step, cfg, consts, side)
-            size = int(np.argmin(np.append(np.abs(nxt) < 2.0**53, False)))
-            roots, succ = u[:size].tolist(), nxt[:size].astype(np.int64).tolist()
-            if not size:
-                break
-        walked[n] = j
-        v = roots[k] - seed
-        if v > 0.0:
-            seed += v  # seed + max(0, u - seed), bit for bit
-            j = succ[k]
-        else:  # unshifted: the seed lies off u(j), which the table assumes
-            j = _exact_index(_lattice_index(seed + step, cfg, consts, side))
-        deltas[n] = seed
-        seed += step
-    else:
-        n = n_half
-
-    walked, deltas = np.array(walked[:n], dtype=float), np.array(deltas[:n])
+    j = _lattice_index(seed, cfg, consts, side)
+    if not abs(j) < 2.0**53:
+        raise NumericsError(f"refinement lattice index {j:.6g} is not a finite exact integer")
+    walked, deltas, chain = np.empty(n_half), np.empty(n_half), np.full(n_half, step)
+    ramp = np.arange(n_half, dtype=float)
+    n, inc, size = 0, sign, 16
+    while n < n_half:  # one pass per run of antennas n, n + 1, ... at j, j + inc, ...
+        m = min(size, n_half - n)
+        idx = walked[n:n + m] = j + inc * ramp[:m]
+        u = _root(lam * idx, cfg, side)
+        chain[0] = seed  # guessed seeds, as the module docstring says
+        guess = np.add.accumulate(chain[:m])
+        after = u + step
+        guess[1:] = np.maximum(guess[1:], after[:-1])
+        after += step
+        guess[2:] = np.maximum(guess[2:], after[:-2])
+        d = deltas[n:n + m] = guess + np.maximum(u - guess, 0.0)  # seed + max(0, u - seed)
+        nxt = d + step
+        j_nxt = _lattice_index(nxt, cfg, consts, side)
+        exact = np.abs(j_nxt) < 2.0**53
+        if not exact[0]:  # stop before the front: its successor has no exact index
+            break
+        # a run holds while guesses are true seeds calling for their index, with exact successors
+        held = (nxt[:-1] == guess[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
+        f = int(held.argmin()) if m > 1 else 0
+        k = f + 1 if m > 1 and not held[f] else m  # antennas refined by this pass
+        n, seed, j = n + k, nxt[k - 1], j_nxt[k - 1]
+        if k == 1:  # the increment broke at once: follow the one just seen
+            inc = j - idx[0]
+        size = 2 * k + 16
+    if n < n_half and abs(_lattice_index(u[0] + step, cfg, consts, side)) < 2.0**53:
+        # the front is unshifted, and only its seed's successor is inexact
+        raise NumericsError(f"refinement lattice index {j_nxt[0]:.6g} is not a finite exact integer")
+    walked, deltas = walked[:n], deltas[:n]
     targets = lam * walked
     seeds = np.concatenate(([step / 2.0], deltas + step))[:n]
-    with np.errstate(invalid="ignore", over="ignore"):
-        shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
-        miss = combined_path(sign * deltas, cfg, consts) - targets
+    shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
+    miss = combined_path(sign * deltas, cfg, consts) - targets
     bad = (_lattice_index(seeds, cfg, consts, side) != walked) | ~(shifts >= 0.0)
     bad |= ~(np.abs(miss) <= _path_tolerance(deltas, cfg))
     if n == n_half and not bad.any():
@@ -220,11 +223,8 @@ def build_refined_layout(n: int, cfg: SystemConfig, consts: DerivedConstants) ->
     d_left, v_left, t_left = refined_half_deltas(n_half, cfg, consts, side="left")
 
     positions = np.concatenate([cfg.x_u_m - d_left[::-1], cfg.x_u_m + d_right])
-    layout = AntennaLayout(
-        positions=tuple(positions),
-        center=cfg.x_u_m,
-        min_spacing=cfg.delta_p * consts.wavelength,
-    )
+    layout = AntennaLayout(positions=tuple(positions), center=cfg.x_u_m,
+                           min_spacing=cfg.delta_p * consts.wavelength)
     targets = np.concatenate([t_left[::-1], t_right])
     return RefinedLayout(
         layout=layout,

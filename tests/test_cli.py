@@ -120,14 +120,15 @@ def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
     "content", ["f_c_hz = 1e-300\n", "f_c_hz = 1e-150\n", "x_u_m = 1e300\n"])
 def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
     # a wavelength or eta beyond the float range, or a user so far out that
-    # float64 cannot tell the antennas apart around it
+    # float64 cannot tell the antennas apart around it, nor square its
+    # distance to the fixed antenna
     cfgfile = tmp_path / "extreme.cfg"
     cfgfile.write_text(content)
-    res = run_cli("gain-vs-delta-mc", "--config", str(cfgfile), "--grid-step", "0.1",
-                  "--out", str(tmp_path / "x.csv"))
-    assert res.returncode == 2, res.stderr
-    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
-    assert content.split()[0] in res.stderr
+    for argv in (("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")):
+        res = run_cli(*argv, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+        assert content.split()[0] in res.stderr
 
 
 def test_readme_mc_sweep_prints_one_floor_warning(tmp_path):
@@ -137,10 +138,11 @@ def test_readme_mc_sweep_prints_one_floor_warning(tmp_path):
 
 
 def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
-    # at 1e6 wavelengths the refined paths sit near 5.8e6 m, where float64
-    # cannot hold the 1e-9 m path check: the refinement now passes, and the
-    # default feed at -30 m is then rightly refused as lying inside the array
-    argv = ("maxgain-vs-spacing", "--delta-p", "1e6", "--trials", "5", "--n-max", "1200",
+    # at 1e6 wavelengths the refined paths of the default 5000 antennas per
+    # side reach 1.3e8 m, where float64 cannot hold the 1e-9 m path check: the
+    # refinement passes, and the default feed at -30 m is then rightly refused
+    # as lying inside the array
+    argv = ("maxgain-vs-spacing", "--delta-p", "1e6", "--trials", "5",
             "--out", str(tmp_path / "x.csv"))
     res = run_cli(*argv)
     assert res.returncode == 2, res.stderr

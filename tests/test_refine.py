@@ -254,6 +254,45 @@ def test_lattice_walk_seed_within_snap_of_a_multiple(side):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("delta_p", [1e3, 1e6])
+def test_lattice_walk_matches_sequential_recurrence_at_huge_spacing(delta_p, side):
+    # near 1e6 wavelengths float rounding decides both the increment and
+    # whether an antenna shifts at all, so runs end every few antennas, on
+    # unshifted ones too; the successor of an unshifted antenna must come from
+    # its seed, not from the root its index calls for
+    cfg = SystemConfig(delta_p=delta_p, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    *expected, refined = sequential_half_deltas(1500, cfg, consts, side)
+    assert refined == 1500
+    for a, b in zip(refined_half_deltas(1500, cfg, consts, side=side), expected):
+        assert np.array_equal(a, b)
+    shifts, inc = expected[1], np.diff(np.round(expected[2] / consts.wavelength))
+    run_ends_unshifted = (shifts[1:-1] == 0.0) & (inc[1:] != inc[:-1])
+    if delta_p == 1e6:
+        assert np.sum(shifts == 0.0) > 200 and run_ends_unshifted.any()
+    else:
+        assert np.all(shifts > 0.0)
+
+
+def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
+    # at 1e12 wavelengths the right side's indices pass 2**53 near antenna
+    # 3,700; the walk must stop at the same antenna however its passes fall,
+    # not round past 2**53 where index and successor agree by accident
+    cfg = SystemConfig(delta_p=1e12, alpha_wg_db_per_m=0.0)
+    consts = derive_constants(cfg)
+    deltas, shifts, targets, _ = sequential_half_deltas(3700, cfg, consts, "right")
+    last = int(np.argmax(np.abs(targets / consts.wavelength) >= 2.0**53))
+    assert last > 3000
+    # the oracle's targets round paths whose ulp is a sizeable part of a
+    # wavelength, so only its offsets and shifts are exact here
+    for a, b in zip(refined_half_deltas(last - 1, cfg, consts, side="right"), (deltas, shifts)):
+        assert np.array_equal(a, b[:last - 1])
+    for n_half in (last, last + 1, last + 2, last + 9, last + 100, 5000):
+        with pytest.raises(NumericsError, match=f"right-side antenna {last}: .*no finite"):
+            refined_half_deltas(n_half, cfg, consts, side="right")
+
+
 def test_walk_rejects_non_finite_lattice_index():
     cfg = SystemConfig(d_m=1e300)
     with pytest.raises(NumericsError, match="lattice index"):
