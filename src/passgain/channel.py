@@ -32,6 +32,20 @@ def abs_squared(z):
     return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
+def gain_at_offsets(offsets, cfg: SystemConfig, consts: DerivedConstants, alpha: float):
+    """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
+    their antenna offsets from the user's projection, left to right along the
+    last axis (shape (..., N), giving shape (...)), under waveguide loss
+    ``alpha`` (dB/m).  Phase and loss run from the feed, as
+    :func:`~passgain.geometry.resolve_feed` places it for each layout."""
+    offsets = np.asarray(offsets, dtype=float)
+    run = offsets - resolve_feed(cfg, offsets[..., :1])
+    phi = 2.0 * math.pi * run / consts.lambda_g
+    att = 10.0 ** (-alpha * run / 20.0)
+    total = np.sum(att * los_channel(offsets, cfg, consts) * np.exp(-1j * phi), axis=-1)
+    return abs_squared(total) / offsets.shape[-1]
+
+
 def array_gain_exact(
     layout: AntennaLayout,
     cfg: SystemConfig,
@@ -48,10 +62,4 @@ def array_gain_exact(
     lossless and the lossy configuration.
     """
     alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
-    x0 = resolve_feed(cfg, layout)
-    x = np.asarray(layout.positions, dtype=float)
-    h = los_channel(cfg.x_u_m - x, cfg, consts)
-    phi = 2.0 * math.pi * (x - x0) / consts.lambda_g
-    att = 10.0 ** (-alpha * (x - x0) / 20.0)
-    total = np.sum(att * h * np.exp(-1j * phi))
-    return float(abs(total) ** 2 / layout.n)
+    return float(gain_at_offsets(np.asarray(layout.positions) - cfg.x_u_m, cfg, consts, alpha))

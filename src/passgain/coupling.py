@@ -29,13 +29,15 @@ from .channel import abs_squared, los_channel
 from .errors import ConfigError
 from .geometry import DerivedConstants, SystemConfig, symmetric_offsets, uniform_spacings
 
+# Coupling-matrix eigenvalues below this are floored before the -1/2 power.
+EIG_FLOOR = 1e-10
+
 
 def sinc_j0(x):
-    """sin(x)/x with a series fallback 1 - x^2/6 + x^4/120 for |x| < 1e-4."""
+    """sin(x)/x, and 1 at x = 0."""
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 - x**2 / 6.0 + x**4 / 120.0, np.sin(safe) / safe)
+    safe = np.where(x == 0, 1.0, x)
+    out = np.where(x == 0, 1.0, np.sin(safe) / safe)
     return float(out) if out.ndim == 0 else out
 
 
@@ -52,29 +54,23 @@ class InverseSqrt(NamedTuple):
     floored: int | np.ndarray
 
 
-def inv_sqrt(c: np.ndarray, eig_floor: float = 1e-10) -> InverseSqrt:
+def inv_sqrt(c: np.ndarray) -> InverseSqrt:
     """Inverse matrix square root via the spectral decomposition, of one
     matrix or of a stack (..., N, N) in a single ``eigh`` call.
 
-    Eigenvalues below ``eig_floor`` are floored before the -1/2 power; the
+    Eigenvalues below ``EIG_FLOOR`` are floored before the -1/2 power; the
     count of floored eigenvalues (an int for one matrix, an array for a
     stack) is returned so near-singular coupling at tiny spacing is visible
     to the caller.
     """
     w, v = np.linalg.eigh(c)
-    floored = np.sum(w < eig_floor, axis=-1)
-    w_safe = np.maximum(w, eig_floor)
+    floored = np.sum(w < EIG_FLOOR, axis=-1)
+    w_safe = np.maximum(w, EIG_FLOOR)
     matrix = (v * w_safe[..., None, :] ** -0.5) @ np.swapaxes(v, -1, -2)
     return InverseSqrt(matrix=matrix, floored=int(floored) if floored.ndim == 0 else floored)
 
 
-def gain_mc(
-    n: int,
-    delta,
-    cfg: SystemConfig,
-    consts: DerivedConstants,
-    eig_floor: float = 1e-10,
-):
+def gain_mc(n: int, delta, cfg: SystemConfig, consts: DerivedConstants):
     """Coupling-aware gain |h^T C^(-1/2) phi|^2 / N of the uniform symmetric array.
 
     ``delta`` is one spacing (m), giving a float, or a 1-D array of S
@@ -86,7 +82,7 @@ def gain_mc(
     per call, with the number of spacings, when the coupling spectrum had to
     be floored.
     """
-    root = inv_sqrt(coupling_matrix(n, delta, consts), eig_floor=eig_floor)
+    root = inv_sqrt(coupling_matrix(n, delta, consts))
     offsets = symmetric_offsets(n, delta)
     h = los_channel(offsets, cfg, consts)
     phi_vec = np.exp(-1j * consts.k0 * cfg.n_eff * offsets)
@@ -98,7 +94,7 @@ def gain_mc(
         hit = np.asarray(delta, dtype=float)[floored]
         warnings.warn(
             f"coupling matrix near-singular at {hit.size} of {floored.size} spacing(s) "
-            f"(smallest {hit.min():.3e} m): eigenvalues floored at {eig_floor:g}",
+            f"(smallest {hit.min():.3e} m): eigenvalues floored at {EIG_FLOOR:g}",
             RuntimeWarning,
             stacklevel=2,
         )
@@ -119,14 +115,6 @@ def gain_mc_two_closed(delta, cfg: SystemConfig, consts: DerivedConstants):
     den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + sinc_j0(consts.k0 * delta))
     out = num / den
     return float(out) if out.ndim == 0 else out
-
-
-def gain_mc_two_approx(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Two-antenna coupling-aware gain with the spacing term dropped from the
-    denominator (valid for delta << d): (2 eta / d^2) f_mc(delta / wavelength)."""
-    if delta < 0:
-        raise ConfigError("spacing must be >= 0")
-    return 2.0 * consts.eta / cfg.d_m**2 * f_mc(delta / consts.wavelength, cfg.n_eff)
 
 
 def gain_two_uncoupled(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:

@@ -34,9 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from . import coupling, gain, refine
-from .channel import abs_squared, los_channel
+from .channel import gain_at_offsets
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, derive_constants, symmetric_offsets
+from .geometry import SystemConfig, derive_constants, resolve_feed, symmetric_offsets
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -45,6 +45,9 @@ USER_HALF_RANGE_M = 15.0
 DEFAULT_FEED_X0_M = -30.0
 FLUID_RANGE_WAVELENGTHS = 500.0
 FIXED_ANTENNA_X_M = 0.0
+# Smallest spacing of the coupling sweep's grid, in wavelengths: coupling
+# matrices are singular at zero spacing.
+DELTA_MIN_WL = 1e-3
 # Rows formatted and written per chunk by write_csv.
 _CSV_CHUNK_ROWS = 8192
 # Largest array a sweep lays out: grid points, Monte Carlo trials, antenna
@@ -162,7 +165,8 @@ def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
 
 
 def _phasor_gains(phasors, consts, alpha):
-    """:func:`_pair_gains` from the layout's :func:`_pair_phasors`."""
+    """:func:`_pair_gains` from the layout's :func:`_pair_phasors`; with the
+    phasors ``er`` and ``el`` set to 1, the phase-free upper bounds."""
     dr, dl, rr, rl, er, el = phasors
     if alpha == 0.0:  # the loss factors are exactly 1
         z = er / rr + el / rl
@@ -173,24 +177,14 @@ def _phasor_gains(phasors, consts, alpha):
     return consts.eta * np.abs(s) ** 2 / (2.0 * m)
 
 
-def _pair_bounds(phasors, consts, alpha):
-    """Phase-free upper bounds of all nested layouts (prefix-sum form)."""
-    dr, dl, rr, rl, _, _ = phasors
-    z = 10.0 ** (-alpha * dr / 20.0) / rr + 10.0 ** (alpha * dl / 20.0) / rl
-    s = np.cumsum(z)
-    m = np.arange(1, z.size + 1)
-    return consts.eta * s**2 / (2.0 * m)
-
-
 def _layouts(m_max, cfg, consts):
     """:func:`_pair_phasors` of the uniform and the refined layout with
     ``m_max`` antenna pairs, keyed by layout kind."""
     half = gain.uniform_deltas(2 * m_max, cfg, consts)
     d_right, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="right")
     d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left")
-    with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-        return {"uniform": _pair_phasors(half, half, cfg, consts),
-                "refined": _pair_phasors(d_right, d_left, cfg, consts)}
+    return {"uniform": _pair_phasors(half, half, cfg, consts),
+            "refined": _pair_phasors(d_right, d_left, cfg, consts)}
 
 
 def run_fub_curve(x_max: float, step: float):
@@ -249,7 +243,7 @@ def run_gain_vs_n(
                     for kind, ph in layouts.items()
                 }
                 uniform = layouts["uniform"]
-                gains["bound"] = (_pair_bounds(uniform, consts, alpha)
+                gains["bound"] = (_phasor_gains(uniform._replace(er=1.0, el=1.0), consts, alpha)
                                   * _feed_factor(uniform.dl, cfg_dp, alpha))
             for kind, g in gains.items():
                 series = f"{kind}_dp{dp:g}_{label}"
@@ -282,17 +276,8 @@ def _feed_factor(delta_left, cfg, alpha):
     With an "auto" feed the factor follows the leftmost antenna of each nested
     layout; an explicit feed must lie left of every layout it serves.
     """
-    if alpha == 0.0:
-        return 1.0
-    if cfg.x_0_m is None:
-        span = np.asarray(delta_left, dtype=float)
-    else:
-        span = cfg.x_u_m - cfg.x_0_m
-        if np.any(np.asarray(delta_left) > span + 1e-12):
-            raise ConfigError(
-                f"feed at {cfg.x_0_m} m lies inside the array; increase n_max headroom"
-            )
-    return 10.0 ** (-alpha * span / 10.0)
+    span = -resolve_feed(cfg, -delta_left)
+    return 1.0 if alpha == 0.0 else 10.0 ** (-alpha * span / 10.0)
 
 
 def run_maxgain_vs_spacing(
@@ -376,47 +361,26 @@ def _mean_stderr(values):
     return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
 
 
-def _uncoupled_gains(n, spacings, cfg, consts):
-    """Lossless coupling-free gains of the uniform symmetric layouts at
-    ``spacings``, in the arithmetic of ``array_gain_exact`` on the offsets
-    from the user.  An explicit feed must lie left of every layout."""
-    offsets = symmetric_offsets(n, spacings)
-    leftmost = offsets[:, :1]
-    if cfg.x_0_m is None:
-        feed = leftmost
-    else:
-        feed = cfg.x_0_m - cfg.x_u_m
-        inside = feed > leftmost[:, 0] + 1e-12
-        if inside.any():
-            i = int(np.argmax(inside))
-            raise ConfigError(f"feed point x_0={cfg.x_0_m} m lies right of the leftmost "
-                              f"antenna at {cfg.x_u_m + leftmost[i, 0]} m")
-    phi = 2.0 * math.pi * (offsets - feed) / consts.lambda_g
-    total = np.sum(los_channel(offsets, cfg, consts) * np.exp(-1j * phi), axis=-1)
-    return abs_squared(total) / n
-
-
-def run_gain_vs_delta_mc(
-    cfg: SystemConfig,
-    n_values,
-    step: float,
-    delta_min_wl: float = 1e-3,
-):
+def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     """Gain versus inter-antenna spacing with and without mutual coupling.
 
-    The grid covers [delta_min_wl, 1] wavelengths (coupling matrices are
-    singular at zero spacing); the exact zero-spacing values are emitted as
-    analytic rows: N antennas collapsed onto one point give N eta / d^2
-    without coupling, and eta / d^2 for the coupling-aware pair.  The grid
-    is solved in chunks, as the module docstring says.
+    The grid covers [DELTA_MIN_WL, 1] wavelengths; the exact zero-spacing
+    values are emitted as analytic rows: N antennas collapsed onto one point
+    give N eta / d^2 without coupling, and eta / d^2 for the coupling-aware
+    pair.  The grid is solved in chunks, as the module docstring says.
     """
     if not n_values:
         raise ConfigError("antenna-count list must be non-empty")
     for n in n_values:
         _check_size("coupling-matrix entries", n * n)
     consts = derive_constants(cfg)
-    count = _grid_count(1.0 - delta_min_wl, step)
-    xs = delta_min_wl + step * np.arange(0, count + 1)
+    try:
+        d2 = cfg.d_m**2
+    except OverflowError:
+        raise ConfigError(f"d_m = {cfg.d_m:g} is too large for float64: "
+                          f"its square overflows") from None
+    count = _grid_count(1.0 - DELTA_MIN_WL, step)
+    xs = DELTA_MIN_WL + step * np.arange(0, count + 1)
     xs = xs[xs <= 1.0 + 1e-12]
     if xs[-1] < 1.0 - 1e-12:
         xs = np.append(xs, 1.0)  # the sweep covers the full wavelength
@@ -430,15 +394,16 @@ def run_gain_vs_delta_mc(
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
-        nomc_vals = np.concatenate([_uncoupled_gains(n, s, cfg, consts) for s in chunks])
+        nomc_vals = np.concatenate([gain_at_offsets(symmetric_offsets(n, s), cfg, consts, 0.0)
+                                    for s in chunks])
         mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg, consts) for s in chunks])
 
         mc_series = f"mc_N{n}"
         nomc_series = f"nomc_N{n}"
         points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
-                   Curve(nomc_series, 0.0, n * consts.eta / cfg.d_m**2)]
+                   Curve(nomc_series, 0.0, n * consts.eta / d2)]
         if n == 2:
-            points.append(Curve(mc_series, 0.0, consts.eta / cfg.d_m**2))
+            points.append(Curve(mc_series, 0.0, consts.eta / d2))
         points += [_peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
 
     if 2 in n_values:

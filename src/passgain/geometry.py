@@ -27,7 +27,9 @@ class SystemConfig:
     """Physical scenario for a single-waveguide pinching-antenna link.
 
     ``x_0_m is None`` means "auto": the feed point coincides with the leftmost
-    antenna of whatever layout is being evaluated.  ``alpha_wg_db_per_m`` is the
+    antenna of whatever layout is being evaluated, except in the
+    max-gain-versus-spacing sweep, which puts it at ``DEFAULT_FEED_X0_M``
+    (-30 m).  ``alpha_wg_db_per_m`` is the
     waveguide propagation loss (0 for the lossless configuration).
     ``delta_p`` is the minimum inter-antenna spacing in carrier wavelengths.
     Every numeric field must be finite.
@@ -166,20 +168,24 @@ def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> Anten
     return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m, min_spacing=spacing)
 
 
-def resolve_feed(cfg: SystemConfig, layout: AntennaLayout) -> float:
-    """Feed-point x-coordinate for a layout; "auto" puts it at the leftmost antenna.
+def resolve_feed(cfg: SystemConfig, leftmost):
+    """Feed offset from the user's projection for layouts whose leftmost
+    antennas sit at offsets ``leftmost`` (a float or an array) from it;
+    "auto" puts the feed at each layout's own leftmost antenna.
 
     The feed must not sit to the right of any antenna, since in-waveguide
     distance is measured rightward from it.
     """
     if cfg.x_0_m is None:
-        return layout.leftmost
-    if cfg.x_0_m > layout.leftmost + 1e-12:
+        return leftmost
+    feed = cfg.x_0_m - cfg.x_u_m
+    inside = feed > np.asarray(leftmost) + 1e-12
+    if inside.any():
         raise ConfigError(
             f"feed point x_0={cfg.x_0_m} m lies right of the leftmost antenna "
-            f"at {layout.leftmost} m"
+            f"at {cfg.x_u_m + np.asarray(leftmost)[inside].flat[0]} m"
         )
-    return cfg.x_0_m
+    return feed
 
 
 _SCENARIO_KEYS = (

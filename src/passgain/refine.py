@@ -77,58 +77,12 @@ def _root(t, cfg: SystemConfig, side: str):
     return np.where(t > 0, (dd - tt) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
 
 
-@np.errstate(**_QUIET)
-def target_path(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Next wavelength multiple at or above the combined path (right side)."""
-    if delta_n < 0:
-        raise ConfigError("right-side offsets must be >= 0")
-    return consts.wavelength * _lattice_index(delta_n, cfg, consts, "right")
-
-
-@np.errstate(**_QUIET)
-def target_path_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Next wavelength multiple at or below the combined path (left side)."""
-    if delta_n < 0:
-        raise ConfigError("left-side offsets must be >= 0")
-    return consts.wavelength * _lattice_index(delta_n, cfg, consts, "left")
-
-
 def _path_tolerance(delta, cfg: SystemConfig):
     """Largest accepted |path - target| at offset ``delta``: the snap, or 4 ulp
     of the path's larger term (on the left the path is a difference of two
     terms, and its rounding error scales with them, not with the path)."""
     return np.maximum(_PATH_SNAP_M,
                       4 * np.spacing(np.hypot(cfg.d_m, delta) + cfg.n_eff * np.abs(delta)))
-
-
-def _check_residual(delta: float, target: float, cfg: SystemConfig, consts: DerivedConstants,
-                    where: str) -> None:
-    miss = combined_path(delta, cfg, consts) - target
-    if not abs(miss) <= _path_tolerance(delta, cfg):
-        raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
-
-
-@np.errstate(**_QUIET)
-def refine_shift(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Outward shift aligning a right-side antenna: closed-form solution of
-    sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
-    d_n = target_path(delta_n, cfg, consts)
-    v = max(0.0, _root(d_n, cfg, "right") - delta_n)
-    _check_residual(delta_n + v, d_n, cfg, consts, "refine_shift")
-    return v
-
-
-@np.errstate(**_QUIET)
-def refine_shift_left(delta_n: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Outward (leftward) shift aligning a left-side antenna: solves
-    sqrt(d^2 + (delta+w)^2) - n_eff (delta+w) = target."""
-    t = target_path_left(delta_n, cfg, consts)
-    u = _root(t, cfg, "left")
-    if not np.isfinite(u):
-        raise NumericsError(f"left-side targets are exhausted (no offset has path {t:.3e} m)")
-    w = max(0.0, u - delta_n)
-    _check_residual(-(delta_n + w), t, cfg, consts, "refine_shift_left")
-    return w
 
 
 @np.errstate(**_QUIET)

@@ -64,7 +64,7 @@ def test_feed_right_of_antenna_rejected(consts):
     lay = pair(-1.0, 1.0)
     fed_at_origin = SystemConfig(x_0_m=0.0)
     with pytest.raises(ConfigError):
-        resolve_feed(fed_at_origin, lay)
+        resolve_feed(fed_at_origin, lay.leftmost - fed_at_origin.x_u_m)
     with pytest.raises(ConfigError):
         array_gain_exact(lay, fed_at_origin, consts)
 

@@ -254,3 +254,15 @@ def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numeric failure:") and res.stderr.count("\n") == 1
     assert "alpha_wg_db_per_m" in res.stderr
+
+
+@pytest.mark.parametrize("d_m", ["1e155", "1e300"])
+def test_huge_height_exits_2_naming_d_m(tmp_path, d_m):
+    # d_m squared leaves the float range in the coupling sweep's analytic rows
+    cfgfile = tmp_path / "high.cfg"
+    cfgfile.write_text(f"d_m = {d_m}\n")
+    res = run_cli("gain-vs-delta-mc", "--config", str(cfgfile), "--grid-step", "0.1",
+                  "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+    assert "d_m" in res.stderr

@@ -10,7 +10,6 @@ from passgain.coupling import (
     coupling_matrix,
     f_mc,
     gain_mc,
-    gain_mc_two_approx,
     gain_mc_two_closed,
     gain_two_uncoupled,
     inv_sqrt,
@@ -136,7 +135,8 @@ def test_approximation_drops_spacing_term(cfg, consts):
     lam = consts.wavelength
     for x in (0.1, 0.5, 0.9):
         exact = gain_mc_two_closed(x * lam, cfg, consts)
-        approx = gain_mc_two_approx(x * lam, cfg, consts)
+        # (2 eta / d^2) f_mc: the closed form with delta^2 / 4 dropped beside d^2
+        approx = 2 * consts.eta / cfg.d_m**2 * f_mc(x * lam / lam, cfg.n_eff)
         # spacing is centimetres against a 3 m height
         assert approx == pytest.approx(exact, rel=1e-5)
         assert approx == pytest.approx(

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -502,6 +503,23 @@ def test_mc_sweep_checks_the_explicit_feed(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         run_gain_vs_delta_mc(replace(cfg, x_0_m=-1.5 * lam), (2, 4), step=0.1)
+
+
+FEED_INSIDE = SystemConfig(x_0_m=0.0)  # the user's projection: inside every layout
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda c: array_gain_exact(symmetric_uniform_layout(c, 4, 0.01), c, derive_constants(c)),
+    lambda c: run_gain_vs_n(c, (0.5,), (("case1", 0.0),), n_max=100, n_step=2),
+    lambda c: run_gain_vs_n(c, (0.5,), (("case2", 0.08),), n_max=100, n_step=2),
+    lambda c: run_gain_vs_delta_mc(c, (2, 4), step=0.1),
+], ids=["array_gain_exact", "gain_vs_n_lossless", "gain_vs_n_lossy", "gain_vs_delta_mc"])
+def test_feed_inside_the_array_has_one_message(evaluate):
+    # every route to the exact gain resolves the feed in one place
+    with pytest.raises(ConfigError) as info:
+        evaluate(FEED_INSIDE)
+    assert re.fullmatch(r"feed point x_0=0\.0 m lies right of the leftmost antenna "
+                        r"at -\d\.\d+(e-\d+)? m", str(info.value))
 
 
 def test_mc_sweep_names_an_unresolvable_user_position(cfg):

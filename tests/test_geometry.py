@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,13 +102,23 @@ def test_layout_validation():
 
 
 def test_feed_resolution(cfg):
+    # feeds are offsets from the user's projection, as the leftmost antennas are
     lay = symmetric_uniform_layout(cfg, 2, 0.01)
-    assert resolve_feed(cfg, lay) == lay.positions[0]
-    explicit = SystemConfig(x_0_m=-5.0, alpha_wg_db_per_m=0.0)
-    assert resolve_feed(explicit, lay) == -5.0
+    leftmost = lay.positions[0] - cfg.x_u_m
+    assert resolve_feed(cfg, leftmost) == leftmost
+    explicit = SystemConfig(x_0_m=-5.0, x_u_m=2.0, alpha_wg_db_per_m=0.0)
+    assert resolve_feed(explicit, leftmost) == -5.0 - 2.0
     inside = SystemConfig(x_0_m=1.0, alpha_wg_db_per_m=0.0)
     with pytest.raises(ConfigError):
-        resolve_feed(inside, lay)
+        resolve_feed(inside, leftmost)
+    # one leftmost offset per layout: auto follows each, an explicit feed
+    # must lie left of all of them
+    stacked = np.array([[-0.5], [-2.0], [-1.0]])
+    assert resolve_feed(cfg, stacked) is stacked
+    assert resolve_feed(explicit, stacked) == -7.0
+    # the message names the first layout the feed lies inside
+    with pytest.raises(ConfigError, match="leftmost antenna at -2.0 m"):
+        resolve_feed(replace(explicit, x_u_m=0.0, x_0_m=-0.75), stacked)
 
 
 def test_load_scenario_roundtrip(tmp_path):

@@ -9,15 +9,58 @@ from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_uniform, upper_bound_sum
 from passgain.geometry import SystemConfig, derive_constants
-from passgain.refine import (
-    build_refined_layout,
-    combined_path,
-    refine_shift,
-    refine_shift_left,
-    refined_half_deltas,
-    target_path,
-    target_path_left,
-)
+from passgain.refine import build_refined_layout, combined_path, refined_half_deltas
+
+# ------------------------------------------------ per-antenna recurrence
+#
+# The antenna-by-antenna form of the refinement, one closed-form root per
+# antenna.  It is the oracle the lattice walk of refined_half_deltas is held
+# to, bit for bit, in sequential_half_deltas below.
+
+
+@np.errstate(**refine._QUIET)
+def target_path(delta_n, cfg, consts):
+    """Next wavelength multiple at or above the combined path (right side)."""
+    if delta_n < 0:
+        raise ConfigError("right-side offsets must be >= 0")
+    return consts.wavelength * refine._lattice_index(delta_n, cfg, consts, "right")
+
+
+@np.errstate(**refine._QUIET)
+def target_path_left(delta_n, cfg, consts):
+    """Next wavelength multiple at or below the combined path (left side)."""
+    if delta_n < 0:
+        raise ConfigError("left-side offsets must be >= 0")
+    return consts.wavelength * refine._lattice_index(delta_n, cfg, consts, "left")
+
+
+def _check_residual(delta, target, cfg, consts, where):
+    miss = combined_path(delta, cfg, consts) - target
+    if not abs(miss) <= refine._path_tolerance(delta, cfg):
+        raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
+
+
+@np.errstate(**refine._QUIET)
+def refine_shift(delta_n, cfg, consts):
+    """Outward shift aligning a right-side antenna: closed-form solution of
+    sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
+    d_n = target_path(delta_n, cfg, consts)
+    v = max(0.0, refine._root(d_n, cfg, "right") - delta_n)
+    _check_residual(delta_n + v, d_n, cfg, consts, "refine_shift")
+    return v
+
+
+@np.errstate(**refine._QUIET)
+def refine_shift_left(delta_n, cfg, consts):
+    """Outward (leftward) shift aligning a left-side antenna: solves
+    sqrt(d^2 + (delta+w)^2) - n_eff (delta+w) = target."""
+    t = target_path_left(delta_n, cfg, consts)
+    u = refine._root(t, cfg, "left")
+    if not np.isfinite(u):
+        raise NumericsError(f"left-side targets are exhausted (no offset has path {t:.3e} m)")
+    w = max(0.0, u - delta_n)
+    _check_residual(-(delta_n + w), t, cfg, consts, "refine_shift_left")
+    return w
 
 
 def bisect_shift(delta, target, cfg, consts, sign=1.0, hi=None):
@@ -179,7 +222,7 @@ def test_build_refined_layout_validation(cfg, consts):
 
 def sequential_half_deltas(n_half, cfg, consts, side):
     """Oracle: the per-antenna recurrence the lattice walk replaced, built from
-    the public per-antenna functions.  Returns (deltas, shifts, targets) of
+    the per-antenna functions above.  Returns (deltas, shifts, targets) of
     the antennas refined before the first NumericsError, and the number of
     antennas refined (n_half when none was raised)."""
     shift_fn, sign = (refine_shift, 1.0) if side == "right" else (refine_shift_left, -1.0)
