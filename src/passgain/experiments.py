@@ -5,8 +5,11 @@ and ``stderr`` are each a scalar or a 1-D array, a scalar filling its block;
 per-series peaks are single-row ``<series>_peak`` blocks.  :func:`write_csv`
 writes the rows sorted by (series, x) with 12-significant-digit scientific
 notation, so a fixed seed always yields byte-identical files.  It works by
-column, once per file: one stable sort, one finiteness check, each distinct x
-and stderr value formatted once, the rows streamed out in chunks.
+column, once per file: one stable sort, one finiteness check, then the rows in
+chunks, each rendered by the numpy kernel of :mod:`passgain.csvrows`, which
+looks the digits, sign and exponent of every number up in tables of 4-byte
+words.  A number whose digits the kernel cannot vouch for (near a rounding
+tie, or with a decimal exponent of 100 or more) gets them from Python's ``%``.
 
 The Monte Carlo sweep draws user positions from a seeded PCG64 generator and,
 per draw, finds the best even antenna count exactly.  The gain of every nested
@@ -26,6 +29,7 @@ from the user.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -48,8 +52,9 @@ FIXED_ANTENNA_X_M = 0.0
 # Smallest spacing of the coupling sweep's grid, in wavelengths: coupling
 # matrices are singular at zero spacing.
 DELTA_MIN_WL = 1e-3
-# Rows formatted and written per chunk by write_csv.
-_CSV_CHUNK_ROWS = 8192
+# Rows formatted and written per chunk by write_csv: few enough that the
+# kernel's arrays stay in cache and its transient memory stays small.
+_CSV_CHUNK_ROWS = 2048
 # Largest array a sweep lays out: grid points, Monte Carlo trials, antenna
 # pairs, coupling-matrix entries.  Larger inputs are rejected from their count,
 # before anything is allocated.
@@ -73,21 +78,17 @@ def _column(values, sizes) -> np.ndarray:
     return np.concatenate([np.empty(0), *parts])
 
 
-def _text(values: np.ndarray, memo: dict) -> list:
-    """``%.11e`` text of every value; ``memo`` holds the text of each bit
-    pattern (so 0.0 and -0.0 apart) already formatted."""
-    return [memo[b] if b in memo else memo.setdefault(b, "%.11e" % v)
-            for b, v in zip(values.view(np.int64).tolist(), values.tolist())]
-
-
 def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     """Write curve blocks as ``series,x,y,stderr`` rows sorted by (series, x),
     rows with equal keys in input order, and return the number of rows.
 
     The seed goes into a leading ``#`` comment line; all numbers use
     12-significant-digit scientific notation, making output byte-stable."""
+    from .csvrows import csv_rows, label_words  # `import passgain.cli` skips them
+
     curves = list(curves)
     names = sorted({c.series for c in curves})
+    labels = label_words(names)
     rank = {name: i for i, name in enumerate(names)}
     sizes = [getattr(c.x, "size", 1) for c in curves]
     ranks = np.repeat(np.array([rank[c.series] for c in curves], dtype=int), sizes)
@@ -99,17 +100,14 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
         i = int(np.argmax(bad))
         raise ConfigError(f"non-finite curve point in series {names[ranks[i]]!r}: "
                           f"x={x[i]:.11e}, y={y[i]:.11e}, stderr={err[i]:.11e}")
-    labels, memo = np.array([f"{name}," for name in names], dtype=object), {}
     path = Path(path)
     try:
-        with path.open("w", newline="") as fh:
-            fh.write(f"# seed={seed}\nseries,x,y,stderr\n")
+        with path.open("wb") as fh:
+            fh.write(f"# seed={seed}\nseries,x,y,stderr\n".encode())
             for a in range(0, y.size, _CSV_CHUNK_ROWS):
                 rows = slice(a, a + _CSV_CHUNK_ROWS)
-                fields = [None] * (4 * y[rows].size)
-                fields[0::4], fields[1::4] = labels[ranks[rows]].tolist(), _text(x[rows], memo)
-                fields[2::4], fields[3::4] = y[rows].tolist(), _text(err[rows], memo)
-                fh.write("%s%s,%.11e,%s\n" * y[rows].size % tuple(fields))
+                values = np.stack((x[rows], y[rows], err[rows]))
+                fh.write(csv_rows(labels[ranks[rows]], values))
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
     return y.size
@@ -377,8 +375,13 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     try:
         d2 = cfg.d_m**2
     except OverflowError:
-        raise ConfigError(f"d_m = {cfg.d_m:g} is too large for float64: "
-                          f"its square overflows") from None
+        d2 = math.inf
+    # the analytic rows: N eta / d^2 at zero spacing, and the closed form for
+    # N = 2, whose denominator is at most 2 (d^2 + wavelength^2 / 4)
+    if not (2.0 * d2 + consts.wavelength * consts.wavelength / 2.0 < math.inf
+            and consts.eta / d2 >= sys.float_info.min):
+        raise ConfigError(f"d_m = {cfg.d_m:g} is too large for float64: the analytic "
+                          f"rows eta / d_m^2 leave its normal range")
     count = _grid_count(1.0 - DELTA_MIN_WL, step)
     xs = DELTA_MIN_WL + step * np.arange(0, count + 1)
     xs = xs[xs <= 1.0 + 1e-12]

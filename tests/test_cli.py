@@ -154,10 +154,11 @@ def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    code = "import sys, passgain.cli; print('scipy' in sys.modules)"
+    # nor the CSV kernel, which the first write imports
+    code = "import sys, passgain.cli; print({'scipy', 'passgain.csvrows'} & set(sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.strip() == "set()"
 
 
 def test_unknown_flag_exits_2(tmp_path):
@@ -256,13 +257,23 @@ def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
     assert "alpha_wg_db_per_m" in res.stderr
 
 
-@pytest.mark.parametrize("d_m", ["1e155", "1e300"])
+@pytest.mark.parametrize("d_m", ["1e154", "1e155", "1e300"])
 def test_huge_height_exits_2_naming_d_m(tmp_path, d_m):
-    # d_m squared leaves the float range in the coupling sweep's analytic rows
+    # the coupling sweep's analytic rows leave the normal float range: at 1e154
+    # eta / d^2 is subnormal and the closed form's denominator overflows
     cfgfile = tmp_path / "high.cfg"
     cfgfile.write_text(f"d_m = {d_m}\n")
     res = run_cli("gain-vs-delta-mc", "--config", str(cfgfile), "--grid-step", "0.1",
                   "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
-    assert "d_m" in res.stderr
+    assert "d_m" in res.stderr and "RuntimeWarning" not in res.stderr
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["missing_dir", "a_directory"])
+def test_unwritable_out_exits_2(tmp_path, target):
+    out = tmp_path / target
+    res = run_cli("fub-curve", "--x-max", "1", "--out", str(out))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"config error: cannot write CSV to {out}:")
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr

@@ -1,12 +1,19 @@
 import math
 import re
+import shlex
 import warnings
 from dataclasses import replace
+from decimal import Decimal
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from passgain import coupling, experiments
+from passgain.cli import SUBCOMMANDS, build_parser
 from passgain.channel import array_gain_exact
 from passgain.coupling import inv_sqrt
 from passgain.errors import ConfigError, NumericsError
@@ -102,6 +109,36 @@ def _random_blocks(rng):
     return blocks
 
 
+def _is_tie(v):
+    """True when the exact value of ``v`` has 13 significant digits, the last
+    a 5: exactly halfway between two 12-digit mantissas."""
+    digits = Decimal(v).normalize().as_tuple().digits
+    return len(digits) == 13 and digits[-1] == 5
+
+
+def _adversarial_blocks():
+    """Numbers whose digits the table kernel must take from ``%``, or must
+    get right next to those: 12-digit ties, powers of ten, 9.999999999995
+    10^p, |e| >= 100 and subnormals, each with its neighbours one ulp away,
+    of both signs."""
+    ties = [float(Fraction(10 * k + 5, 10) * Fraction(10) ** p)
+            for k in (100000000000, 123456789012, 999999999999, 314159265358)
+            for p in range(-3, 6)]
+    ties += [m * 2.0**-j for m in (1, 3, 5, 7, 11) for j in range(1, 70)]
+    ties = [v for v in ties if _is_tie(v)]
+    assert len(ties) > 30
+    powers = [float(f"1e{p}") for p in range(-110, 110)]
+    ends = [float(f"9.999999999995e{p}") for p in range(-101, 101)]
+    extremes = [5e-324, 1e-323, 2.2250738585072014e-308, 1e-100, 9.99999999999e-100,
+                1e100, 9.999999999994e99, 1.7e308, 1.7976931348623157e308]
+    values = np.array(ties + powers + ends + extremes)
+    values = np.concatenate([values, np.nextafter(values, 0.0),
+                             np.nextafter(values, np.finfo(float).max)])
+    v = np.concatenate([values, -values, [0.0, -0.0]])
+    return [Curve("s", np.arange(v.size, dtype=float), v, v[::-1]),
+            Curve("t", v, v[::-1], np.abs(v))]
+
+
 WRITER_CASES = {
     "random_blocks": _random_blocks(np.random.default_rng(5)),
     "tied_x": [Curve("s", np.zeros(4), np.arange(4.0)), Curve("s", 0.0, -1.0),
@@ -112,6 +149,7 @@ WRITER_CASES = {
                       Curve("z", -0.0, 5.0)],
     "fixed_value_block": [Curve("fixed", np.arange(2.0, 12.0, 2.0), 0.25)],
     "empty": [],
+    "adversarial": _adversarial_blocks(),
 }
 
 
@@ -131,6 +169,12 @@ def test_write_csv_non_finite_names_series(tmp_path):
         for writer in (write_csv, reference_write_csv):
             with pytest.raises(ConfigError, match="'bad'"):
                 writer(curves, tmp_path / "x.csv")
+
+
+def test_write_csv_rejects_nul_in_series_name(tmp_path):
+    # the writer drops NUL bytes from its output, so a name holding one is refused
+    with pytest.raises(ConfigError, match="NUL"):
+        write_csv([Curve("a\0b", 0.0, 1.0)], tmp_path / "x.csv")
 
 
 def test_write_csv_rejects_non_finite(tmp_path):
@@ -153,6 +197,38 @@ def test_write_csv_deterministic(tmp_path, cfg):
     write_csv(pts, f1, seed=4)
     write_csv(pts, f2, seed=4)
     assert f1.read_bytes() == f2.read_bytes()
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)  # with subnormals and -0.0
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.tuples(st.sampled_from(["a", "mc_N2", "refined_dp0.5_case1_peak"]),
+                          finite, finite, finite), max_size=40))
+def test_write_csv_matches_reference_on_any_floats(tmp_path_factory, rows):
+    curves = [Curve(name, np.array([x]), np.array([y]), e) for name, x, y, e in rows]
+    path = tmp_path_factory.mktemp("floats")
+    new, ref = path / "new.csv", path / "ref.csv"
+    assert write_csv(curves, new) == reference_write_csv(curves, ref)
+    assert new.read_bytes() == ref.read_bytes()
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text[text.index("## CLI"):].split("```")[1]  # the first code block
+    return [shlex.split(l)[1:] for l in block.splitlines() if l.startswith("passgain ")]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_write_csv_matches_reference_on_readme_sweeps(tmp_path, argv):
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        curves = SUBCOMMANDS[args.command].run(args, SystemConfig())
+    new, ref = tmp_path / "new.csv", tmp_path / "ref.csv"
+    rows = reference_write_csv(curves, ref, seed=args.seed)
+    assert write_csv(curves, new, seed=args.seed) == rows
+    assert new.read_bytes() == ref.read_bytes()
 
 
 # ------------------------------------------------------------- fast kernels
