@@ -16,8 +16,10 @@ per draw, finds the best even antenna count exactly.  The gain of every nested
 symmetric layout is obtained from prefix sums of the per-pair channel
 contributions; a draw can use the nested layouts whose leftmost antenna lies
 right of the feed, and the best of those is read off the running maximum of
-the gain profile.  The whole search costs one pass over the offsets and one
-lookup per draw.
+the gain profile.  The layouts stop at the farthest draw's reach: the first
+pair whose uniform offset lies beyond the longest feed run closes them, as
+refinement only widens gaps and its offsets are prefix-stable.  The whole
+search costs one pass over those offsets and one lookup per draw.
 
 The coupling sweep hands each antenna count N its spacing grid in chunks of
 ``MAX_SWEEP_SIZE // N^2`` spacings (at least one); each chunk is one stacked
@@ -297,6 +299,8 @@ def run_maxgain_vs_spacing(
         raise ConfigError("delta_p grid must be non-empty")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if n_max < 2:
+        raise ConfigError("n_max must be >= 2")
     _check_size("Monte Carlo trials", trials)
     _check_size("antenna pairs", n_max // 2)
     consts = derive_constants(cfg)
@@ -310,25 +314,31 @@ def run_maxgain_vs_spacing(
 
     feed_run = x_us - feed_x0
     m_max = n_max // 2
+    factors = [10.0 ** (-alpha * feed_run / 10.0) for _, alpha in cases]
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        layouts = _layouts(m_max, cfg_dp, consts)
+        # no draw reaches past the first pair whose uniform offset exceeds the
+        # longest feed run, and refined offsets are no smaller than uniform ones
+        reach = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp, consts),
+                                feed_run.max(), side="right")
+        layouts = _layouts(min(m_max, int(reach) + 1), cfg_dp, consts)
+        caps = {}
+        for kind, ph in layouts.items():
+            # a draw may use the first `cap` pairs: those left of its
+            # projection that still lie right of the feed
+            caps[kind] = np.searchsorted(ph.dl, feed_run, side="right")
+            if np.any(caps[kind] < 1):
+                raise ConfigError(
+                    f"no feasible antenna count for {int(np.sum(caps[kind] < 1))} draw(s): "
+                    f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
+                )
 
-        for label, alpha in cases:
-            factor = 10.0 ** (-alpha * feed_run / 10.0)
+        for (label, alpha), factor in zip(cases, factors):
             for kind, ph in layouts.items():
-                # a draw may use the first `cap` pairs: those left of its
-                # projection that still lie right of the feed
-                caps = np.searchsorted(ph.dl, feed_run, side="right")
-                if np.any(caps < 1):
-                    raise ConfigError(
-                        f"no feasible antenna count for {int(np.sum(caps < 1))} draw(s): "
-                        f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
-                    )
                 with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
                     g0 = _phasor_gains(ph, consts, alpha)
-                    best = np.maximum.accumulate(g0)[caps - 1] * factor
+                    best = np.maximum.accumulate(g0)[caps[kind] - 1] * factor
                 _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
                 points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
@@ -342,13 +352,15 @@ def run_maxgain_vs_spacing(
 
         points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp, consts)))
 
-        fluid_reach = FLUID_RANGE_WAVELENGTHS * consts.wavelength
-        fluid1 = np.full(trials, consts.eta / cfg.d_m**2)
-        fluid2 = consts.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
-        fixed = consts.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-        for name, vals in (("fluid1", fluid1), ("fluid2", fluid2), ("fixed", fixed)):
-            mean, err = _mean_stderr(vals)
-            points.append(Curve(name, float(dp), mean, err))
+    # the single-antenna baselines do not depend on the spacing; they come
+    # last, as the refinement reports a d_m beyond float64 before d_m**2 overflows
+    fluid_reach = FLUID_RANGE_WAVELENGTHS * consts.wavelength
+    fluid1 = np.full(trials, consts.eta / cfg.d_m**2)
+    fluid2 = consts.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
+    fixed = consts.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
+    for name, vals in (("fluid1", fluid1), ("fluid2", fluid2), ("fixed", fixed)):
+        mean, err = _mean_stderr(vals)
+        points += [Curve(name, float(dp), mean, err) for dp in delta_p_values]
     return points
 
 

@@ -182,9 +182,15 @@ def gain_uniform_integral(
     :func:`gain_uniform_single_integral`; an image m holds a stationary
     (aliased) lobe wherever the phase advance per antenna,
     a = delta_p (+/- n_eff - sin theta) cycles with sin theta = delta / r,
-    equals -m.  Images up to |m| <= K = ceil(delta_p (n_eff + 1)) + 1 are
-    integrated explicitly on Gauss-Legendre panels of at most one
-    oscillation cycle.  Every further
+    equals -m.  Only the -n_eff component can do so on the array, where
+    0 <= sin theta < 1: image m is stationary at sin theta = m / delta_p - n_eff,
+    so a spacing aliases into image m for m / (n_eff + 1) < delta_p < m / n_eff,
+    and the lobe rises once the layout reaches the offset
+    delta = d tan theta, at N ~ 2 delta / (delta_p wavelength) antennas (at
+    delta_p = 0.5 and n_eff = 1.44: image 1, sin theta = 0.56, N ~ 758, just
+    below the peak of :func:`gain_uniform` at N = 832).  Images up to
+    |m| <= K = ceil(delta_p (n_eff + 1)) + 1 are integrated explicitly on
+    Gauss-Legendre panels of at most one oscillation cycle.  Every further
     image contributes only its endpoint term; summed over |m| > K in closed
     form with sum_m (-1)^m / (a + m) = pi / sin(pi a), they give
     [exp(j phi) / (2 pi j sqrt(1 + delta_p^2 x^2)) * tail(a)] from 0 to B per

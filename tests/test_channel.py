@@ -3,11 +3,20 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from passgain.channel import array_gain_exact
-from passgain.errors import ConfigError
-from passgain.gain import gain_symmetric
-from passgain.geometry import AntennaLayout, SystemConfig, resolve_feed, symmetric_uniform_layout
+from passgain.errors import ConfigError, NumericsError
+from passgain.gain import gain_symmetric, upper_bound_sum
+from passgain.geometry import (
+    AntennaLayout,
+    SystemConfig,
+    derive_constants,
+    resolve_feed,
+    symmetric_uniform_layout,
+)
+from passgain.refine import build_refined_layout
 
 
 def pair(x_left, x_right):
@@ -140,3 +149,79 @@ def test_loss_never_raises_gain(cfg, consts):
     alphas = [0.0, 0.02, 0.08, 0.3, 1.0]
     gains = [array_gain_exact(lay, cfg, consts, alpha_wg=a) for a in alphas]
     assert all(b <= a for a, b in zip(gains, gains[1:]))
+
+
+# ------------------------------------------------ properties over the config space
+
+configs = st.builds(
+    SystemConfig,
+    f_c_hz=st.floats(1e9, 1e11),
+    d_m=st.floats(0.5, 20.0),
+    n_eff=st.floats(1.0, 2.5),
+    x_u_m=st.floats(-50.0, 50.0),
+    alpha_wg_db_per_m=st.just(0.0),
+    delta_p=st.floats(0.1, 5.0),
+)
+# positive-side offsets of a mirror-symmetric layout, from gaps wide enough
+# to stay strictly increasing once placed around the user
+half_offsets = st.lists(st.floats(1e-4, 3.0), min_size=1, max_size=40).map(np.cumsum)
+
+
+def mirrored(half, cfg):
+    half = np.asarray(half)
+    positions = tuple(np.concatenate([cfg.x_u_m - half[::-1], cfg.x_u_m + half]))
+    return AntennaLayout(positions=positions, center=cfg.x_u_m, min_spacing=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, half=half_offsets)
+def test_phase_free_bound_dominates_symmetric_gain(cfg, half):
+    consts = derive_constants(cfg)
+    assert gain_symmetric(half, cfg, consts) <= upper_bound_sum(half, cfg, consts) * (1 + 1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, half=half_offsets)
+def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
+    # compared on the scale of the phase-free bound, as deep nulls have no
+    # relative accuracy; the user's position rounds the offsets by an ulp
+    consts = derive_constants(cfg)
+    lay = mirrored(half, cfg)
+    scale = upper_bound_sum(half, cfg, consts)
+    assert abs(array_gain_exact(lay, cfg, consts, alpha_wg=0.0)
+               - gain_symmetric(half, cfg, consts)) <= 1e-9 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 1e3))
+def test_lossless_gain_ignores_the_feed(cfg, half, gap):
+    consts = derive_constants(cfg)
+    lay = mirrored(half, cfg)
+    fed = replace(cfg, x_0_m=lay.leftmost - gap)
+    scale = upper_bound_sum(half, cfg, consts)
+    assert abs(array_gain_exact(lay, fed, consts, alpha_wg=0.0)
+               - array_gain_exact(lay, cfg, consts, alpha_wg=0.0)) <= 1e-9 * scale
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cfg=configs,
+    n=st.integers(1, 100).map(lambda k: 2 * k),
+    alphas=st.lists(st.floats(0.0, 3.0), min_size=2, max_size=2).map(sorted),
+    gap=st.none() | st.floats(0.0, 100.0),
+)
+def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
+    # every antenna of a refined layout adds in phase, so attenuating any of
+    # them can only lower the gain (an unaligned layout has no such guarantee)
+    consts = derive_constants(cfg)
+    try:
+        lay = build_refined_layout(n, cfg, consts).layout
+    except NumericsError as exc:
+        # at n_eff = 1 the left-side path only tends to 0, so once it drops
+        # below one wavelength no offset reaches the next multiple down
+        if "exhausted" not in str(exc):
+            raise
+        reject()
+    fed = cfg if gap is None else replace(cfg, x_0_m=lay.leftmost - gap)
+    low, high = (array_gain_exact(lay, fed, consts, alpha_wg=a) for a in alphas)
+    assert high <= low * (1 + 1e-12)

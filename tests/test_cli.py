@@ -138,10 +138,12 @@ def test_readme_mc_sweep_prints_one_floor_warning(tmp_path):
 
 
 def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
-    # at 1e6 wavelengths the refined paths of the default 5000 antennas per
-    # side reach 1.3e8 m, where float64 cannot hold the 1e-9 m path check: the
-    # refinement passes, and the default feed at -30 m is then rightly refused
-    # as lying inside the array
+    # at 1e6 wavelengths the first antenna lies 5.4 km out, so the default
+    # feed at -30 m is rightly refused as lying inside the array, and a feed at
+    # -20 km admits two pairs.  A feed at -1e8 m lets the draws reach all the
+    # default 5000 antennas per side, whose refined paths reach 1.3e8 m, where
+    # float64 cannot hold the 1e-9 m path check: the refinement passes (the
+    # lossless case only, as 0.08 dB/m over 1e8 m leaves the float range)
     argv = ("maxgain-vs-spacing", "--delta-p", "1e6", "--trials", "5",
             "--out", str(tmp_path / "x.csv"))
     res = run_cli(*argv)
@@ -150,6 +152,9 @@ def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
     cfgfile = tmp_path / "far_feed.cfg"
     cfgfile.write_text("x_0_m = -20000\n")
     res = run_cli(*argv, "--config", str(cfgfile))
+    assert res.returncode == 0, res.stderr
+    cfgfile.write_text("x_0_m = -1e8\n")
+    res = run_cli(*argv, "--config", str(cfgfile), "--case", "1")
     assert res.returncode == 0, res.stderr
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from passgain import coupling, experiments
@@ -253,39 +253,98 @@ def test_pair_gains_match_exact_channel(consts):
             assert fast == pytest.approx(reference, rel=1e-12)
 
 
-def test_maxgain_search_matches_brute_force_argmax(consts):
-    # per draw, the argmax over every pair count whose leftmost antenna lies
-    # right of the feed, on the sweep's own PCG64 draws.  With the feed at
-    # -20 m the cap binds for part of the draws at both spacings
+def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
+    """Per draw, the argmax over every pair count whose leftmost antenna lies
+    right of the feed, on the sweep's own PCG64 draws, over layouts of the
+    full n_max / 2 pairs: {(series, delta_p): (mean, stderr)}, or None when
+    some draw has no such count."""
+    consts = derive_constants(cfg)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
+    m_max = n_max // 2
+    rows = {}
+    for dp in dps:
+        c = replace(cfg, delta_p=dp)
+        half = uniform_deltas(2 * m_max, c, consts)
+        refined = tuple(
+            refined_half_deltas(m_max, c, consts, side=side)[0] for side in ("right", "left")
+        )
+        for kind, (dr, dl) in (("uniform", (half, half)), ("refined", refined)):
+            counts = [np.count_nonzero(dl <= run) for run in runs]
+            if min(counts) < 1:
+                return None
+            for label, alpha in cases:
+                g = _pair_gains(dr, dl, c, consts, alpha)
+                best = np.array([
+                    g[:count].max() * 10.0 ** (-alpha * run / 10.0)
+                    for count, run in zip(counts, runs)
+                ])
+                stderr = best.std(ddof=1) / math.sqrt(trials) if trials > 1 else 0.0
+                rows[f"{kind}_{label}", dp] = (best.mean(), stderr)
+    return rows
+
+
+def assert_rows_match(pts, expected):
+    rows = {(p.series, p.x): p for p in expand(pts)}
+    for key, (mean, stderr) in expected.items():
+        assert rows[key].y == pytest.approx(mean, rel=1e-12), key
+        assert rows[key].stderr == pytest.approx(stderr, rel=1e-9, abs=1e-12 * mean), key
+
+
+def test_maxgain_search_matches_brute_force_argmax():
+    # with the feed at -20 m the cap binds for part of the draws at both spacings
     cfg = SystemConfig(x_0_m=-20.0)
     trials, seed, n_max = 50, 21, 4000
     dps = (0.5, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        pts = by_series(
-            run_maxgain_vs_spacing(cfg, dps, BOTH_CASES, trials=trials, seed=seed, n_max=n_max)
-        )
-    rng = np.random.Generator(np.random.PCG64(seed))
-    runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
-    m_max = n_max // 2
-    for dp in dps:
-        c = replace(cfg, delta_p=dp)
-        half = uniform_deltas(n_max, c, consts)
-        refined = tuple(
-            refined_half_deltas(m_max, c, consts, side=side)[0] for side in ("right", "left")
-        )
-        for kind, (dr, dl) in (("uniform", (half, half)), ("refined", refined)):
-            for label, alpha in BOTH_CASES:
-                g = _pair_gains(dr, dl, c, consts, alpha)
-                best = np.array([
-                    g[: np.count_nonzero(dl <= run)].max() * 10.0 ** (-alpha * run / 10.0)
-                    for run in runs
-                ])
-                mean = best.mean()
-                stderr = best.std(ddof=1) / math.sqrt(trials)
-                row = {p.x: p for p in pts[f"{kind}_{label}"]}[dp]
-                assert row.y == pytest.approx(mean, rel=1e-12)
-                assert row.stderr == pytest.approx(stderr, rel=1e-9, abs=1e-12 * mean)
+        pts = run_maxgain_vs_spacing(cfg, dps, BOTH_CASES, trials=trials, seed=seed, n_max=n_max)
+    expected = brute_force_maxgain(cfg, dps, BOTH_CASES, trials, seed, n_max)
+    assert len(expected) == 8
+    assert_rows_match(pts, expected)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    x_0_m=st.floats(-60.0, -15.0),
+    dp=st.floats(0.3, 4.0),
+    n_max=st.integers(2, 8000),
+    trials=st.integers(1, 40),
+    alpha=st.floats(0.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the reach truncates the layouts (a -20 m feed reaches at most 35 m, about
+# 1,630 pairs at delta_p = 2), and n_max binds first (a -60 m feed reaches
+# at most 75 m, about 14,000 pairs at delta_p = 0.5)
+@example(x_0_m=-20.0, dp=2.0, n_max=8000, trials=30, alpha=0.08, seed=3)
+@example(x_0_m=-60.0, dp=0.5, n_max=8000, trials=30, alpha=0.08, seed=3)
+def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_max, trials, alpha, seed):
+    # the sweep lays out only the pairs a draw can reach; the brute force all
+    # n_max / 2 of them
+    cfg = SystemConfig(x_0_m=x_0_m)
+    cases = (("case1", 0.0), ("case2", alpha))
+    expected = brute_force_maxgain(cfg, (dp,), cases, trials, seed, n_max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        if expected is None:
+            with pytest.raises(ConfigError, match="no feasible antenna count"):
+                run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
+            return
+        pts = run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
+    assert_rows_match(pts, expected)
+
+
+@pytest.mark.parametrize("n_max", [1, 0, -4])
+@pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing"])
+def test_runners_reject_n_max_below_two(cfg, runner, n_max):
+    # the message names the flag, not the halved pair count it becomes
+    run = {
+        "gain_vs_n": lambda: run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=n_max, n_step=2),
+        "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
+            cfg, (0.5,), BOTH_CASES, trials=5, seed=0, n_max=n_max),
+    }[runner]
+    with pytest.raises(ConfigError, match=r"^n_max must be >= 2$"):
+        run()
 
 
 def test_maxgain_rejects_draw_without_feasible_count():

@@ -129,6 +129,27 @@ def test_image_integral_matches_exact_sum(delta_p):
             assert image == pytest.approx(exact, rel=1e-3), (f_c, n_eff, n)
 
 
+def test_aliasing_rule_predicts_the_late_lobe():
+    # the stationary-phase rule of gain_uniform_integral: delta_p = 0.5 lies in
+    # (1 / (n_eff + 1), 1 / n_eff), image 1 is stationary at
+    # sin theta = 1 / delta_p - n_eff, and a uniform layout reaches that offset
+    # d tan theta at N ~ 758 antennas; the exact gain's aliased lobe peaks at
+    # N = 832, above every gain of the smaller layouts
+    c = SystemConfig(delta_p=0.5, alpha_wg_db_per_m=0.0)
+    k = derive_constants(c)
+    assert 1.0 / (c.n_eff + 1.0) < c.delta_p < 1.0 / c.n_eff
+    sin_theta = 1.0 / c.delta_p - c.n_eff
+    offset = c.d_m * sin_theta / math.sqrt(1.0 - sin_theta**2)
+    predicted = 2.0 * offset / (c.delta_p * k.wavelength)
+    assert 2 * round(predicted / 2) == 758
+    counts = np.arange(2, 2001, 2)
+    gains = np.array([gain_uniform(int(n), c, k) for n in counts])
+    peak = int(counts[np.argmax(gains)])
+    assert peak == 832
+    assert predicted < peak
+    assert gains[counts < predicted].max() < 0.5 * gains.max()
+
+
 def test_image_integral_failures_raise(cfg, consts):
     with pytest.raises(NumericsError):
         gain_uniform_integral(100, cfg, consts, max_evals=1000)

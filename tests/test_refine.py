@@ -7,7 +7,7 @@ import pytest
 from passgain import refine
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
-from passgain.gain import gain_uniform, upper_bound_sum
+from passgain.gain import gain_uniform, uniform_deltas, upper_bound_sum
 from passgain.geometry import SystemConfig, derive_constants
 from passgain.refine import build_refined_layout, combined_path, refined_half_deltas
 
@@ -208,6 +208,21 @@ def test_sequential_construction_prefix_stable(cfg, consts):
     l20, _, _ = refined_half_deltas(20, cfg, consts, side="left")
     l100, _, _ = refined_half_deltas(100, cfg, consts, side="left")
     assert np.array_equal(l20, l100[:20])
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("n_eff", [1.001, 1.44, 2.0])
+def test_refined_prefix_and_uniform_floor(n_eff, side):
+    # the Monte Carlo sweep lays out only the pairs its draws can reach: a
+    # shorter walk must give the bits of a longer one's prefix, and no refined
+    # offset may lie inside the uniform offset of its index
+    for delta_p in (0.3, 0.5, 1.0, 2.0, 3.7):
+        cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
+        consts = derive_constants(cfg)
+        full, _, _ = refined_half_deltas(3000, cfg, consts, side=side)
+        for m in (1, 2, 17, 640, 2999):
+            assert np.array_equal(refined_half_deltas(m, cfg, consts, side=side)[0], full[:m])
+        assert np.all(full >= uniform_deltas(6000, cfg, consts))
 
 
 def test_build_refined_layout_validation(cfg, consts):
