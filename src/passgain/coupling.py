@@ -117,15 +117,6 @@ def gain_mc_two_closed(delta, cfg: SystemConfig, consts: DerivedConstants):
     return float(out) if out.ndim == 0 else out
 
 
-def gain_two_uncoupled(delta: float, cfg: SystemConfig, consts: DerivedConstants) -> float:
-    """Coupling-free two-antenna gain 2 eta cos^2(n_eff k0 delta / 2) / (d^2 + delta^2/4);
-    at delta = 0 this is exactly 2 eta / d^2."""
-    if delta < 0:
-        raise ConfigError("spacing must be >= 0")
-    num = 2.0 * consts.eta * math.cos(cfg.n_eff * consts.k0 * delta / 2.0) ** 2
-    return num / (cfg.d_m**2 + delta**2 / 4.0)
-
-
 def f_mc(x, n_eff: float):
     """Coupling shape function cos^2(pi n_eff x) / (1 + j0(2 pi x)) of the
     spacing in wavelengths; f_mc(0) = 1/2."""

@@ -16,10 +16,12 @@ per draw, finds the best even antenna count exactly.  The gain of every nested
 symmetric layout is obtained from prefix sums of the per-pair channel
 contributions; a draw can use the nested layouts whose leftmost antenna lies
 right of the feed, and the best of those is read off the running maximum of
-the gain profile.  The layouts stop at the farthest draw's reach: the first
-pair whose uniform offset lies beyond the longest feed run closes them, as
-refinement only widens gaps and its offsets are prefix-stable.  The whole
-search costs one pass over those offsets and one lookup per draw.
+the gain profile.  The layouts stop at the farthest draw's reach, the longest
+feed run R: each ends at its first pair whose left offset lies past R.  The
+refinement walk stops there too, so left targets that run out beyond R go
+unused; it stops within the uniform layout's count, as refinement only widens
+gaps.  The search costs one pass over the offsets and one lookup per draw,
+made in ascending order of feed run.
 
 The coupling sweep hands each antenna count N its spacing grid in chunks of
 ``MAX_SWEEP_SIZE // N^2`` spacings (at least one); each chunk is one stacked
@@ -39,7 +41,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import coupling, gain, refine
 from .channel import gain_at_offsets
 from .errors import ConfigError, NumericsError
 from .geometry import SystemConfig, derive_constants, resolve_feed, symmetric_offsets
@@ -152,20 +153,10 @@ def _pair_phasors(delta_right, delta_left, cfg, consts) -> _Pairs:
     return _Pairs(dr, dl, rr, rl, er, el)
 
 
-def _pair_gains(delta_right, delta_left, cfg, consts, alpha):
-    """Exact gains of all nested symmetric-count layouts, via prefix sums.
-
-    ``delta_right``/``delta_left`` are the per-side offsets of antennas
-    1..M from the user's projection.  Entry m-1 of the result is the gain of
-    the layout made of the innermost m pairs, with waveguide loss referenced
-    to the user's projection; the caller multiplies by the squared amplitude
-    factor of the feed-to-projection stretch (common to all antennas).
-    """
-    return _phasor_gains(_pair_phasors(delta_right, delta_left, cfg, consts), consts, alpha)
-
-
 def _phasor_gains(phasors, consts, alpha):
-    """:func:`_pair_gains` from the layout's :func:`_pair_phasors`; with the
+    """Gains of the nested layouts of the innermost 1, 2, ... pairs, by prefix
+    sums of their :func:`_pair_phasors`, loss referenced to the user's
+    projection (the caller applies the feed-to-projection factor); with the
     phasors ``er`` and ``el`` set to 1, the phase-free upper bounds."""
     dr, dl, rr, rl, er, el = phasors
     if alpha == 0.0:  # the loss factors are exactly 1
@@ -177,12 +168,18 @@ def _phasor_gains(phasors, consts, alpha):
     return consts.eta * np.abs(s) ** 2 / (2.0 * m)
 
 
-def _layouts(m_max, cfg, consts):
+def _layouts(m_max, cfg, consts, reach=np.inf):
     """:func:`_pair_phasors` of the uniform and the refined layout with
-    ``m_max`` antenna pairs, keyed by layout kind."""
+    ``m_max`` antenna pairs, keyed by layout kind; the refined one ends at
+    its first pair whose left offset exceeds ``reach``, if that comes sooner."""
+    from . import gain, refine
     half = gain.uniform_deltas(2 * m_max, cfg, consts)
-    d_right, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="right")
-    d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left")
+    try:
+        d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left", reach=reach)
+    except NumericsError:  # name a failing right side first, as a walk of both to m_max does
+        refine.refined_half_deltas(m_max, cfg, consts, side="right")
+        raise
+    d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, consts, side="right")
     return {"uniform": _pair_phasors(half, half, cfg, consts),
             "refined": _pair_phasors(d_right, d_left, cfg, consts)}
 
@@ -194,6 +191,7 @@ def run_fub_curve(x_max: float, step: float):
     count = _grid_count(x_max, step)
     if count < 1:
         raise ConfigError(f"x_max = {x_max:g} leaves no grid point at step {step:g}")
+    from . import gain
     xs = step * np.arange(1, count + 1)
     xstar, fstar = gain.find_xstar()
     return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", xstar, fstar)]
@@ -206,6 +204,7 @@ def run_fmc_curve(n_eff_values, step: float):
     for ne in n_eff_values:
         if not 1.0 <= ne < math.inf:
             raise ConfigError(f"n_eff must be finite and >= 1, got {ne}")
+    from . import coupling
     xs = step * np.arange(0, _grid_count(1.0, step) + 1)
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
 
@@ -295,6 +294,7 @@ def run_maxgain_vs_spacing(
     fixed single-antenna baselines and the closed-form bound estimate complete
     the figure.  Standard errors above 5 percent of the mean are flagged.
     """
+    from . import gain
     if not delta_p_values:
         raise ConfigError("delta_p grid must be non-empty")
     if trials < 1:
@@ -313,26 +313,29 @@ def run_maxgain_vs_spacing(
         )
 
     feed_run = x_us - feed_x0
+    order = np.argsort(feed_run, kind="stable")  # searchsorted runs faster on sorted keys
+    runs = feed_run[order]
     m_max = n_max // 2
     factors = [10.0 ** (-alpha * feed_run / 10.0) for _, alpha in cases]
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        # no draw reaches past the first pair whose uniform offset exceeds the
-        # longest feed run, and refined offsets are no smaller than uniform ones
-        reach = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp, consts),
-                                feed_run.max(), side="right")
-        layouts = _layouts(min(m_max, int(reach) + 1), cfg_dp, consts)
+        # the layouts stop at the longest feed run, as the module docstring says
+        within = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp, consts),
+                                 runs[-1], side="right")
+        layouts = _layouts(min(m_max, int(within) + 1), cfg_dp, consts, reach=runs[-1])
         caps = {}
         for kind, ph in layouts.items():
             # a draw may use the first `cap` pairs: those left of its
             # projection that still lie right of the feed
-            caps[kind] = np.searchsorted(ph.dl, feed_run, side="right")
-            if np.any(caps[kind] < 1):
+            cap = np.searchsorted(ph.dl, runs, side="right")
+            if cap[0] < 1:
                 raise ConfigError(
-                    f"no feasible antenna count for {int(np.sum(caps[kind] < 1))} draw(s): "
+                    f"no feasible antenna count for {int(np.sum(cap < 1))} draw(s): "
                     f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
                 )
+            caps[kind] = np.empty_like(cap)
+            caps[kind][order] = cap
 
         for (label, alpha), factor in zip(cases, factors):
             for kind, ph in layouts.items():
@@ -383,6 +386,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
         raise ConfigError("antenna-count list must be non-empty")
     for n in n_values:
         _check_size("coupling-matrix entries", n * n)
+    from . import coupling
     consts = derive_constants(cfg)
     try:
         d2 = cfg.d_m**2

@@ -314,8 +314,9 @@ def upper_bound_closed(n: int, cfg: SystemConfig, consts: DerivedConstants) -> B
 
 
 def optimal_antenna_number(cfg: SystemConfig, consts: DerivedConstants) -> int:
-    """Even antenna count maximizing the closed bound: 2 x* d / (delta_p wavelength),
-    rounded to the nearest even integer (ties round up)."""
+    """Even antenna count near the closed bound's maximum: 2 x* d / (delta_p
+    wavelength) rounded to the nearest even integer (ties round up).  In about
+    1.2 % of configurations the next even count up has the larger bound."""
     xstar, _ = find_xstar()
     n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * consts.wavelength)
     lo = 2.0 * math.floor(n_real / 2.0)

@@ -188,15 +188,7 @@ def resolve_feed(cfg: SystemConfig, leftmost):
     return feed
 
 
-_SCENARIO_KEYS = (
-    "f_c_hz",
-    "d_m",
-    "n_eff",
-    "x_u_m",
-    "x_0_m",
-    "alpha_wg_db_per_m",
-    "delta_p",
-)
+_SCENARIO_KEYS = frozenset(f.name for f in fields(SystemConfig))
 
 
 def load_scenario(path: str | Path) -> SystemConfig:

@@ -87,13 +87,14 @@ def _path_tolerance(delta, cfg: SystemConfig):
 
 @np.errstate(**_QUIET)
 def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants,
-                        side: str = "right"):
+                        side: str = "right", reach: float = np.inf):
     """Sequentially refined offsets for one side of the array.
 
     Starting from ``delta_1 = delta_p * wavelength / 2``, each antenna is
     shifted outward onto its wavelength multiple and the next one is seeded a
     nominal gap further out, by the lattice walk of the module docstring.
-    Returns (deltas, shifts, targets) as arrays of length ``n_half``.
+    Returns (deltas, shifts, targets) as arrays of length ``n_half``, or up to
+    the first antenna whose offset exceeds ``reach``, if that comes sooner.
     """
     if n_half < 1:
         raise ConfigError("need at least one antenna per side")
@@ -128,6 +129,10 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants
         held = (nxt[:-1] == guess[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
         f = int(held.argmin()) if m > 1 else 0
         k = f + 1 if m > 1 and not held[f] else m  # antennas refined by this pass
+        past = d[:k] > reach
+        if past.any():  # the walk ends at the first antenna past the reach
+            k = int(past.argmax()) + 1
+            n_half = n + k
         n, seed, j = n + k, nxt[k - 1], j_nxt[k - 1]
         if k == 1:  # the increment broke at once: follow the one just seen
             inc = j - idx[0]

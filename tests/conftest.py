@@ -2,10 +2,17 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from passgain.geometry import SystemConfig, derive_constants
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# HYPOTHESIS_PROFILE=ci (set in CI) derives each property test's examples
+# from the test alone, so a CI failure replays locally under the same profile,
+# and prints the @reproduce_failure blob of every failing example
+settings.register_profile("ci", derandomize=True, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -18,12 +18,10 @@ from passgain.coupling import (
     f_mc,
     gain_mc,
     gain_mc_two_closed,
-    gain_two_uncoupled,
 )
 from passgain.experiments import (
     DEFAULT_FEED_X0_M,
     USER_HALF_RANGE_M,
-    _pair_gains,
     run_maxgain_vs_spacing,
 )
 from passgain.gain import (
@@ -40,6 +38,7 @@ from passgain.gain import (
 from passgain.geometry import SystemConfig, derive_constants, symmetric_uniform_layout
 from passgain.refine import build_refined_layout, combined_path
 from passgain.gain import upper_bound_sum
+from reference import gain_two_uncoupled, pair_gains
 
 CFG = SystemConfig(alpha_wg_db_per_m=0.0)
 CONSTS = derive_constants(CFG)
@@ -107,7 +106,7 @@ def test_04_bound_and_gain_decay():
         nstar, CFG, CONSTS
     )
     half = uniform_deltas(100_000, CFG, CONSTS)
-    gains = _pair_gains(half, half, CFG, CONSTS, 0.0)
+    gains = pair_gains(half, half, CFG, CONSTS, 0.0)
     uniform_ratio = gains[-1] / gains.max()
     elapsed = time.perf_counter() - t0
     ok = closed_ratio < 0.30 and uniform_ratio < 0.30 and elapsed < 30.0

@@ -158,9 +158,22 @@ def test_maxgain_at_huge_spacing_passes_refinement(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_maxgain_skips_refinement_no_draw_reaches(tmp_path):
+    # with n_eff = 1 the left path sqrt(d^2 + delta^2) - delta tends to 0, and
+    # the left targets run out at antenna 281; the refined layout stops before,
+    # at its first left antenna past the longest feed run of 44.97 m (46.65 m)
+    cfgfile = tmp_path / "neff1.cfg"
+    cfgfile.write_text("n_eff = 1.0\n")
+    res = run_cli("maxgain-vs-spacing", "--delta-p", "0.3,0.5", "--trials", "200", "--seed", "1",
+                  "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 0, res.stderr
+
+
 def test_cli_import_leaves_scipy_out():
-    # nor the CSV kernel, which the first write imports
-    code = "import sys, passgain.cli; print({'scipy', 'passgain.csvrows'} & set(sys.modules))"
+    # nor the CSV kernel, which the first write imports, nor the modules that
+    # only some sweeps use
+    lazy = "{'scipy', 'passgain.csvrows', 'passgain.gain', 'passgain.refine', 'passgain.coupling'}"
+    code = f"import sys, passgain.cli; print({lazy} & set(sys.modules))"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "set()"

@@ -20,7 +20,6 @@ from passgain.errors import ConfigError, NumericsError
 from passgain.experiments import (
     USER_HALF_RANGE_M,
     Curve,
-    _pair_gains,
     run_fmc_curve,
     run_fub_curve,
     run_gain_vs_delta_mc,
@@ -36,6 +35,7 @@ from passgain.geometry import (
     symmetric_uniform_layout,
 )
 from passgain.refine import refined_half_deltas
+from reference import pair_gains
 
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
 
@@ -240,7 +240,7 @@ def test_pair_gains_match_exact_channel(consts):
     dr, _, _ = refined_half_deltas(m_max, cfg, consts, side="right")
     dl, _, _ = refined_half_deltas(m_max, cfg, consts, side="left")
     for alpha in (0.0, 0.08):
-        g = _pair_gains(dr, dl, cfg, consts, alpha)
+        g = pair_gains(dr, dl, cfg, consts, alpha)
         for m in (1, 3, 17, 40):
             pos = tuple(
                 np.concatenate([cfg.x_u_m - dl[:m][::-1], cfg.x_u_m + dr[:m]])
@@ -253,11 +253,34 @@ def test_pair_gains_match_exact_channel(consts):
             assert fast == pytest.approx(reference, rel=1e-12)
 
 
+def refined_pairs_past(run, m_max, cfg, consts):
+    """Refined (right, left) offsets of all m_max pairs or, where the left
+    targets run out before that, of the pairs up to the first whose left
+    offset lies past ``run``; NumericsError when they run out before it."""
+    dr = refined_half_deltas(m_max, cfg, consts, side="right")[0]
+    try:
+        return dr, refined_half_deltas(m_max, cfg, consts, side="left")[0]
+    except NumericsError:
+        lo, hi = 0, m_max  # bisect for the longest left walk that succeeds
+        while hi - lo > 1:
+            try:
+                refined_half_deltas((mid := (lo + hi) // 2), cfg, consts, side="left")
+                lo = mid
+            except NumericsError:
+                hi = mid
+        dl = refined_half_deltas(max(lo, 1), cfg, consts, side="left")[0]
+        if not dl[-1] > run:
+            raise
+        m = int(np.searchsorted(dl, run, side="right")) + 1
+        return dr[:m], dl[:m]
+
+
 def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
     """Per draw, the argmax over every pair count whose leftmost antenna lies
     right of the feed, on the sweep's own PCG64 draws, over layouts of the
-    full n_max / 2 pairs: {(series, delta_p): (mean, stderr)}, or None when
-    some draw has no such count."""
+    full n_max / 2 pairs (refined ones cut past the longest feed run where
+    their left targets run out): {(series, delta_p): (mean, stderr)}, or None
+    when some draw has no such count."""
     consts = derive_constants(cfg)
     rng = np.random.Generator(np.random.PCG64(seed))
     runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
@@ -266,15 +289,14 @@ def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
     for dp in dps:
         c = replace(cfg, delta_p=dp)
         half = uniform_deltas(2 * m_max, c, consts)
-        refined = tuple(
-            refined_half_deltas(m_max, c, consts, side=side)[0] for side in ("right", "left")
-        )
+        refined = refined_pairs_past(runs.max(), m_max, c, consts)
         for kind, (dr, dl) in (("uniform", (half, half)), ("refined", refined)):
             counts = [np.count_nonzero(dl <= run) for run in runs]
             if min(counts) < 1:
                 return None
             for label, alpha in cases:
-                g = _pair_gains(dr, dl, c, consts, alpha)
+                with np.errstate(over="ignore", invalid="ignore"):  # as the sweep
+                    g = pair_gains(dr, dl, c, consts, alpha)
                 best = np.array([
                     g[:count].max() * 10.0 ** (-alpha * run / 10.0)
                     for count, run in zip(counts, runs)
@@ -308,6 +330,7 @@ def test_maxgain_search_matches_brute_force_argmax():
 @given(
     x_0_m=st.floats(-60.0, -15.0),
     dp=st.floats(0.3, 4.0),
+    n_eff=st.floats(1.0, 3.0),
     n_max=st.integers(2, 8000),
     trials=st.integers(1, 40),
     alpha=st.floats(0.0, 2.0),
@@ -316,22 +339,51 @@ def test_maxgain_search_matches_brute_force_argmax():
 # the reach truncates the layouts (a -20 m feed reaches at most 35 m, about
 # 1,630 pairs at delta_p = 2), and n_max binds first (a -60 m feed reaches
 # at most 75 m, about 14,000 pairs at delta_p = 0.5)
-@example(x_0_m=-20.0, dp=2.0, n_max=8000, trials=30, alpha=0.08, seed=3)
-@example(x_0_m=-60.0, dp=0.5, n_max=8000, trials=30, alpha=0.08, seed=3)
-def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_max, trials, alpha, seed):
+@example(x_0_m=-20.0, dp=2.0, n_eff=1.44, n_max=8000, trials=30, alpha=0.08, seed=3)
+@example(x_0_m=-60.0, dp=0.5, n_eff=1.44, n_max=8000, trials=30, alpha=0.08, seed=3)
+# the refined walk stops at the longest feed run: after 2,097 of 5,000 pairs
+# in the default scenario, 1,700 of 2,075 at n_eff = 3 (the strategy's other
+# end); at n_eff = 1 the left targets run out beyond it, at antenna 281 of
+# 5,000, and at antenna 168 of n_max / 2 = 168
+@example(x_0_m=-30.0, dp=0.5, n_eff=1.44, n_max=10000, trials=40, alpha=0.08, seed=1)
+@example(x_0_m=-30.0, dp=2.0, n_eff=3.0, n_max=10000, trials=40, alpha=0.08, seed=1)
+@example(x_0_m=-30.0, dp=0.3, n_eff=1.0, n_max=10000, trials=40, alpha=0.08, seed=1)
+@example(x_0_m=-15.0, dp=4.0, n_eff=1.0, n_max=336, trials=1, alpha=0.0, seed=0)
+def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials, alpha, seed):
     # the sweep lays out only the pairs a draw can reach; the brute force all
-    # n_max / 2 of them
-    cfg = SystemConfig(x_0_m=x_0_m)
+    # n_max / 2 of them, or the refined pairs up to the first past every draw
+    # where the full-length walk runs out of left targets
+    cfg = SystemConfig(x_0_m=x_0_m, n_eff=n_eff)
     cases = (("case1", 0.0), ("case2", alpha))
-    expected = brute_force_maxgain(cfg, (dp,), cases, trials, seed, n_max)
+    try:
+        expected = brute_force_maxgain(cfg, (dp,), cases, trials, seed, n_max)
+        error = (ConfigError, "no feasible antenna count") if expected is None else None
+    except NumericsError:  # the left targets run out within the longest feed run
+        error = (NumericsError, "left-side targets are exhausted")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        if expected is None:
-            with pytest.raises(ConfigError, match="no feasible antenna count"):
+        if error:
+            with pytest.raises(error[0], match=error[1]):
                 run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
             return
         pts = run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
     assert_rows_match(pts, expected)
+
+
+@pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing"])
+def test_refinement_failing_on_both_sides_names_the_right_one(runner):
+    # at 1e12 wavelengths the right side's indices leave the exact integers at
+    # antenna 3,691 and the left targets run out at antenna 20,471; the sweeps
+    # walk the left side first, and still name the right side's failure
+    cfg = SystemConfig(x_0_m=-1e16)
+    run = {
+        "gain_vs_n": lambda: run_gain_vs_n(cfg, (1e12,), (("case1", 0.0),), n_max=41000,
+                                           n_step=2000),
+        "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
+            cfg, (1e12,), (("case1", 0.0),), trials=5, seed=0, n_max=41000),
+    }[runner]
+    with pytest.raises(NumericsError, match="^right-side antenna 3691: .*no finite"):
+        run()
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -4])

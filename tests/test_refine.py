@@ -214,15 +214,35 @@ def test_sequential_construction_prefix_stable(cfg, consts):
 @pytest.mark.parametrize("n_eff", [1.001, 1.44, 2.0])
 def test_refined_prefix_and_uniform_floor(n_eff, side):
     # the Monte Carlo sweep lays out only the pairs its draws can reach: a
-    # shorter walk must give the bits of a longer one's prefix, and no refined
-    # offset may lie inside the uniform offset of its index
+    # shorter walk, or one ending at the first antenna past a reach, must give
+    # the bits of a longer one's prefix, and no refined offset may lie inside
+    # the uniform offset of its index
     for delta_p in (0.3, 0.5, 1.0, 2.0, 3.7):
         cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
         consts = derive_constants(cfg)
-        full, _, _ = refined_half_deltas(3000, cfg, consts, side=side)
+        walk = refined_half_deltas(3000, cfg, consts, side=side)
+        full = walk[0]
         for m in (1, 2, 17, 640, 2999):
             assert np.array_equal(refined_half_deltas(m, cfg, consts, side=side)[0], full[:m])
+            cut = refined_half_deltas(3000, cfg, consts, side=side, reach=full[m - 1])
+            assert all(np.array_equal(a, b[:m + 1]) for a, b in zip(cut, walk))
         assert np.all(full >= uniform_deltas(6000, cfg, consts))
+
+
+def test_walk_to_a_reach_leaves_out_the_targets_beyond_it():
+    # with n_eff = 1 the left path sqrt(d^2 + delta^2) - delta tends to 0, and
+    # at delta_p = 0.3 the left targets run out at antenna 281, 52 m out
+    cfg = SystemConfig(n_eff=1.0, delta_p=0.3)
+    consts = derive_constants(cfg)
+    with pytest.raises(NumericsError, match="exhausted at antenna 281"):
+        refined_half_deltas(5000, cfg, consts, side="left")
+    walk = refined_half_deltas(280, cfg, consts, side="left")
+    cut = refined_half_deltas(5000, cfg, consts, side="left", reach=45.0)
+    m = cut[0].size
+    assert walk[0][m - 2] <= 45.0 < walk[0][m - 1]
+    assert all(np.array_equal(a, b[:m]) for a, b in zip(cut, walk))
+    with pytest.raises(NumericsError, match="exhausted at antenna 281"):
+        refined_half_deltas(5000, cfg, consts, side="left", reach=walk[0][-1])
 
 
 def test_build_refined_layout_validation(cfg, consts):
