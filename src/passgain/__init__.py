@@ -1,6 +1,7 @@
 """Array-gain analysis for pinching-antenna systems on a dielectric waveguide.
 
-Core surface: scenario/layout types (:mod:`passgain.geometry`), exact array
+Core surface: scenario/layout types, the scenario deriving its own wavelength,
+wavenumbers and path-loss constant (:mod:`passgain.geometry`), exact array
 gain (:mod:`passgain.channel`), closed-form gains and bounds
 (:mod:`passgain.gain`), position refinement (:mod:`passgain.refine`),
 mutual coupling (:mod:`passgain.coupling`), and figure-level experiments with
@@ -12,9 +13,7 @@ from .errors import ConfigError, NumericsError
 from .geometry import (
     SPEED_OF_LIGHT,
     AntennaLayout,
-    DerivedConstants,
     SystemConfig,
-    derive_constants,
     load_scenario,
     symmetric_uniform_layout,
 )
@@ -24,12 +23,10 @@ __version__ = "0.1.0"
 __all__ = [
     "AntennaLayout",
     "ConfigError",
-    "DerivedConstants",
     "NumericsError",
     "SPEED_OF_LIGHT",
     "SystemConfig",
     "array_gain_exact",
-    "derive_constants",
     "load_scenario",
     "symmetric_uniform_layout",
     "__version__",

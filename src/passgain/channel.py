@@ -14,15 +14,15 @@ import math
 
 import numpy as np
 
-from .geometry import AntennaLayout, DerivedConstants, SystemConfig, resolve_feed
+from .geometry import AntennaLayout, SystemConfig, resolve_feed
 
 
-def los_channel(offsets, cfg: SystemConfig, consts: DerivedConstants):
+def los_channel(offsets, cfg: SystemConfig):
     """Spherical-wave coefficients ``sqrt(eta) exp(-j k0 r) / r`` of antennas at
     signed ``offsets`` (m, any shape) along the waveguide from the user's
     projection, ``r = hypot(offset, d)``."""
     r = np.hypot(offsets, cfg.d_m)
-    return math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
+    return math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
 
 
 def abs_squared(z):
@@ -32,7 +32,7 @@ def abs_squared(z):
     return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
-def gain_at_offsets(offsets, cfg: SystemConfig, consts: DerivedConstants, alpha: float):
+def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
     """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
     their antenna offsets from the user's projection, left to right along the
     last axis (shape (..., N), giving shape (...)), under waveguide loss
@@ -40,16 +40,15 @@ def gain_at_offsets(offsets, cfg: SystemConfig, consts: DerivedConstants, alpha:
     :func:`~passgain.geometry.resolve_feed` places it for each layout."""
     offsets = np.asarray(offsets, dtype=float)
     run = offsets - resolve_feed(cfg, offsets[..., :1])
-    phi = 2.0 * math.pi * run / consts.lambda_g
+    phi = 2.0 * math.pi * run / cfg.lambda_g
     att = 10.0 ** (-alpha * run / 20.0)
-    total = np.sum(att * los_channel(offsets, cfg, consts) * np.exp(-1j * phi), axis=-1)
+    total = np.sum(att * los_channel(offsets, cfg) * np.exp(-1j * phi), axis=-1)
     return abs_squared(total) / offsets.shape[-1]
 
 
 def array_gain_exact(
     layout: AntennaLayout,
     cfg: SystemConfig,
-    consts: DerivedConstants,
     alpha_wg: float | None = None,
 ) -> float:
     """Exact array gain (received SNR over transmit SNR) of a layout.
@@ -62,4 +61,4 @@ def array_gain_exact(
     lossless and the lossy configuration.
     """
     alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
-    return float(gain_at_offsets(np.asarray(layout.positions) - cfg.x_u_m, cfg, consts, alpha))
+    return float(gain_at_offsets(np.asarray(layout.positions) - cfg.x_u_m, cfg, alpha))

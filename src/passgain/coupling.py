@@ -27,7 +27,7 @@ import numpy as np
 
 from .channel import abs_squared, los_channel
 from .errors import ConfigError
-from .geometry import DerivedConstants, SystemConfig, symmetric_offsets, uniform_spacings
+from .geometry import SystemConfig, symmetric_offsets, uniform_spacings
 
 # Coupling-matrix eigenvalues below this are floored before the -1/2 power.
 EIG_FLOOR = 1e-10
@@ -41,11 +41,11 @@ def sinc_j0(x):
     return float(out) if out.ndim == 0 else out
 
 
-def coupling_matrix(n: int, delta, consts: DerivedConstants) -> np.ndarray:
+def coupling_matrix(n: int, delta, cfg: SystemConfig) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
     ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
     i = np.arange(n)
-    first_rows = sinc_j0(consts.k0 * uniform_spacings(n, delta)[..., None] * i)
+    first_rows = sinc_j0(cfg.k0 * uniform_spacings(n, delta)[..., None] * i)
     return first_rows[..., abs(i[:, None] - i)]
 
 
@@ -70,7 +70,7 @@ def inv_sqrt(c: np.ndarray) -> InverseSqrt:
     return InverseSqrt(matrix=matrix, floored=int(floored) if floored.ndim == 0 else floored)
 
 
-def gain_mc(n: int, delta, cfg: SystemConfig, consts: DerivedConstants):
+def gain_mc(n: int, delta, cfg: SystemConfig):
     """Coupling-aware gain |h^T C^(-1/2) phi|^2 / N of the uniform symmetric array.
 
     ``delta`` is one spacing (m), giving a float, or a 1-D array of S
@@ -82,10 +82,10 @@ def gain_mc(n: int, delta, cfg: SystemConfig, consts: DerivedConstants):
     per call, with the number of spacings, when the coupling spectrum had to
     be floored.
     """
-    root = inv_sqrt(coupling_matrix(n, delta, consts))
+    root = inv_sqrt(coupling_matrix(n, delta, cfg))
     offsets = symmetric_offsets(n, delta)
-    h = los_channel(offsets, cfg, consts)
-    phi_vec = np.exp(-1j * consts.k0 * cfg.n_eff * offsets)
+    h = los_channel(offsets, cfg)
+    phi_vec = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
     h_root = (h[..., None, :] @ root.matrix)[..., 0, :]
     total = (h_root[..., None, :] @ phi_vec[..., :, None])[..., 0, 0]
 
@@ -102,17 +102,17 @@ def gain_mc(n: int, delta, cfg: SystemConfig, consts: DerivedConstants):
     return float(gains) if gains.ndim == 0 else gains
 
 
-def gain_mc_two_closed(delta, cfg: SystemConfig, consts: DerivedConstants):
+def gain_mc_two_closed(delta, cfg: SystemConfig):
     """Closed-form coupling-aware gain of the two-antenna array:
     2 eta cos^2(n_eff k0 delta / 2) / ((d^2 + delta^2/4) (1 + j0(k0 delta))),
     for one spacing (a float) or a 1-D array of them."""
     delta = np.asarray(delta, dtype=float)
-    if np.any(delta < 0):
-        raise ConfigError("spacing must be >= 0")
+    if not np.all((delta >= 0) & (delta < np.inf)):
+        raise ConfigError("spacing must be finite and >= 0")
     # squares through libm pow, as Python's float ** 2, which keeps the CSV
     # bits of the point-by-point sweep (x * x can differ in the last bit)
-    num = 2.0 * consts.eta * np.float_power(np.cos(cfg.n_eff * consts.k0 * delta / 2.0), 2)
-    den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + sinc_j0(consts.k0 * delta))
+    num = 2.0 * cfg.eta * np.float_power(np.cos(cfg.n_eff * cfg.k0 * delta / 2.0), 2)
+    den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + sinc_j0(cfg.k0 * delta))
     out = num / den
     return float(out) if out.ndim == 0 else out
 
@@ -121,7 +121,7 @@ def f_mc(x, n_eff: float):
     """Coupling shape function cos^2(pi n_eff x) / (1 + j0(2 pi x)) of the
     spacing in wavelengths; f_mc(0) = 1/2."""
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("spacing must be >= 0")
+    if not np.all((x >= 0) & (x < np.inf)):
+        raise ConfigError("spacing must be finite and >= 0")
     out = np.cos(math.pi * n_eff * x) ** 2 / (1.0 + sinc_j0(2.0 * math.pi * x))
     return float(out) if out.ndim == 0 else out

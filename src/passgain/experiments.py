@@ -43,7 +43,7 @@ import numpy as np
 
 from .channel import gain_at_offsets
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, derive_constants, resolve_feed, symmetric_offsets
+from .geometry import SystemConfig, resolve_feed, symmetric_offsets
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -141,19 +141,19 @@ def _check_finite(values, series: str, alpha: float) -> None:
 _Pairs = namedtuple("_Pairs", "dr dl rr rl er el")
 
 
-def _pair_phasors(delta_right, delta_left, cfg, consts) -> _Pairs:
+def _pair_phasors(delta_right, delta_left, cfg) -> _Pairs:
     """Per-side offsets, distances ``r`` and phasors ``exp(-j theta)`` of the
     antenna pairs: the loss-free part of their gains, shared by all loss cases."""
     dr = np.asarray(delta_right, dtype=float)
     dl = np.asarray(delta_left, dtype=float)
     rr = np.hypot(cfg.d_m, dr)
     rl = np.hypot(cfg.d_m, dl)
-    er = np.exp(-1j * (consts.k0 * (rr + cfg.n_eff * dr)))
-    el = np.exp(-1j * (consts.k0 * (rl - cfg.n_eff * dl)))
+    er = np.exp(-1j * (cfg.k0 * (rr + cfg.n_eff * dr)))
+    el = np.exp(-1j * (cfg.k0 * (rl - cfg.n_eff * dl)))
     return _Pairs(dr, dl, rr, rl, er, el)
 
 
-def _phasor_gains(phasors, consts, alpha):
+def _phasor_gains(phasors, cfg, alpha):
     """Gains of the nested layouts of the innermost 1, 2, ... pairs, by prefix
     sums of their :func:`_pair_phasors`, loss referenced to the user's
     projection (the caller applies the feed-to-projection factor); with the
@@ -165,23 +165,23 @@ def _phasor_gains(phasors, consts, alpha):
         z = 10.0 ** (-alpha * dr / 20.0) * er / rr + 10.0 ** (alpha * dl / 20.0) * el / rl
     s = np.cumsum(z)
     m = np.arange(1, z.size + 1)
-    return consts.eta * np.abs(s) ** 2 / (2.0 * m)
+    return cfg.eta * np.abs(s) ** 2 / (2.0 * m)
 
 
-def _layouts(m_max, cfg, consts, reach=np.inf):
+def _layouts(m_max, cfg, reach=np.inf):
     """:func:`_pair_phasors` of the uniform and the refined layout with
     ``m_max`` antenna pairs, keyed by layout kind; the refined one ends at
     its first pair whose left offset exceeds ``reach``, if that comes sooner."""
     from . import gain, refine
-    half = gain.uniform_deltas(2 * m_max, cfg, consts)
+    half = gain.uniform_deltas(2 * m_max, cfg)
     try:
-        d_left, _, _ = refine.refined_half_deltas(m_max, cfg, consts, side="left", reach=reach)
+        d_left, _, _ = refine.refined_half_deltas(m_max, cfg, side="left", reach=reach)
     except NumericsError:  # name a failing right side first, as a walk of both to m_max does
-        refine.refined_half_deltas(m_max, cfg, consts, side="right")
+        refine.refined_half_deltas(m_max, cfg, side="right")
         raise
-    d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, consts, side="right")
-    return {"uniform": _pair_phasors(half, half, cfg, consts),
-            "refined": _pair_phasors(d_right, d_left, cfg, consts)}
+    d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, side="right")
+    return {"uniform": _pair_phasors(half, half, cfg),
+            "refined": _pair_phasors(d_right, d_left, cfg)}
 
 
 def run_fub_curve(x_max: float, step: float):
@@ -225,7 +225,6 @@ def run_gain_vs_n(
     _check_size("antenna pairs", n_max // 2)
     if n_step < 2 or n_step % 2 != 0:
         raise ConfigError("the antenna-count step must be a positive even integer")
-    consts = derive_constants(cfg)
     m_max = n_max // 2
     counts = 2.0 * np.arange(1, m_max + 1)
     sample = np.arange(0, m_max, n_step // 2)
@@ -233,34 +232,34 @@ def run_gain_vs_n(
 
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        layouts = _layouts(m_max, cfg_dp, consts)
+        layouts = _layouts(m_max, cfg_dp)
 
         for label, alpha in cases:
             with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
                 gains = {
-                    kind: _phasor_gains(ph, consts, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
+                    kind: _phasor_gains(ph, cfg_dp, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
                     for kind, ph in layouts.items()
                 }
                 uniform = layouts["uniform"]
-                gains["bound"] = (_phasor_gains(uniform._replace(er=1.0, el=1.0), consts, alpha)
+                gains["bound"] = (_phasor_gains(uniform._replace(er=1.0, el=1.0), cfg_dp, alpha)
                                   * _feed_factor(uniform.dl, cfg_dp, alpha))
             for kind, g in gains.items():
                 series = f"{kind}_dp{dp:g}_{label}"
                 _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
 
-    points.append(Curve("fixed", counts[sample], _fixed_gain(cfg, consts)))
+    points.append(Curve("fixed", counts[sample], _fixed_gain(cfg)))
     return points
 
 
-def _fixed_gain(cfg, consts):
+def _fixed_gain(cfg):
     """Gain of the single antenna fixed at ``FIXED_ANTENNA_X_M``."""
     try:
         gap2 = (cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2
     except OverflowError:
         raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far from the fixed antenna at "
                           f"x = {FIXED_ANTENNA_X_M:g} m for float64") from None
-    return consts.eta / (gap2 + cfg.d_m**2)
+    return cfg.eta / (gap2 + cfg.d_m**2)
 
 
 def _peak(series: str, xs, ys) -> Curve:
@@ -299,11 +298,12 @@ def run_maxgain_vs_spacing(
         raise ConfigError("delta_p grid must be non-empty")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
     _check_size("Monte Carlo trials", trials)
     _check_size("antenna pairs", n_max // 2)
-    consts = derive_constants(cfg)
     rng = np.random.Generator(np.random.PCG64(seed))
     x_us = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials)
     feed_x0 = DEFAULT_FEED_X0_M if cfg.x_0_m is None else cfg.x_0_m
@@ -321,9 +321,9 @@ def run_maxgain_vs_spacing(
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
         # the layouts stop at the longest feed run, as the module docstring says
-        within = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp, consts),
+        within = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp),
                                  runs[-1], side="right")
-        layouts = _layouts(min(m_max, int(within) + 1), cfg_dp, consts, reach=runs[-1])
+        layouts = _layouts(min(m_max, int(within) + 1), cfg_dp, reach=runs[-1])
         caps = {}
         for kind, ph in layouts.items():
             # a draw may use the first `cap` pairs: those left of its
@@ -340,7 +340,7 @@ def run_maxgain_vs_spacing(
         for (label, alpha), factor in zip(cases, factors):
             for kind, ph in layouts.items():
                 with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-                    g0 = _phasor_gains(ph, consts, alpha)
+                    g0 = _phasor_gains(ph, cfg_dp, alpha)
                     best = np.maximum.accumulate(g0)[caps[kind] - 1] * factor
                 _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
@@ -353,14 +353,14 @@ def run_maxgain_vs_spacing(
                         stacklevel=2,
                     )
 
-        points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp, consts)))
+        points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp)))
 
     # the single-antenna baselines do not depend on the spacing; they come
     # last, as the refinement reports a d_m beyond float64 before d_m**2 overflows
-    fluid_reach = FLUID_RANGE_WAVELENGTHS * consts.wavelength
-    fluid1 = np.full(trials, consts.eta / cfg.d_m**2)
-    fluid2 = consts.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
-    fixed = consts.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
+    fluid_reach = FLUID_RANGE_WAVELENGTHS * cfg.wavelength
+    fluid1 = np.full(trials, cfg.eta / cfg.d_m**2)
+    fluid2 = cfg.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
+    fixed = cfg.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
     for name, vals in (("fluid1", fluid1), ("fluid2", fluid2), ("fixed", fixed)):
         mean, err = _mean_stderr(vals)
         points += [Curve(name, float(dp), mean, err) for dp in delta_p_values]
@@ -387,15 +387,14 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     for n in n_values:
         _check_size("coupling-matrix entries", n * n)
     from . import coupling
-    consts = derive_constants(cfg)
     try:
         d2 = cfg.d_m**2
     except OverflowError:
         d2 = math.inf
     # the analytic rows: N eta / d^2 at zero spacing, and the closed form for
     # N = 2, whose denominator is at most 2 (d^2 + wavelength^2 / 4)
-    if not (2.0 * d2 + consts.wavelength * consts.wavelength / 2.0 < math.inf
-            and consts.eta / d2 >= sys.float_info.min):
+    if not (2.0 * d2 + cfg.wavelength * cfg.wavelength / 2.0 < math.inf
+            and cfg.eta / d2 >= sys.float_info.min):
         raise ConfigError(f"d_m = {cfg.d_m:g} is too large for float64: the analytic "
                           f"rows eta / d_m^2 leave its normal range")
     count = _grid_count(1.0 - DELTA_MIN_WL, step)
@@ -403,7 +402,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     xs = xs[xs <= 1.0 + 1e-12]
     if xs[-1] < 1.0 - 1e-12:
         xs = np.append(xs, 1.0)  # the sweep covers the full wavelength
-    spacings = xs * consts.wavelength
+    spacings = xs * cfg.wavelength
     half = spacings[0] / 2.0
     if not cfg.x_u_m - half < cfg.x_u_m < cfg.x_u_m + half:
         raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far out for float64 to resolve "
@@ -413,22 +412,22 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
-        nomc_vals = np.concatenate([gain_at_offsets(symmetric_offsets(n, s), cfg, consts, 0.0)
+        nomc_vals = np.concatenate([gain_at_offsets(symmetric_offsets(n, s), cfg, 0.0)
                                     for s in chunks])
-        mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg, consts) for s in chunks])
+        mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg) for s in chunks])
 
         mc_series = f"mc_N{n}"
         nomc_series = f"nomc_N{n}"
         points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
-                   Curve(nomc_series, 0.0, n * consts.eta / d2)]
+                   Curve(nomc_series, 0.0, n * cfg.eta / d2)]
         if n == 2:
-            points.append(Curve(mc_series, 0.0, consts.eta / d2))
+            points.append(Curve(mc_series, 0.0, cfg.eta / d2))
         points += [_peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
 
     if 2 in n_values:
-        closed = coupling.gain_mc_two_closed(spacings, cfg, consts)
-        points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg, consts)),
+        closed = coupling.gain_mc_two_closed(spacings, cfg)
+        points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg)),
                    Curve("closed_N2", xs, closed), _peak("closed_N2", xs, closed)]
 
-    points.append(Curve("fixed", xs, _fixed_gain(cfg, consts)))
+    points.append(Curve("fixed", xs, _fixed_gain(cfg)))
     return points

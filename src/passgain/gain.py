@@ -23,43 +23,43 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import DerivedConstants, SystemConfig
+from .geometry import SystemConfig
 
 
 def _check_half_deltas(deltas: np.ndarray) -> None:
     if deltas.ndim != 1 or deltas.size == 0:
         raise ConfigError("expected a non-empty 1-D list of positive-side offsets")
-    if deltas[0] < 0:
-        raise ConfigError("offsets must be non-negative")
-    if np.any(np.diff(deltas) <= 0):
+    if not (deltas[0] >= 0 and np.isfinite(deltas[-1])):
+        raise ConfigError("offsets must be finite and non-negative")
+    if not np.all(np.diff(deltas) > 0):
         raise ConfigError("offsets must be strictly increasing")
 
 
-def gain_symmetric(deltas, cfg: SystemConfig, consts: DerivedConstants) -> float:
+def gain_symmetric(deltas, cfg: SystemConfig) -> float:
     """Exact gain of a mirror-symmetric, lossless layout from its positive-side
     offsets (strictly increasing, n = 1..N/2)."""
     d = np.asarray(deltas, dtype=float)
     _check_half_deltas(d)
     r = np.hypot(cfg.d_m, d)
-    terms = 2.0 * np.exp(-1j * consts.k0 * r) * np.cos(consts.k0 * cfg.n_eff * d) / r
+    terms = 2.0 * np.exp(-1j * cfg.k0 * r) * np.cos(cfg.k0 * cfg.n_eff * d) / r
     n = 2 * d.size
-    return float(consts.eta / n * abs(terms.sum()) ** 2)
+    return float(cfg.eta / n * abs(terms.sum()) ** 2)
 
 
-def uniform_deltas(n: int, cfg: SystemConfig, consts: DerivedConstants) -> np.ndarray:
+def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
     """Positive-side offsets (k - 1/2) * delta_p * wavelength for k = 1..n/2."""
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"antenna count must be even and >= 2, got {n}")
     k = np.arange(1, n // 2 + 1, dtype=float)
-    return (k - 0.5) * cfg.delta_p * consts.wavelength
+    return (k - 0.5) * cfg.delta_p * cfg.wavelength
 
 
-def gain_uniform(n: int, cfg: SystemConfig, consts: DerivedConstants) -> float:
+def gain_uniform(n: int, cfg: SystemConfig) -> float:
     """Exact gain of the equally spaced symmetric layout with N antennas."""
-    return gain_symmetric(uniform_deltas(n, cfg, consts), cfg, consts)
+    return gain_symmetric(uniform_deltas(n, cfg), cfg)
 
 
-def uniform_integrand(x, cfg: SystemConfig, consts: DerivedConstants):
+def uniform_integrand(x, cfg: SystemConfig):
     """Complex integrand of the continuum form of the uniform-spacing gain.
 
     In the scaled coordinate x (antenna offset in units of delta_p * d):
@@ -67,14 +67,13 @@ def uniform_integrand(x, cfg: SystemConfig, consts: DerivedConstants):
     / sqrt(1 + delta_p^2 x^2)``.
     """
     root = np.sqrt(1.0 + (cfg.delta_p * x) ** 2)
-    k0d = consts.k0 * cfg.d_m
+    k0d = cfg.k0 * cfg.d_m
     return 2.0 * np.exp(-1j * k0d * root) * np.cos(k0d * cfg.delta_p * cfg.n_eff * x) / root
 
 
 def _panel_integral(
     n: int,
     cfg: SystemConfig,
-    consts: DerivedConstants,
     k_img: int,
     rel_tol: float,
     max_evals: int,
@@ -90,7 +89,7 @@ def _panel_integral(
     """
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"antenna count must be even and >= 2, got {n}")
-    eps = consts.wavelength / cfg.d_m
+    eps = cfg.wavelength / cfg.d_m
     dp, ne = cfg.delta_p, cfg.n_eff
     upper = n * eps / 2.0
     per_antenna = math.ceil(k_img + dp * (ne + 1.0))
@@ -110,7 +109,7 @@ def _panel_integral(
         nodes, weights = np.polynomial.legendre.leggauss(order)
         x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
         images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
-        values = (uniform_integrand(x, cfg, consts) * images).reshape(panels, order)
+        values = (uniform_integrand(x, cfg) * images).reshape(panels, order)
         estimates.append(np.sum(values * weights * width) / (2.0 * eps))
     scale = 2.0 * math.asinh(dp * upper) / (dp * eps)
     spread = abs(estimates[1] - estimates[0]) / scale
@@ -125,7 +124,6 @@ def _panel_integral(
 def gain_uniform_single_integral(
     n: int,
     cfg: SystemConfig,
-    consts: DerivedConstants,
     rel_tol: float = 1e-10,
     max_evals: int = 10**6,
 ) -> float:
@@ -142,8 +140,8 @@ def gain_uniform_single_integral(
     sum carries an aliased lobe that this integral lacks (97-100 percent off
     at 28 GHz, d = 3 m, delta_p = 0.5 and N = 100..1000).
     """
-    integral = _panel_integral(n, cfg, consts, 0, rel_tol, max_evals)
-    return float(consts.eta * abs(integral) ** 2 / (n * cfg.d_m**2))
+    integral = _panel_integral(n, cfg, 0, rel_tol, max_evals)
+    return float(cfg.eta * abs(integral) ** 2 / (n * cfg.d_m**2))
 
 
 def _image_tail(a: float, k: int) -> float:
@@ -167,7 +165,6 @@ def _image_tail(a: float, k: int) -> float:
 def gain_uniform_integral(
     n: int,
     cfg: SystemConfig,
-    consts: DerivedConstants,
     rel_tol: float = 1e-10,
     max_evals: int = 10**6,
 ) -> float:
@@ -203,9 +200,9 @@ def gain_uniform_integral(
     """
     dp, ne = cfg.delta_p, cfg.n_eff
     k_img = math.ceil(dp * (ne + 1.0)) + 1
-    integral = _panel_integral(n, cfg, consts, k_img, rel_tol, max_evals)
-    upper = n * (consts.wavelength / cfg.d_m) / 2.0
-    k0d = consts.k0 * cfg.d_m
+    integral = _panel_integral(n, cfg, k_img, rel_tol, max_evals)
+    upper = n * (cfg.wavelength / cfg.d_m) / 2.0
+    k0d = cfg.k0 * cfg.d_m
 
     def endpoint(x: float) -> complex:
         root = math.sqrt(1.0 + (dp * x) ** 2)
@@ -217,28 +214,28 @@ def gain_uniform_integral(
         return total / (2j * math.pi * root)
 
     summed = integral + endpoint(upper) - endpoint(0.0)
-    return float(consts.eta * abs(summed) ** 2 / (n * cfg.d_m**2))
+    return float(cfg.eta * abs(summed) ** 2 / (n * cfg.d_m**2))
 
 
-def upper_bound_sum(deltas, cfg: SystemConfig, consts: DerivedConstants) -> float:
+def upper_bound_sum(deltas, cfg: SystemConfig) -> float:
     """Phase-free upper bound (eta / N) (sum_n 2 / r_n)^2 on the symmetric gain."""
     d = np.asarray(deltas, dtype=float)
     _check_half_deltas(d)
     r = np.hypot(cfg.d_m, d)
     n = 2 * d.size
-    return float(consts.eta / n * np.sum(2.0 / r) ** 2)
+    return float(cfg.eta / n * np.sum(2.0 / r) ** 2)
 
 
-def upper_bound_sum_uniform(n: int, cfg: SystemConfig, consts: DerivedConstants) -> float:
+def upper_bound_sum_uniform(n: int, cfg: SystemConfig) -> float:
     """Phase-free upper bound evaluated on the equally spaced layout."""
-    return upper_bound_sum(uniform_deltas(n, cfg, consts), cfg, consts)
+    return upper_bound_sum(uniform_deltas(n, cfg), cfg)
 
 
 def f_ub(x):
     """Bound shape function asinh(x)^2 / x (= ln(sqrt(1+x^2)+x)^2 / x), x > 0."""
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0):
-        raise ValueError("f_ub is defined for x > 0")
+    if not np.all((x > 0) & (x < np.inf)):
+        raise ConfigError("f_ub is defined for finite x > 0")
     out = np.arcsinh(x) ** 2 / x
     return float(out) if out.ndim == 0 else out
 
@@ -269,14 +266,14 @@ def find_xstar(lo: float = 1.0, hi: float = 10.0, tol: float = 1e-8) -> tuple[fl
     return x, float(f_ub(x))
 
 
-def closed_bound_value(n, cfg: SystemConfig, consts: DerivedConstants):
+def closed_bound_value(n, cfg: SystemConfig):
     """Closed-form upper bound 2 eta f_ub(L) / (delta_p d^2 eps); vectorized in n."""
     n = np.asarray(n, dtype=float)
-    eps = consts.wavelength / cfg.d_m
+    eps = cfg.wavelength / cfg.d_m
     L = n * cfg.delta_p * eps / 2.0
-    if np.any(L <= 0):
-        raise ConfigError("antenna count must be positive")
-    out = 2.0 * consts.eta * (np.arcsinh(L) ** 2 / L) / (cfg.delta_p * cfg.d_m**2 * eps)
+    if not np.all((L > 0) & (L < np.inf)):
+        raise ConfigError("antenna count must be positive, with a finite aperture")
+    out = 2.0 * cfg.eta * (np.arcsinh(L) ** 2 / L) / (cfg.delta_p * cfg.d_m**2 * eps)
     return float(out) if out.ndim == 0 else out
 
 
@@ -301,38 +298,38 @@ class BoundReport:
             )
 
 
-def upper_bound_closed(n: int, cfg: SystemConfig, consts: DerivedConstants) -> BoundReport:
+def upper_bound_closed(n: int, cfg: SystemConfig) -> BoundReport:
     """Exact uniform gain alongside its discrete and closed bounds at count N."""
-    eps = consts.wavelength / cfg.d_m
+    eps = cfg.wavelength / cfg.d_m
     return BoundReport(
-        a_uni=gain_uniform(n, cfg, consts),
-        a_hat_sum=upper_bound_sum_uniform(n, cfg, consts),
-        a_hat_closed=float(closed_bound_value(n, cfg, consts)),
+        a_uni=gain_uniform(n, cfg),
+        a_hat_sum=upper_bound_sum_uniform(n, cfg),
+        a_hat_closed=float(closed_bound_value(n, cfg)),
         l_eps=n * cfg.delta_p * eps / 2.0,
         eps=eps,
     )
 
 
-def optimal_antenna_number(cfg: SystemConfig, consts: DerivedConstants) -> int:
+def optimal_antenna_number(cfg: SystemConfig) -> int:
     """Even antenna count near the closed bound's maximum: 2 x* d / (delta_p
     wavelength) rounded to the nearest even integer (ties round up).  In about
     1.2 % of configurations the next even count up has the larger bound."""
     xstar, _ = find_xstar()
-    n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * consts.wavelength)
+    n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * cfg.wavelength)
     lo = 2.0 * math.floor(n_real / 2.0)
     hi = lo + 2.0
     n = hi if (n_real - lo) >= (hi - n_real) else lo
     return max(2, int(n))
 
 
-def max_gain_estimate(cfg: SystemConfig, consts: DerivedConstants) -> float:
+def max_gain_estimate(cfg: SystemConfig) -> float:
     """Peak of the closed bound over N: 2 eta f_ub(x*) / (d delta_p wavelength)."""
     _, fstar = find_xstar()
-    return 2.0 * consts.eta * fstar / (cfg.d_m * cfg.delta_p * consts.wavelength)
+    return 2.0 * cfg.eta * fstar / (cfg.d_m * cfg.delta_p * cfg.wavelength)
 
 
-def gain_limit(cfg: SystemConfig, consts: DerivedConstants) -> float:
+def gain_limit(cfg: SystemConfig) -> float:
     """Overall gain ceiling at the smallest coupling-free spacing (delta_p = 1/2):
     2 eta f_ub(x*) / (d wavelength / 2), about 4.42 eta / (d wavelength)."""
     _, fstar = find_xstar()
-    return 2.0 * consts.eta * fstar / (cfg.d_m * consts.wavelength / 2.0)
+    return 2.0 * cfg.eta * fstar / (cfg.d_m * cfg.wavelength / 2.0)

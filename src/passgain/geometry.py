@@ -1,4 +1,4 @@
-"""Scenario configuration, derived electromagnetic constants, and antenna layouts.
+"""Scenario configuration, its derived electromagnetic constants, and antenna layouts.
 
 A scenario is a user on the ground plane at ``[x_u, 0, 0]`` served by pinching
 antennas activated along a dielectric waveguide that runs parallel to the
@@ -11,7 +11,7 @@ All lengths are in metres, frequencies in Hz, loss in dB/m.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,12 @@ class SystemConfig:
     waveguide propagation loss (0 for the lossless configuration).
     ``delta_p`` is the minimum inter-antenna spacing in carrier wavelengths.
     Every numeric field must be finite.
+
+    Derived on construction, and neither arguments nor part of ``repr`` and
+    ``==``: ``wavelength`` c/f_c (m), ``k0`` 2*pi/wavelength (rad/m),
+    ``lambda_g`` wavelength/n_eff (m) and the path-loss constant ``eta``
+    (wavelength/4pi)^2 (m^2).  A carrier so low that the wavelength or ``eta``
+    leaves the float range is a configuration error naming ``f_c_hz``.
     """
 
     f_c_hz: float = 28e9
@@ -42,12 +48,16 @@ class SystemConfig:
     x_0_m: float | None = None
     alpha_wg_db_per_m: float = 0.08
     delta_p: float = 0.5
+    wavelength: float = field(init=False, repr=False, compare=False)
+    k0: float = field(init=False, repr=False, compare=False)
+    lambda_g: float = field(init=False, repr=False, compare=False)
+    eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "x_0_m" and value is None:
-                continue  # "auto" feed
+            value = getattr(self, f.name, None)
+            if not f.init or (f.name == "x_0_m" and value is None):
+                continue  # derived below, or the "auto" feed
             if not math.isfinite(value):
                 raise ConfigError(f"invalid-config: {f.name} must be finite, got {value}")
         if not self.f_c_hz > 0:
@@ -62,44 +72,17 @@ class SystemConfig:
             )
         if not self.delta_p > 0:
             raise ConfigError(f"invalid-config: delta_p must be > 0, got {self.delta_p}")
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    """Constants computed once from a :class:`SystemConfig`.
-
-    wavelength : free-space wavelength c/f_c, m
-    k0         : free-space wavenumber 2*pi/wavelength, rad/m
-    lambda_g   : guided wavelength wavelength/n_eff, m
-    eta        : path-loss constant (wavelength/4pi)^2, m^2
-    """
-
-    wavelength: float
-    k0: float
-    lambda_g: float
-    eta: float
-
-
-def derive_constants(cfg: SystemConfig) -> DerivedConstants:
-    """Derive wavelength, wavenumber, guided wavelength and path-loss constant.
-
-    A carrier so low that the wavelength or ``eta`` leaves the float range
-    is a configuration error naming ``f_c_hz``.
-    """
-    lam = SPEED_OF_LIGHT / cfg.f_c_hz
-    try:
-        eta = (lam / (4.0 * math.pi)) ** 2
-    except OverflowError:
-        eta = math.inf
-    if not (math.isfinite(lam) and math.isfinite(eta)):
-        raise ConfigError(f"invalid-config: f_c_hz = {cfg.f_c_hz:g} gives a wavelength of "
-                          f"{lam:g} m, whose path-loss constant leaves the float range")
-    return DerivedConstants(
-        wavelength=lam,
-        k0=2.0 * math.pi / lam,
-        lambda_g=lam / cfg.n_eff,
-        eta=eta,
-    )
+        lam = SPEED_OF_LIGHT / self.f_c_hz
+        try:
+            eta = (lam / (4.0 * math.pi)) ** 2
+        except OverflowError:
+            eta = math.inf
+        if not (math.isfinite(lam) and math.isfinite(eta)):
+            raise ConfigError(f"invalid-config: f_c_hz = {self.f_c_hz:g} gives a wavelength of "
+                              f"{lam:g} m, whose path-loss constant leaves the float range")
+        for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam),
+                            ("lambda_g", lam / self.n_eff), ("eta", eta)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -188,16 +171,16 @@ def resolve_feed(cfg: SystemConfig, leftmost):
     return feed
 
 
-_SCENARIO_KEYS = frozenset(f.name for f in fields(SystemConfig))
+_SCENARIO_KEYS = frozenset(f.name for f in fields(SystemConfig) if f.init)
 
 
 def load_scenario(path: str | Path) -> SystemConfig:
     """Read a scenario from a flat key-value file.
 
     Format: one ``key = value`` pair per line; blank lines and ``#`` comments
-    are ignored.  Allowed keys are exactly the :class:`SystemConfig` fields;
-    unknown or duplicate keys are an error.  ``x_0_m`` accepts the literal
-    value ``auto``.  Missing keys keep their defaults.
+    are ignored.  Allowed keys are exactly the :class:`SystemConfig` fields
+    that are not derived; unknown or duplicate keys are an error.  ``x_0_m``
+    accepts the literal value ``auto``.  Missing keys keep their defaults.
     """
     path = Path(path)
     try:

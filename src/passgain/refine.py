@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import AntennaLayout, DerivedConstants, SystemConfig
+from .geometry import AntennaLayout, SystemConfig
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -49,18 +49,18 @@ _PATH_SNAP_M = 1e-9
 _QUIET = dict(divide="ignore", invalid="ignore", over="ignore")
 
 
-def combined_path(delta, cfg: SystemConfig, consts: DerivedConstants):
+def combined_path(delta, cfg: SystemConfig):
     """Free-space plus signed in-waveguide path of an antenna at offset ``delta``
     (a scalar or an array)."""
     return np.hypot(cfg.d_m, delta) + cfg.n_eff * delta
 
 
-def _lattice_index(delta, cfg: SystemConfig, consts: DerivedConstants, side: str):
+def _lattice_index(delta, cfg: SystemConfig, side: str):
     """Index (as float) of the wavelength multiple an antenna seeded at offset
     ``delta`` aligns to: at or above its path on the right, at or below on the left."""
     if side == "right":
-        return np.ceil((combined_path(delta, cfg, consts) - _PATH_SNAP_M) / consts.wavelength)
-    return np.floor((combined_path(-delta, cfg, consts) + _PATH_SNAP_M) / consts.wavelength)
+        return np.ceil((combined_path(delta, cfg) - _PATH_SNAP_M) / cfg.wavelength)
+    return np.floor((combined_path(-delta, cfg) + _PATH_SNAP_M) / cfg.wavelength)
 
 
 @np.errstate(**_QUIET)
@@ -86,7 +86,7 @@ def _path_tolerance(delta, cfg: SystemConfig):
 
 
 @np.errstate(**_QUIET)
-def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants,
+def refined_half_deltas(n_half: int, cfg: SystemConfig,
                         side: str = "right", reach: float = np.inf):
     """Sequentially refined offsets for one side of the array.
 
@@ -99,11 +99,11 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants
     if n_half < 1:
         raise ConfigError("need at least one antenna per side")
     if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    sign, lam = (1 if side == "right" else -1), consts.wavelength
+        raise ConfigError(f"side must be 'right' or 'left', got {side!r}")
+    sign, lam = (1 if side == "right" else -1), cfg.wavelength
     step = cfg.delta_p * lam
     seed = step / 2.0
-    j = _lattice_index(seed, cfg, consts, side)
+    j = _lattice_index(seed, cfg, side)
     if not abs(j) < 2.0**53:
         raise NumericsError(f"refinement lattice index {j:.6g} is not a finite exact integer")
     walked, deltas, chain = np.empty(n_half), np.empty(n_half), np.full(n_half, step)
@@ -121,7 +121,7 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants
         guess[2:] = np.maximum(guess[2:], after[:-2])
         d = deltas[n:n + m] = guess + np.maximum(u - guess, 0.0)  # seed + max(0, u - seed)
         nxt = d + step
-        j_nxt = _lattice_index(nxt, cfg, consts, side)
+        j_nxt = _lattice_index(nxt, cfg, side)
         exact = np.abs(j_nxt) < 2.0**53
         if not exact[0]:  # stop before the front: its successor has no exact index
             break
@@ -137,15 +137,15 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig, consts: DerivedConstants
         if k == 1:  # the increment broke at once: follow the one just seen
             inc = j - idx[0]
         size = 2 * k + 16
-    if n < n_half and abs(_lattice_index(u[0] + step, cfg, consts, side)) < 2.0**53:
+    if n < n_half and abs(_lattice_index(u[0] + step, cfg, side)) < 2.0**53:
         # the front is unshifted, and only its seed's successor is inexact
         raise NumericsError(f"refinement lattice index {j_nxt[0]:.6g} is not a finite exact integer")
     walked, deltas = walked[:n], deltas[:n]
     targets = lam * walked
     seeds = np.concatenate(([step / 2.0], deltas + step))[:n]
     shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
-    miss = combined_path(sign * deltas, cfg, consts) - targets
-    bad = (_lattice_index(seeds, cfg, consts, side) != walked) | ~(shifts >= 0.0)
+    miss = combined_path(sign * deltas, cfg) - targets
+    bad = (_lattice_index(seeds, cfg, side) != walked) | ~(shifts >= 0.0)
     bad |= ~(np.abs(miss) <= _path_tolerance(deltas, cfg))
     if n == n_half and not bad.any():
         return deltas, shifts, targets
@@ -173,17 +173,17 @@ class RefinedLayout:
     targets: tuple[float, ...]
 
 
-def build_refined_layout(n: int, cfg: SystemConfig, consts: DerivedConstants) -> RefinedLayout:
+def build_refined_layout(n: int, cfg: SystemConfig) -> RefinedLayout:
     """Refined symmetric-count layout with N/2 antennas per side."""
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"antenna count must be even and >= 2, got {n}")
     n_half = n // 2
-    d_right, v_right, t_right = refined_half_deltas(n_half, cfg, consts, side="right")
-    d_left, v_left, t_left = refined_half_deltas(n_half, cfg, consts, side="left")
+    d_right, v_right, t_right = refined_half_deltas(n_half, cfg, side="right")
+    d_left, v_left, t_left = refined_half_deltas(n_half, cfg, side="left")
 
     positions = np.concatenate([cfg.x_u_m - d_left[::-1], cfg.x_u_m + d_right])
     layout = AntennaLayout(positions=tuple(positions), center=cfg.x_u_m,
-                           min_spacing=cfg.delta_p * consts.wavelength)
+                           min_spacing=cfg.delta_p * cfg.wavelength)
     targets = np.concatenate([t_left[::-1], t_right])
     return RefinedLayout(
         layout=layout,

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from passgain.geometry import SystemConfig, derive_constants
+from passgain.geometry import SystemConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -29,8 +29,3 @@ def child_pythonpath():
 def cfg():
     """Default 28 GHz scenario with the lossless waveguide."""
     return SystemConfig(alpha_wg_db_per_m=0.0)
-
-
-@pytest.fixture(scope="session")
-def consts(cfg):
-    return derive_constants(cfg)

@@ -35,13 +35,12 @@ from passgain.gain import (
     uniform_deltas,
     upper_bound_sum_uniform,
 )
-from passgain.geometry import SystemConfig, derive_constants, symmetric_uniform_layout
+from passgain.geometry import SystemConfig, symmetric_uniform_layout
 from passgain.refine import build_refined_layout, combined_path
 from passgain.gain import upper_bound_sum
 from reference import gain_two_uncoupled, pair_gains
 
 CFG = SystemConfig(alpha_wg_db_per_m=0.0)
-CONSTS = derive_constants(CFG)
 
 
 def report(name, ok, detail=""):
@@ -66,9 +65,8 @@ def test_02_optimal_sizing():
     results = []
     for d, target in ((1.0, 6.64), (3.0, 19.92)):
         cfg = SystemConfig(d_m=d, alpha_wg_db_per_m=0.0)
-        consts = derive_constants(cfg)
-        n = optimal_antenna_number(cfg, consts)
-        aperture = (n - 1) * cfg.delta_p * consts.wavelength
+        n = optimal_antenna_number(cfg)
+        aperture = (n - 1) * cfg.delta_p * cfg.wavelength
         results.append((d, n, aperture, abs(aperture - target) / target))
     ok = all(rel <= 0.01 for _, _, _, rel in results)
     detail = "; ".join(
@@ -79,16 +77,16 @@ def test_02_optimal_sizing():
 
 
 def test_03_maximum_gain_formula():
-    est = max_gain_estimate(CFG, CONSTS)
+    est = max_gain_estimate(CFG)
     ns = np.arange(2, 1_000_001, 2)
-    peak = float(np.max(closed_bound_value(ns, CFG, CONSTS)))
+    peak = float(np.max(closed_bound_value(ns, CFG)))
     rel = abs(peak - est) / est
 
-    limit = gain_limit(CFG, CONSTS)
+    limit = gain_limit(CFG)
     capped = True
     for dp in (0.5, 0.75, 1.0, 1.5, 2.0):
         c = SystemConfig(delta_p=dp, alpha_wg_db_per_m=0.0)
-        vals = closed_bound_value(np.arange(2, 10001, 2), c, CONSTS)
+        vals = closed_bound_value(np.arange(2, 10001, 2), c)
         capped = capped and bool(np.all(vals <= limit * (1 + 1e-9)))
     ok = rel <= 0.005 and capped
     report(
@@ -101,12 +99,12 @@ def test_03_maximum_gain_formula():
 
 def test_04_bound_and_gain_decay():
     t0 = time.perf_counter()
-    nstar = optimal_antenna_number(CFG, CONSTS)
-    closed_ratio = closed_bound_value(100_000, CFG, CONSTS) / closed_bound_value(
-        nstar, CFG, CONSTS
+    nstar = optimal_antenna_number(CFG)
+    closed_ratio = closed_bound_value(100_000, CFG) / closed_bound_value(
+        nstar, CFG
     )
-    half = uniform_deltas(100_000, CFG, CONSTS)
-    gains = pair_gains(half, half, CFG, CONSTS, 0.0)
+    half = uniform_deltas(100_000, CFG)
+    gains = pair_gains(half, half, CFG, 0.0)
     uniform_ratio = gains[-1] / gains.max()
     elapsed = time.perf_counter() - t0
     ok = closed_ratio < 0.30 and uniform_ratio < 0.30 and elapsed < 30.0
@@ -119,19 +117,19 @@ def test_04_bound_and_gain_decay():
 
 
 def test_05_coupling_oracle_equivalence():
-    lam = CONSTS.wavelength
+    lam = CFG.wavelength
     worst = 0.0
     for x in np.linspace(0.05, 1.0, 50):
-        a_matrix = gain_mc(2, float(x) * lam, CFG, CONSTS)
-        a_closed = gain_mc_two_closed(float(x) * lam, CFG, CONSTS)
+        a_matrix = gain_mc(2, float(x) * lam, CFG)
+        a_closed = gain_mc_two_closed(float(x) * lam, CFG)
         worst = max(worst, abs(a_matrix - a_closed) / a_closed)
 
     identity_err = float(
-        np.max(np.abs(coupling_matrix(2, lam / 2, CONSTS) - np.eye(2)))
+        np.max(np.abs(coupling_matrix(2, lam / 2, CFG) - np.eye(2)))
     )
-    a_mc_half = gain_mc(2, lam / 2, CFG, CONSTS)
+    a_mc_half = gain_mc(2, lam / 2, CFG)
     a_free_half = array_gain_exact(
-        symmetric_uniform_layout(CFG, 2, lam / 2), CFG, CONSTS, alpha_wg=0.0
+        symmetric_uniform_layout(CFG, 2, lam / 2), CFG, alpha_wg=0.0
     )
     half_rel = abs(a_mc_half - a_free_half) / a_free_half
     ok = worst <= 1e-9 and identity_err <= 1e-12 and half_rel <= 1e-9
@@ -144,16 +142,16 @@ def test_05_coupling_oracle_equivalence():
 
 
 def test_06_coupling_limits():
-    lam = CONSTS.wavelength
+    lam = CFG.wavelength
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        a0 = gain_mc(2, 1e-6 * lam, CFG, CONSTS)
-    limit_rel = abs(a0 - CONSTS.eta / CFG.d_m**2) / (CONSTS.eta / CFG.d_m**2)
-    exact_free = gain_two_uncoupled(0.0, CFG, CONSTS) == 2 * CONSTS.eta / CFG.d_m**2
+        a0 = gain_mc(2, 1e-6 * lam, CFG)
+    limit_rel = abs(a0 - CFG.eta / CFG.d_m**2) / (CFG.eta / CFG.d_m**2)
+    exact_free = gain_two_uncoupled(0.0, CFG) == 2 * CFG.eta / CFG.d_m**2
 
     xs = np.arange(1, 10001) * 1e-4
     vals = np.array(
-        [gain_mc_two_closed(float(x) * lam, CFG, CONSTS) for x in xs]
+        [gain_mc_two_closed(float(x) * lam, CFG) for x in xs]
     )
     i = int(np.argmax(vals))
     interior = 0 < i < len(xs) - 1
@@ -174,22 +172,22 @@ def test_06_coupling_limits():
 
 
 def test_07_refinement_coherence():
-    lam = CONSTS.wavelength
+    lam = CFG.wavelength
     worst_residual = 0.0
     beats_uniform = True
     worst_tracking = 1.0
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, CFG, CONSTS)
+        rl = build_refined_layout(n, CFG)
         paths = np.array(
-            [combined_path(x - CFG.x_u_m, CFG, CONSTS) for x in rl.layout.positions]
+            [combined_path(x - CFG.x_u_m, CFG) for x in rl.layout.positions]
         )
         worst_residual = max(
             worst_residual, float(np.max(np.abs(paths - lam * np.round(paths / lam))))
         )
-        a_ref = array_gain_exact(rl.layout, CFG, CONSTS, alpha_wg=0.0)
-        beats_uniform = beats_uniform and a_ref >= gain_uniform(n, CFG, CONSTS)
+        a_ref = array_gain_exact(rl.layout, CFG, alpha_wg=0.0)
+        beats_uniform = beats_uniform and a_ref >= gain_uniform(n, CFG)
         half = np.asarray(rl.layout.positions[n // 2 :]) - CFG.x_u_m
-        worst_tracking = min(worst_tracking, a_ref / upper_bound_sum(half, CFG, CONSTS))
+        worst_tracking = min(worst_tracking, a_ref / upper_bound_sum(half, CFG))
     ok = worst_residual <= 1e-9 and beats_uniform and worst_tracking >= 0.90
     report(
         "07 refinement coherence",
@@ -215,10 +213,10 @@ def test_08_integral_approximation():
     ok = True
     for n in (100, 200, 500, 1000):
         b_rel = abs(
-            closed_bound_value(n, CFG, CONSTS) - upper_bound_sum_uniform(n, CFG, CONSTS)
-        ) / upper_bound_sum_uniform(n, CFG, CONSTS)
-        g_sum = gain_uniform(n, CFG, CONSTS)
-        g_int = gain_uniform_integral(n, CFG, CONSTS)
+            closed_bound_value(n, CFG) - upper_bound_sum_uniform(n, CFG)
+        ) / upper_bound_sum_uniform(n, CFG)
+        g_sum = gain_uniform(n, CFG)
+        g_int = gain_uniform_integral(n, CFG)
         g_rel = abs(g_int - g_sum) / g_sum
         rows.append(f"N={n}: bound {b_rel:.1e}, gain {g_rel:.1e}")
         ok = ok and b_rel <= 0.01 and g_rel <= 0.01

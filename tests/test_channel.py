@@ -12,7 +12,6 @@ from passgain.gain import gain_symmetric, upper_bound_sum
 from passgain.geometry import (
     AntennaLayout,
     SystemConfig,
-    derive_constants,
     resolve_feed,
     symmetric_uniform_layout,
 )
@@ -23,70 +22,69 @@ def pair(x_left, x_right):
     return AntennaLayout(positions=(x_left, x_right), center=x_left, min_spacing=0.0)
 
 
-def lone_antenna_power(x, cfg, consts):
+def lone_antenna_power(x, cfg):
     """|h|^2 of an antenna at ``x`` fed where it stands: its partner 1 m
     further along a 1e4 dB/m waveguide keeps 10^-500 of its amplitude, which
     is exactly 0 in float64, so the pair's gain is |h|^2 / 2."""
-    return 2.0 * array_gain_exact(pair(x, x + 1.0), cfg, consts, alpha_wg=1e4)
+    return 2.0 * array_gain_exact(pair(x, x + 1.0), cfg, alpha_wg=1e4)
 
 
-def test_overhead_antenna_power(cfg, consts):
+def test_overhead_antenna_power(cfg):
     # |h|^2 = eta / d^2 for the antenna directly above the user
-    power = lone_antenna_power(cfg.x_u_m, cfg, consts)
+    power = lone_antenna_power(cfg.x_u_m, cfg)
     assert power == pytest.approx(8.07e-8, rel=1e-3)
-    assert power == pytest.approx(consts.eta / cfg.d_m**2, rel=1e-12)
+    assert power == pytest.approx(cfg.eta / cfg.d_m**2, rel=1e-12)
 
 
-def test_overhead_antenna_phase(cfg, consts):
+def test_overhead_antenna_phase(cfg):
     # The overhead antenna (phase -k0 d) and one m guided wavelengths further
     # on (in-waveguide phase 2 pi m, free-space phase -k0 r) interfere with
     # the phase difference k0 (r - d): law of cosines on the two phasors.
     for m in (1, 7, 40):
-        s = m * consts.lambda_g
+        s = m * cfg.lambda_g
         d, r = cfg.d_m, math.hypot(s, cfg.d_m)
-        cross = 2 * math.cos(consts.k0 * (r - d)) / (d * r)
-        expected = consts.eta / 2 * (1 / d**2 + 1 / r**2 + cross)
-        got = array_gain_exact(pair(cfg.x_u_m, cfg.x_u_m + s), cfg, consts, alpha_wg=0.0)
+        cross = 2 * math.cos(cfg.k0 * (r - d)) / (d * r)
+        expected = cfg.eta / 2 * (1 / d**2 + 1 / r**2 + cross)
+        got = array_gain_exact(pair(cfg.x_u_m, cfg.x_u_m + s), cfg, alpha_wg=0.0)
         assert got == pytest.approx(expected, rel=1e-10)
 
 
-def test_magnitude_even_in_offset(cfg, consts):
+def test_magnitude_even_in_offset(cfg):
     for off in (0.001, 0.5, 2.7):
-        left = lone_antenna_power(cfg.x_u_m - off, cfg, consts)
-        right = lone_antenna_power(cfg.x_u_m + off, cfg, consts)
+        left = lone_antenna_power(cfg.x_u_m - off, cfg)
+        right = lone_antenna_power(cfg.x_u_m + off, cfg)
         assert left == pytest.approx(right, rel=1e-15)
 
 
-def test_inwaveguide_phase_values(cfg, consts):
+def test_inwaveguide_phase_values(cfg):
     # A pair mirrored about the user shares r, so only the in-waveguide phase
     # 2 pi s / lambda_g between them is left: 2 eta / r^2 cos^2(pi s / lambda_g).
     # One guided wavelength adds in phase, half of one cancels, and one
     # free-space wavelength covers n_eff guided wavelengths.
-    for s, cos2 in ((consts.lambda_g, 1.0), (consts.lambda_g / 2, 0.0),
-                    (consts.wavelength, math.cos(math.pi * 1.44) ** 2)):
-        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg, consts, alpha_wg=0.0)
-        expected = 2 * consts.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * consts.eta)
+    for s, cos2 in ((cfg.lambda_g, 1.0), (cfg.lambda_g / 2, 0.0),
+                    (cfg.wavelength, math.cos(math.pi * 1.44) ** 2)):
+        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg, alpha_wg=0.0)
+        expected = 2 * cfg.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * cfg.eta)
 
 
-def test_feed_right_of_antenna_rejected(consts):
+def test_feed_right_of_antenna_rejected():
     lay = pair(-1.0, 1.0)
     fed_at_origin = SystemConfig(x_0_m=0.0)
     with pytest.raises(ConfigError):
         resolve_feed(fed_at_origin, lay.leftmost - fed_at_origin.x_u_m)
     with pytest.raises(ConfigError):
-        array_gain_exact(lay, fed_at_origin, consts)
+        array_gain_exact(lay, fed_at_origin)
 
 
-def test_attenuation_values(consts):
+def test_attenuation_values():
     # The feed-to-array run attenuates every antenna alike, so moving the feed
     # `run` metres left scales the gain by the power factor 10^(-alpha run / 10).
     lossy = SystemConfig(alpha_wg_db_per_m=0.08)
     lay = symmetric_uniform_layout(lossy, 8, 0.02)
 
     def gain_fed_from(run, alpha):
-        return array_gain_exact(lay, replace(lossy, x_0_m=lay.leftmost - run), consts,
-                                alpha_wg=alpha)
+        return array_gain_exact(lay, replace(lossy, x_0_m=lay.leftmost - run), alpha_wg=alpha)
 
     assert gain_fed_from(5.0, 0.0) == pytest.approx(gain_fed_from(0.0, 0.0), rel=1e-12)
     amplitude = math.sqrt(gain_fed_from(30.0, 0.08) / gain_fed_from(0.0, 0.08))
@@ -95,7 +93,7 @@ def test_attenuation_values(consts):
     assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
-def test_exact_gain_matches_symmetric_form(cfg, consts):
+def test_exact_gain_matches_symmetric_form(cfg):
     # same value through the per-antenna route and the mirrored-pair route
     rng = np.random.default_rng(5)
     for _ in range(25):
@@ -104,50 +102,50 @@ def test_exact_gain_matches_symmetric_form(cfg, consts):
             half = np.sort(rng.uniform(1e-4, 3.0, size=half.size))
         positions = tuple(np.concatenate([cfg.x_u_m - half[::-1], cfg.x_u_m + half]))
         lay = AntennaLayout(positions=positions, center=cfg.x_u_m, min_spacing=0.0)
-        a_exact = array_gain_exact(lay, cfg, consts, alpha_wg=0.0)
-        a_sym = gain_symmetric(half, cfg, consts)
+        a_exact = array_gain_exact(lay, cfg, alpha_wg=0.0)
+        a_sym = gain_symmetric(half, cfg)
         assert a_exact == pytest.approx(a_sym, rel=1e-12)
 
 
-def test_feed_invariance_without_loss(cfg, consts):
+def test_feed_invariance_without_loss(cfg):
     lay = symmetric_uniform_layout(cfg, 6, 0.01)
-    base = array_gain_exact(lay, cfg, consts, alpha_wg=0.0)
+    base = array_gain_exact(lay, cfg, alpha_wg=0.0)
     for x0 in (-0.1, -3.0, -123.456):
         shifted = SystemConfig(x_0_m=x0, alpha_wg_db_per_m=0.0)
         lay0 = symmetric_uniform_layout(shifted, 6, 0.01)
-        assert array_gain_exact(lay0, shifted, consts, alpha_wg=0.0) == pytest.approx(
+        assert array_gain_exact(lay0, shifted, alpha_wg=0.0) == pytest.approx(
             base, rel=1e-12
         )
 
 
-def test_two_antennas_half_wavelength(cfg, consts):
+def test_two_antennas_half_wavelength(cfg):
     # evaluate the mirrored pair at spacing wavelength/2 by hand
-    lam = consts.wavelength
+    lam = cfg.wavelength
     lay = symmetric_uniform_layout(cfg, 2, lam / 2)
-    got = array_gain_exact(lay, cfg, consts, alpha_wg=0.0)
+    got = array_gain_exact(lay, cfg, alpha_wg=0.0)
     expected = (
         2
-        * consts.eta
+        * cfg.eta
         * math.cos(math.pi * cfg.n_eff / 2) ** 2
         / (cfg.d_m**2 + lam**2 / 16)
     )
     assert got == pytest.approx(expected, rel=1e-12)
 
 
-def test_triangle_inequality_bound(cfg, consts):
+def test_triangle_inequality_bound(cfg):
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = 2 * int(rng.integers(1, 25))
-        spacing = float(rng.uniform(0.3, 3.0)) * consts.wavelength
+        spacing = float(rng.uniform(0.3, 3.0)) * cfg.wavelength
         lay = symmetric_uniform_layout(cfg, n, spacing)
-        bound = consts.eta / n * np.sum(1.0 / np.hypot(np.array(lay.deltas()), cfg.d_m)) ** 2
-        assert array_gain_exact(lay, cfg, consts, alpha_wg=0.0) <= bound * (1 + 1e-9)
+        bound = cfg.eta / n * np.sum(1.0 / np.hypot(np.array(lay.deltas()), cfg.d_m)) ** 2
+        assert array_gain_exact(lay, cfg, alpha_wg=0.0) <= bound * (1 + 1e-9)
 
 
-def test_loss_never_raises_gain(cfg, consts):
+def test_loss_never_raises_gain(cfg):
     lay = symmetric_uniform_layout(cfg, 8, 0.02)
     alphas = [0.0, 0.02, 0.08, 0.3, 1.0]
-    gains = [array_gain_exact(lay, cfg, consts, alpha_wg=a) for a in alphas]
+    gains = [array_gain_exact(lay, cfg, alpha_wg=a) for a in alphas]
     assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
@@ -176,8 +174,7 @@ def mirrored(half, cfg):
 @settings(max_examples=60, deadline=None)
 @given(cfg=configs, half=half_offsets)
 def test_phase_free_bound_dominates_symmetric_gain(cfg, half):
-    consts = derive_constants(cfg)
-    assert gain_symmetric(half, cfg, consts) <= upper_bound_sum(half, cfg, consts) * (1 + 1e-12)
+    assert gain_symmetric(half, cfg) <= upper_bound_sum(half, cfg) * (1 + 1e-12)
 
 
 @settings(max_examples=60, deadline=None)
@@ -185,22 +182,20 @@ def test_phase_free_bound_dominates_symmetric_gain(cfg, half):
 def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
     # compared on the scale of the phase-free bound, as deep nulls have no
     # relative accuracy; the user's position rounds the offsets by an ulp
-    consts = derive_constants(cfg)
     lay = mirrored(half, cfg)
-    scale = upper_bound_sum(half, cfg, consts)
-    assert abs(array_gain_exact(lay, cfg, consts, alpha_wg=0.0)
-               - gain_symmetric(half, cfg, consts)) <= 1e-9 * scale
+    scale = upper_bound_sum(half, cfg)
+    assert abs(array_gain_exact(lay, cfg, alpha_wg=0.0)
+               - gain_symmetric(half, cfg)) <= 1e-9 * scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 1e3))
 def test_lossless_gain_ignores_the_feed(cfg, half, gap):
-    consts = derive_constants(cfg)
     lay = mirrored(half, cfg)
     fed = replace(cfg, x_0_m=lay.leftmost - gap)
-    scale = upper_bound_sum(half, cfg, consts)
-    assert abs(array_gain_exact(lay, fed, consts, alpha_wg=0.0)
-               - array_gain_exact(lay, cfg, consts, alpha_wg=0.0)) <= 1e-9 * scale
+    scale = upper_bound_sum(half, cfg)
+    assert abs(array_gain_exact(lay, fed, alpha_wg=0.0)
+               - array_gain_exact(lay, cfg, alpha_wg=0.0)) <= 1e-9 * scale
 
 
 @settings(max_examples=40, deadline=None)
@@ -213,9 +208,8 @@ def test_lossless_gain_ignores_the_feed(cfg, half, gap):
 def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
     # every antenna of a refined layout adds in phase, so attenuating any of
     # them can only lower the gain (an unaligned layout has no such guarantee)
-    consts = derive_constants(cfg)
     try:
-        lay = build_refined_layout(n, cfg, consts).layout
+        lay = build_refined_layout(n, cfg).layout
     except NumericsError as exc:
         # at n_eff = 1 the left-side path only tends to 0, so once it drops
         # below one wavelength no offset reaches the next multiple down
@@ -223,5 +217,5 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
             raise
         reject()
     fed = cfg if gap is None else replace(cfg, x_0_m=lay.leftmost - gap)
-    low, high = (array_gain_exact(lay, fed, consts, alpha_wg=a) for a in alphas)
+    low, high = (array_gain_exact(lay, fed, alpha_wg=a) for a in alphas)
     assert high <= low * (1 + 1e-12)

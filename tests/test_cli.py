@@ -1,12 +1,17 @@
 import argparse
+import contextlib
+import io
 import shlex
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from passgain.cli import SUBCOMMANDS, build_parser
+from passgain.cli import SUBCOMMANDS, build_parser, main
 from passgain.experiments import MAX_SWEEP_SIZE
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -124,7 +129,10 @@ def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
     # distance to the fixed antenna
     cfgfile = tmp_path / "extreme.cfg"
     cfgfile.write_text(content)
-    for argv in (("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")):
+    argvs = [("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")]
+    if content.startswith("f_c_hz"):  # refused as the config is built, whatever the subcommand
+        argvs += [("fub-curve",), ("fmc-curve",)]
+    for argv in argvs:
         res = run_cli(*argv, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
@@ -237,6 +245,19 @@ def test_readme_cli_lines_parse():
         build_parser().parse_args(shlex.split(line)[1:])
 
 
+def test_readme_library_tour_runs():
+    # the README's python block, executed as written
+    text = README.read_text()
+    block = text[text.index("## Library tour"):]
+    block = block[block.index("```python") + len("```python"):]
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor at 0.05 wavelengths
+        exec(block[:block.index("```")], namespace)
+    assert 0 < namespace["a"] <= namespace["report"].a_hat_sum
+    assert namespace["a_mc4"].shape == (96,)
+
+
 # Each is rejected from its count or its value before the sweep allocates.
 BAD_NUMBERS = [
     ("fub-curve", "--grid-step", "nan"),
@@ -253,6 +274,7 @@ BAD_NUMBERS = [
     ("maxgain-vs-spacing", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-n", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-delta-mc", "--n-list", f"2,{int(MAX_SWEEP_SIZE**0.5) + 2}"),
+    ("maxgain-vs-spacing", "--seed", "-1"),  # PCG64 takes no negative seed
 ]
 
 
@@ -295,3 +317,75 @@ def test_unwritable_out_exits_2(tmp_path, target):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith(f"config error: cannot write CSV to {out}:")
     assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+
+
+# ------------------------------------------------ exit-code contract, in process
+
+_EXTREMES = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300"])
+
+
+def _number(lo, hi):
+    """A float in [lo, hi], or one of the extremes, as text."""
+    return st.one_of(st.floats(lo, hi).map(repr), _EXTREMES)
+
+
+def _count(lo, hi, *extremes):
+    """An integer in [lo, hi], or one of ``extremes``, as text."""
+    return st.one_of(st.integers(lo, hi), *map(st.just, extremes)).map(str)
+
+
+def _list(element):
+    return st.lists(element, min_size=1, max_size=3).map(",".join)
+
+
+_SCENARIOS = st.fixed_dictionaries({}, optional={
+    "f_c_hz": _number(1e8, 1e12),
+    "d_m": _number(0.1, 30.0),
+    "n_eff": _number(1.0, 3.0),
+    "x_u_m": _number(-20.0, 20.0),
+    "x_0_m": st.one_of(st.just("auto"), _number(-100.0, 10.0)),
+    "alpha_wg_db_per_m": _number(0.0, 1.0),
+    "delta_p": _number(0.05, 5.0),
+})
+_CASE_FLAG = {"--case": st.sampled_from(["1", "2", "both"])}
+# each subcommand's own flags, kept small enough for tens of runs a second
+_FLAGS = {
+    "fub-curve": {"--x-max": _number(-1.0, 20.0), "--grid-step": _number(1e-3, 1.0)},
+    "fmc-curve": {"--n-eff-list": _list(_number(0.5, 3.0)), "--grid-step": _number(1e-3, 0.5)},
+    "gain-vs-n": {"--delta-p": _list(_number(0.05, 5.0)), **_CASE_FLAG,
+                  "--n-max": _count(-2, 400, 2000002), "--grid-step": _count(-2, 20)},
+    "maxgain-vs-spacing": {"--delta-p": _list(_number(0.05, 5.0)), **_CASE_FLAG,
+                           "--n-max": _count(-2, 400, 2000002),
+                           "--trials": _count(-1, 40, 1000001)},
+    "gain-vs-delta-mc": {"--n-list": _list(_count(-2, 16, 1001)),
+                         "--grid-step": _number(0.05, 0.5)},
+}
+_RUNS = st.sampled_from(sorted(_FLAGS)).flatmap(lambda name: st.tuples(
+    st.just(name), st.fixed_dictionaries({}, optional=_FLAGS[name]),
+    _SCENARIOS, _count(-3, 2**32)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(run=_RUNS)
+def test_any_drawn_run_keeps_the_exit_code_contract(tmp_path_factory, run):
+    # exit 0, 2 or 3 over drawn scenarios and flags; a failure is one stderr
+    # line naming its kind, never a traceback.  Flags go as --flag=value, so
+    # that argparse takes values such as -inf as values
+    name, flags, scenario, seed = run
+    folder = tmp_path_factory.getbasetemp()
+    config = folder / "drawn.cfg"
+    config.write_text("".join(f"{k} = {v}\n" for k, v in scenario.items()))
+    argv = [name, f"--config={config}", f"--out={folder / 'drawn.csv'}", f"--seed={seed}",
+            *(f"{flag}={value}" for flag, value in flags.items())]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # diagnostics, not failures
+            code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    if code:
+        assert err.startswith(("config error:", "numeric failure:")), (argv, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
+    else:
+        assert err == "", (argv, err)

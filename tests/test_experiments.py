@@ -31,7 +31,6 @@ from passgain.gain import gain_limit, max_gain_estimate, uniform_deltas
 from passgain.geometry import (
     AntennaLayout,
     SystemConfig,
-    derive_constants,
     symmetric_uniform_layout,
 )
 from passgain.refine import refined_half_deltas
@@ -234,41 +233,41 @@ def test_write_csv_matches_reference_on_readme_sweeps(tmp_path, argv):
 # ------------------------------------------------------------- fast kernels
 
 
-def test_pair_gains_match_exact_channel(consts):
+def test_pair_gains_match_exact_channel():
     cfg = SystemConfig(x_0_m=-30.0)
     m_max = 40
-    dr, _, _ = refined_half_deltas(m_max, cfg, consts, side="right")
-    dl, _, _ = refined_half_deltas(m_max, cfg, consts, side="left")
+    dr, _, _ = refined_half_deltas(m_max, cfg, side="right")
+    dl, _, _ = refined_half_deltas(m_max, cfg, side="left")
     for alpha in (0.0, 0.08):
-        g = pair_gains(dr, dl, cfg, consts, alpha)
+        g = pair_gains(dr, dl, cfg, alpha)
         for m in (1, 3, 17, 40):
             pos = tuple(
                 np.concatenate([cfg.x_u_m - dl[:m][::-1], cfg.x_u_m + dr[:m]])
             )
             lay = AntennaLayout(
-                positions=pos, center=cfg.x_u_m, min_spacing=cfg.delta_p * consts.wavelength
+                positions=pos, center=cfg.x_u_m, min_spacing=cfg.delta_p * cfg.wavelength
             )
-            reference = array_gain_exact(lay, cfg, consts, alpha_wg=alpha)
+            reference = array_gain_exact(lay, cfg, alpha_wg=alpha)
             fast = g[m - 1] * 10.0 ** (-alpha * (cfg.x_u_m + 30.0) / 10.0)
             assert fast == pytest.approx(reference, rel=1e-12)
 
 
-def refined_pairs_past(run, m_max, cfg, consts):
+def refined_pairs_past(run, m_max, cfg):
     """Refined (right, left) offsets of all m_max pairs or, where the left
     targets run out before that, of the pairs up to the first whose left
     offset lies past ``run``; NumericsError when they run out before it."""
-    dr = refined_half_deltas(m_max, cfg, consts, side="right")[0]
+    dr = refined_half_deltas(m_max, cfg, side="right")[0]
     try:
-        return dr, refined_half_deltas(m_max, cfg, consts, side="left")[0]
+        return dr, refined_half_deltas(m_max, cfg, side="left")[0]
     except NumericsError:
         lo, hi = 0, m_max  # bisect for the longest left walk that succeeds
         while hi - lo > 1:
             try:
-                refined_half_deltas((mid := (lo + hi) // 2), cfg, consts, side="left")
+                refined_half_deltas((mid := (lo + hi) // 2), cfg, side="left")
                 lo = mid
             except NumericsError:
                 hi = mid
-        dl = refined_half_deltas(max(lo, 1), cfg, consts, side="left")[0]
+        dl = refined_half_deltas(max(lo, 1), cfg, side="left")[0]
         if not dl[-1] > run:
             raise
         m = int(np.searchsorted(dl, run, side="right")) + 1
@@ -281,22 +280,21 @@ def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
     full n_max / 2 pairs (refined ones cut past the longest feed run where
     their left targets run out): {(series, delta_p): (mean, stderr)}, or None
     when some draw has no such count."""
-    consts = derive_constants(cfg)
     rng = np.random.Generator(np.random.PCG64(seed))
     runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
     m_max = n_max // 2
     rows = {}
     for dp in dps:
         c = replace(cfg, delta_p=dp)
-        half = uniform_deltas(2 * m_max, c, consts)
-        refined = refined_pairs_past(runs.max(), m_max, c, consts)
+        half = uniform_deltas(2 * m_max, c)
+        refined = refined_pairs_past(runs.max(), m_max, c)
         for kind, (dr, dl) in (("uniform", (half, half)), ("refined", refined)):
             counts = [np.count_nonzero(dl <= run) for run in runs]
             if min(counts) < 1:
                 return None
             for label, alpha in cases:
                 with np.errstate(over="ignore", invalid="ignore"):  # as the sweep
-                    g = pair_gains(dr, dl, c, consts, alpha)
+                    g = pair_gains(dr, dl, c, alpha)
                 best = np.array([
                     g[:count].max() * 10.0 ** (-alpha * run / 10.0)
                     for count, run in zip(counts, runs)
@@ -485,8 +483,8 @@ def test_gain_vs_n_loss_never_helps(gain_vs_n_points):
         assert all(b[x] <= a[x] * (1 + 1e-12) for x in a)
 
 
-def test_gain_vs_n_bound_dominates_and_below_limit(cfg, consts, gain_vs_n_points):
-    limit = gain_limit(cfg, consts)
+def test_gain_vs_n_bound_dominates_and_below_limit(cfg, gain_vs_n_points):
+    limit = gain_limit(cfg)
     for dp in ("0.5", "1"):
         bound = {p.x: p.y for p in gain_vs_n_points[f"bound_dp{dp}_case1"]}
         for kind in ("refined", "uniform"):
@@ -495,7 +493,7 @@ def test_gain_vs_n_bound_dominates_and_below_limit(cfg, consts, gain_vs_n_points
         assert all(y <= limit * (1 + 1e-9) for y in bound.values())
 
 
-def test_gain_vs_n_with_explicit_feed(consts):
+def test_gain_vs_n_with_explicit_feed():
     # a fixed feed close to the array bounds how many antennas fit left of it
     cfg = SystemConfig(x_0_m=-30.0)
     points = by_series(run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=400, n_step=8))
@@ -535,15 +533,15 @@ def test_maxgain_beats_single_antenna_baselines(maxgain_points):
             assert val >= fluid1[dp]
 
 
-def test_maxgain_bound_estimate_series(cfg, consts, maxgain_points):
+def test_maxgain_bound_estimate_series(cfg, maxgain_points):
     for p in maxgain_points["bound"]:
         c = SystemConfig(delta_p=p.x, alpha_wg_db_per_m=0.0)
-        assert p.y == pytest.approx(max_gain_estimate(c, consts), rel=1e-12)
+        assert p.y == pytest.approx(max_gain_estimate(c), rel=1e-12)
         assert p.stderr == 0.0
 
 
-def test_maxgain_below_limit(cfg, consts, maxgain_points):
-    limit = gain_limit(cfg, consts)
+def test_maxgain_below_limit(cfg, maxgain_points):
+    limit = gain_limit(cfg)
     for series, rows in maxgain_points.items():
         for p in rows:
             assert p.y <= limit * (1 + 1e-9)
@@ -565,7 +563,7 @@ def test_maxgain_same_seed_same_result(cfg):
     assert any(pa.y != pc.y for pa, pc in zip(a, c) if pa.series == "refined_case2")
 
 
-def test_maxgain_rejects_infeasible_feed(consts):
+def test_maxgain_rejects_infeasible_feed():
     cfg = SystemConfig(x_0_m=-5.0)  # inside the user range
     with pytest.raises(ConfigError):
         run_maxgain_vs_spacing(cfg, (0.5,), (("case1", 0.0),), trials=5, seed=0, n_max=100)
@@ -611,11 +609,11 @@ def test_mc_sweep_oscillates_for_four_antennas(mc_points):
     assert len(maxima) >= 2
 
 
-def test_mc_sweep_zero_rows(mc_points, consts, cfg):
+def test_mc_sweep_zero_rows(mc_points, cfg):
     mc0 = [p for p in mc_points["mc_N2"] if p.x == 0][0]
-    assert mc0.y == pytest.approx(consts.eta / cfg.d_m**2, rel=1e-12)
+    assert mc0.y == pytest.approx(cfg.eta / cfg.d_m**2, rel=1e-12)
     free0 = [p for p in mc_points["nomc_N2"] if p.x == 0][0]
-    assert free0.y == 2 * consts.eta / cfg.d_m**2
+    assert free0.y == 2 * cfg.eta / cfg.d_m**2
 
 
 def mc_csv_rows(cfg, path, n_values=(2, 4)):
@@ -626,7 +624,7 @@ def mc_csv_rows(cfg, path, n_values=(2, 4)):
     return path.read_bytes()
 
 
-def test_mc_sweep_rows_equal_point_by_point_reference(cfg, consts):
+def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
     # point-by-point reference, bit for bit: array_gain_exact on the layout,
     # h @ C^(-1/2) @ phi per spacing, and the closed form in Python floats
     with warnings.catch_warnings():
@@ -636,21 +634,21 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg, consts):
             xs = np.array([p.x for p in rows[f"mc_N{n}"] if p.x > 0])
             mc_ref, nomc_ref = [], []
             for x in xs:
-                layout = symmetric_uniform_layout(cfg, n, float(x) * consts.wavelength)
-                nomc_ref.append(array_gain_exact(layout, cfg, consts, alpha_wg=0.0))
+                layout = symmetric_uniform_layout(cfg, n, float(x) * cfg.wavelength)
+                nomc_ref.append(array_gain_exact(layout, cfg, alpha_wg=0.0))
                 pos = np.asarray(layout.positions)
                 r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
-                h = math.sqrt(consts.eta) * np.exp(-1j * consts.k0 * r) / r
-                phi = np.exp(-1j * consts.k0 * cfg.n_eff * (pos - cfg.x_u_m))
-                root = inv_sqrt(coupling.coupling_matrix(n, float(x) * consts.wavelength, consts))
+                h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
+                phi = np.exp(-1j * cfg.k0 * cfg.n_eff * (pos - cfg.x_u_m))
+                root = inv_sqrt(coupling.coupling_matrix(n, float(x) * cfg.wavelength, cfg))
                 mc_ref.append(float(abs(h @ root.matrix @ phi) ** 2 / n))
             assert [p.y for p in rows[f"mc_N{n}"] if p.x > 0] == mc_ref
             assert [p.y for p in rows[f"nomc_N{n}"] if p.x > 0] == nomc_ref
-    spacings = np.linspace(0.0, 1.0, 1429)[1:] * consts.wavelength
-    closed_ref = [2.0 * consts.eta * math.cos(cfg.n_eff * consts.k0 * s / 2.0) ** 2
-                  / ((cfg.d_m**2 + s**2 / 4.0) * (1.0 + coupling.sinc_j0(consts.k0 * s)))
+    spacings = np.linspace(0.0, 1.0, 1429)[1:] * cfg.wavelength
+    closed_ref = [2.0 * cfg.eta * math.cos(cfg.n_eff * cfg.k0 * s / 2.0) ** 2
+                  / ((cfg.d_m**2 + s**2 / 4.0) * (1.0 + coupling.sinc_j0(cfg.k0 * s)))
                   for s in spacings.tolist()]
-    assert coupling.gain_mc_two_closed(spacings, cfg, consts).tolist() == closed_ref
+    assert coupling.gain_mc_two_closed(spacings, cfg).tolist() == closed_ref
 
 
 def test_mc_sweep_chunks_keep_bytes_and_cap(cfg, tmp_path, monkeypatch):
@@ -684,7 +682,7 @@ def test_mc_sweep_translation_invariant(cfg, tmp_path):
 
 def test_mc_sweep_checks_the_explicit_feed(cfg):
     # at one wavelength the leftmost of four antennas sits 1.5 wavelengths left
-    lam = derive_constants(cfg).wavelength
+    lam = cfg.wavelength
     with pytest.raises(ConfigError, match="lies right of the leftmost antenna"):
         run_gain_vs_delta_mc(replace(cfg, x_0_m=-1.4 * lam), (2, 4), step=0.1)
     with warnings.catch_warnings():
@@ -696,7 +694,7 @@ FEED_INSIDE = SystemConfig(x_0_m=0.0)  # the user's projection: inside every lay
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda c: array_gain_exact(symmetric_uniform_layout(c, 4, 0.01), c, derive_constants(c)),
+    lambda c: array_gain_exact(symmetric_uniform_layout(c, 4, 0.01), c),
     lambda c: run_gain_vs_n(c, (0.5,), (("case1", 0.0),), n_max=100, n_step=2),
     lambda c: run_gain_vs_n(c, (0.5,), (("case2", 0.08),), n_max=100, n_step=2),
     lambda c: run_gain_vs_delta_mc(c, (2, 4), step=0.1),

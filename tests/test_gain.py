@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from passgain.coupling import f_mc, gain_mc_two_closed
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import (
     BoundReport,
@@ -25,25 +26,25 @@ from passgain.gain import (
     upper_bound_sum,
     upper_bound_sum_uniform,
 )
-from passgain.geometry import SystemConfig, derive_constants
+from passgain.geometry import SystemConfig
 
 
-def brute_force_symmetric_gain(half_deltas, cfg, consts):
+def brute_force_symmetric_gain(half_deltas, cfg):
     """Independent oracle: explicit per-antenna complex summation."""
     total = 0j
     for delta in half_deltas:
         for signed in (delta, -delta):
             r = math.sqrt(cfg.d_m**2 + signed**2)
-            total += cmath.exp(-1j * (consts.k0 * r + consts.k0 * cfg.n_eff * signed)) / r
+            total += cmath.exp(-1j * (cfg.k0 * r + cfg.k0 * cfg.n_eff * signed)) / r
     n = 2 * len(half_deltas)
-    return consts.eta / n * abs(total) ** 2
+    return cfg.eta / n * abs(total) ** 2
 
 
-def test_symmetric_gain_against_brute_force(cfg, consts):
-    lam = consts.wavelength
+def test_symmetric_gain_against_brute_force(cfg):
+    lam = cfg.wavelength
     deltas = [0.25 * lam, 0.75 * lam]
-    assert gain_symmetric(deltas, cfg, consts) == pytest.approx(
-        brute_force_symmetric_gain(deltas, cfg, consts), rel=1e-12
+    assert gain_symmetric(deltas, cfg) == pytest.approx(
+        brute_force_symmetric_gain(deltas, cfg), rel=1e-12
     )
     rng = np.random.default_rng(23)
     for _ in range(20):
@@ -51,62 +52,62 @@ def test_symmetric_gain_against_brute_force(cfg, consts):
         d = np.sort(rng.uniform(1e-3, 2.0, size=k))
         if np.any(np.diff(d) <= 0):
             continue
-        assert gain_symmetric(d, cfg, consts) == pytest.approx(
-            brute_force_symmetric_gain(list(d), cfg, consts), rel=1e-11
+        assert gain_symmetric(d, cfg) == pytest.approx(
+            brute_force_symmetric_gain(list(d), cfg), rel=1e-11
         )
 
 
-def test_collapsed_pair_limit(cfg, consts):
+def test_collapsed_pair_limit(cfg):
     # both antennas on top of the user: 2 eta / d^2
-    assert gain_symmetric([0.0], cfg, consts) == pytest.approx(
-        2 * consts.eta / cfg.d_m**2, rel=1e-12
+    assert gain_symmetric([0.0], cfg) == pytest.approx(
+        2 * cfg.eta / cfg.d_m**2, rel=1e-12
     )
 
 
-def test_symmetric_gain_input_validation(cfg, consts):
+def test_symmetric_gain_input_validation(cfg):
     with pytest.raises(ConfigError):
-        gain_symmetric([0.3, 0.1], cfg, consts)
+        gain_symmetric([0.3, 0.1], cfg)
     with pytest.raises(ConfigError):
-        gain_symmetric([], cfg, consts)
+        gain_symmetric([], cfg)
     with pytest.raises(ConfigError):
-        gain_symmetric([-0.1, 0.2], cfg, consts)
+        gain_symmetric([-0.1, 0.2], cfg)
 
 
-def test_gain_uniform_matches_symmetric(cfg, consts):
+def test_gain_uniform_matches_symmetric(cfg):
     for n in (2, 4, 10, 50):
-        assert gain_uniform(n, cfg, consts) == pytest.approx(
-            gain_symmetric(uniform_deltas(n, cfg, consts), cfg, consts), rel=1e-15
+        assert gain_uniform(n, cfg) == pytest.approx(
+            gain_symmetric(uniform_deltas(n, cfg), cfg), rel=1e-15
         )
     with pytest.raises(ConfigError):
-        gain_uniform(3, cfg, consts)
+        gain_uniform(3, cfg)
 
 
-def test_uniform_integrand_at_origin(cfg, consts):
-    assert abs(uniform_integrand(0.0, cfg, consts)) == pytest.approx(2.0, rel=1e-15)
+def test_uniform_integrand_at_origin(cfg):
+    assert abs(uniform_integrand(0.0, cfg)) == pytest.approx(2.0, rel=1e-15)
 
 
-def test_eps_scale(cfg, consts):
-    assert consts.wavelength / cfg.d_m == pytest.approx(3.569e-3, rel=1e-3)
+def test_eps_scale(cfg):
+    assert cfg.wavelength / cfg.d_m == pytest.approx(3.569e-3, rel=1e-3)
 
 
-def test_integral_gain_cross_checked_by_simpson(cfg, consts):
+def test_integral_gain_cross_checked_by_simpson(cfg):
     # quadrature oracle: fixed-grid Simpson at high resolution.  The last
     # input (28 GHz, n_eff 2, delta_p 2, N 6000: 18,000 phase cycles) is
     # where adaptive Gauss-Kronrod quadrature ran out of subintervals
     from scipy.integrate import simpson
 
     wide = SystemConfig(n_eff=2.0, delta_p=2.0, alpha_wg_db_per_m=0.0)
-    for c, k, n, points in (
-        (cfg, consts, 100, 200001),
-        (cfg, consts, 200, 200001),
-        (wide, derive_constants(wide), 6000, 4000001),
+    for c, n, points in (
+        (cfg, 100, 200001),
+        (cfg, 200, 200001),
+        (wide, 6000, 4000001),
     ):
-        eps = k.wavelength / c.d_m
+        eps = c.wavelength / c.d_m
         xs = np.linspace(0.0, n * eps / 2.0, points)
-        vals = uniform_integrand(xs, c, k)
+        vals = uniform_integrand(xs, c)
         integral = complex(simpson(vals.real, x=xs), simpson(vals.imag, x=xs))
-        expected = k.eta * abs(integral) ** 2 / (n * c.d_m**2 * eps**2)
-        assert gain_uniform_single_integral(n, c, k) == pytest.approx(expected, rel=1e-8)
+        expected = c.eta * abs(integral) ** 2 / (n * c.d_m**2 * eps**2)
+        assert gain_uniform_single_integral(n, c) == pytest.approx(expected, rel=1e-8)
 
 
 @pytest.mark.parametrize("delta_p", [0.1, 0.5, 1.0, 2.0])
@@ -120,11 +121,10 @@ def test_image_integral_matches_exact_sum(delta_p):
     # phase-free bound instead
     for f_c, n_eff, n in itertools.product((3e9, 28e9, 60e9), (1.0, 1.44, 2.0), (2, 100, 1000)):
         c = SystemConfig(f_c_hz=f_c, n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
-        k = derive_constants(c)
-        exact = gain_uniform(n, c, k)
-        image = gain_uniform_integral(n, c, k)
+        exact = gain_uniform(n, c)
+        image = gain_uniform_integral(n, c)
         if delta_p == 0.5 and n_eff == 1.0:
-            assert abs(image - exact) <= 1e-9 * upper_bound_sum_uniform(n, c, k)
+            assert abs(image - exact) <= 1e-9 * upper_bound_sum_uniform(n, c)
         else:
             assert image == pytest.approx(exact, rel=1e-3), (f_c, n_eff, n)
 
@@ -136,31 +136,30 @@ def test_aliasing_rule_predicts_the_late_lobe():
     # d tan theta at N ~ 758 antennas; the exact gain's aliased lobe peaks at
     # N = 832, above every gain of the smaller layouts
     c = SystemConfig(delta_p=0.5, alpha_wg_db_per_m=0.0)
-    k = derive_constants(c)
     assert 1.0 / (c.n_eff + 1.0) < c.delta_p < 1.0 / c.n_eff
     sin_theta = 1.0 / c.delta_p - c.n_eff
     offset = c.d_m * sin_theta / math.sqrt(1.0 - sin_theta**2)
-    predicted = 2.0 * offset / (c.delta_p * k.wavelength)
+    predicted = 2.0 * offset / (c.delta_p * c.wavelength)
     assert 2 * round(predicted / 2) == 758
     counts = np.arange(2, 2001, 2)
-    gains = np.array([gain_uniform(int(n), c, k) for n in counts])
+    gains = np.array([gain_uniform(int(n), c) for n in counts])
     peak = int(counts[np.argmax(gains)])
     assert peak == 832
     assert predicted < peak
     assert gains[counts < predicted].max() < 0.5 * gains.max()
 
 
-def test_image_integral_failures_raise(cfg, consts):
+def test_image_integral_failures_raise(cfg):
     with pytest.raises(NumericsError):
-        gain_uniform_integral(100, cfg, consts, max_evals=1000)
+        gain_uniform_integral(100, cfg, max_evals=1000)
     # a zero tolerance asks two Gauss orders to agree to the last bit
     with pytest.raises(NumericsError):
-        gain_uniform_integral(100, cfg, consts, rel_tol=0.0)
+        gain_uniform_integral(100, cfg, rel_tol=0.0)
     with pytest.raises(ConfigError):
-        gain_uniform_integral(101, cfg, consts)
+        gain_uniform_integral(101, cfg)
 
 
-def test_bound_dominates_symmetric_gain(cfg, consts):
+def test_bound_dominates_symmetric_gain(cfg):
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 200:
@@ -169,38 +168,38 @@ def test_bound_dominates_symmetric_gain(cfg, consts):
         if np.any(np.diff(d) <= 0):
             continue
         checked += 1
-        assert gain_symmetric(d, cfg, consts) <= upper_bound_sum(d, cfg, consts) * (1 + 1e-9)
+        assert gain_symmetric(d, cfg) <= upper_bound_sum(d, cfg) * (1 + 1e-9)
 
 
-def test_minimal_spacing_maximizes_bound(cfg, consts):
+def test_minimal_spacing_maximizes_bound(cfg):
     # any offsets respecting the minimum spacing sit at or beyond the uniform
     # ones, so the phase-free bound of the uniform layout dominates
     rng = np.random.default_rng(31)
-    step = cfg.delta_p * consts.wavelength
+    step = cfg.delta_p * cfg.wavelength
     for _ in range(100):
         k = int(rng.integers(1, 30))
         gaps = step * (1.0 + rng.uniform(0.0, 2.0, size=k))
         deltas = np.cumsum(gaps) - gaps[0] + step / 2 * (1.0 + float(rng.uniform(0.0, 2.0)))
-        uniform_bound = upper_bound_sum_uniform(2 * k, cfg, consts)
-        assert upper_bound_sum(deltas, cfg, consts) <= uniform_bound * (1 + 1e-12)
+        uniform_bound = upper_bound_sum_uniform(2 * k, cfg)
+        assert upper_bound_sum(deltas, cfg) <= uniform_bound * (1 + 1e-12)
 
 
-def test_bound_single_pair_value(cfg, consts):
-    d1 = cfg.delta_p * consts.wavelength / 2
+def test_bound_single_pair_value(cfg):
+    d1 = cfg.delta_p * cfg.wavelength / 2
     r = math.sqrt(cfg.d_m**2 + d1**2)
-    assert upper_bound_sum([d1], cfg, consts) == pytest.approx(
-        consts.eta / 2 * (2 / r) ** 2, rel=1e-12
+    assert upper_bound_sum([d1], cfg) == pytest.approx(
+        cfg.eta / 2 * (2 / r) ** 2, rel=1e-12
     )
 
 
-def test_discrete_vs_closed_bound(cfg, consts):
-    assert upper_bound_sum_uniform(500, cfg, consts) == pytest.approx(
-        closed_bound_value(500, cfg, consts), rel=5e-3
+def test_discrete_vs_closed_bound(cfg):
+    assert upper_bound_sum_uniform(500, cfg) == pytest.approx(
+        closed_bound_value(500, cfg), rel=5e-3
     )
     for n in (100, 200, 1000, 5000):
         rel = abs(
-            upper_bound_sum_uniform(n, cfg, consts) - closed_bound_value(n, cfg, consts)
-        ) / closed_bound_value(n, cfg, consts)
+            upper_bound_sum_uniform(n, cfg) - closed_bound_value(n, cfg)
+        ) / closed_bound_value(n, cfg)
         assert rel <= 0.02
 
 
@@ -210,6 +209,31 @@ def test_fub_values():
     assert 0.9e-6 <= f_ub(1e-6) <= 1.1e-6
     with pytest.raises(ValueError):
         f_ub(0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: f_ub(NAN),
+    lambda cfg: f_ub(np.array([1.0, INF])),
+    lambda cfg: f_mc(NAN, 1.44),
+    lambda cfg: f_mc(np.array([0.5, INF]), 1.44),
+    lambda cfg: closed_bound_value(NAN, cfg),
+    lambda cfg: closed_bound_value(np.array([100.0, NAN]), cfg),
+    lambda cfg: gain_mc_two_closed(NAN, cfg),
+    lambda cfg: gain_mc_two_closed(np.array([0.01, INF]), cfg),
+    lambda cfg: gain_symmetric([NAN], cfg),
+    lambda cfg: gain_symmetric([0.1, INF], cfg),
+    lambda cfg: upper_bound_sum([0.1, NAN], cfg),
+    lambda cfg: upper_bound_sum([NAN, 0.1], cfg),
+], ids=["f_ub", "f_ub_inf", "f_mc", "f_mc_inf", "closed_bound", "closed_bound_array",
+        "mc_two_closed", "mc_two_closed_inf", "symmetric", "symmetric_inf",
+        "bound_sum_last", "bound_sum_first"])
+def test_non_finite_inputs_refused(cfg, call):
+    # a NaN or inf input is a ConfigError, never a NaN returned in silence
+    with pytest.raises(ConfigError):
+        call(cfg)
 
 
 def test_fub_derivative_matches_central_difference():
@@ -234,17 +258,16 @@ def test_find_xstar_bracket_failure():
         find_xstar(lo=4.0, hi=10.0)
 
 
-def test_optimal_antenna_number(cfg, consts):
-    n = optimal_antenna_number(cfg, consts)
+def test_optimal_antenna_number(cfg):
+    n = optimal_antenna_number(cfg)
     assert n % 2 == 0
     assert abs(n - 3721) <= 1
-    lam = consts.wavelength
+    lam = cfg.wavelength
     assert (n - 1) * cfg.delta_p * lam == pytest.approx(6.64 * cfg.d_m, rel=0.01)
 
     cfg1 = SystemConfig(d_m=1.0, alpha_wg_db_per_m=0.0)
-    c1 = derive_constants(cfg1)
-    n1 = optimal_antenna_number(cfg1, c1)
-    assert (n1 - 1) * cfg1.delta_p * c1.wavelength == pytest.approx(6.64, rel=0.01)
+    n1 = optimal_antenna_number(cfg1)
+    assert (n1 - 1) * cfg1.delta_p * cfg1.wavelength == pytest.approx(6.64, rel=0.01)
 
 
 @pytest.mark.parametrize(
@@ -258,63 +281,62 @@ def test_even_rounding(n_target, expected):
         f_c_hz=n_target * 0.5 * 299792458.0 / (2.0 * xstar * 3.0),
         alpha_wg_db_per_m=0.0,
     )
-    consts = derive_constants(cfg)
-    n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * consts.wavelength)
+    n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * cfg.wavelength)
     assert n_real == pytest.approx(n_target, abs=1e-9)
-    assert optimal_antenna_number(cfg, consts) == expected
+    assert optimal_antenna_number(cfg) == expected
 
 
-def test_max_gain_estimate(cfg, consts):
-    est = max_gain_estimate(cfg, consts)
+def test_max_gain_estimate(cfg):
+    est = max_gain_estimate(cfg)
     assert est == pytest.approx(9.99e-5, rel=5e-3)
     half = SystemConfig(delta_p=0.25, alpha_wg_db_per_m=0.0)
-    assert max_gain_estimate(half, consts) == pytest.approx(2 * est, rel=1e-12)
+    assert max_gain_estimate(half) == pytest.approx(2 * est, rel=1e-12)
     # delta_p = 1/2 is the smallest coupling-free spacing, so there the
     # estimate and the overall ceiling coincide
-    assert est == pytest.approx(gain_limit(cfg, consts), rel=1e-12)
+    assert est == pytest.approx(gain_limit(cfg), rel=1e-12)
 
 
-def test_gain_limit_scaling(cfg, consts):
-    lim = gain_limit(cfg, consts)
+def test_gain_limit_scaling(cfg):
+    lim = gain_limit(cfg)
     doubled = SystemConfig(d_m=6.0, alpha_wg_db_per_m=0.0)
-    assert gain_limit(doubled, derive_constants(doubled)) == pytest.approx(lim / 2, rel=1e-12)
+    assert gain_limit(doubled) == pytest.approx(lim / 2, rel=1e-12)
 
 
-def test_closed_bound_below_limit(cfg, consts):
-    lim = gain_limit(cfg, consts)
+def test_closed_bound_below_limit(cfg):
+    lim = gain_limit(cfg)
     ns = np.arange(2, 10001, 2)
     for dp in (0.5, 0.75, 1.0, 1.5, 2.0):
         c = SystemConfig(delta_p=dp, alpha_wg_db_per_m=0.0)
-        assert np.all(closed_bound_value(ns, c, consts) <= lim * (1 + 1e-9))
+        assert np.all(closed_bound_value(ns, c) <= lim * (1 + 1e-9))
 
 
-def test_closed_bound_unimodal(cfg, consts):
+def test_closed_bound_unimodal(cfg):
     ns = np.arange(2, 20001, 2)
-    vals = closed_bound_value(ns, cfg, consts)
+    vals = closed_bound_value(ns, cfg)
     peak = int(np.argmax(vals))
     assert 0 < peak < len(ns) - 1
     assert np.all(np.diff(vals[: peak + 1]) > 0)
     assert np.all(np.diff(vals[peak:]) < 0)
 
 
-def test_uniform_gain_eventually_small(cfg, consts):
-    nstar = optimal_antenna_number(cfg, consts)
-    assert gain_uniform(10**4, cfg, consts) < gain_uniform(nstar, cfg, consts) / 2
+def test_uniform_gain_eventually_small(cfg):
+    nstar = optimal_antenna_number(cfg)
+    assert gain_uniform(10**4, cfg) < gain_uniform(nstar, cfg) / 2
 
 
-def test_closed_bound_vanishes_at_huge_counts(cfg, consts):
+def test_closed_bound_vanishes_at_huge_counts(cfg):
     # the closed bound vanishes as the count grows; the measured ratio at
     # N = 1e6 is 0.0569 of the peak, and 4e6 is comfortably below 1/20
-    nstar = optimal_antenna_number(cfg, consts)
-    peak = closed_bound_value(nstar, cfg, consts)
-    assert closed_bound_value(1_000_000, cfg, consts) < 0.06 * peak
-    assert closed_bound_value(4_000_000, cfg, consts) < 0.05 * peak
+    nstar = optimal_antenna_number(cfg)
+    peak = closed_bound_value(nstar, cfg)
+    assert closed_bound_value(1_000_000, cfg) < 0.06 * peak
+    assert closed_bound_value(4_000_000, cfg) < 0.05 * peak
 
 
-def test_bound_report(cfg, consts):
-    rep = upper_bound_closed(200, cfg, consts)
+def test_bound_report(cfg):
+    rep = upper_bound_closed(200, cfg)
     assert rep.a_uni <= rep.a_hat_sum * (1 + 1e-9)
-    assert rep.eps == pytest.approx(consts.wavelength / cfg.d_m, rel=1e-15)
+    assert rep.eps == pytest.approx(cfg.wavelength / cfg.d_m, rel=1e-15)
     assert rep.l_eps == pytest.approx(200 * cfg.delta_p * rep.eps / 2, rel=1e-15)
     assert min(rep.a_uni, rep.a_hat_sum, rep.a_hat_closed) >= 0
     with pytest.raises(NumericsError):

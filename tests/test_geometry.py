@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,42 +9,52 @@ from passgain.geometry import (
     SPEED_OF_LIGHT,
     AntennaLayout,
     SystemConfig,
-    derive_constants,
     load_scenario,
     resolve_feed,
     symmetric_uniform_layout,
 )
 
 
-def test_wavelength_at_28ghz(consts):
+def test_wavelength_at_28ghz(cfg):
     # c / f_c by hand calculator
-    assert consts.wavelength == pytest.approx(1.070687e-2, rel=1e-6)
+    assert cfg.wavelength == pytest.approx(1.070687e-2, rel=1e-6)
 
 
-def test_eta_at_28ghz(consts):
+def test_eta_at_28ghz(cfg):
     # (wavelength / 4 pi)^2 by hand calculator
-    assert consts.eta == pytest.approx(7.26e-7, rel=1e-3)
+    assert cfg.eta == pytest.approx(7.26e-7, rel=1e-3)
 
 
-def test_constant_identities(cfg, consts):
-    assert consts.lambda_g * cfg.n_eff == pytest.approx(consts.wavelength, rel=1e-15)
-    assert consts.k0 * consts.wavelength == pytest.approx(2.0 * math.pi, rel=1e-15)
-    assert consts.eta == pytest.approx(
+def test_constant_identities(cfg):
+    assert cfg.lambda_g * cfg.n_eff == pytest.approx(cfg.wavelength, rel=1e-15)
+    assert cfg.k0 * cfg.wavelength == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert cfg.eta == pytest.approx(
         SPEED_OF_LIGHT**2 / (16 * math.pi**2 * cfg.f_c_hz**2), rel=1e-12
     )
 
 
 def test_derive_constants_pure(cfg):
-    a = derive_constants(cfg)
-    b = derive_constants(cfg)
-    assert (a.wavelength, a.k0, a.lambda_g, a.eta) == (b.wavelength, b.k0, b.lambda_g, b.eta)
+    # the constants follow from the scenario alone: a config built from the
+    # same fields carries the same ones, replace() recomputes them, and they
+    # can be neither passed in nor replaced, nor do they show in repr or ==
+    twin = SystemConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init})
+    assert (twin.wavelength, twin.k0, twin.lambda_g, twin.eta) == (
+        cfg.wavelength, cfg.k0, cfg.lambda_g, cfg.eta)
+    assert replace(cfg, f_c_hz=2 * cfg.f_c_hz).wavelength == cfg.wavelength / 2
+    assert replace(cfg, n_eff=2.0).lambda_g == cfg.wavelength / 2
+    with pytest.raises(TypeError):
+        SystemConfig(eta=1.0)
+    with pytest.raises(ValueError):
+        replace(cfg, wavelength=1.0)
+    assert "wavelength" not in repr(cfg)
+    assert repr(twin) == repr(cfg) and twin == cfg
 
 
 @pytest.mark.parametrize("f_c_hz", [1e-300, 1e-150])
 def test_carrier_beyond_the_float_range_names_f_c_hz(f_c_hz):
     # the wavelength (1e-300 Hz) or eta (1e-150 Hz) leaves the float range
     with pytest.raises(ConfigError, match="f_c_hz"):
-        derive_constants(SystemConfig(f_c_hz=f_c_hz))
+        SystemConfig(f_c_hz=f_c_hz)
 
 
 @pytest.mark.parametrize(
@@ -62,8 +72,8 @@ def test_two_antenna_layout_straddles_user(cfg):
     assert lay.center == cfg.x_u_m
 
 
-def test_four_antenna_offsets(cfg, consts):
-    spacing = cfg.delta_p * consts.wavelength
+def test_four_antenna_offsets(cfg):
+    spacing = cfg.delta_p * cfg.wavelength
     lay = symmetric_uniform_layout(cfg, 4, spacing)
     deltas = lay.deltas()
     # outer antenna sits 1.5 spacings out
@@ -155,7 +165,7 @@ def test_load_scenario_defaults_and_explicit_feed(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["unknown = 1\n", "f_c_hz = 1e9\nf_c_hz = 2e9\n", "f_c_hz 1e9\n", "d_m = three\n"],
+    ["unknown = 1\n", "eta = 1e-6\n", "f_c_hz = 1e9\nf_c_hz = 2e9\n", "f_c_hz 1e9\n", "d_m = three\n"],
 )
 def test_load_scenario_rejects_bad_files(tmp_path, text):
     f = tmp_path / "scenario.cfg"

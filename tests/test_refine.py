@@ -8,7 +8,7 @@ from passgain import refine
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_uniform, uniform_deltas, upper_bound_sum
-from passgain.geometry import SystemConfig, derive_constants
+from passgain.geometry import SystemConfig
 from passgain.refine import build_refined_layout, combined_path, refined_half_deltas
 
 # ------------------------------------------------ per-antenna recurrence
@@ -19,56 +19,56 @@ from passgain.refine import build_refined_layout, combined_path, refined_half_de
 
 
 @np.errstate(**refine._QUIET)
-def target_path(delta_n, cfg, consts):
+def target_path(delta_n, cfg):
     """Next wavelength multiple at or above the combined path (right side)."""
     if delta_n < 0:
         raise ConfigError("right-side offsets must be >= 0")
-    return consts.wavelength * refine._lattice_index(delta_n, cfg, consts, "right")
+    return cfg.wavelength * refine._lattice_index(delta_n, cfg, "right")
 
 
 @np.errstate(**refine._QUIET)
-def target_path_left(delta_n, cfg, consts):
+def target_path_left(delta_n, cfg):
     """Next wavelength multiple at or below the combined path (left side)."""
     if delta_n < 0:
         raise ConfigError("left-side offsets must be >= 0")
-    return consts.wavelength * refine._lattice_index(delta_n, cfg, consts, "left")
+    return cfg.wavelength * refine._lattice_index(delta_n, cfg, "left")
 
 
-def _check_residual(delta, target, cfg, consts, where):
-    miss = combined_path(delta, cfg, consts) - target
+def _check_residual(delta, target, cfg, where):
+    miss = combined_path(delta, cfg) - target
     if not abs(miss) <= refine._path_tolerance(delta, cfg):
         raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
 
 
 @np.errstate(**refine._QUIET)
-def refine_shift(delta_n, cfg, consts):
+def refine_shift(delta_n, cfg):
     """Outward shift aligning a right-side antenna: closed-form solution of
     sqrt(d^2 + (delta+v)^2) + n_eff (delta+v) = target."""
-    d_n = target_path(delta_n, cfg, consts)
+    d_n = target_path(delta_n, cfg)
     v = max(0.0, refine._root(d_n, cfg, "right") - delta_n)
-    _check_residual(delta_n + v, d_n, cfg, consts, "refine_shift")
+    _check_residual(delta_n + v, d_n, cfg, "refine_shift")
     return v
 
 
 @np.errstate(**refine._QUIET)
-def refine_shift_left(delta_n, cfg, consts):
+def refine_shift_left(delta_n, cfg):
     """Outward (leftward) shift aligning a left-side antenna: solves
     sqrt(d^2 + (delta+w)^2) - n_eff (delta+w) = target."""
-    t = target_path_left(delta_n, cfg, consts)
+    t = target_path_left(delta_n, cfg)
     u = refine._root(t, cfg, "left")
     if not np.isfinite(u):
         raise NumericsError(f"left-side targets are exhausted (no offset has path {t:.3e} m)")
     w = max(0.0, u - delta_n)
-    _check_residual(-(delta_n + w), t, cfg, consts, "refine_shift_left")
+    _check_residual(-(delta_n + w), t, cfg, "refine_shift_left")
     return w
 
 
-def bisect_shift(delta, target, cfg, consts, sign=1.0, hi=None):
+def bisect_shift(delta, target, cfg, sign=1.0, hi=None):
     """Oracle: root of the combined-path equation by plain bisection."""
-    f = lambda v: combined_path(sign * (delta + v), cfg, consts) - target
+    f = lambda v: combined_path(sign * (delta + v), cfg) - target
     lo = 0.0
     if hi is None:
-        hi = consts.wavelength if sign > 0 else consts.wavelength / (cfg.n_eff - 1) * 1.01
+        hi = cfg.wavelength if sign > 0 else cfg.wavelength / (cfg.n_eff - 1) * 1.01
     assert f(lo) * f(hi) <= 0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -79,117 +79,116 @@ def bisect_shift(delta, target, cfg, consts, sign=1.0, hi=None):
     return 0.5 * (lo + hi)
 
 
-def test_target_path_quarter_wavelength(cfg, consts):
-    lam = consts.wavelength
-    d1 = target_path(0.25 * lam, cfg, consts)
+def test_target_path_quarter_wavelength(cfg):
+    lam = cfg.wavelength
+    d1 = target_path(0.25 * lam, cfg)
     assert d1 / lam == pytest.approx(281.0, abs=1e-9)
     assert d1 == pytest.approx(3.00863, rel=1e-5)
 
 
-def test_target_path_ceiling_bounds(cfg, consts):
+def test_target_path_ceiling_bounds(cfg):
     rng = np.random.default_rng(3)
-    lam = consts.wavelength
+    lam = cfg.wavelength
     for delta in rng.uniform(0.0, 5.0, size=200):
-        p = combined_path(delta, cfg, consts)
-        d_n = target_path(float(delta), cfg, consts)
+        p = combined_path(delta, cfg)
+        d_n = target_path(float(delta), cfg)
         assert d_n >= p - 1e-9
         assert d_n - p < lam
 
 
-def test_refine_shift_quarter_wavelength(cfg, consts):
-    lam = consts.wavelength
-    v = refine_shift(0.25 * lam, cfg, consts)
+def test_refine_shift_quarter_wavelength(cfg):
+    lam = cfg.wavelength
+    v = refine_shift(0.25 * lam, cfg)
     assert v == pytest.approx(3.313e-3, rel=1e-3)
-    oracle = bisect_shift(0.25 * lam, target_path(0.25 * lam, cfg, consts), cfg, consts)
+    oracle = bisect_shift(0.25 * lam, target_path(0.25 * lam, cfg), cfg)
     assert v == pytest.approx(oracle, abs=1e-9)
 
 
-def test_refine_shift_against_bisection(cfg, consts):
+def test_refine_shift_against_bisection(cfg):
     rng = np.random.default_rng(17)
     for delta in rng.uniform(0.0, 4.0, size=100):
-        v = refine_shift(float(delta), cfg, consts)
-        target = target_path(float(delta), cfg, consts)
-        assert v == pytest.approx(bisect_shift(float(delta), target, cfg, consts), abs=1e-9)
-        assert 0.0 <= v <= consts.wavelength
+        v = refine_shift(float(delta), cfg)
+        target = target_path(float(delta), cfg)
+        assert v == pytest.approx(bisect_shift(float(delta), target, cfg), abs=1e-9)
+        assert 0.0 <= v <= cfg.wavelength
 
 
-def test_refine_shift_left_against_bisection(cfg, consts):
+def test_refine_shift_left_against_bisection(cfg):
     rng = np.random.default_rng(18)
     for delta in rng.uniform(0.0, 4.0, size=100):
-        w = refine_shift_left(float(delta), cfg, consts)
-        target = target_path_left(float(delta), cfg, consts)
+        w = refine_shift_left(float(delta), cfg)
+        target = target_path_left(float(delta), cfg)
         assert w == pytest.approx(
-            bisect_shift(float(delta), target, cfg, consts, sign=-1.0), abs=1e-9
+            bisect_shift(float(delta), target, cfg, sign=-1.0), abs=1e-9
         )
-        assert 0.0 <= w <= consts.wavelength / (cfg.n_eff - 1.0) + 1e-9
+        assert 0.0 <= w <= cfg.wavelength / (cfg.n_eff - 1.0) + 1e-9
 
 
-def test_exact_multiple_needs_no_shift(cfg, consts):
+def test_exact_multiple_needs_no_shift(cfg):
     # construct an offset whose combined path is already a wavelength multiple
-    lam = consts.wavelength
+    lam = cfg.wavelength
     d_n = 285.0 * lam
     ne, d = cfg.n_eff, cfg.d_m
     u = (d_n * ne - math.sqrt(d_n**2 + d**2 * (ne**2 - 1.0))) / (ne**2 - 1.0)
-    assert combined_path(u, cfg, consts) == pytest.approx(d_n, abs=1e-9)
-    assert refine_shift(u, cfg, consts) == 0.0
+    assert combined_path(u, cfg) == pytest.approx(d_n, abs=1e-9)
+    assert refine_shift(u, cfg) == 0.0
 
 
-def test_unit_index_branch(consts):
+def test_unit_index_branch():
     # synthetic n_eff = 1 case, verified against the same bisection oracle
     cfg1 = SystemConfig(n_eff=1.0, alpha_wg_db_per_m=0.0)
-    c1 = derive_constants(cfg1)
     rng = np.random.default_rng(29)
     for delta in rng.uniform(0.0, 2.0, size=50):
-        v = refine_shift(float(delta), cfg1, c1)
-        target = target_path(float(delta), cfg1, c1)
+        v = refine_shift(float(delta), cfg1)
+        target = target_path(float(delta), cfg1)
         # closed form for n_eff = 1: (d_n^2 - d^2) / (2 d_n) - delta
         explicit = (target**2 - cfg1.d_m**2) / (2.0 * target) - float(delta)
         assert v == pytest.approx(max(0.0, explicit), abs=1e-12)
-        assert v == pytest.approx(bisect_shift(float(delta), target, cfg1, c1), abs=1e-9)
+        assert v == pytest.approx(bisect_shift(float(delta), target, cfg1), abs=1e-9)
 
 
-def test_refined_layout_paths_are_wavelength_multiples(cfg, consts):
-    lam = consts.wavelength
+def test_refined_layout_paths_are_wavelength_multiples(cfg):
+    lam = cfg.wavelength
     for n in (2, 10, 100, 200):
-        rl = build_refined_layout(n, cfg, consts)
+        rl = build_refined_layout(n, cfg)
         for x, target in zip(rl.layout.positions, rl.targets):
-            p = combined_path(x - cfg.x_u_m, cfg, consts)
+            p = combined_path(x - cfg.x_u_m, cfg)
             assert abs(p - lam * round(p / lam)) <= 1e-9
             assert p == pytest.approx(target, abs=1e-9)
         # phase coherence in radians
         for x in rl.layout.positions:
-            p = combined_path(x - cfg.x_u_m, cfg, consts)
-            phase = consts.k0 * p
+            p = combined_path(x - cfg.x_u_m, cfg)
+            phase = cfg.k0 * p
             err = abs(phase - 2 * math.pi * round(phase / (2 * math.pi)))
             assert err <= 1e-6
 
 
-def test_refined_beats_uniform_everywhere(cfg, consts):
+def test_refined_beats_uniform_everywhere(cfg):
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, cfg, consts)
-        a_ref = array_gain_exact(rl.layout, cfg, consts, alpha_wg=0.0)
-        assert a_ref >= gain_uniform(n, cfg, consts)
+        rl = build_refined_layout(n, cfg)
+        a_ref = array_gain_exact(rl.layout, cfg, alpha_wg=0.0)
+        assert a_ref >= gain_uniform(n, cfg)
 
 
-def test_refined_tracks_phase_free_bound(cfg, consts):
+def test_refined_tracks_phase_free_bound(cfg):
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, cfg, consts)
+        rl = build_refined_layout(n, cfg)
         half = np.asarray(rl.layout.positions[n // 2 :]) - cfg.x_u_m
-        bound = upper_bound_sum(half, cfg, consts)
-        a_ref = array_gain_exact(rl.layout, cfg, consts, alpha_wg=0.0)
+        bound = upper_bound_sum(half, cfg)
+        a_ref = array_gain_exact(rl.layout, cfg, alpha_wg=0.0)
         assert a_ref >= 0.90 * bound
 
 
-def test_refined_spacing_preserved(cfg, consts):
-    lam = consts.wavelength
-    rl = build_refined_layout(120, cfg, consts)
+def test_refined_spacing_preserved(cfg):
+    lam = cfg.wavelength
+    rl = build_refined_layout(120, cfg)
     gaps = np.diff(rl.layout.positions)
     assert gaps.min() >= cfg.delta_p * lam - 1e-12
 
 
-def test_shift_magnitudes_and_running_sum(cfg, consts):
-    lam = consts.wavelength
-    rl = build_refined_layout(200, cfg, consts)
+def test_shift_magnitudes_and_running_sum(cfg):
+    lam = cfg.wavelength
+    rl = build_refined_layout(200, cfg)
     shifts = np.asarray(rl.shifts)
     assert np.all(shifts >= 0.0)
     assert np.all(shifts <= lam)
@@ -200,13 +199,13 @@ def test_shift_magnitudes_and_running_sum(cfg, consts):
     assert np.all(left <= lam / (cfg.n_eff - 1.0) + 1e-12)
 
 
-def test_sequential_construction_prefix_stable(cfg, consts):
+def test_sequential_construction_prefix_stable(cfg):
     # offsets for a small array are the prefix of a larger one
-    d20, _, _ = refined_half_deltas(20, cfg, consts, side="right")
-    d100, _, _ = refined_half_deltas(100, cfg, consts, side="right")
+    d20, _, _ = refined_half_deltas(20, cfg, side="right")
+    d100, _, _ = refined_half_deltas(100, cfg, side="right")
     assert np.array_equal(d20, d100[:20])
-    l20, _, _ = refined_half_deltas(20, cfg, consts, side="left")
-    l100, _, _ = refined_half_deltas(100, cfg, consts, side="left")
+    l20, _, _ = refined_half_deltas(20, cfg, side="left")
+    l100, _, _ = refined_half_deltas(100, cfg, side="left")
     assert np.array_equal(l20, l100[:20])
 
 
@@ -219,61 +218,59 @@ def test_refined_prefix_and_uniform_floor(n_eff, side):
     # the uniform offset of its index
     for delta_p in (0.3, 0.5, 1.0, 2.0, 3.7):
         cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
-        consts = derive_constants(cfg)
-        walk = refined_half_deltas(3000, cfg, consts, side=side)
+        walk = refined_half_deltas(3000, cfg, side=side)
         full = walk[0]
         for m in (1, 2, 17, 640, 2999):
-            assert np.array_equal(refined_half_deltas(m, cfg, consts, side=side)[0], full[:m])
-            cut = refined_half_deltas(3000, cfg, consts, side=side, reach=full[m - 1])
+            assert np.array_equal(refined_half_deltas(m, cfg, side=side)[0], full[:m])
+            cut = refined_half_deltas(3000, cfg, side=side, reach=full[m - 1])
             assert all(np.array_equal(a, b[:m + 1]) for a, b in zip(cut, walk))
-        assert np.all(full >= uniform_deltas(6000, cfg, consts))
+        assert np.all(full >= uniform_deltas(6000, cfg))
 
 
 def test_walk_to_a_reach_leaves_out_the_targets_beyond_it():
     # with n_eff = 1 the left path sqrt(d^2 + delta^2) - delta tends to 0, and
     # at delta_p = 0.3 the left targets run out at antenna 281, 52 m out
     cfg = SystemConfig(n_eff=1.0, delta_p=0.3)
-    consts = derive_constants(cfg)
     with pytest.raises(NumericsError, match="exhausted at antenna 281"):
-        refined_half_deltas(5000, cfg, consts, side="left")
-    walk = refined_half_deltas(280, cfg, consts, side="left")
-    cut = refined_half_deltas(5000, cfg, consts, side="left", reach=45.0)
+        refined_half_deltas(5000, cfg, side="left")
+    walk = refined_half_deltas(280, cfg, side="left")
+    cut = refined_half_deltas(5000, cfg, side="left", reach=45.0)
     m = cut[0].size
     assert walk[0][m - 2] <= 45.0 < walk[0][m - 1]
     assert all(np.array_equal(a, b[:m]) for a, b in zip(cut, walk))
     with pytest.raises(NumericsError, match="exhausted at antenna 281"):
-        refined_half_deltas(5000, cfg, consts, side="left", reach=walk[0][-1])
+        refined_half_deltas(5000, cfg, side="left", reach=walk[0][-1])
 
 
-def test_build_refined_layout_validation(cfg, consts):
+def test_build_refined_layout_validation(cfg):
     with pytest.raises(ConfigError):
-        build_refined_layout(3, cfg, consts)
+        build_refined_layout(3, cfg)
     with pytest.raises(ConfigError):
-        build_refined_layout(0, cfg, consts)
+        build_refined_layout(0, cfg)
 
 
 # ------------------------------------------------------------- lattice walk
 
 
-def sequential_half_deltas(n_half, cfg, consts, side):
+def sequential_half_deltas(n_half, cfg, side):
     """Oracle: the per-antenna recurrence the lattice walk replaced, built from
     the per-antenna functions above.  Returns (deltas, shifts, targets) of
     the antennas refined before the first NumericsError, and the number of
     antennas refined (n_half when none was raised)."""
     shift_fn, sign = (refine_shift, 1.0) if side == "right" else (refine_shift_left, -1.0)
-    lam = consts.wavelength
+    lam = cfg.wavelength
     step = cfg.delta_p * lam
     deltas, shifts, targets = [], [], []
     delta = step / 2.0
     for _ in range(n_half):
         try:
-            v = shift_fn(delta, cfg, consts)
+            v = shift_fn(delta, cfg)
         except NumericsError:
             break
         delta += v
         deltas.append(delta)
         shifts.append(v)
-        targets.append(lam * round(combined_path(sign * delta, cfg, consts) / lam))
+        targets.append(lam * round(combined_path(sign * delta, cfg) / lam))
         delta += step
     return np.array(deltas), np.array(shifts), np.array(targets), len(deltas)
 
@@ -288,16 +285,15 @@ def test_lattice_walk_matches_sequential_recurrence(n_eff, side):
     raised = 0
     for delta_p in (0.1, 0.5, 1.0, 1.5, 2.0, 7.3):
         cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
-        consts = derive_constants(cfg)
-        *expected, refined = sequential_half_deltas(max(N_HALVES), cfg, consts, side)
+        *expected, refined = sequential_half_deltas(max(N_HALVES), cfg, side)
         edge = {refined, refined + 1} - {0} if refined < max(N_HALVES) else set()
         for n_half in sorted({*N_HALVES, *edge}):
             if refined < n_half:
                 raised += 1
                 with pytest.raises(NumericsError, match="exhausted" if side == "left" else ""):
-                    refined_half_deltas(n_half, cfg, consts, side=side)
+                    refined_half_deltas(n_half, cfg, side=side)
                 continue
-            got = refined_half_deltas(n_half, cfg, consts, side=side)
+            got = refined_half_deltas(n_half, cfg, side=side)
             for a, b in zip(got, expected):
                 assert np.array_equal(a, b[:n_half])
     # with n_eff = 1 the left path falls below one wavelength after 128-280
@@ -310,10 +306,9 @@ def test_lattice_walk_keeps_the_sequential_rounding():
     # setting delta = u(j) directly, instead of seed + (u(j) - seed), is one
     # ulp off at the first antenna here
     cfg = SystemConfig(n_eff=1.1, delta_p=0.1, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    deltas, _, targets = refined_half_deltas(7, cfg, consts, side="left")
+    deltas, _, targets = refined_half_deltas(7, cfg, side="left")
     assert deltas[0] != refine._root(targets[0], cfg, "left")
-    assert np.array_equal(deltas, sequential_half_deltas(7, cfg, consts, "left")[0])
+    assert np.array_equal(deltas, sequential_half_deltas(7, cfg, "left")[0])
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -322,13 +317,12 @@ def test_lattice_walk_seed_within_snap_of_a_multiple(side):
     # multiple, so its path is within the 1e-9 m snap: that antenna keeps its
     # seed (shift 0), which lies off the root u(j)
     base = SystemConfig(alpha_wg_db_per_m=0.0)
-    consts = derive_constants(base)
-    lam = consts.wavelength
+    lam = base.wavelength
     j = 290 if side == "right" else 270
     cfg = replace(base, delta_p=2.0 * (refine._root(j * lam, base, side) + 2e-10) / lam)
-    deltas, shifts, targets = refined_half_deltas(200, cfg, consts, side=side)
+    deltas, shifts, targets = refined_half_deltas(200, cfg, side=side)
     assert shifts[0] == 0.0 and targets[0] == j * lam
-    for a, b in zip((deltas, shifts, targets), sequential_half_deltas(200, cfg, consts, side)):
+    for a, b in zip((deltas, shifts, targets), sequential_half_deltas(200, cfg, side)):
         assert np.array_equal(a, b)
 
 
@@ -340,12 +334,11 @@ def test_lattice_walk_matches_sequential_recurrence_at_huge_spacing(delta_p, sid
     # unshifted ones too; the successor of an unshifted antenna must come from
     # its seed, not from the root its index calls for
     cfg = SystemConfig(delta_p=delta_p, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    *expected, refined = sequential_half_deltas(1500, cfg, consts, side)
+    *expected, refined = sequential_half_deltas(1500, cfg, side)
     assert refined == 1500
-    for a, b in zip(refined_half_deltas(1500, cfg, consts, side=side), expected):
+    for a, b in zip(refined_half_deltas(1500, cfg, side=side), expected):
         assert np.array_equal(a, b)
-    shifts, inc = expected[1], np.diff(np.round(expected[2] / consts.wavelength))
+    shifts, inc = expected[1], np.diff(np.round(expected[2] / cfg.wavelength))
     run_ends_unshifted = (shifts[1:-1] == 0.0) & (inc[1:] != inc[:-1])
     if delta_p == 1e6:
         assert np.sum(shifts == 0.0) > 200 and run_ends_unshifted.any()
@@ -358,23 +351,22 @@ def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
     # 3,700; the walk must stop at the same antenna however its passes fall,
     # not round past 2**53 where index and successor agree by accident
     cfg = SystemConfig(delta_p=1e12, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    deltas, shifts, targets, _ = sequential_half_deltas(3700, cfg, consts, "right")
-    last = int(np.argmax(np.abs(targets / consts.wavelength) >= 2.0**53))
+    deltas, shifts, targets, _ = sequential_half_deltas(3700, cfg, "right")
+    last = int(np.argmax(np.abs(targets / cfg.wavelength) >= 2.0**53))
     assert last > 3000
     # the oracle's targets round paths whose ulp is a sizeable part of a
     # wavelength, so only its offsets and shifts are exact here
-    for a, b in zip(refined_half_deltas(last - 1, cfg, consts, side="right"), (deltas, shifts)):
+    for a, b in zip(refined_half_deltas(last - 1, cfg, side="right"), (deltas, shifts)):
         assert np.array_equal(a, b[:last - 1])
     for n_half in (last, last + 1, last + 2, last + 9, last + 100, 5000):
         with pytest.raises(NumericsError, match=f"right-side antenna {last}: .*no finite"):
-            refined_half_deltas(n_half, cfg, consts, side="right")
+            refined_half_deltas(n_half, cfg, side="right")
 
 
 def test_walk_rejects_non_finite_lattice_index():
     cfg = SystemConfig(d_m=1e300)
     with pytest.raises(NumericsError, match="lattice index"):
-        refined_half_deltas(10, cfg, derive_constants(cfg), side="right")
+        refined_half_deltas(10, cfg, side="right")
 
 
 # ------------------------------------------------------------ stable roots
@@ -383,42 +375,39 @@ def test_walk_rejects_non_finite_lattice_index():
 @pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-12, 1.0000001, 1.001, 1.44, 2.0])
 def test_roots_hold_the_path_near_unit_index(n_eff):
     cfg = SystemConfig(n_eff=n_eff, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    lam = consts.wavelength
+    lam = cfg.wavelength
     j = np.arange(1, 20001)
     right = cfg.d_m + lam * j
     u = refine._root(right, cfg, "right")
-    assert np.max(np.abs(combined_path(u, cfg, consts) - right)) <= 1e-12
+    assert np.max(np.abs(combined_path(u, cfg) - right)) <= 1e-12
     left = cfg.d_m * j / j.size  # targets in (0, d]
     u = refine._root(left, cfg, "left")
-    assert np.max(np.abs(combined_path(-u, cfg, consts) - left)) <= 1e-12
+    assert np.max(np.abs(combined_path(-u, cfg) - left)) <= 1e-12
 
 
 def test_left_root_at_negative_target():
     # the rationalized left form is 0/0 at t = -d; the direct one holds t <= 0
     cfg = SystemConfig(alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
     t = -cfg.d_m * (1.0 + 1e-9)
     u = refine._root(t, cfg, "left")
-    assert abs(combined_path(-u, cfg, consts) - t) <= 1e-12
+    assert abs(combined_path(-u, cfg) - t) <= 1e-12
 
 
 def test_nearly_unit_index_refines_both_sides():
     cfg = SystemConfig(n_eff=1.0000001, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    deltas, _, targets = refined_half_deltas(3000, cfg, consts, side="right")
-    assert np.max(np.abs(combined_path(deltas, cfg, consts) - targets)) <= 1e-9
+    deltas, _, targets = refined_half_deltas(3000, cfg, side="right")
+    assert np.max(np.abs(combined_path(deltas, cfg) - targets)) <= 1e-9
     # left: every antenna with a positive target refines; past them the walk
     # runs through chains of unshifted antennas out to 8e7 m, like the
     # recurrence.  There float64 cannot hold 1e-9 m: the paths hit their
     # targets to within 4 ulp of their terms instead
-    *expected, refined = sequential_half_deltas(3000, cfg, consts, "left")
+    *expected, refined = sequential_half_deltas(3000, cfg, "left")
     assert refined == 3000
     assert np.sum(expected[2] > 0.0) > 250 and np.any(np.diff(expected[2]) == 0.0)
-    deltas, shifts, targets = refined_half_deltas(3000, cfg, consts, side="left")
+    deltas, shifts, targets = refined_half_deltas(3000, cfg, side="left")
     for a, b in zip((deltas, shifts, targets), expected):
         assert np.array_equal(a, b)
-    miss = np.abs(combined_path(-deltas, cfg, consts) - targets)
+    miss = np.abs(combined_path(-deltas, cfg) - targets)
     terms = np.hypot(cfg.d_m, deltas) + cfg.n_eff * deltas
     assert deltas[-1] > 8e7 and np.max(miss) > 1e-9
     assert np.all(miss <= np.maximum(1e-9, 4 * np.spacing(terms)))
@@ -429,10 +418,9 @@ def test_path_check_at_huge_spacing_is_float_resolution(side):
     # at 1e6 wavelengths the paths reach 1e7 m, whose ulp is about 1.9e-9 m:
     # the walk is held to 4 ulp of the path's terms, not to the 1e-9 m snap
     cfg = SystemConfig(delta_p=1e6, alpha_wg_db_per_m=0.0)
-    consts = derive_constants(cfg)
-    deltas, _, targets = refined_half_deltas(600, cfg, consts, side=side)
+    deltas, _, targets = refined_half_deltas(600, cfg, side=side)
     sign = 1.0 if side == "right" else -1.0
-    miss = np.abs(combined_path(sign * deltas, cfg, consts) - targets)
+    miss = np.abs(combined_path(sign * deltas, cfg) - targets)
     terms = np.hypot(cfg.d_m, deltas) + cfg.n_eff * deltas
     assert np.max(miss) > 1e-9
     assert np.all(miss <= 4 * np.spacing(terms))
