@@ -33,7 +33,6 @@ from the user.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -43,7 +42,7 @@ import numpy as np
 
 from .channel import gain_at_offsets
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, resolve_feed, symmetric_offsets
+from .geometry import SystemConfig, check_antenna_count, resolve_feed, symmetric_offsets
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -170,14 +169,15 @@ def _phasor_gains(phasors, cfg, alpha):
 
 def _layouts(m_max, cfg, reach=np.inf):
     """:func:`_pair_phasors` of the uniform and the refined layout with
-    ``m_max`` antenna pairs, keyed by layout kind; the refined one ends at
-    its first pair whose left offset exceeds ``reach``, if that comes sooner."""
+    ``m_max`` antenna pairs, keyed by layout kind; each ends at its first pair
+    whose left offset exceeds ``reach``, if that comes sooner."""
     from . import gain, refine
     half = gain.uniform_deltas(2 * m_max, cfg)
-    try:
-        d_left, _, _ = refine.refined_half_deltas(m_max, cfg, side="left", reach=reach)
-    except NumericsError:  # name a failing right side first, as a walk of both to m_max does
-        refine.refined_half_deltas(m_max, cfg, side="right")
+    half = half[:np.searchsorted(half, reach, side="right") + 1]
+    try:  # refinement only widens gaps, so it reaches past `reach` within half.size pairs
+        d_left, _, _ = refine.refined_half_deltas(half.size, cfg, side="left", reach=reach)
+    except NumericsError:  # name a failing right side first, as a walk of both does
+        refine.refined_half_deltas(half.size, cfg, side="right")
         raise
     d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, side="right")
     return {"uniform": _pair_phasors(half, half, cfg),
@@ -320,10 +320,7 @@ def run_maxgain_vs_spacing(
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
-        # the layouts stop at the longest feed run, as the module docstring says
-        within = np.searchsorted(gain.uniform_deltas(2 * m_max, cfg_dp),
-                                 runs[-1], side="right")
-        layouts = _layouts(min(m_max, int(within) + 1), cfg_dp, reach=runs[-1])
+        layouts = _layouts(m_max, cfg_dp, reach=runs[-1])  # as the module docstring says
         caps = {}
         for kind, ph in layouts.items():
             # a draw may use the first `cap` pairs: those left of its
@@ -355,8 +352,7 @@ def run_maxgain_vs_spacing(
 
         points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp)))
 
-    # the single-antenna baselines do not depend on the spacing; they come
-    # last, as the refinement reports a d_m beyond float64 before d_m**2 overflows
+    # the single-antenna baselines do not depend on the spacing
     fluid_reach = FLUID_RANGE_WAVELENGTHS * cfg.wavelength
     fluid1 = np.full(trials, cfg.eta / cfg.d_m**2)
     fluid2 = cfg.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
@@ -385,18 +381,10 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     if not n_values:
         raise ConfigError("antenna-count list must be non-empty")
     for n in n_values:
+        check_antenna_count(n, "every n_list entry")
         _check_size("coupling-matrix entries", n * n)
     from . import coupling
-    try:
-        d2 = cfg.d_m**2
-    except OverflowError:
-        d2 = math.inf
-    # the analytic rows: N eta / d^2 at zero spacing, and the closed form for
-    # N = 2, whose denominator is at most 2 (d^2 + wavelength^2 / 4)
-    if not (2.0 * d2 + cfg.wavelength * cfg.wavelength / 2.0 < math.inf
-            and cfg.eta / d2 >= sys.float_info.min):
-        raise ConfigError(f"d_m = {cfg.d_m:g} is too large for float64: the analytic "
-                          f"rows eta / d_m^2 leave its normal range")
+    d2 = cfg.d_m**2
     count = _grid_count(1.0 - DELTA_MIN_WL, step)
     xs = DELTA_MIN_WL + step * np.arange(0, count + 1)
     xs = xs[xs <= 1.0 + 1e-12]

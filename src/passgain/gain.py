@@ -10,20 +10,24 @@ Dropping all phases gives the triangle-inequality upper bound
 ``(eta / N) (sum_n 2 / r_n)^2``; for uniform spacing this bound has the closed
 form ``2 eta f_ub(L) / (delta_p d^2 eps)`` with ``eps = wavelength / d``,
 ``L = N delta_p eps / 2`` and ``f_ub(x) = asinh(x)^2 / x``.  The bound is
-maximized at ``x* ~ 3.32`` where ``f_ub(x*) ~ 1.105``, which pins down the
-optimal antenna count and the overall gain ceiling.
+maximized at x*, the exact root of ``2x / sqrt(1 + x^2) = asinh(x)`` (held as
+:data:`XSTAR`, the float nearest it), where ``f_ub(x*) ~ 1.105``, which pins
+down the optimal antenna count and the overall gain ceiling.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig
+from .geometry import SystemConfig, check_antenna_count
+
+# The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
+# 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
+XSTAR = 3.3198263863951483
 
 
 def _check_half_deltas(deltas: np.ndarray) -> None:
@@ -48,8 +52,7 @@ def gain_symmetric(deltas, cfg: SystemConfig) -> float:
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
     """Positive-side offsets (k - 1/2) * delta_p * wavelength for k = 1..n/2."""
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    check_antenna_count(n)
     k = np.arange(1, n // 2 + 1, dtype=float)
     return (k - 0.5) * cfg.delta_p * cfg.wavelength
 
@@ -87,8 +90,7 @@ def _panel_integral(
     than ``rel_tol`` of the phase-free sum, or would need more than
     ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
     """
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    check_antenna_count(n)
     eps = cfg.wavelength / cfg.d_m
     dp, ne = cfg.delta_p, cfg.n_eff
     upper = n * eps / 2.0
@@ -240,30 +242,9 @@ def f_ub(x):
     return float(out) if out.ndim == 0 else out
 
 
-def fub_derivative(x: float) -> float:
-    """Analytic derivative of :func:`f_ub`."""
-    s = math.asinh(x)
-    return s * (2.0 * x / math.sqrt(1.0 + x * x) - s) / (x * x)
-
-
-@lru_cache(maxsize=None)
-def find_xstar(lo: float = 1.0, hi: float = 10.0, tol: float = 1e-8) -> tuple[float, float]:
-    """Locate the maximizer of f_ub by bisecting its analytic derivative.
-
-    Returns (x*, f_ub(x*)).  The derivative changes sign exactly once on
-    [1, 10]; a lost bracket is reported rather than silently ignored.
-    """
-    flo, fhi = fub_derivative(lo), fub_derivative(hi)
-    if not (flo > 0 > fhi):
-        raise NumericsError(f"no sign change of d f_ub/dx on [{lo}, {hi}]")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if fub_derivative(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    return x, float(f_ub(x))
+def find_xstar() -> tuple[float, float]:
+    """The maximizer of f_ub and its peak value: (XSTAR, f_ub(XSTAR))."""
+    return XSTAR, f_ub(XSTAR)
 
 
 def closed_bound_value(n, cfg: SystemConfig):
@@ -330,6 +311,5 @@ def max_gain_estimate(cfg: SystemConfig) -> float:
 
 def gain_limit(cfg: SystemConfig) -> float:
     """Overall gain ceiling at the smallest coupling-free spacing (delta_p = 1/2):
-    2 eta f_ub(x*) / (d wavelength / 2), about 4.42 eta / (d wavelength)."""
-    _, fstar = find_xstar()
-    return 2.0 * cfg.eta * fstar / (cfg.d_m * cfg.wavelength / 2.0)
+    :func:`max_gain_estimate` there, about 4.42 eta / (d wavelength)."""
+    return max_gain_estimate(replace(cfg, delta_p=0.5))

@@ -11,6 +11,7 @@ All lengths are in metres, frequencies in Hz, loss in dB/m.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from .errors import ConfigError
 
 # Exact SI value, fixed for reproducibility.
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+_NORMAL_MIN = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -37,8 +39,11 @@ class SystemConfig:
     Derived on construction, and neither arguments nor part of ``repr`` and
     ``==``: ``wavelength`` c/f_c (m), ``k0`` 2*pi/wavelength (rad/m),
     ``lambda_g`` wavelength/n_eff (m) and the path-loss constant ``eta``
-    (wavelength/4pi)^2 (m^2).  A carrier so low that the wavelength or ``eta``
-    leaves the float range is a configuration error naming ``f_c_hz``.
+    (wavelength/4pi)^2 (m^2).  A carrier whose wavelength squared or ``eta``
+    leaves the normal float range is a configuration error naming ``f_c_hz``;
+    so is a height whose d^2, eta/d^2 or 2 d^2 + wavelength^2/2 (the
+    two-antenna coupling form's denominator at one wavelength) does, naming
+    ``d_m``.
     """
 
     f_c_hz: float = 28e9
@@ -73,16 +78,25 @@ class SystemConfig:
         if not self.delta_p > 0:
             raise ConfigError(f"invalid-config: delta_p must be > 0, got {self.delta_p}")
         lam = SPEED_OF_LIGHT / self.f_c_hz
-        try:
-            eta = (lam / (4.0 * math.pi)) ** 2
-        except OverflowError:
-            eta = math.inf
-        if not (math.isfinite(lam) and math.isfinite(eta)):
+        eta = (lam / (4.0 * math.pi)) ** 2 if lam * lam < math.inf else 0.0
+        if not eta >= _NORMAL_MIN:
             raise ConfigError(f"invalid-config: f_c_hz = {self.f_c_hz:g} gives a wavelength of "
-                              f"{lam:g} m, whose path-loss constant leaves the float range")
+                              f"{lam:g} m, whose path-loss constant leaves the normal float range")
+        d2 = self.d_m * self.d_m
+        if not (d2 >= _NORMAL_MIN and _NORMAL_MIN <= eta / d2 < math.inf
+                and 2.0 * d2 + lam * lam / 2.0 < math.inf):
+            raise ConfigError(f"invalid-config: d_m = {self.d_m:g} at f_c_hz = {self.f_c_hz:g} "
+                              f"takes d_m^2, eta / d_m^2 or 2 d_m^2 + wavelength^2 / 2 out of "
+                              f"the normal float range")
         for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam),
                             ("lambda_g", lam / self.n_eff), ("eta", eta)):
             object.__setattr__(self, name, value)
+
+
+def check_antenna_count(n: int, name: str = "antenna count") -> None:
+    """Refuse a count ``n`` the model does not cover: it takes even counts >= 2."""
+    if n < 2 or n % 2 != 0:
+        raise ConfigError(f"{name} must be even and >= 2, got {n}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +112,7 @@ class AntennaLayout:
     min_spacing: float
 
     def __post_init__(self):
-        n = len(self.positions)
-        if n < 2 or n % 2 != 0:
-            raise ConfigError(f"layout needs an even antenna count >= 2, got {n}")
+        check_antenna_count(len(self.positions))
         for a, b in zip(self.positions, self.positions[1:]):
             if not b > a:
                 raise ConfigError("layout positions must be strictly increasing")
@@ -125,8 +137,7 @@ class AntennaLayout:
 def uniform_spacings(n: int, spacing) -> np.ndarray:
     """``spacing`` (one value or a 1-D array) as a float array, after checking
     that the even-count model covers ``n`` antennas and every spacing is > 0."""
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    check_antenna_count(n)
     spacing = np.asarray(spacing, dtype=float)
     if not np.all(spacing > 0):
         raise ConfigError(f"spacing must be > 0, got {spacing[~(spacing > 0)].flat[0]}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import AntennaLayout, SystemConfig
+from .geometry import AntennaLayout, SystemConfig, check_antenna_count
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -175,8 +175,7 @@ class RefinedLayout:
 
 def build_refined_layout(n: int, cfg: SystemConfig) -> RefinedLayout:
     """Refined symmetric-count layout with N/2 antennas per side."""
-    if n < 2 or n % 2 != 0:
-        raise ConfigError(f"antenna count must be even and >= 2, got {n}")
+    check_antenna_count(n)
     n_half = n // 2
     d_right, v_right, t_right = refined_half_deltas(n_half, cfg, side="right")
     d_left, v_left, t_left = refined_half_deltas(n_half, cfg, side="left")

@@ -30,7 +30,8 @@ def test_fub_curve_subcommand(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "# seed=0"
     assert lines[1] == "series,x,y,stderr"
-    assert any(l.startswith("fub_peak,") for l in lines)
+    # x* is the float nearest the root, printed to 12 digits
+    assert "fub_peak,3.31982638640e+00,1.10465289376e+00,0.00000000000e+00" in lines
 
 
 def test_all_subcommands_run(tmp_path):
@@ -122,16 +123,17 @@ def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
 
 
 @pytest.mark.parametrize(
-    "content", ["f_c_hz = 1e-300\n", "f_c_hz = 1e-150\n", "x_u_m = 1e300\n"])
+    "content", ["f_c_hz = 1e-300\n", "f_c_hz = 1e-150\n", "f_c_hz = 1e300\n", "d_m = 1e-200\n",
+                "d_m = 1e-160\n", "d_m = 1e200\n", "x_u_m = 1e300\n"])
 def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
-    # a wavelength or eta beyond the float range, or a user so far out that
-    # float64 cannot tell the antennas apart around it, nor square its
-    # distance to the fixed antenna
+    # a wavelength, eta, d^2 or eta / d^2 beyond the normal float range, or a
+    # user so far out that float64 cannot tell the antennas apart around it,
+    # nor square its distance to the fixed antenna
     cfgfile = tmp_path / "extreme.cfg"
     cfgfile.write_text(content)
     argvs = [("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")]
-    if content.startswith("f_c_hz"):  # refused as the config is built, whatever the subcommand
-        argvs += [("fub-curve",), ("fmc-curve",)]
+    if not content.startswith("x_u_m"):  # refused as the config is built, whatever the subcommand
+        argvs += [("fub-curve",), ("fmc-curve",), ("maxgain-vs-spacing", "--n-max", "2000")]
     for argv in argvs:
         res = run_cli(*argv, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
         assert res.returncode == 2, res.stderr
@@ -274,6 +276,7 @@ BAD_NUMBERS = [
     ("maxgain-vs-spacing", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-n", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-delta-mc", "--n-list", f"2,{int(MAX_SWEEP_SIZE**0.5) + 2}"),
+    ("gain-vs-delta-mc", "--n-list", "0"),  # checked before N^2 divides anything
     ("maxgain-vs-spacing", "--seed", "-1"),  # PCG64 takes no negative seed
 ]
 
@@ -284,6 +287,14 @@ def test_bad_numeric_flag_exits_2(tmp_path, argv):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1, res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("n_list", ["0", "2,3", "-2"])
+def test_bad_antenna_count_names_n_list(tmp_path, n_list):
+    res = run_cli("gain-vs-delta-mc", f"--n-list={n_list}", "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+    assert "n_list" in res.stderr
 
 
 @pytest.mark.parametrize("alpha", ["60", "1e300"])
@@ -299,8 +310,8 @@ def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
 
 @pytest.mark.parametrize("d_m", ["1e154", "1e155", "1e300"])
 def test_huge_height_exits_2_naming_d_m(tmp_path, d_m):
-    # the coupling sweep's analytic rows leave the normal float range: at 1e154
-    # eta / d^2 is subnormal and the closed form's denominator overflows
+    # the coupling sweep's analytic rows would leave the normal float range
+    # (at 1e154 eta / d^2 is subnormal), so the config is refused as it is built
     cfgfile = tmp_path / "high.cfg"
     cfgfile.write_text(f"d_m = {d_m}\n")
     res = run_cli("gain-vs-delta-mc", "--config", str(cfgfile), "--grid-step", "0.1",

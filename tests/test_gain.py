@@ -8,11 +8,11 @@ import pytest
 from passgain.coupling import f_mc, gain_mc_two_closed
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import (
+    XSTAR,
     BoundReport,
     closed_bound_value,
     f_ub,
     find_xstar,
-    fub_derivative,
     gain_limit,
     gain_symmetric,
     gain_uniform,
@@ -236,26 +236,23 @@ def test_non_finite_inputs_refused(cfg, call):
         call(cfg)
 
 
-def test_fub_derivative_matches_central_difference():
-    h = 1e-6
-    for x in (0.5, 1.0, 2.0, 3.3, 7.0):
-        numeric = (f_ub(x + h) - f_ub(x - h)) / (2 * h)
-        assert fub_derivative(x) == pytest.approx(numeric, rel=1e-5, abs=1e-9)
+def test_xstar_is_the_float_nearest_the_root():
+    # the root of d f_ub / dx = 0, at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        root = mpmath.findroot(lambda x: 2 * x / mpmath.sqrt(1 + x * x) - mpmath.asinh(x), 3.3)
+    assert XSTAR == float(root)
 
 
 def test_find_xstar():
     xstar, fstar = find_xstar()
+    assert (xstar, fstar) == (XSTAR, f_ub(XSTAR))
     assert xstar == pytest.approx(3.32, abs=0.01)
     assert fstar == pytest.approx(1.105, abs=0.005)
     # monotone increase up to the maximizer
     grid = np.linspace(1e-3, xstar, 1000)
     vals = f_ub(grid)
     assert np.all(np.diff(vals) > 0)
-
-
-def test_find_xstar_bracket_failure():
-    with pytest.raises(NumericsError):
-        find_xstar(lo=4.0, hi=10.0)
 
 
 def test_optimal_antenna_number(cfg):

@@ -50,11 +50,20 @@ def test_derive_constants_pure(cfg):
     assert repr(twin) == repr(cfg) and twin == cfg
 
 
-@pytest.mark.parametrize("f_c_hz", [1e-300, 1e-150])
+@pytest.mark.parametrize("f_c_hz", [1e-300, 1e-150, 1e300])
 def test_carrier_beyond_the_float_range_names_f_c_hz(f_c_hz):
-    # the wavelength (1e-300 Hz) or eta (1e-150 Hz) leaves the float range
+    # the wavelength (1e-300 Hz) or eta (1e-150 Hz) overflows, or eta
+    # underflows (1e300 Hz)
     with pytest.raises(ConfigError, match="f_c_hz"):
         SystemConfig(f_c_hz=f_c_hz)
+
+
+@pytest.mark.parametrize("d_m", [1e-200, 1e-160, 1e154, 1e200])
+def test_height_beyond_the_normal_float_range_names_d_m(d_m):
+    # d^2 underflows (1e-200) or is subnormal (1e-160); eta / d^2 is subnormal
+    # (1e154) or d^2 overflows (1e200)
+    with pytest.raises(ConfigError, match="d_m"):
+        SystemConfig(d_m=d_m)
 
 
 @pytest.mark.parametrize(

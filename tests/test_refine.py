@@ -364,7 +364,7 @@ def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
 
 
 def test_walk_rejects_non_finite_lattice_index():
-    cfg = SystemConfig(d_m=1e300)
+    cfg = SystemConfig(d_m=1e17)
     with pytest.raises(NumericsError, match="lattice index"):
         refined_half_deltas(10, cfg, side="right")
 
