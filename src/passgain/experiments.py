@@ -34,13 +34,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .channel import gain_at_offsets
+from .channel import gain_at_offsets, nested_gains, pair_phasors
 from .errors import ConfigError, NumericsError
 from .geometry import SystemConfig, check_antenna_count, resolve_feed, symmetric_offsets
 
@@ -137,38 +136,8 @@ def _check_finite(values, series: str, alpha: float) -> None:
                             f"alpha_wg_db_per_m = {alpha:g}")
 
 
-_Pairs = namedtuple("_Pairs", "dr dl rr rl er el")
-
-
-def _pair_phasors(delta_right, delta_left, cfg) -> _Pairs:
-    """Per-side offsets, distances ``r`` and phasors ``exp(-j theta)`` of the
-    antenna pairs: the loss-free part of their gains, shared by all loss cases."""
-    dr = np.asarray(delta_right, dtype=float)
-    dl = np.asarray(delta_left, dtype=float)
-    rr = np.hypot(cfg.d_m, dr)
-    rl = np.hypot(cfg.d_m, dl)
-    er = np.exp(-1j * (cfg.k0 * (rr + cfg.n_eff * dr)))
-    el = np.exp(-1j * (cfg.k0 * (rl - cfg.n_eff * dl)))
-    return _Pairs(dr, dl, rr, rl, er, el)
-
-
-def _phasor_gains(phasors, cfg, alpha):
-    """Gains of the nested layouts of the innermost 1, 2, ... pairs, by prefix
-    sums of their :func:`_pair_phasors`, loss referenced to the user's
-    projection (the caller applies the feed-to-projection factor); with the
-    phasors ``er`` and ``el`` set to 1, the phase-free upper bounds."""
-    dr, dl, rr, rl, er, el = phasors
-    if alpha == 0.0:  # the loss factors are exactly 1
-        z = er / rr + el / rl
-    else:
-        z = 10.0 ** (-alpha * dr / 20.0) * er / rr + 10.0 ** (alpha * dl / 20.0) * el / rl
-    s = np.cumsum(z)
-    m = np.arange(1, z.size + 1)
-    return cfg.eta * np.abs(s) ** 2 / (2.0 * m)
-
-
 def _layouts(m_max, cfg, reach=np.inf):
-    """:func:`_pair_phasors` of the uniform and the refined layout with
+    """:func:`~passgain.channel.pair_phasors` of the uniform and the refined layout with
     ``m_max`` antenna pairs, keyed by layout kind; each ends at its first pair
     whose left offset exceeds ``reach``, if that comes sooner."""
     from . import gain, refine
@@ -180,8 +149,8 @@ def _layouts(m_max, cfg, reach=np.inf):
         refine.refined_half_deltas(half.size, cfg, side="right")
         raise
     d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, side="right")
-    return {"uniform": _pair_phasors(half, half, cfg),
-            "refined": _pair_phasors(d_right, d_left, cfg)}
+    return {"uniform": pair_phasors(half, half, cfg),
+            "refined": pair_phasors(d_right, d_left, cfg)}
 
 
 def run_fub_curve(x_max: float, step: float):
@@ -201,9 +170,6 @@ def run_fmc_curve(n_eff_values, step: float):
     """Tabulate the coupling shape function over one wavelength of spacing."""
     if not n_eff_values:
         raise ConfigError("need at least one refractive-index value")
-    for ne in n_eff_values:
-        if not 1.0 <= ne < math.inf:
-            raise ConfigError(f"n_eff must be finite and >= 1, got {ne}")
     from . import coupling
     xs = step * np.arange(0, _grid_count(1.0, step) + 1)
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
@@ -228,7 +194,7 @@ def run_gain_vs_n(
     m_max = n_max // 2
     counts = 2.0 * np.arange(1, m_max + 1)
     sample = np.arange(0, m_max, n_step // 2)
-    points = []
+    points = [Curve("fixed", counts[sample], _fixed_gain(cfg))]
 
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
@@ -237,18 +203,16 @@ def run_gain_vs_n(
         for label, alpha in cases:
             with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
                 gains = {
-                    kind: _phasor_gains(ph, cfg_dp, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
+                    kind: nested_gains(ph, cfg_dp, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
                     for kind, ph in layouts.items()
                 }
                 uniform = layouts["uniform"]
-                gains["bound"] = (_phasor_gains(uniform._replace(er=1.0, el=1.0), cfg_dp, alpha)
+                gains["bound"] = (nested_gains(uniform._replace(er=1.0, el=1.0), cfg_dp, alpha)
                                   * _feed_factor(uniform.dl, cfg_dp, alpha))
             for kind, g in gains.items():
                 series = f"{kind}_dp{dp:g}_{label}"
                 _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
-
-    points.append(Curve("fixed", counts[sample], _fixed_gain(cfg)))
     return points
 
 
@@ -337,7 +301,7 @@ def run_maxgain_vs_spacing(
         for (label, alpha), factor in zip(cases, factors):
             for kind, ph in layouts.items():
                 with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-                    g0 = _phasor_gains(ph, cfg_dp, alpha)
+                    g0 = nested_gains(ph, cfg_dp, alpha)
                     best = np.maximum.accumulate(g0)[caps[kind] - 1] * factor
                 _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
@@ -391,11 +355,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     if xs[-1] < 1.0 - 1e-12:
         xs = np.append(xs, 1.0)  # the sweep covers the full wavelength
     spacings = xs * cfg.wavelength
-    half = spacings[0] / 2.0
-    if not cfg.x_u_m - half < cfg.x_u_m < cfg.x_u_m + half:
-        raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far out for float64 to resolve "
-                          f"antennas {spacings[0]:.3e} m apart around the user")
-    points = []
+    points = [Curve("fixed", xs, _fixed_gain(cfg))]
 
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
@@ -416,6 +376,4 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
         closed = coupling.gain_mc_two_closed(spacings, cfg)
         points += [Curve("closed_N2", 0.0, coupling.gain_mc_two_closed(0.0, cfg)),
                    Curve("closed_N2", xs, closed), _peak("closed_N2", xs, closed)]
-
-    points.append(Curve("fixed", xs, _fixed_gain(cfg)))
     return points

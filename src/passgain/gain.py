@@ -7,12 +7,14 @@ sum over the positive-side offsets ``delta_n``:
     r_n = sqrt(d^2 + delta_n^2).
 
 Dropping all phases gives the triangle-inequality upper bound
-``(eta / N) (sum_n 2 / r_n)^2``; for uniform spacing this bound has the closed
-form ``2 eta f_ub(L) / (delta_p d^2 eps)`` with ``eps = wavelength / d``,
-``L = N delta_p eps / 2`` and ``f_ub(x) = asinh(x)^2 / x``.  The bound is
-maximized at x*, the exact root of ``2x / sqrt(1 + x^2) = asinh(x)`` (held as
-:data:`XSTAR`, the float nearest it), where ``f_ub(x*) ~ 1.105``, which pins
-down the optimal antenna count and the overall gain ceiling.
+``(eta / N) (sum_n 2 / r_n)^2``.  Both are taken by the pair kernel of
+:mod:`passgain.channel`, as the sweeps take them.  For uniform spacing the
+bound has the closed form ``2 eta f_ub(L) / (delta_p d^2 eps)`` with
+``eps = wavelength / d``, ``L = N delta_p eps / 2`` and
+``f_ub(x) = asinh(x)^2 / x``.  The bound is maximized at x*, the exact root of
+``2x / sqrt(1 + x^2) = asinh(x)`` (held as :data:`XSTAR`, the float nearest
+it), where ``f_ub(x*) ~ 1.105``, which pins down the optimal antenna count and
+the overall gain ceiling.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channel import nested_gains, pair_phasors
 from .errors import ConfigError, NumericsError
 from .geometry import SystemConfig, check_antenna_count
 
@@ -41,13 +44,11 @@ def _check_half_deltas(deltas: np.ndarray) -> None:
 
 def gain_symmetric(deltas, cfg: SystemConfig) -> float:
     """Exact gain of a mirror-symmetric, lossless layout from its positive-side
-    offsets (strictly increasing, n = 1..N/2)."""
+    offsets (strictly increasing, n = 1..N/2): the last of its
+    :func:`~passgain.channel.nested_gains`."""
     d = np.asarray(deltas, dtype=float)
     _check_half_deltas(d)
-    r = np.hypot(cfg.d_m, d)
-    terms = 2.0 * np.exp(-1j * cfg.k0 * r) * np.cos(cfg.k0 * cfg.n_eff * d) / r
-    n = 2 * d.size
-    return float(cfg.eta / n * abs(terms.sum()) ** 2)
+    return float(nested_gains(pair_phasors(d, d, cfg), cfg, 0.0)[-1])
 
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
@@ -220,12 +221,11 @@ def gain_uniform_integral(
 
 
 def upper_bound_sum(deltas, cfg: SystemConfig) -> float:
-    """Phase-free upper bound (eta / N) (sum_n 2 / r_n)^2 on the symmetric gain."""
+    """Phase-free upper bound (eta / N) (sum_n 2 / r_n)^2 on the symmetric gain:
+    :func:`gain_symmetric` with every pair phasor set to 1."""
     d = np.asarray(deltas, dtype=float)
     _check_half_deltas(d)
-    r = np.hypot(cfg.d_m, d)
-    n = 2 * d.size
-    return float(cfg.eta / n * np.sum(2.0 / r) ** 2)
+    return float(nested_gains(pair_phasors(d, d, cfg)._replace(er=1.0, el=1.0), cfg, 0.0)[-1])
 
 
 def upper_bound_sum_uniform(n: int, cfg: SystemConfig) -> float:

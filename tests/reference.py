@@ -3,14 +3,14 @@
 import math
 
 from passgain.errors import ConfigError
-from passgain.experiments import _pair_phasors, _phasor_gains
+from passgain.channel import nested_gains, pair_phasors
 
 
 def pair_gains(delta_right, delta_left, cfg, alpha):
     """Exact gains of all nested symmetric-count layouts from the per-side
     offsets of antennas 1..M: entry m-1 is the gain of the innermost m pairs,
-    loss referenced to the user's projection (see ``_phasor_gains``)."""
-    return _phasor_gains(_pair_phasors(delta_right, delta_left, cfg), cfg, alpha)
+    loss referenced to the user's projection (see ``nested_gains``)."""
+    return nested_gains(pair_phasors(delta_right, delta_left, cfg), cfg, alpha)
 
 
 def gain_two_uncoupled(delta, cfg):

@@ -189,13 +189,13 @@ def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 1e3))
+@given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 1e9))
 def test_lossless_gain_ignores_the_feed(cfg, half, gap):
+    # the phase runs from the user's projection, so a lossless feed changes
+    # no bit, however far away it is
     lay = mirrored(half, cfg)
     fed = replace(cfg, x_0_m=lay.leftmost - gap)
-    scale = upper_bound_sum(half, cfg)
-    assert abs(array_gain_exact(lay, fed, alpha_wg=0.0)
-               - array_gain_exact(lay, cfg, alpha_wg=0.0)) <= 1e-9 * scale
+    assert array_gain_exact(lay, fed, alpha_wg=0.0) == array_gain_exact(lay, cfg, alpha_wg=0.0)
 
 
 @settings(max_examples=40, deadline=None)

@@ -127,8 +127,8 @@ def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
                 "d_m = 1e-160\n", "d_m = 1e200\n", "x_u_m = 1e300\n"])
 def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
     # a wavelength, eta, d^2 or eta / d^2 beyond the normal float range, or a
-    # user so far out that float64 cannot tell the antennas apart around it,
-    # nor square its distance to the fixed antenna
+    # user so far out that float64 cannot square its distance to the fixed
+    # antenna (the sweeps themselves work in offsets from the user)
     cfgfile = tmp_path / "extreme.cfg"
     cfgfile.write_text(content)
     argvs = [("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")]

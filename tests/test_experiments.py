@@ -27,7 +27,13 @@ from passgain.experiments import (
     run_maxgain_vs_spacing,
     write_csv,
 )
-from passgain.gain import gain_limit, max_gain_estimate, uniform_deltas
+from passgain.gain import (
+    gain_limit,
+    gain_uniform,
+    max_gain_estimate,
+    uniform_deltas,
+    upper_bound_sum_uniform,
+)
 from passgain.geometry import (
     AntennaLayout,
     SystemConfig,
@@ -231,6 +237,18 @@ def test_write_csv_matches_reference_on_readme_sweeps(tmp_path, argv):
 
 
 # ------------------------------------------------------------- fast kernels
+
+
+def test_library_uniform_gain_and_bound_are_the_sweep_rows(cfg):
+    # gain_uniform and upper_bound_sum_uniform take the sweep's own pair
+    # kernel, so the library and the gain-vs-n CSV agree to the last bit
+    rows = by_series(run_gain_vs_n(cfg, (0.5, 1.0), BOTH_CASES, n_max=2000, n_step=2))
+    for dp in (0.5, 1.0):
+        c = replace(cfg, delta_p=dp)
+        for kind, library in (("uniform", gain_uniform), ("bound", upper_bound_sum_uniform)):
+            sampled = rows[f"{kind}_dp{dp:g}_case1"]
+            assert len(sampled) == 1000
+            assert [p.y for p in sampled] == [library(int(p.x), c) for p in sampled]
 
 
 def test_pair_gains_match_exact_channel():
@@ -671,13 +689,15 @@ def test_mc_sweep_chunks_keep_bytes_and_cap(cfg, tmp_path, monkeypatch):
 
 def test_mc_sweep_translation_invariant(cfg, tmp_path):
     # far from the origin the absolute positions lose the 1e-5 m gaps to
-    # rounding; the sweep works on offsets from the user and keeps every row
+    # rounding, and at 1e17 m every gap; the sweep works on offsets from the
+    # user and keeps every row but the fixed antenna's
     near = mc_csv_rows(cfg, tmp_path / "near.csv").decode().splitlines()
-    far = mc_csv_rows(replace(cfg, x_u_m=1e5), tmp_path / "far.csv").decode().splitlines()
     keep = ("mc_", "nomc_", "closed_N2")
     rows = [line for line in near if line.startswith(keep)]
     assert len(rows) > 1000
-    assert rows == [line for line in far if line.startswith(keep)]
+    for x_u in (1e5, 1e17):
+        far = mc_csv_rows(replace(cfg, x_u_m=x_u), tmp_path / "far.csv").decode().splitlines()
+        assert rows == [line for line in far if line.startswith(keep)]
 
 
 def test_mc_sweep_checks_the_explicit_feed(cfg):

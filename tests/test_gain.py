@@ -219,6 +219,8 @@ NAN, INF = float("nan"), float("inf")
     lambda cfg: f_ub(np.array([1.0, INF])),
     lambda cfg: f_mc(NAN, 1.44),
     lambda cfg: f_mc(np.array([0.5, INF]), 1.44),
+    lambda cfg: f_mc(0.5, NAN),
+    lambda cfg: f_mc(0.5, INF),
     lambda cfg: closed_bound_value(NAN, cfg),
     lambda cfg: closed_bound_value(np.array([100.0, NAN]), cfg),
     lambda cfg: gain_mc_two_closed(NAN, cfg),
@@ -227,8 +229,8 @@ NAN, INF = float("nan"), float("inf")
     lambda cfg: gain_symmetric([0.1, INF], cfg),
     lambda cfg: upper_bound_sum([0.1, NAN], cfg),
     lambda cfg: upper_bound_sum([NAN, 0.1], cfg),
-], ids=["f_ub", "f_ub_inf", "f_mc", "f_mc_inf", "closed_bound", "closed_bound_array",
-        "mc_two_closed", "mc_two_closed_inf", "symmetric", "symmetric_inf",
+], ids=["f_ub", "f_ub_inf", "f_mc", "f_mc_inf", "f_mc_n_eff", "f_mc_n_eff_inf", "closed_bound",
+        "closed_bound_array", "mc_two_closed", "mc_two_closed_inf", "symmetric", "symmetric_inf",
         "bound_sum_last", "bound_sum_first"])
 def test_non_finite_inputs_refused(cfg, call):
     # a NaN or inf input is a ConfigError, never a NaN returned in silence

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from passgain import refine
 from passgain.channel import array_gain_exact
@@ -225,6 +227,39 @@ def test_refined_prefix_and_uniform_floor(n_eff, side):
             cut = refined_half_deltas(3000, cfg, side=side, reach=full[m - 1])
             assert all(np.array_equal(a, b[:m + 1]) for a, b in zip(cut, walk))
         assert np.all(full >= uniform_deltas(6000, cfg))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cfg=st.builds(SystemConfig, f_c_hz=st.floats(1e9, 3e11), d_m=st.floats(0.03, 30.0),
+                  n_eff=st.just(1.0) | st.floats(1.0, 3.0), delta_p=st.floats(0.1, 10.0)),
+    side=st.sampled_from(["right", "left"]),
+    n_half=st.integers(1, 3000),
+)
+def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
+    # every path on its target, every shift within its side's bound, and no
+    # gap below the nominal spacing: by 1e-12 m at most, or where float64
+    # cannot resolve that (offsets beyond 8192 m), by no offset lying inside
+    # its rounded seed
+    try:
+        deltas, shifts, targets = refined_half_deltas(n_half, cfg, side=side)
+    except NumericsError as exc:
+        # near n_eff = 1 the left path only tends to 0, so its targets run out
+        if "left-side targets are exhausted" not in str(exc):
+            raise
+        reject()
+    lam, sign = cfg.wavelength, 1 if side == "right" else -1
+    miss = combined_path(sign * deltas, cfg) - targets
+    assert np.all(np.abs(miss) <= refine._path_tolerance(deltas, cfg))
+    assert np.all(shifts >= 0.0)
+    if side == "right":
+        assert np.all(shifts < lam)
+    elif cfg.n_eff > 1.0:
+        assert np.all(shifts <= lam / (cfg.n_eff - 1.0))
+    step = cfg.delta_p * lam
+    fine = np.spacing(deltas[1:]) <= 1e-12
+    assert np.all(np.diff(deltas)[fine] >= step - 1e-12)
+    assert np.all(deltas[1:] >= deltas[:-1] + step)
 
 
 def test_walk_to_a_reach_leaves_out_the_targets_beyond_it():
