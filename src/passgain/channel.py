@@ -13,6 +13,11 @@ only through the loss.  Two forms of the sum remain: the direct one,
 sum.  They round differently, and the benchmark oracles (``direct_gain``, and
 ``pair_phasors`` with ``nested_gains``) mirror each one's rounding, so
 merging them waits for oracles set against the exact model.
+
+The pair sum runs its loss from the user's projection, over which a left
+antenna ``dl`` out gains ``alpha dl / 20`` decades, in blocks of 100 decades:
+each block sums in units of 10^(its lower edge) and carries its total on by a
+factor <= 1, so no factor exceeds 10^100; :func:`at_feed` moves it to the feed.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from collections import namedtuple
 
 import numpy as np
 
+from .errors import NumericsError
 from .geometry import AntennaLayout, SystemConfig, resolve_feed
 
 
@@ -88,16 +94,52 @@ def pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> PairPhasors:
     return PairPhasors(dr, dl, rr, rl, er, el)
 
 
+def scaled_accumulate(ufunc, values, scale):
+    """Running ``ufunc`` (``np.add``, ``np.maximum``) of ``values`` in units of
+    ``10**scale``, ``scale`` nondecreasing: each run of equal scale accumulates
+    in its own units, after the total before it times ``10**(previous - scale)``."""
+    out = ufunc.accumulate(values)
+    if scale[0] == scale[-1]:  # one run
+        return out
+    starts = np.flatnonzero(np.diff(scale)) + 1
+    for a, b in zip(starts, [*starts[1:], values.size]):
+        carry = out[a - 1] * 10.0 ** (scale[a - 1] - scale[a])
+        out[a:b] = ufunc(ufunc.accumulate(values[a:b]), carry)
+    return out
+
+
 def nested_gains(phasors: PairPhasors, cfg: SystemConfig, alpha: float):
-    """Gains of the nested layouts of the innermost 1, 2, ... pairs, by prefix
-    sums of their :func:`pair_phasors`, loss referenced to the user's
-    projection (the caller applies the feed-to-projection factor); with the
-    phasors ``er`` and ``el`` set to 1, the phase-free upper bounds."""
+    """Gains of the nested layouts of the innermost 1, 2, ... pairs (offsets
+    growing outward), by prefix sums of their :func:`pair_phasors`; with the
+    phasors ``er`` and ``el`` set to 1, the phase-free upper bounds.
+
+    Returns ``(gains, scale)``: with the loss run from the user's projection,
+    layout m has gain ``gains[m-1] * 10**scale[m-1]``, summed in blocks of 100
+    decades of ``alpha dl / 20`` (module docstring).  A loss past 2^53 decades,
+    where float64 skips whole decades, raises NumericsError."""
     dr, dl, rr, rl, er, el = phasors
+    m = np.arange(1, dl.size + 1)
     if alpha == 0.0:  # the loss factors are exactly 1
-        z = er / rr + el / rl
-    else:
-        z = 10.0 ** (-alpha * dr / 20.0) * er / rr + 10.0 ** (alpha * dl / 20.0) * el / rl
-    s = np.cumsum(z)
-    m = np.arange(1, z.size + 1)
-    return cfg.eta * np.abs(s) ** 2 / (2.0 * m)
+        return cfg.eta * np.abs(np.cumsum(er / rr + el / rl)) ** 2 / (2.0 * m), np.zeros(m.size)
+    up = alpha * dl / 20.0
+    if not up[-1] < 2.0**53:
+        raise NumericsError(f"alpha_wg_db_per_m = {alpha:g}: {up[-1]:.3g} decades, beyond float64")
+    lo, hi, block = -alpha * dr / 20.0, up, np.zeros(m.size)
+    if up[-1] >= 100.0:  # in units of 10^(each block's lower edge)
+        block = 100.0 * np.floor(up / 100.0)
+        lo, hi = lo - block, hi - block
+    s = scaled_accumulate(np.add, 10.0 ** lo * er / rr + 10.0 ** hi * el / rl, block)
+    return cfg.eta * np.abs(s) ** 2 / (2.0 * m), 2.0 * block
+
+
+def at_feed(gains, scale, alpha: float, run):
+    """Gains of :func:`nested_gains` layouts fed ``run`` metres left of the
+    user's projection: ``gains * 10**(scale - alpha run / 10)``, a factor <= 1
+    for a feed at or left of the layout, taken in two steps below 1e-300 so
+    that it underflows only with the gain."""
+    if alpha == 0.0:
+        return gains
+    e = scale - alpha * run / 10.0
+    if e.min() < -300.0:
+        gains, e = gains * 10.0 ** np.maximum(e, -300.0), np.minimum(e + 300.0, 0.0)
+    return gains * 10.0 ** e

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import gain_at_offsets, nested_gains, pair_phasors
+from .channel import at_feed, gain_at_offsets, nested_gains, pair_phasors, scaled_accumulate
 from .errors import ConfigError, NumericsError
 from .geometry import SystemConfig, check_antenna_count, resolve_feed, symmetric_offsets
 
@@ -129,8 +129,8 @@ def _grid_count(span: float, step: float) -> int:
 
 
 def _check_finite(values, series: str, alpha: float) -> None:
-    """Raise NumericsError when a sweep's gains left the float range, which
-    the loss factors referenced to the user's projection do at high loss."""
+    """Raise NumericsError on a non-finite gain: a safety net, as the block
+    sums of :func:`~passgain.channel.nested_gains` keep every factor in range."""
     if not np.all(np.isfinite(values)):
         raise NumericsError(f"series {series!r} overflows the float range at "
                             f"alpha_wg_db_per_m = {alpha:g}")
@@ -175,13 +175,7 @@ def run_fmc_curve(n_eff_values, step: float):
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
 
 
-def run_gain_vs_n(
-    cfg: SystemConfig,
-    delta_p_values,
-    cases,
-    n_max: int,
-    n_step: int,
-):
+def run_gain_vs_n(cfg: SystemConfig, delta_p_values, cases, n_max: int, n_step: int):
     """Gain versus antenna count: phase-free bound, refined layout, uniform
     layout, and the fixed-antenna baseline, per spacing and loss case."""
     if not delta_p_values:
@@ -199,17 +193,12 @@ def run_gain_vs_n(
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
         layouts = _layouts(m_max, cfg_dp)
+        layouts["bound"] = layouts["uniform"]._replace(er=1.0, el=1.0)
 
         for label, alpha in cases:
-            with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-                gains = {
-                    kind: nested_gains(ph, cfg_dp, alpha) * _feed_factor(ph.dl, cfg_dp, alpha)
-                    for kind, ph in layouts.items()
-                }
-                uniform = layouts["uniform"]
-                gains["bound"] = (nested_gains(uniform._replace(er=1.0, el=1.0), cfg_dp, alpha)
-                                  * _feed_factor(uniform.dl, cfg_dp, alpha))
-            for kind, g in gains.items():
+            for kind, ph in layouts.items():
+                run = -resolve_feed(cfg_dp, -ph.dl)  # each layout's feed-to-projection run
+                g = at_feed(*nested_gains(ph, cfg_dp, alpha), alpha, run)
                 series = f"{kind}_dp{dp:g}_{label}"
                 _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
@@ -232,24 +221,8 @@ def _peak(series: str, xs, ys) -> Curve:
     return Curve(f"{series}_peak", float(xs[i]), float(ys[i]))
 
 
-def _feed_factor(delta_left, cfg, alpha):
-    """Squared amplitude factor of the feed-to-user-projection waveguide run.
-
-    With an "auto" feed the factor follows the leftmost antenna of each nested
-    layout; an explicit feed must lie left of every layout it serves.
-    """
-    span = -resolve_feed(cfg, -delta_left)
-    return 1.0 if alpha == 0.0 else 10.0 ** (-alpha * span / 10.0)
-
-
-def run_maxgain_vs_spacing(
-    cfg: SystemConfig,
-    delta_p_values,
-    cases,
-    trials: int,
-    seed: int,
-    n_max: int,
-):
+def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int, seed: int,
+                           n_max: int):
     """Monte Carlo maximum gain versus minimum spacing, with baselines.
 
     Per user draw the best even antenna count in [2, n_max] is found for
@@ -280,12 +253,11 @@ def run_maxgain_vs_spacing(
     order = np.argsort(feed_run, kind="stable")  # searchsorted runs faster on sorted keys
     runs = feed_run[order]
     m_max = n_max // 2
-    factors = [10.0 ** (-alpha * feed_run / 10.0) for _, alpha in cases]
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
         layouts = _layouts(m_max, cfg_dp, reach=runs[-1])  # as the module docstring says
-        caps = {}
+        last = {}  # per kind and draw, the index of the outermost usable pair
         for kind, ph in layouts.items():
             # a draw may use the first `cap` pairs: those left of its
             # projection that still lie right of the feed
@@ -295,24 +267,21 @@ def run_maxgain_vs_spacing(
                     f"no feasible antenna count for {int(np.sum(cap < 1))} draw(s): "
                     f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
                 )
-            caps[kind] = np.empty_like(cap)
-            caps[kind][order] = cap
+            last[kind] = np.empty_like(cap)
+            last[kind][order] = cap - 1
 
-        for (label, alpha), factor in zip(cases, factors):
+        for label, alpha in cases:
             for kind, ph in layouts.items():
-                with np.errstate(over="ignore", invalid="ignore"):  # see _check_finite
-                    g0 = nested_gains(ph, cfg_dp, alpha)
-                    best = np.maximum.accumulate(g0)[caps[kind] - 1] * factor
+                g, scale = nested_gains(ph, cfg_dp, alpha)
+                peak, i = scaled_accumulate(np.maximum, g, scale), last[kind]
+                best = at_feed(peak[i], scale[i], alpha, feed_run)
                 _check_finite(best, f"{kind}_{label}", alpha)
                 mean, err = _mean_stderr(best)
                 points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
-                    warnings.warn(
-                        f"{kind}_{label} at delta_p={dp:g}: standard error {err:.3e} "
-                        f"exceeds 5% of the mean {mean:.3e}",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+                    warnings.warn(f"{kind}_{label} at delta_p={dp:g}: standard error {err:.3e} "
+                                  f"exceeds 5% of the mean {mean:.3e}", RuntimeWarning,
+                                  stacklevel=2)
 
         points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp)))
 

@@ -33,22 +33,24 @@ from .geometry import SystemConfig, check_antenna_count
 XSTAR = 3.3198263863951483
 
 
-def _check_half_deltas(deltas: np.ndarray) -> None:
+def _half_phasors(deltas, cfg: SystemConfig):
+    """:func:`~passgain.channel.pair_phasors` of the mirror-symmetric layout
+    with positive-side offsets ``deltas``, after checking them."""
+    deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise ConfigError("expected a non-empty 1-D list of positive-side offsets")
     if not (deltas[0] >= 0 and np.isfinite(deltas[-1])):
         raise ConfigError("offsets must be finite and non-negative")
     if not np.all(np.diff(deltas) > 0):
         raise ConfigError("offsets must be strictly increasing")
+    return pair_phasors(deltas, deltas, cfg)
 
 
 def gain_symmetric(deltas, cfg: SystemConfig) -> float:
     """Exact gain of a mirror-symmetric, lossless layout from its positive-side
     offsets (strictly increasing, n = 1..N/2): the last of its
     :func:`~passgain.channel.nested_gains`."""
-    d = np.asarray(deltas, dtype=float)
-    _check_half_deltas(d)
-    return float(nested_gains(pair_phasors(d, d, cfg), cfg, 0.0)[-1])
+    return float(nested_gains(_half_phasors(deltas, cfg), cfg, 0.0)[0][-1])
 
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
@@ -223,9 +225,8 @@ def gain_uniform_integral(
 def upper_bound_sum(deltas, cfg: SystemConfig) -> float:
     """Phase-free upper bound (eta / N) (sum_n 2 / r_n)^2 on the symmetric gain:
     :func:`gain_symmetric` with every pair phasor set to 1."""
-    d = np.asarray(deltas, dtype=float)
-    _check_half_deltas(d)
-    return float(nested_gains(pair_phasors(d, d, cfg)._replace(er=1.0, el=1.0), cfg, 0.0)[-1])
+    ph = _half_phasors(deltas, cfg)._replace(er=1.0, el=1.0)
+    return float(nested_gains(ph, cfg, 0.0)[0][-1])
 
 
 def upper_bound_sum_uniform(n: int, cfg: SystemConfig) -> float:

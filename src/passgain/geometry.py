@@ -37,13 +37,12 @@ class SystemConfig:
     Every numeric field must be finite.
 
     Derived on construction, and neither arguments nor part of ``repr`` and
-    ``==``: ``wavelength`` c/f_c (m), ``k0`` 2*pi/wavelength (rad/m),
-    ``lambda_g`` wavelength/n_eff (m) and the path-loss constant ``eta``
-    (wavelength/4pi)^2 (m^2).  A carrier whose wavelength squared or ``eta``
-    leaves the normal float range is a configuration error naming ``f_c_hz``;
-    so is a height whose d^2, eta/d^2 or 2 d^2 + wavelength^2/2 (the
-    two-antenna coupling form's denominator at one wavelength) does, naming
-    ``d_m``.
+    ``==``: ``wavelength`` c/f_c (m), ``k0`` 2*pi/wavelength (rad/m) and the
+    path-loss constant ``eta`` (wavelength/4pi)^2 (m^2).  A carrier whose
+    wavelength squared or ``eta`` leaves the normal float range is a
+    configuration error naming ``f_c_hz``; so is a height whose d^2, eta/d^2
+    or 2 d^2 + wavelength^2/2 (the two-antenna coupling form's denominator at
+    one wavelength) does, naming ``d_m``.
     """
 
     f_c_hz: float = 28e9
@@ -55,7 +54,6 @@ class SystemConfig:
     delta_p: float = 0.5
     wavelength: float = field(init=False, repr=False, compare=False)
     k0: float = field(init=False, repr=False, compare=False)
-    lambda_g: float = field(init=False, repr=False, compare=False)
     eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -88,8 +86,7 @@ class SystemConfig:
             raise ConfigError(f"invalid-config: d_m = {self.d_m:g} at f_c_hz = {self.f_c_hz:g} "
                               f"takes d_m^2, eta / d_m^2 or 2 d_m^2 + wavelength^2 / 2 out of "
                               f"the normal float range")
-        for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam),
-                            ("lambda_g", lam / self.n_eff), ("eta", eta)):
+        for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam), ("eta", eta)):
             object.__setattr__(self, name, value)
 
 
@@ -104,7 +101,9 @@ class AntennaLayout:
     """Ordered pinching-antenna x-coordinates with spacing metadata.
 
     Positions must be strictly increasing, the count even, and every
-    consecutive gap at least ``min_spacing`` (up to 1e-12 m slack).
+    consecutive gap ``b - a`` at least ``min_spacing``, up to 1e-12 m plus
+    3 ulp of ``|a| + |b| + |center|``: what rounding the two offsets from the
+    center, the two positions and their difference can cost.
     """
 
     positions: tuple[float, ...]
@@ -116,22 +115,11 @@ class AntennaLayout:
         for a, b in zip(self.positions, self.positions[1:]):
             if not b > a:
                 raise ConfigError("layout positions must be strictly increasing")
-            if b - a < self.min_spacing - 1e-12:
+            slack = 1e-12 + 3 * math.ulp(abs(a) + abs(b) + abs(self.center))
+            if b - a < self.min_spacing - slack:
                 raise ConfigError(
                     f"layout gap {b - a:.3e} m below minimum spacing {self.min_spacing:.3e} m"
                 )
-
-    @property
-    def n(self) -> int:
-        return len(self.positions)
-
-    @property
-    def leftmost(self) -> float:
-        return self.positions[0]
-
-    def deltas(self) -> tuple[float, ...]:
-        """Signed offsets of each antenna from the layout center."""
-        return tuple(x - self.center for x in self.positions)
 
 
 def uniform_spacings(n: int, spacing) -> np.ndarray:

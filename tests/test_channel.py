@@ -41,7 +41,7 @@ def test_overhead_antenna_phase(cfg):
     # on (in-waveguide phase 2 pi m, free-space phase -k0 r) interfere with
     # the phase difference k0 (r - d): law of cosines on the two phasors.
     for m in (1, 7, 40):
-        s = m * cfg.lambda_g
+        s = m * cfg.wavelength / cfg.n_eff  # m guided wavelengths
         d, r = cfg.d_m, math.hypot(s, cfg.d_m)
         cross = 2 * math.cos(cfg.k0 * (r - d)) / (d * r)
         expected = cfg.eta / 2 * (1 / d**2 + 1 / r**2 + cross)
@@ -61,7 +61,8 @@ def test_inwaveguide_phase_values(cfg):
     # 2 pi s / lambda_g between them is left: 2 eta / r^2 cos^2(pi s / lambda_g).
     # One guided wavelength adds in phase, half of one cancels, and one
     # free-space wavelength covers n_eff guided wavelengths.
-    for s, cos2 in ((cfg.lambda_g, 1.0), (cfg.lambda_g / 2, 0.0),
+    lambda_g = cfg.wavelength / cfg.n_eff
+    for s, cos2 in ((lambda_g, 1.0), (lambda_g / 2, 0.0),
                     (cfg.wavelength, math.cos(math.pi * 1.44) ** 2)):
         got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg, alpha_wg=0.0)
         expected = 2 * cfg.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
@@ -72,7 +73,7 @@ def test_feed_right_of_antenna_rejected():
     lay = pair(-1.0, 1.0)
     fed_at_origin = SystemConfig(x_0_m=0.0)
     with pytest.raises(ConfigError):
-        resolve_feed(fed_at_origin, lay.leftmost - fed_at_origin.x_u_m)
+        resolve_feed(fed_at_origin, lay.positions[0] - fed_at_origin.x_u_m)
     with pytest.raises(ConfigError):
         array_gain_exact(lay, fed_at_origin)
 
@@ -84,7 +85,7 @@ def test_attenuation_values():
     lay = symmetric_uniform_layout(lossy, 8, 0.02)
 
     def gain_fed_from(run, alpha):
-        return array_gain_exact(lay, replace(lossy, x_0_m=lay.leftmost - run), alpha_wg=alpha)
+        return array_gain_exact(lay, replace(lossy, x_0_m=lay.positions[0] - run), alpha_wg=alpha)
 
     assert gain_fed_from(5.0, 0.0) == pytest.approx(gain_fed_from(0.0, 0.0), rel=1e-12)
     amplitude = math.sqrt(gain_fed_from(30.0, 0.08) / gain_fed_from(0.0, 0.08))
@@ -138,7 +139,8 @@ def test_triangle_inequality_bound(cfg):
         n = 2 * int(rng.integers(1, 25))
         spacing = float(rng.uniform(0.3, 3.0)) * cfg.wavelength
         lay = symmetric_uniform_layout(cfg, n, spacing)
-        bound = cfg.eta / n * np.sum(1.0 / np.hypot(np.array(lay.deltas()), cfg.d_m)) ** 2
+        offsets = np.array(lay.positions) - lay.center
+        bound = cfg.eta / n * np.sum(1.0 / np.hypot(offsets, cfg.d_m)) ** 2
         assert array_gain_exact(lay, cfg, alpha_wg=0.0) <= bound * (1 + 1e-9)
 
 
@@ -194,7 +196,7 @@ def test_lossless_gain_ignores_the_feed(cfg, half, gap):
     # the phase runs from the user's projection, so a lossless feed changes
     # no bit, however far away it is
     lay = mirrored(half, cfg)
-    fed = replace(cfg, x_0_m=lay.leftmost - gap)
+    fed = replace(cfg, x_0_m=lay.positions[0] - gap)
     assert array_gain_exact(lay, fed, alpha_wg=0.0) == array_gain_exact(lay, cfg, alpha_wg=0.0)
 
 
@@ -216,6 +218,6 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
         if "exhausted" not in str(exc):
             raise
         reject()
-    fed = cfg if gap is None else replace(cfg, x_0_m=lay.leftmost - gap)
+    fed = cfg if gap is None else replace(cfg, x_0_m=lay.positions[0] - gap)
     low, high = (array_gain_exact(lay, fed, alpha_wg=a) for a in alphas)
     assert high <= low * (1 + 1e-12)

@@ -7,12 +7,17 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from passgain.cli import SUBCOMMANDS, build_parser, main
 from passgain.experiments import MAX_SWEEP_SIZE
+from passgain.gain import uniform_deltas
+from passgain.geometry import SystemConfig
+from passgain.refine import refined_half_deltas
+from reference import direct_gains
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -297,7 +302,7 @@ def test_bad_antenna_count_names_n_list(tmp_path, n_list):
     assert "n_list" in res.stderr
 
 
-@pytest.mark.parametrize("alpha", ["60", "1e300"])
+@pytest.mark.parametrize("alpha", ["1e300"])
 def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
     cfgfile = tmp_path / "lossy.cfg"
     cfgfile.write_text(f"alpha_wg_db_per_m = {alpha}\n")
@@ -306,6 +311,32 @@ def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
     assert res.returncode == 3, res.stderr
     assert res.stderr.startswith("numeric failure:") and res.stderr.count("\n") == 1
     assert "alpha_wg_db_per_m" in res.stderr
+
+
+@pytest.mark.parametrize("alpha", ["60", "1000"])
+def test_high_loss_exits_0_matching_the_direct_sum(tmp_path, alpha):
+    # the refined layouts reach 200 decades of amplitude over the user's
+    # projection at 60 dB/m, which once overflowed; the rows are the direct sum's
+    cfgfile, out = tmp_path / "lossy.cfg", tmp_path / "x.csv"
+    cfgfile.write_text(f"alpha_wg_db_per_m = {alpha}\n")
+    res = run_cli("gain-vs-n", "--config", str(cfgfile), "--n-max", "6000",
+                  "--delta-p", "0.5,1", "--out", str(out))
+    assert res.returncode == 0 and res.stderr == "", res.stderr
+    rows = {}
+    for line in out.read_text().splitlines()[2:]:
+        series, x, y, _ = line.split(",")
+        rows[series, round(float(x))] = float(y)
+    counts = (1, 1500, 3000)
+    for dp in (0.5, 1.0):
+        cfg = SystemConfig(alpha_wg_db_per_m=float(alpha), delta_p=dp)
+        half = uniform_deltas(6000, cfg)
+        refined = [refined_half_deltas(3000, cfg, side=s)[0] for s in ("right", "left")]
+        g_uni, b_uni = direct_gains(half, half, cfg, cfg.alpha_wg_db_per_m, counts)
+        g_ref, b_ref = direct_gains(*refined, cfg, cfg.alpha_wg_db_per_m, counts)
+        for kind, want, bound in (("uniform", g_uni, b_uni), ("bound", b_uni, b_uni),
+                                  ("refined", g_ref, b_ref)):
+            got = [rows[f"{kind}_dp{dp:g}_case2", 2 * m] for m in counts]
+            assert np.all(np.abs(np.array(got) - want) <= 1e-9 * bound + 1e-11 * want), kind
 
 
 @pytest.mark.parametrize("d_m", ["1e154", "1e155", "1e300"])

@@ -40,7 +40,7 @@ from passgain.geometry import (
     symmetric_uniform_layout,
 )
 from passgain.refine import refined_half_deltas
-from reference import pair_gains
+from reference import direct_gains, pair_gains
 
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
 
@@ -311,8 +311,7 @@ def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
             if min(counts) < 1:
                 return None
             for label, alpha in cases:
-                with np.errstate(over="ignore", invalid="ignore"):  # as the sweep
-                    g = pair_gains(dr, dl, c, alpha)
+                g = pair_gains(dr, dl, c, alpha)
                 best = np.array([
                     g[:count].max() * 10.0 ** (-alpha * run / 10.0)
                     for count, run in zip(counts, runs)
@@ -752,19 +751,89 @@ def test_runners_reject_bad_inputs(cfg):
             call()
 
 
-@pytest.mark.parametrize("alpha", [60.0, 1e300])
+@pytest.mark.parametrize("alpha", [1e300])
 def test_gain_vs_n_loss_overflow_names_the_loss(alpha):
-    # the loss factors referenced to the user's projection leave the float
-    # range; numpy raises nothing of its own and the sweep names the loss that did it
+    # float64 cannot resolve the decades of such a loss; numpy raises nothing
+    # of its own and the sweep names the loss that did it
     lossy = SystemConfig(alpha_wg_db_per_m=alpha)
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
             run_gain_vs_n(lossy, (0.5, 1.0), (("case2", alpha),), n_max=6000, n_step=2)
 
 
+def assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, n_max, counts):
+    """The gain-vs-n ``uniform``, ``bound`` and ``refined`` rows at pair counts
+    ``counts`` are :func:`reference.direct_gains` on the sweep's layouts, to
+    within 1e-9 of the phase-free bound, or of the smallest normal float
+    where the bound is subnormal and float64 holds fewer digits."""
+    c = replace(cfg, delta_p=dp)
+    rows = by_series(run_gain_vs_n(c, (dp,), (("case2", alpha),), n_max=n_max, n_step=2))
+    half = uniform_deltas(n_max // 2 * 2, c)
+    refined = [refined_half_deltas(n_max // 2, c, side=s)[0] for s in ("right", "left")]
+    g_uni, b_uni = direct_gains(half, half, c, alpha, counts)
+    g_ref, b_ref = direct_gains(*refined, c, alpha, counts)
+    for kind, want, bound in (("uniform", g_uni, b_uni), ("bound", b_uni, b_uni),
+                              ("refined", g_ref, b_ref)):
+        got = np.array([rows[f"{kind}_dp{dp:g}_case2"][m - 1].y for m in counts])
+        assert np.all(np.abs(got - want) <= 1e-9 * np.maximum(bound, np.finfo(float).tiny)), kind
+
+
+@pytest.mark.parametrize("alpha", [60.0, 100.0, 1000.0])
+def test_gain_vs_n_at_high_loss_matches_the_direct_sum(alpha):
+    # the refined layouts reach 60-70 m out, 200 decades of amplitude over
+    # the user's projection at 60 dB/m: the pair sums run in 100-decade
+    # blocks, and no float operation overflows on the way
+    for feed in (None, -200.0):
+        cfg = SystemConfig(x_0_m=feed)
+        with np.errstate(over="raise", invalid="raise"):
+            for dp in (0.5, 1.0):
+                assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, 6000,
+                                                         (1, 2, 700, 1500, 2999, 3000))
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.0, 1e4), dp=st.floats(0.3, 4.0), n_max=st.integers(2, 2000),
+       feed_gap=st.none() | st.floats(0.0, 5.0))
+@example(alpha=60.0, dp=4.0, n_max=2000, feed_gap=None)  # two blocks
+@example(alpha=1e4, dp=0.5, n_max=2000, feed_gap=0.0)  # 27 and 91 blocks
+@example(alpha=898.0, dp=0.5, n_max=110, feed_gap=3.0)  # subnormal gains
+def test_gain_vs_n_rows_equal_the_direct_sum_at_any_loss(alpha, dp, n_max, feed_gap):
+    # every row, with the auto feed or one feed_gap metres left of the widest
+    # layout, within 1e-9 of the phase-free bound of the direct sum
+    cfg = SystemConfig()
+    if feed_gap is not None:
+        c = replace(cfg, delta_p=dp)
+        widest = max(uniform_deltas(n_max // 2 * 2, c)[-1],
+                     refined_half_deltas(n_max // 2, c, side="left")[0][-1])
+        cfg = replace(cfg, x_0_m=-widest - feed_gap)
+    assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, n_max, range(1, n_max // 2 + 1))
+
+
+@pytest.mark.parametrize("alpha", [60.0, 1000.0])
+def test_maxgain_at_high_loss_matches_a_direct_sum_per_draw(alpha):
+    # a -60 m feed runs 45-75 m to the draws, up to 225 decades of amplitude
+    # over the projection at 60 dB/m; per draw, the best of the direct sums
+    # over every count whose leftmost antenna lies right of the feed
+    cfg = SystemConfig(x_0_m=-60.0, delta_p=8.0)
+    trials, seed, n_max = 3, 5, 2000
+    with pytest.warns(RuntimeWarning, match="standard error"):  # 3 draws only
+        rows = by_series(run_maxgain_vs_spacing(cfg, (8.0,), (("case2", alpha),),
+                                                trials=trials, seed=seed, n_max=n_max))
+    rng = np.random.Generator(np.random.PCG64(seed))
+    x_us = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials)
+    half = uniform_deltas(n_max, cfg)
+    for kind, (dr, dl) in (("uniform", (half, half)),
+                           ("refined", refined_pairs_past(x_us.max() + 60.0, n_max // 2, cfg))):
+        best = [direct_gains(dr, dl, replace(cfg, x_u_m=x_u), alpha,
+                             range(1, np.count_nonzero(dl <= x_u + 60.0) + 1))[0].max()
+                for x_u in x_us]
+        assert rows[f"{kind}_case2"][0].y == pytest.approx(np.mean(best), rel=1e-9)
+
+
 def test_maxgain_survives_loss_overflow_beyond_the_feed():
-    # at 60 dB/m the gains overflow only for pairs left of the feed, which no
-    # draw can use: the sweep keeps its finite rows and numpy raises nothing
+    # at 60 dB/m the layouts, cut at the longest feed run (45 m), reach 135
+    # decades of amplitude over the user's projection, two blocks of the pair
+    # sums: the sweep keeps its finite rows and numpy raises nothing
     lossy = SystemConfig(alpha_wg_db_per_m=60.0)
     with np.errstate(over="raise", invalid="raise"):
         with pytest.warns(RuntimeWarning, match="standard error"):  # 50 draws only

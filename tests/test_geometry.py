@@ -26,7 +26,6 @@ def test_eta_at_28ghz(cfg):
 
 
 def test_constant_identities(cfg):
-    assert cfg.lambda_g * cfg.n_eff == pytest.approx(cfg.wavelength, rel=1e-15)
     assert cfg.k0 * cfg.wavelength == pytest.approx(2.0 * math.pi, rel=1e-15)
     assert cfg.eta == pytest.approx(
         SPEED_OF_LIGHT**2 / (16 * math.pi**2 * cfg.f_c_hz**2), rel=1e-12
@@ -38,10 +37,9 @@ def test_derive_constants_pure(cfg):
     # same fields carries the same ones, replace() recomputes them, and they
     # can be neither passed in nor replaced, nor do they show in repr or ==
     twin = SystemConfig(**{f.name: getattr(cfg, f.name) for f in fields(cfg) if f.init})
-    assert (twin.wavelength, twin.k0, twin.lambda_g, twin.eta) == (
-        cfg.wavelength, cfg.k0, cfg.lambda_g, cfg.eta)
+    assert (twin.wavelength, twin.k0, twin.eta) == (cfg.wavelength, cfg.k0, cfg.eta)
     assert replace(cfg, f_c_hz=2 * cfg.f_c_hz).wavelength == cfg.wavelength / 2
-    assert replace(cfg, n_eff=2.0).lambda_g == cfg.wavelength / 2
+    assert not hasattr(cfg, "lambda_g")  # no code read it
     with pytest.raises(TypeError):
         SystemConfig(eta=1.0)
     with pytest.raises(ValueError):
@@ -84,7 +82,7 @@ def test_two_antenna_layout_straddles_user(cfg):
 def test_four_antenna_offsets(cfg):
     spacing = cfg.delta_p * cfg.wavelength
     lay = symmetric_uniform_layout(cfg, 4, spacing)
-    deltas = lay.deltas()
+    deltas = [x - lay.center for x in lay.positions]
     # outer antenna sits 1.5 spacings out
     assert deltas[-1] == pytest.approx(1.5 * spacing, rel=1e-15)
     # mirror symmetry about the user
@@ -118,6 +116,12 @@ def test_layout_validation():
         AntennaLayout(positions=(0.0, 0.1, 0.2), center=0.1, min_spacing=0.05)
     with pytest.raises(ConfigError):
         AntennaLayout(positions=(0.0, 0.01), center=0.0, min_spacing=0.1)
+    # a gap may fall short by 1e-12 m plus 3 ulp of |a| + |b| + |center|
+    a, b = 5e7, 5e7 + 0.1
+    slack = 1e-12 + 3 * math.ulp(a + b + 1.0)
+    AntennaLayout(positions=(a, b), center=1.0, min_spacing=b - a + 0.9 * slack)
+    with pytest.raises(ConfigError, match="below minimum spacing"):
+        AntennaLayout(positions=(a, b), center=1.0, min_spacing=b - a + 1.1 * slack)
 
 
 def test_feed_resolution(cfg):

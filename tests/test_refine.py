@@ -238,9 +238,9 @@ def test_refined_prefix_and_uniform_floor(n_eff, side):
 )
 def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
     # every path on its target, every shift within its side's bound, and no
-    # gap below the nominal spacing: by 1e-12 m at most, or where float64
-    # cannot resolve that (offsets beyond 8192 m), by no offset lying inside
-    # its rounded seed
+    # gap below the nominal spacing by more than AntennaLayout's slack (beyond
+    # 8192 m float64 cannot resolve 1e-12 m), nor any offset inside its
+    # rounded seed
     try:
         deltas, shifts, targets = refined_half_deltas(n_half, cfg, side=side)
     except NumericsError as exc:
@@ -257,9 +257,19 @@ def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
     elif cfg.n_eff > 1.0:
         assert np.all(shifts <= lam / (cfg.n_eff - 1.0))
     step = cfg.delta_p * lam
-    fine = np.spacing(deltas[1:]) <= 1e-12
-    assert np.all(np.diff(deltas)[fine] >= step - 1e-12)
+    slack = 1e-12 + 3 * np.spacing(deltas[:-1] + deltas[1:])  # as AntennaLayout allows
+    assert np.all(np.diff(deltas) >= step - slack)
     assert np.all(deltas[1:] >= deltas[:-1] + step)
+
+
+@pytest.mark.parametrize("x_u_m", [0.0, 123.456, -1e4])
+def test_refined_layout_far_out_keeps_its_gaps(x_u_m):
+    # at n_eff one ulp above 1 the left side reaches 4.7e7 m, where float64
+    # cannot resolve 1e-12 m: the gaps hold the spacing to its rounding
+    cfg = SystemConfig(f_c_hz=1e9, d_m=1.0, n_eff=1.0000000000000002, delta_p=0.5,
+                       x_u_m=x_u_m)
+    positions = build_refined_layout(10, cfg).layout.positions
+    assert positions[0] - x_u_m < -4.7e7
 
 
 def test_walk_to_a_reach_leaves_out_the_targets_beyond_it():
