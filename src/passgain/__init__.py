@@ -1,11 +1,10 @@
 """Array-gain analysis for pinching-antenna systems on a dielectric waveguide.
 
-Core surface: scenario/layout types, the scenario deriving its own wavelength,
-wavenumbers and path-loss constant (:mod:`passgain.geometry`), exact array
-gain (:mod:`passgain.channel`), closed-form gains and bounds
-(:mod:`passgain.gain`), position refinement (:mod:`passgain.refine`),
-mutual coupling (:mod:`passgain.coupling`), and figure-level experiments with
-a CLI (:mod:`passgain.experiments`, :mod:`passgain.cli`).
+The scenario and layouts live in :mod:`passgain.geometry`, the exact gain in
+:mod:`passgain.channel`, closed forms and bounds in :mod:`passgain.gain`,
+refinement in :mod:`passgain.refine`, coupling in :mod:`passgain.coupling`,
+and the sweeps and CLI in :mod:`passgain.experiments` and :mod:`passgain.cli`.
+Each module's docstring lists its public names on one ``Public:`` line.
 """
 
 from .channel import array_gain_exact

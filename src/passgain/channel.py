@@ -7,17 +7,17 @@ with the in-waveguide phase ``phi = k0 n_eff delta`` and, on a lossy
 waveguide, the amplitude ``att = 10^(-alpha run / 20)`` of its run from the
 feed.  The gain is ``|sum_n att_n h_n exp(-j phi_n)|^2 / N``.  Phase taken
 from the feed instead differs by one unit-modulus factor, so the feed enters
-only through the loss.  Two forms of the sum remain: the direct one,
-:func:`gain_at_offsets`, and the pair one, :func:`pair_phasors` and
-:func:`nested_gains`, which reads all nested symmetric layouts off one prefix
-sum.  They round differently, and the benchmark oracles (``direct_gain``, and
-``pair_phasors`` with ``nested_gains``) mirror each one's rounding, so
-merging them waits for oracles set against the exact model.
+only through the loss.  Two forms of the sum remain, rounding differently:
+the direct one, :func:`gain_at_offsets`, and the pair one,
+:func:`_pair_phasors` and :func:`_nested_gains`, which reads all nested
+symmetric layouts off one prefix sum; the benchmark oracles mirror each.
 
 The pair sum runs its loss from the user's projection, over which a left
 antenna ``dl`` out gains ``alpha dl / 20`` decades, in blocks of 100 decades:
 each block sums in units of 10^(its lower edge) and carries its total on by a
-factor <= 1, so no factor exceeds 10^100; :func:`at_feed` moves it to the feed.
+factor <= 1, so no factor exceeds 10^100; :func:`_at_feed` moves it to the feed.
+
+Public: gain_at_offsets, array_gain_exact.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import AntennaLayout, SystemConfig, resolve_feed
+from .geometry import AntennaLayout, SystemConfig, _resolve_feed
 
 
-def los_channel(offsets, cfg: SystemConfig):
+def _los_channel(offsets, cfg: SystemConfig):
     """Spherical-wave coefficients ``sqrt(eta) exp(-j k0 r) / r`` of antennas at
     signed ``offsets`` (m, any shape) along the waveguide from the user's
     projection, ``r = hypot(offset, d)``."""
@@ -39,7 +39,7 @@ def los_channel(offsets, cfg: SystemConfig):
     return math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
 
 
-def abs_squared(z):
+def _abs_squared(z):
     """``|z|^2`` of a complex array, rounded as ``abs(z) ** 2`` of a numpy scalar
     is (libm hypot, then libm pow), which keeps the CSV bits of the
     point-by-point sweeps; ``np.abs`` and ``** 2`` on arrays round otherwise."""
@@ -51,37 +51,31 @@ def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
     their antenna offsets from the user's projection, left to right along the
     last axis (shape (..., N), giving shape (...)), under waveguide loss
     ``alpha`` (dB/m).  The phase runs from the user's projection; the loss
-    runs from the feed, as :func:`~passgain.geometry.resolve_feed` places it
+    runs from the feed, as :func:`~passgain.geometry._resolve_feed` places it
     for each layout, so without loss the feed cannot move the gain."""
     offsets = np.asarray(offsets, dtype=float)
-    att = 10.0 ** (-alpha * (offsets - resolve_feed(cfg, offsets[..., :1])) / 20.0)
+    att = 10.0 ** (-alpha * (offsets - _resolve_feed(cfg, offsets[..., :1])) / 20.0)
     phase = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
-    total = np.sum(att * los_channel(offsets, cfg) * phase, axis=-1)
-    return abs_squared(total) / offsets.shape[-1]
+    total = np.sum(att * _los_channel(offsets, cfg) * phase, axis=-1)
+    return _abs_squared(total) / offsets.shape[-1]
 
 
-def array_gain_exact(
-    layout: AntennaLayout,
-    cfg: SystemConfig,
-    alpha_wg: float | None = None,
-) -> float:
+def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:
     """Exact array gain (received SNR over transmit SNR) of a layout.
 
     Equal power split over the N antennas:
-    ``a = |sum_n att_n h_n exp(-j phi_n)|^2 / N``, by :func:`gain_at_offsets`.
-    The feed enters only the loss, so with zero loss the value does not
-    depend on the feed position at all.  ``alpha_wg`` overrides the
-    configured waveguide loss, so one layout can be scored under both the
-    lossless and the lossy configuration.
+    ``a = |sum_n att_n h_n exp(-j phi_n)|^2 / N``, by :func:`gain_at_offsets`
+    under the configured waveguide loss.  The feed enters only the loss, so
+    with zero loss the value does not depend on the feed position at all.
     """
-    alpha = cfg.alpha_wg_db_per_m if alpha_wg is None else alpha_wg
-    return float(gain_at_offsets(np.asarray(layout.positions) - cfg.x_u_m, cfg, alpha))
+    offsets = np.asarray(layout.positions) - cfg.x_u_m
+    return float(gain_at_offsets(offsets, cfg, cfg.alpha_wg_db_per_m))
 
 
-PairPhasors = namedtuple("PairPhasors", "dr dl rr rl er el")
+_PairPhasors = namedtuple("_PairPhasors", "dr dl rr rl er el")
 
 
-def pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> PairPhasors:
+def _pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> _PairPhasors:
     """Per-side offsets ``dr``/``dl``, distances ``rr``/``rl`` and phasors
     ``er``/``el`` (``exp(-j theta)``) of the antenna pairs at ``+dr`` and
     ``-dl``: the loss-free part of their gains, shared by all loss cases."""
@@ -91,10 +85,10 @@ def pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> PairPhasors:
     rl = np.hypot(cfg.d_m, dl)
     er = np.exp(-1j * (cfg.k0 * (rr + cfg.n_eff * dr)))
     el = np.exp(-1j * (cfg.k0 * (rl - cfg.n_eff * dl)))
-    return PairPhasors(dr, dl, rr, rl, er, el)
+    return _PairPhasors(dr, dl, rr, rl, er, el)
 
 
-def scaled_accumulate(ufunc, values, scale):
+def _scaled_accumulate(ufunc, values, scale):
     """Running ``ufunc`` (``np.add``, ``np.maximum``) of ``values`` in units of
     ``10**scale``, ``scale`` nondecreasing: each run of equal scale accumulates
     in its own units, after the total before it times ``10**(previous - scale)``."""
@@ -108,9 +102,9 @@ def scaled_accumulate(ufunc, values, scale):
     return out
 
 
-def nested_gains(phasors: PairPhasors, cfg: SystemConfig, alpha: float):
+def _nested_gains(phasors: _PairPhasors, cfg: SystemConfig, alpha: float):
     """Gains of the nested layouts of the innermost 1, 2, ... pairs (offsets
-    growing outward), by prefix sums of their :func:`pair_phasors`; with the
+    growing outward), by prefix sums of their :func:`_pair_phasors`; with the
     phasors ``er`` and ``el`` set to 1, the phase-free upper bounds.
 
     Returns ``(gains, scale)``: with the loss run from the user's projection,
@@ -128,12 +122,12 @@ def nested_gains(phasors: PairPhasors, cfg: SystemConfig, alpha: float):
     if up[-1] >= 100.0:  # in units of 10^(each block's lower edge)
         block = 100.0 * np.floor(up / 100.0)
         lo, hi = lo - block, hi - block
-    s = scaled_accumulate(np.add, 10.0 ** lo * er / rr + 10.0 ** hi * el / rl, block)
+    s = _scaled_accumulate(np.add, 10.0 ** lo * er / rr + 10.0 ** hi * el / rl, block)
     return cfg.eta * np.abs(s) ** 2 / (2.0 * m), 2.0 * block
 
 
-def at_feed(gains, scale, alpha: float, run):
-    """Gains of :func:`nested_gains` layouts fed ``run`` metres left of the
+def _at_feed(gains, scale, alpha: float, run):
+    """Gains of :func:`_nested_gains` layouts fed ``run`` metres left of the
     user's projection: ``gains * 10**(scale - alpha run / 10)``, a factor <= 1
     for a feed at or left of the layout, taken in two steps below 1e-300 so
     that it underflows only with the gain."""

@@ -3,17 +3,13 @@
 Each subcommand runs one experiment sweep and writes CSV.  Every subcommand
 takes ``--config`` (scenario file), ``--out`` (CSV path) and ``--seed``
 (written to the ``# seed=`` header; the Monte Carlo sweep draws from it).
-Its other flags are its own, declared once in :data:`SUBCOMMANDS`:
-
-    passgain fub-curve           --x-max --grid-step
-    passgain fmc-curve           --n-eff-list --grid-step
-    passgain gain-vs-n           --delta-p --case --n-max --grid-step
-    passgain maxgain-vs-spacing  --delta-p --case --n-max --trials
-    passgain gain-vs-delta-mc    --n-list --grid-step
+Its other flags are its own, declared once in :data:`SUBCOMMANDS`.
 
 Exit codes: 0 success, 2 configuration error (including a flag the
-subcommand does not take), 3 numerical failure (including an overflow or a
-division by zero at extreme inputs).
+subcommand does not take), 3 numerical failure (including an overflow, a
+division by zero or a non-finite result at extreme inputs).
+
+Public: Subcommand, SUBCOMMANDS, build_parser, main.
 """
 
 from __future__ import annotations

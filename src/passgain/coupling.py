@@ -15,6 +15,8 @@ or a 1-D array of S spacings.  An array is solved as one (S, N, N) stack: one
 channel taken at the offsets ``+/-(k - 1/2) delta`` from the user, so the
 result does not depend on where the user stands.  A stack holds S N^2
 entries; the caller picks S.
+
+Public: EIG_FLOOR, coupling_matrix, inv_sqrt, gain_mc, gain_mc_two_closed, f_mc.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import abs_squared, los_channel
+from .channel import _abs_squared, _los_channel
 from .errors import ConfigError
-from .geometry import SystemConfig, symmetric_offsets, uniform_spacings
+from .geometry import SystemConfig, _symmetric_offsets, _uniform_spacings
 
 # Coupling-matrix eigenvalues below this are floored before the -1/2 power.
 EIG_FLOOR = 1e-10
 
 
-def sinc_j0(x):
+def _sinc_j0(x):
     """sin(x)/x, and 1 at x = 0."""
     x = np.asarray(x, dtype=float)
     safe = np.where(x == 0, 1.0, x)
@@ -45,16 +47,16 @@ def coupling_matrix(n: int, delta, cfg: SystemConfig) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
     ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
     i = np.arange(n)
-    first_rows = sinc_j0(cfg.k0 * uniform_spacings(n, delta)[..., None] * i)
+    first_rows = _sinc_j0(cfg.k0 * _uniform_spacings(n, delta)[..., None] * i)
     return first_rows[..., abs(i[:, None] - i)]
 
 
-class InverseSqrt(NamedTuple):
+class _InverseSqrt(NamedTuple):
     matrix: np.ndarray
     floored: int | np.ndarray
 
 
-def inv_sqrt(c: np.ndarray) -> InverseSqrt:
+def inv_sqrt(c: np.ndarray) -> _InverseSqrt:
     """Inverse matrix square root via the spectral decomposition, of one
     matrix or of a stack (..., N, N) in a single ``eigh`` call.
 
@@ -67,7 +69,7 @@ def inv_sqrt(c: np.ndarray) -> InverseSqrt:
     floored = np.sum(w < EIG_FLOOR, axis=-1)
     w_safe = np.maximum(w, EIG_FLOOR)
     matrix = (v * w_safe[..., None, :] ** -0.5) @ np.swapaxes(v, -1, -2)
-    return InverseSqrt(matrix=matrix, floored=int(floored) if floored.ndim == 0 else floored)
+    return _InverseSqrt(matrix=matrix, floored=int(floored) if floored.ndim == 0 else floored)
 
 
 def gain_mc(n: int, delta, cfg: SystemConfig):
@@ -83,8 +85,8 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
     be floored.
     """
     root = inv_sqrt(coupling_matrix(n, delta, cfg))
-    offsets = symmetric_offsets(n, delta)
-    h = los_channel(offsets, cfg)
+    offsets = _symmetric_offsets(n, delta)
+    h = _los_channel(offsets, cfg)
     phi_vec = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
     h_root = (h[..., None, :] @ root.matrix)[..., 0, :]
     total = (h_root[..., None, :] @ phi_vec[..., :, None])[..., 0, 0]
@@ -98,7 +100,7 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
             RuntimeWarning,
             stacklevel=2,
         )
-    gains = abs_squared(total) / n
+    gains = _abs_squared(total) / n
     return float(gains) if gains.ndim == 0 else gains
 
 
@@ -112,7 +114,7 @@ def gain_mc_two_closed(delta, cfg: SystemConfig):
     # squares through libm pow, as Python's float ** 2, which keeps the CSV
     # bits of the point-by-point sweep (x * x can differ in the last bit)
     num = 2.0 * cfg.eta * np.float_power(np.cos(cfg.n_eff * cfg.k0 * delta / 2.0), 2)
-    den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + sinc_j0(cfg.k0 * delta))
+    den = (cfg.d_m**2 + np.float_power(delta, 2) / 4.0) * (1.0 + _sinc_j0(cfg.k0 * delta))
     out = num / den
     return float(out) if out.ndim == 0 else out
 
@@ -125,5 +127,5 @@ def f_mc(x, n_eff: float):
         raise ConfigError("spacing must be finite and >= 0")
     if not 1.0 <= n_eff < math.inf:
         raise ConfigError(f"n_eff must be finite and >= 1, got {n_eff}")
-    out = np.cos(math.pi * n_eff * x) ** 2 / (1.0 + sinc_j0(2.0 * math.pi * x))
+    out = np.cos(math.pi * n_eff * x) ** 2 / (1.0 + _sinc_j0(2.0 * math.pi * x))
     return float(out) if out.ndim == 0 else out

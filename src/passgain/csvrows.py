@@ -1,10 +1,12 @@
 """``%.11e`` CSV lines from numpy lookup tables.
 
-:func:`csv_rows` renders the ``label,x,y,stderr`` lines of
+:func:`_csv_rows` renders the ``label,x,y,stderr`` lines of
 :func:`experiments.write_csv <passgain.experiments.write_csv>` a chunk at a
 time, byte for byte as Python's ``"%.11e" % v`` would: each number's digits,
 sign and exponent are looked up in small tables of 4-byte words.  The few
 numbers whose digits numpy cannot vouch for get them from ``%``.
+
+Public: none.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from .errors import ConfigError
 
 @functools.cache
 def _tables():
-    """Lookup tables of :func:`csv_rows`, built on its first call: the scale
+    """Lookup tables of :func:`_csv_rows`, built on its first call: the scale
     and the least in-range scaled value per decimal exponent, and the word
     table of each of a number's five words.
 
@@ -59,9 +61,9 @@ def _tables():
     return scale, s_min, tables
 
 
-def label_words(names) -> np.ndarray:
+def _label_words(names) -> np.ndarray:
     """The series names as rows of NUL-padded uint32 words, one row per name;
-    :func:`csv_rows` drops the NUL bytes, so no name may hold one."""
+    :func:`_csv_rows` drops the NUL bytes, so no name may hold one."""
     encoded = [name.encode() for name in names]
     if any(b"\0" in name for name in encoded):
         raise ConfigError("series names must not contain NUL characters")
@@ -70,10 +72,10 @@ def label_words(names) -> np.ndarray:
     return np.frombuffer(text, np.uint32).reshape(len(names), width)
 
 
-def csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
+def _csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
     """``label,x,y,stderr`` CSV lines, each number in ``%.11e``.
 
-    ``labels`` holds the :func:`label_words` row of each line's series;
+    ``labels`` holds the :func:`_label_words` row of each line's series;
     ``values`` holds the x, y and stderr rows.  Each number with |e| < 100,
     e its decimal exponent, gets the 12-digit mantissa
     m = rint(|v| 10^(11 - e)) from one rounded multiplication by a rounded

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Public: ConfigError, NumericsError.
+"""
 
 
 class ConfigError(ValueError):
@@ -6,4 +9,4 @@ class ConfigError(ValueError):
 
 
 class NumericsError(RuntimeError):
-    """A numerical routine failed to converge or lost its bracket."""
+    """A numerical routine failed: no convergence, or a result float64 cannot hold."""

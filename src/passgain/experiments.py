@@ -28,6 +28,11 @@ The coupling sweep hands each antenna count N its spacing grid in chunks of
 eigensolve in :func:`coupling.gain_mc`, so no stack holds more than
 MAX_SWEEP_SIZE matrix entries.  Its coupling-free rows use the same offsets
 from the user.
+
+Public: USER_HALF_RANGE_M, DEFAULT_FEED_X0_M, FLUID_RANGE_WAVELENGTHS,
+FIXED_ANTENNA_X_M, DELTA_MIN_WL, MAX_SWEEP_SIZE, Curve, write_csv,
+run_fub_curve, run_fmc_curve, run_gain_vs_n, run_maxgain_vs_spacing,
+run_gain_vs_delta_mc.
 """
 
 from __future__ import annotations
@@ -39,9 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import at_feed, gain_at_offsets, nested_gains, pair_phasors, scaled_accumulate
+from .channel import _at_feed, _nested_gains, _pair_phasors, _scaled_accumulate, gain_at_offsets
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, check_antenna_count, resolve_feed, symmetric_offsets
+from .geometry import SystemConfig, _check_antenna_count, _resolve_feed, _symmetric_offsets
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -84,12 +89,13 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     rows with equal keys in input order, and return the number of rows.
 
     The seed goes into a leading ``#`` comment line; all numbers use
-    12-significant-digit scientific notation, making output byte-stable."""
-    from .csvrows import csv_rows, label_words  # `import passgain.cli` skips them
+    12-significant-digit scientific notation, making output byte-stable.  A
+    non-finite number raises NumericsError naming its series."""
+    from .csvrows import _csv_rows, _label_words  # `import passgain.cli` skips them
 
     curves = list(curves)
     names = sorted({c.series for c in curves})
-    labels = label_words(names)
+    labels = _label_words(names)
     rank = {name: i for i, name in enumerate(names)}
     sizes = [getattr(c.x, "size", 1) for c in curves]
     ranks = np.repeat(np.array([rank[c.series] for c in curves], dtype=int), sizes)
@@ -99,8 +105,8 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(err))
     if bad.any():
         i = int(np.argmax(bad))
-        raise ConfigError(f"non-finite curve point in series {names[ranks[i]]!r}: "
-                          f"x={x[i]:.11e}, y={y[i]:.11e}, stderr={err[i]:.11e}")
+        raise NumericsError(f"non-finite curve point in series {names[ranks[i]]!r}: "
+                            f"x={x[i]:.11e}, y={y[i]:.11e}, stderr={err[i]:.11e}")
     path = Path(path)
     try:
         with path.open("wb") as fh:
@@ -108,7 +114,7 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
             for a in range(0, y.size, _CSV_CHUNK_ROWS):
                 rows = slice(a, a + _CSV_CHUNK_ROWS)
                 values = np.stack((x[rows], y[rows], err[rows]))
-                fh.write(csv_rows(labels[ranks[rows]], values))
+                fh.write(_csv_rows(labels[ranks[rows]], values))
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
     return y.size
@@ -128,16 +134,8 @@ def _grid_count(span: float, step: float) -> int:
     return int(round(span / step))
 
 
-def _check_finite(values, series: str, alpha: float) -> None:
-    """Raise NumericsError on a non-finite gain: a safety net, as the block
-    sums of :func:`~passgain.channel.nested_gains` keep every factor in range."""
-    if not np.all(np.isfinite(values)):
-        raise NumericsError(f"series {series!r} overflows the float range at "
-                            f"alpha_wg_db_per_m = {alpha:g}")
-
-
 def _layouts(m_max, cfg, reach=np.inf):
-    """:func:`~passgain.channel.pair_phasors` of the uniform and the refined layout with
+    """:func:`~passgain.channel._pair_phasors` of the uniform and the refined layout with
     ``m_max`` antenna pairs, keyed by layout kind; each ends at its first pair
     whose left offset exceeds ``reach``, if that comes sooner."""
     from . import gain, refine
@@ -149,8 +147,8 @@ def _layouts(m_max, cfg, reach=np.inf):
         refine.refined_half_deltas(half.size, cfg, side="right")
         raise
     d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, side="right")
-    return {"uniform": pair_phasors(half, half, cfg),
-            "refined": pair_phasors(d_right, d_left, cfg)}
+    return {"uniform": _pair_phasors(half, half, cfg),
+            "refined": _pair_phasors(d_right, d_left, cfg)}
 
 
 def run_fub_curve(x_max: float, step: float):
@@ -197,10 +195,9 @@ def run_gain_vs_n(cfg: SystemConfig, delta_p_values, cases, n_max: int, n_step: 
 
         for label, alpha in cases:
             for kind, ph in layouts.items():
-                run = -resolve_feed(cfg_dp, -ph.dl)  # each layout's feed-to-projection run
-                g = at_feed(*nested_gains(ph, cfg_dp, alpha), alpha, run)
+                run = -_resolve_feed(cfg_dp, -ph.dl)  # each layout's feed-to-projection run
+                g = _at_feed(*_nested_gains(ph, cfg_dp, alpha), alpha, run)
                 series = f"{kind}_dp{dp:g}_{label}"
-                _check_finite(g, series, alpha)
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
     return points
 
@@ -272,10 +269,9 @@ def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int
 
         for label, alpha in cases:
             for kind, ph in layouts.items():
-                g, scale = nested_gains(ph, cfg_dp, alpha)
-                peak, i = scaled_accumulate(np.maximum, g, scale), last[kind]
-                best = at_feed(peak[i], scale[i], alpha, feed_run)
-                _check_finite(best, f"{kind}_{label}", alpha)
+                g, scale = _nested_gains(ph, cfg_dp, alpha)
+                peak, i = _scaled_accumulate(np.maximum, g, scale), last[kind]
+                best = _at_feed(peak[i], scale[i], alpha, feed_run)
                 mean, err = _mean_stderr(best)
                 points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
@@ -314,7 +310,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     if not n_values:
         raise ConfigError("antenna-count list must be non-empty")
     for n in n_values:
-        check_antenna_count(n, "every n_list entry")
+        _check_antenna_count(n, "every n_list entry")
         _check_size("coupling-matrix entries", n * n)
     from . import coupling
     d2 = cfg.d_m**2
@@ -329,7 +325,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
-        nomc_vals = np.concatenate([gain_at_offsets(symmetric_offsets(n, s), cfg, 0.0)
+        nomc_vals = np.concatenate([gain_at_offsets(_symmetric_offsets(n, s), cfg, 0.0)
                                     for s in chunks])
         mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg) for s in chunks])
 

@@ -15,6 +15,11 @@ bound has the closed form ``2 eta f_ub(L) / (delta_p d^2 eps)`` with
 ``2x / sqrt(1 + x^2) = asinh(x)`` (held as :data:`XSTAR`, the float nearest
 it), where ``f_ub(x*) ~ 1.105``, which pins down the optimal antenna count and
 the overall gain ceiling.
+
+Public: XSTAR, gain_symmetric, uniform_deltas, gain_uniform, uniform_integrand,
+gain_uniform_single_integral, gain_uniform_integral, upper_bound_sum,
+upper_bound_sum_uniform, f_ub, find_xstar, closed_bound_value, BoundReport,
+upper_bound_closed, optimal_antenna_number, max_gain_estimate, gain_limit.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channel import nested_gains, pair_phasors
+from .channel import _nested_gains, _pair_phasors
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, check_antenna_count
+from .geometry import SystemConfig, _check_antenna_count
 
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
@@ -34,7 +39,7 @@ XSTAR = 3.3198263863951483
 
 
 def _half_phasors(deltas, cfg: SystemConfig):
-    """:func:`~passgain.channel.pair_phasors` of the mirror-symmetric layout
+    """:func:`~passgain.channel._pair_phasors` of the mirror-symmetric layout
     with positive-side offsets ``deltas``, after checking them."""
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
@@ -43,19 +48,19 @@ def _half_phasors(deltas, cfg: SystemConfig):
         raise ConfigError("offsets must be finite and non-negative")
     if not np.all(np.diff(deltas) > 0):
         raise ConfigError("offsets must be strictly increasing")
-    return pair_phasors(deltas, deltas, cfg)
+    return _pair_phasors(deltas, deltas, cfg)
 
 
 def gain_symmetric(deltas, cfg: SystemConfig) -> float:
     """Exact gain of a mirror-symmetric, lossless layout from its positive-side
     offsets (strictly increasing, n = 1..N/2): the last of its
-    :func:`~passgain.channel.nested_gains`."""
-    return float(nested_gains(_half_phasors(deltas, cfg), cfg, 0.0)[0][-1])
+    :func:`~passgain.channel._nested_gains`."""
+    return float(_nested_gains(_half_phasors(deltas, cfg), cfg, 0.0)[0][-1])
 
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
     """Positive-side offsets (k - 1/2) * delta_p * wavelength for k = 1..n/2."""
-    check_antenna_count(n)
+    _check_antenna_count(n)
     k = np.arange(1, n // 2 + 1, dtype=float)
     return (k - 0.5) * cfg.delta_p * cfg.wavelength
 
@@ -93,7 +98,7 @@ def _panel_integral(
     than ``rel_tol`` of the phase-free sum, or would need more than
     ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
     """
-    check_antenna_count(n)
+    _check_antenna_count(n)
     eps = cfg.wavelength / cfg.d_m
     dp, ne = cfg.delta_p, cfg.n_eff
     upper = n * eps / 2.0
@@ -226,7 +231,7 @@ def upper_bound_sum(deltas, cfg: SystemConfig) -> float:
     """Phase-free upper bound (eta / N) (sum_n 2 / r_n)^2 on the symmetric gain:
     :func:`gain_symmetric` with every pair phasor set to 1."""
     ph = _half_phasors(deltas, cfg)._replace(er=1.0, el=1.0)
-    return float(nested_gains(ph, cfg, 0.0)[0][-1])
+    return float(_nested_gains(ph, cfg, 0.0)[0][-1])
 
 
 def upper_bound_sum_uniform(n: int, cfg: SystemConfig) -> float:
@@ -293,15 +298,13 @@ def upper_bound_closed(n: int, cfg: SystemConfig) -> BoundReport:
 
 
 def optimal_antenna_number(cfg: SystemConfig) -> int:
-    """Even antenna count near the closed bound's maximum: 2 x* d / (delta_p
-    wavelength) rounded to the nearest even integer (ties round up).  In about
-    1.2 % of configurations the next even count up has the larger bound."""
-    xstar, _ = find_xstar()
-    n_real = 2.0 * xstar * cfg.d_m / (cfg.delta_p * cfg.wavelength)
-    lo = 2.0 * math.floor(n_real / 2.0)
-    hi = lo + 2.0
-    n = hi if (n_real - lo) >= (hi - n_real) else lo
-    return max(2, int(n))
+    """Even antenna count with the largest closed bound: of the even counts
+    on either side of its real maximizer 2 x* d / (delta_p wavelength), at
+    least 2, the one with the larger :func:`closed_bound_value` (the smaller on
+    a tie).  The bound is unimodal in N, so no other even count does better."""
+    lo = max(2, 2 * math.floor(XSTAR * cfg.d_m / (cfg.delta_p * cfg.wavelength)))
+    below, above = closed_bound_value([lo, lo + 2], cfg)
+    return lo + 2 if above > below else lo
 
 
 def max_gain_estimate(cfg: SystemConfig) -> float:

@@ -6,6 +6,9 @@ x-axis at height ``d``.  The signal enters the waveguide at the feed point
 ``x_0`` and accumulates in-waveguide phase at the guided wavenumber.
 
 All lengths are in metres, frequencies in Hz, loss in dB/m.
+
+Public: SPEED_OF_LIGHT, SystemConfig, AntennaLayout, symmetric_uniform_layout,
+load_scenario.
 """
 
 from __future__ import annotations
@@ -90,7 +93,7 @@ class SystemConfig:
             object.__setattr__(self, name, value)
 
 
-def check_antenna_count(n: int, name: str = "antenna count") -> None:
+def _check_antenna_count(n: int, name: str = "antenna count") -> None:
     """Refuse a count ``n`` the model does not cover: it takes even counts >= 2."""
     if n < 2 or n % 2 != 0:
         raise ConfigError(f"{name} must be even and >= 2, got {n}")
@@ -111,7 +114,7 @@ class AntennaLayout:
     min_spacing: float
 
     def __post_init__(self):
-        check_antenna_count(len(self.positions))
+        _check_antenna_count(len(self.positions))
         for a, b in zip(self.positions, self.positions[1:]):
             if not b > a:
                 raise ConfigError("layout positions must be strictly increasing")
@@ -122,21 +125,21 @@ class AntennaLayout:
                 )
 
 
-def uniform_spacings(n: int, spacing) -> np.ndarray:
+def _uniform_spacings(n: int, spacing) -> np.ndarray:
     """``spacing`` (one value or a 1-D array) as a float array, after checking
     that the even-count model covers ``n`` antennas and every spacing is > 0."""
-    check_antenna_count(n)
+    _check_antenna_count(n)
     spacing = np.asarray(spacing, dtype=float)
     if not np.all(spacing > 0):
         raise ConfigError(f"spacing must be > 0, got {spacing[~(spacing > 0)].flat[0]}")
     return spacing
 
 
-def symmetric_offsets(n: int, spacing) -> np.ndarray:
+def _symmetric_offsets(n: int, spacing) -> np.ndarray:
     """Offsets ``+/-(k - 1/2) * spacing``, k = 1..n/2, of the equally spaced
     layout mirror-symmetric about the user, left to right: shape (n,) for one
     spacing and (S, n) for a 1-D array of S spacings."""
-    half = (np.arange(1, n // 2 + 1) - 0.5) * uniform_spacings(n, spacing)[..., None]
+    half = (np.arange(1, n // 2 + 1) - 0.5) * _uniform_spacings(n, spacing)[..., None]
     return np.concatenate([-half[..., ::-1], half], axis=-1)
 
 
@@ -146,11 +149,11 @@ def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> Anten
     Antenna k = 1..n/2 sits at ``x_u +/- (k - 1/2) * spacing``; the model only
     covers even antenna counts, so odd ``n`` is rejected.
     """
-    positions = (cfg.x_u_m + symmetric_offsets(n, spacing)).tolist()
+    positions = (cfg.x_u_m + _symmetric_offsets(n, spacing)).tolist()
     return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m, min_spacing=spacing)
 
 
-def resolve_feed(cfg: SystemConfig, leftmost):
+def _resolve_feed(cfg: SystemConfig, leftmost):
     """Feed offset from the user's projection for layouts whose leftmost
     antennas sit at offsets ``leftmost`` (a float or an array) from it;
     "auto" puts the feed at each layout's own leftmost antenna.

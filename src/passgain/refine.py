@@ -32,6 +32,8 @@ walk takes a pass per flip.  The whole walk is checked at once: each seed
 must call for the index walked, each path must hit its target to within
 1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
 float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
+
+Public: combined_path, refined_half_deltas, RefinedLayout, build_refined_layout.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import AntennaLayout, SystemConfig, check_antenna_count
+from .geometry import AntennaLayout, SystemConfig, _check_antenna_count
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -175,7 +177,7 @@ class RefinedLayout:
 
 def build_refined_layout(n: int, cfg: SystemConfig) -> RefinedLayout:
     """Refined symmetric-count layout with N/2 antennas per side."""
-    check_antenna_count(n)
+    _check_antenna_count(n)
     n_half = n // 2
     d_right, v_right, t_right = refined_half_deltas(n_half, cfg, side="right")
     d_left, v_left, t_left = refined_half_deltas(n_half, cfg, side="left")

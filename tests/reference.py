@@ -5,8 +5,10 @@ import math
 import numpy as np
 
 from passgain.errors import ConfigError
-from passgain.channel import gain_at_offsets, nested_gains, pair_phasors
-from passgain.geometry import resolve_feed
+from passgain.channel import _nested_gains as nested_gains
+from passgain.channel import _pair_phasors as pair_phasors
+from passgain.channel import gain_at_offsets
+from passgain.geometry import _resolve_feed as resolve_feed
 
 
 def pair_gains(delta_right, delta_left, cfg, alpha):

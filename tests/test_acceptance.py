@@ -128,9 +128,7 @@ def test_05_coupling_oracle_equivalence():
         np.max(np.abs(coupling_matrix(2, lam / 2, CFG) - np.eye(2)))
     )
     a_mc_half = gain_mc(2, lam / 2, CFG)
-    a_free_half = array_gain_exact(
-        symmetric_uniform_layout(CFG, 2, lam / 2), CFG, alpha_wg=0.0
-    )
+    a_free_half = array_gain_exact(symmetric_uniform_layout(CFG, 2, lam / 2), CFG)
     half_rel = abs(a_mc_half - a_free_half) / a_free_half
     ok = worst <= 1e-9 and identity_err <= 1e-12 and half_rel <= 1e-9
     report(
@@ -184,7 +182,7 @@ def test_07_refinement_coherence():
         worst_residual = max(
             worst_residual, float(np.max(np.abs(paths - lam * np.round(paths / lam))))
         )
-        a_ref = array_gain_exact(rl.layout, CFG, alpha_wg=0.0)
+        a_ref = array_gain_exact(rl.layout, CFG)
         beats_uniform = beats_uniform and a_ref >= gain_uniform(n, CFG)
         half = np.asarray(rl.layout.positions[n // 2 :]) - CFG.x_u_m
         worst_tracking = min(worst_tracking, a_ref / upper_bound_sum(half, CFG))

@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_symmetric, upper_bound_sum
-from passgain.geometry import (
-    AntennaLayout,
-    SystemConfig,
-    resolve_feed,
-    symmetric_uniform_layout,
-)
+from passgain.geometry import AntennaLayout, SystemConfig, symmetric_uniform_layout
+from passgain.geometry import _resolve_feed as resolve_feed
 from passgain.refine import build_refined_layout
 
 
@@ -26,7 +22,7 @@ def lone_antenna_power(x, cfg):
     """|h|^2 of an antenna at ``x`` fed where it stands: its partner 1 m
     further along a 1e4 dB/m waveguide keeps 10^-500 of its amplitude, which
     is exactly 0 in float64, so the pair's gain is |h|^2 / 2."""
-    return 2.0 * array_gain_exact(pair(x, x + 1.0), cfg, alpha_wg=1e4)
+    return 2.0 * array_gain_exact(pair(x, x + 1.0), replace(cfg, alpha_wg_db_per_m=1e4))
 
 
 def test_overhead_antenna_power(cfg):
@@ -45,7 +41,7 @@ def test_overhead_antenna_phase(cfg):
         d, r = cfg.d_m, math.hypot(s, cfg.d_m)
         cross = 2 * math.cos(cfg.k0 * (r - d)) / (d * r)
         expected = cfg.eta / 2 * (1 / d**2 + 1 / r**2 + cross)
-        got = array_gain_exact(pair(cfg.x_u_m, cfg.x_u_m + s), cfg, alpha_wg=0.0)
+        got = array_gain_exact(pair(cfg.x_u_m, cfg.x_u_m + s), cfg)
         assert got == pytest.approx(expected, rel=1e-10)
 
 
@@ -64,7 +60,7 @@ def test_inwaveguide_phase_values(cfg):
     lambda_g = cfg.wavelength / cfg.n_eff
     for s, cos2 in ((lambda_g, 1.0), (lambda_g / 2, 0.0),
                     (cfg.wavelength, math.cos(math.pi * 1.44) ** 2)):
-        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg, alpha_wg=0.0)
+        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg)
         expected = 2 * cfg.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * cfg.eta)
 
@@ -85,7 +81,8 @@ def test_attenuation_values():
     lay = symmetric_uniform_layout(lossy, 8, 0.02)
 
     def gain_fed_from(run, alpha):
-        return array_gain_exact(lay, replace(lossy, x_0_m=lay.positions[0] - run), alpha_wg=alpha)
+        fed = replace(lossy, x_0_m=lay.positions[0] - run, alpha_wg_db_per_m=alpha)
+        return array_gain_exact(lay, fed)
 
     assert gain_fed_from(5.0, 0.0) == pytest.approx(gain_fed_from(0.0, 0.0), rel=1e-12)
     amplitude = math.sqrt(gain_fed_from(30.0, 0.08) / gain_fed_from(0.0, 0.08))
@@ -103,18 +100,18 @@ def test_exact_gain_matches_symmetric_form(cfg):
             half = np.sort(rng.uniform(1e-4, 3.0, size=half.size))
         positions = tuple(np.concatenate([cfg.x_u_m - half[::-1], cfg.x_u_m + half]))
         lay = AntennaLayout(positions=positions, center=cfg.x_u_m, min_spacing=0.0)
-        a_exact = array_gain_exact(lay, cfg, alpha_wg=0.0)
+        a_exact = array_gain_exact(lay, cfg)
         a_sym = gain_symmetric(half, cfg)
         assert a_exact == pytest.approx(a_sym, rel=1e-12)
 
 
 def test_feed_invariance_without_loss(cfg):
     lay = symmetric_uniform_layout(cfg, 6, 0.01)
-    base = array_gain_exact(lay, cfg, alpha_wg=0.0)
+    base = array_gain_exact(lay, cfg)
     for x0 in (-0.1, -3.0, -123.456):
         shifted = SystemConfig(x_0_m=x0, alpha_wg_db_per_m=0.0)
         lay0 = symmetric_uniform_layout(shifted, 6, 0.01)
-        assert array_gain_exact(lay0, shifted, alpha_wg=0.0) == pytest.approx(
+        assert array_gain_exact(lay0, shifted) == pytest.approx(
             base, rel=1e-12
         )
 
@@ -123,7 +120,7 @@ def test_two_antennas_half_wavelength(cfg):
     # evaluate the mirrored pair at spacing wavelength/2 by hand
     lam = cfg.wavelength
     lay = symmetric_uniform_layout(cfg, 2, lam / 2)
-    got = array_gain_exact(lay, cfg, alpha_wg=0.0)
+    got = array_gain_exact(lay, cfg)
     expected = (
         2
         * cfg.eta
@@ -141,13 +138,13 @@ def test_triangle_inequality_bound(cfg):
         lay = symmetric_uniform_layout(cfg, n, spacing)
         offsets = np.array(lay.positions) - lay.center
         bound = cfg.eta / n * np.sum(1.0 / np.hypot(offsets, cfg.d_m)) ** 2
-        assert array_gain_exact(lay, cfg, alpha_wg=0.0) <= bound * (1 + 1e-9)
+        assert array_gain_exact(lay, cfg) <= bound * (1 + 1e-9)
 
 
 def test_loss_never_raises_gain(cfg):
     lay = symmetric_uniform_layout(cfg, 8, 0.02)
     alphas = [0.0, 0.02, 0.08, 0.3, 1.0]
-    gains = [array_gain_exact(lay, cfg, alpha_wg=a) for a in alphas]
+    gains = [array_gain_exact(lay, replace(cfg, alpha_wg_db_per_m=a)) for a in alphas]
     assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
@@ -186,8 +183,7 @@ def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
     # relative accuracy; the user's position rounds the offsets by an ulp
     lay = mirrored(half, cfg)
     scale = upper_bound_sum(half, cfg)
-    assert abs(array_gain_exact(lay, cfg, alpha_wg=0.0)
-               - gain_symmetric(half, cfg)) <= 1e-9 * scale
+    assert abs(array_gain_exact(lay, cfg) - gain_symmetric(half, cfg)) <= 1e-9 * scale
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,7 +193,7 @@ def test_lossless_gain_ignores_the_feed(cfg, half, gap):
     # no bit, however far away it is
     lay = mirrored(half, cfg)
     fed = replace(cfg, x_0_m=lay.positions[0] - gap)
-    assert array_gain_exact(lay, fed, alpha_wg=0.0) == array_gain_exact(lay, cfg, alpha_wg=0.0)
+    assert array_gain_exact(lay, fed) == array_gain_exact(lay, cfg)
 
 
 @settings(max_examples=40, deadline=None)
@@ -219,5 +215,5 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
             raise
         reject()
     fed = cfg if gap is None else replace(cfg, x_0_m=lay.positions[0] - gap)
-    low, high = (array_gain_exact(lay, fed, alpha_wg=a) for a in alphas)
+    low, high = (array_gain_exact(lay, replace(fed, alpha_wg_db_per_m=a)) for a in alphas)
     assert high <= low * (1 + 1e-12)

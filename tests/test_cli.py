@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from passgain.cli import SUBCOMMANDS, build_parser, main
-from passgain.experiments import MAX_SWEEP_SIZE
+from passgain.cli import SUBCOMMANDS, Subcommand, build_parser, main
+from passgain.experiments import MAX_SWEEP_SIZE, Curve
 from passgain.gain import uniform_deltas
 from passgain.geometry import SystemConfig
 from passgain.refine import refined_half_deltas
@@ -197,6 +197,20 @@ def test_cli_import_leaves_scipy_out():
 def test_unknown_flag_exits_2(tmp_path):
     res = run_cli("fub-curve", "--out", str(tmp_path / "x.csv"), "--frobnicate")
     assert res.returncode == 2
+
+
+def test_non_finite_result_exits_3_naming_the_series(tmp_path, monkeypatch, capsys):
+    # a sweep handing write_csv a NaN is a numerical failure, not a config error
+    curves = [Curve("fine", np.arange(3.0), 1.0),
+              Curve("broken", np.arange(3.0), np.array([1.0, np.nan, 2.0]))]
+    nan_sweep = Subcommand("a NaN curve", (), lambda a, cfg: curves)
+    monkeypatch.setitem(SUBCOMMANDS, "fub-curve", nan_sweep)
+    out = tmp_path / "x.csv"
+    assert main(["fub-curve", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure:") and err.count("\n") == 1, err
+    assert "'broken'" in err and "'fine'" not in err
+    assert not out.exists()
 
 
 def test_mc_sweep_rejects_lossy_case(tmp_path):

@@ -68,7 +68,7 @@ def reference_write_csv(curves, path, seed=0):
     rows = sorted(expand(curves), key=lambda p: (p.series, p.x))
     for p in rows:
         if not (math.isfinite(p.x) and math.isfinite(p.y) and math.isfinite(p.stderr)):
-            raise ConfigError(f"non-finite curve point in series {p.series!r}: {p}")
+            raise NumericsError(f"non-finite curve point in series {p.series!r}: {p}")
     with open(path, "w", newline="") as fh:
         fh.write(f"# seed={seed}\n")
         fh.write("series,x,y,stderr\n")
@@ -172,7 +172,7 @@ def test_write_csv_non_finite_names_series(tmp_path):
                 Curve("bad", 1.0, 1.0, float("nan"))):
         curves = [Curve("good", np.arange(5.0), np.ones(5)), bad]
         for writer in (write_csv, reference_write_csv):
-            with pytest.raises(ConfigError, match="'bad'"):
+            with pytest.raises(NumericsError, match="'bad'"):
                 writer(curves, tmp_path / "x.csv")
 
 
@@ -183,7 +183,7 @@ def test_write_csv_rejects_nul_in_series_name(tmp_path):
 
 
 def test_write_csv_rejects_non_finite(tmp_path):
-    with pytest.raises(ConfigError):
+    with pytest.raises(NumericsError):
         write_csv([Curve("a", 0.0, float("nan"))], tmp_path / "x.csv")
 
 
@@ -265,7 +265,7 @@ def test_pair_gains_match_exact_channel():
             lay = AntennaLayout(
                 positions=pos, center=cfg.x_u_m, min_spacing=cfg.delta_p * cfg.wavelength
             )
-            reference = array_gain_exact(lay, cfg, alpha_wg=alpha)
+            reference = array_gain_exact(lay, replace(cfg, alpha_wg_db_per_m=alpha))
             fast = g[m - 1] * 10.0 ** (-alpha * (cfg.x_u_m + 30.0) / 10.0)
             assert fast == pytest.approx(reference, rel=1e-12)
 
@@ -652,7 +652,7 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
             mc_ref, nomc_ref = [], []
             for x in xs:
                 layout = symmetric_uniform_layout(cfg, n, float(x) * cfg.wavelength)
-                nomc_ref.append(array_gain_exact(layout, cfg, alpha_wg=0.0))
+                nomc_ref.append(array_gain_exact(layout, cfg))
                 pos = np.asarray(layout.positions)
                 r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
                 h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
@@ -663,7 +663,7 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
             assert [p.y for p in rows[f"nomc_N{n}"] if p.x > 0] == nomc_ref
     spacings = np.linspace(0.0, 1.0, 1429)[1:] * cfg.wavelength
     closed_ref = [2.0 * cfg.eta * math.cos(cfg.n_eff * cfg.k0 * s / 2.0) ** 2
-                  / ((cfg.d_m**2 + s**2 / 4.0) * (1.0 + coupling.sinc_j0(cfg.k0 * s)))
+                  / ((cfg.d_m**2 + s**2 / 4.0) * (1.0 + coupling._sinc_j0(cfg.k0 * s)))
                   for s in spacings.tolist()]
     assert coupling.gain_mc_two_closed(spacings, cfg).tolist() == closed_ref
 

@@ -10,9 +10,9 @@ from passgain.geometry import (
     AntennaLayout,
     SystemConfig,
     load_scenario,
-    resolve_feed,
     symmetric_uniform_layout,
 )
+from passgain.geometry import _resolve_feed as resolve_feed
 
 
 def test_wavelength_at_28ghz(cfg):

@@ -168,7 +168,7 @@ def test_refined_layout_paths_are_wavelength_multiples(cfg):
 def test_refined_beats_uniform_everywhere(cfg):
     for n in range(2, 201, 2):
         rl = build_refined_layout(n, cfg)
-        a_ref = array_gain_exact(rl.layout, cfg, alpha_wg=0.0)
+        a_ref = array_gain_exact(rl.layout, cfg)
         assert a_ref >= gain_uniform(n, cfg)
 
 
@@ -177,7 +177,7 @@ def test_refined_tracks_phase_free_bound(cfg):
         rl = build_refined_layout(n, cfg)
         half = np.asarray(rl.layout.positions[n // 2 :]) - cfg.x_u_m
         bound = upper_bound_sum(half, cfg)
-        a_ref = array_gain_exact(rl.layout, cfg, alpha_wg=0.0)
+        a_ref = array_gain_exact(rl.layout, cfg)
         assert a_ref >= 0.90 * bound
 
 
