@@ -39,13 +39,6 @@ def _los_channel(offsets, cfg: SystemConfig):
     return math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
 
 
-def _abs_squared(z):
-    """``|z|^2`` of a complex array, rounded as ``abs(z) ** 2`` of a numpy scalar
-    is (libm hypot, then libm pow), which keeps the CSV bits of the
-    point-by-point sweeps; ``np.abs`` and ``** 2`` on arrays round otherwise."""
-    return np.float_power(np.hypot(z.real, z.imag), 2)
-
-
 def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
     """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
     their antenna offsets from the user's projection, left to right along the
@@ -57,7 +50,8 @@ def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
     att = 10.0 ** (-alpha * (offsets - _resolve_feed(cfg, offsets[..., :1])) / 20.0)
     phase = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
     total = np.sum(att * _los_channel(offsets, cfg) * phase, axis=-1)
-    return _abs_squared(total) / offsets.shape[-1]
+    # np.square, not ** 2, which is libm pow on a numpy scalar but x * x on an array
+    return np.square(np.abs(total)) / offsets.shape[-1]
 
 
 def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:

@@ -49,6 +49,8 @@ class Subcommand:
 
 _CASE = ("--case", dict(choices=["1", "2", "both"], default="both",
                         help="waveguide loss: 1 = lossless, 2 = configured dB/m, both"))
+_DELTA_P = dict(type=_list_of(float),
+                help="minimum spacings to sweep, wavelengths (the scenario's delta_p is not used)")
 
 
 def _cases(args: argparse.Namespace, cfg: SystemConfig) -> tuple[tuple[str, float], ...]:
@@ -72,7 +74,7 @@ SUBCOMMANDS = {
     ),
     "gain-vs-n": Subcommand(
         "gain and bounds versus antenna count",
-        (("--delta-p", dict(type=_list_of(float), default=(0.5, 1.0))), _CASE,
+        (("--delta-p", dict(_DELTA_P, default=(0.5, 1.0))), _CASE,
          ("--n-max", dict(type=int, default=6000)),
          ("--grid-step", dict(type=int, default=2, help="antenna-count step (even)"))),
         lambda a, cfg: experiments.run_gain_vs_n(cfg, a.delta_p, _cases(a, cfg),
@@ -80,7 +82,7 @@ SUBCOMMANDS = {
     ),
     "maxgain-vs-spacing": Subcommand(
         "Monte Carlo maximum gain versus minimum spacing",
-        (("--delta-p", dict(type=_list_of(float), default=(0.5, 1.0, 1.5, 2.0))), _CASE,
+        (("--delta-p", dict(_DELTA_P, default=(0.5, 1.0, 1.5, 2.0))), _CASE,
          ("--n-max", dict(type=int, default=10000)),
          ("--trials", dict(type=int, default=1000, help="Monte Carlo trials"))),
         lambda a, cfg: experiments.run_maxgain_vs_spacing(cfg, a.delta_p, _cases(a, cfg),

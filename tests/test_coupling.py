@@ -7,25 +7,30 @@ import pytest
 
 from passgain.channel import array_gain_exact
 from passgain.coupling import (
+    EIG_FLOOR,
     coupling_matrix,
     f_mc,
     gain_mc,
     gain_mc_two_closed,
-    inv_sqrt,
 )
-from passgain.coupling import _sinc_j0 as sinc_j0
 from passgain.errors import ConfigError
 from passgain.geometry import symmetric_uniform_layout
 from reference import gain_two_uncoupled
 
 
-def test_sinc_values():
-    assert sinc_j0(0.0) == 1.0
-    assert sinc_j0(math.pi) == pytest.approx(0.0, abs=1e-15)
-    assert sinc_j0(math.pi / 2) == pytest.approx(2 / math.pi, rel=1e-12)
-    # series branch agrees with the direct ratio just above the crossover
-    for x in (1e-5, 9e-5, 1.1e-4, 1e-3):
-        assert sinc_j0(x) == pytest.approx(math.sin(x) / x, rel=1e-12)
+def test_matrix_entries_are_sin_x_over_x(cfg):
+    # J = sin(x)/x at x = k0 delta |m - n|; the argument's rounding moves it by
+    # (1 + |x cot x|) ulps, so the bound is 1e-15 scaled by that condition number
+    rng = np.random.default_rng(1)
+    k = np.arange(1, 6)
+    for spacing in rng.uniform(1e-3, 1.0, 100) * cfg.wavelength:
+        c = coupling_matrix(6, spacing, cfg)
+        assert np.all(np.diag(c) == 1.0)
+        x = cfg.k0 * spacing * k
+        cond = 1.0 + np.abs(x / np.tan(x))
+        rel = np.abs(c[0, 1:] / (np.sin(x) / x) - 1.0)
+        assert np.all(rel <= 1e-15 * cond), spacing
+        assert np.all(rel[x <= 1.0] <= 1e-15), spacing
 
 
 def test_half_wavelength_matrix_is_identity(cfg):
@@ -38,10 +43,8 @@ def test_half_wavelength_matrix_is_identity(cfg):
 def test_two_antenna_matrix_structure(cfg):
     lam = cfg.wavelength
     c = coupling_matrix(2, lam / 4, cfg)
-    j2 = sinc_j0(cfg.k0 * lam / 4)
-    assert j2 == pytest.approx(2 / math.pi, rel=1e-12)
     assert c[0, 0] == 1.0 and c[1, 1] == 1.0
-    assert c[0, 1] == c[1, 0] == j2
+    assert c[0, 1] == c[1, 0] == pytest.approx(2 / math.pi, rel=1e-15)
 
 
 def test_matrix_validation(cfg):
@@ -51,38 +54,61 @@ def test_matrix_validation(cfg):
         coupling_matrix(2, 0.0, cfg)
 
 
-def test_inv_sqrt_identity(cfg):
+def channel_rows(n, spacing, cfg):
+    """h and phi at the layout's antenna positions, as the model defines them."""
+    pos = np.asarray(symmetric_uniform_layout(cfg, n, spacing).positions)
+    r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
+    h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
+    return h, np.exp(-1j * cfg.k0 * cfg.n_eff * (pos - cfg.x_u_m))
+
+
+def test_half_wavelength_gain_has_the_identity_root(cfg):
+    # C = I to 1e-12 at half a wavelength, so M = I is its inverse square root
     lam = cfg.wavelength
     c = coupling_matrix(4, lam / 2, cfg)
-    root = inv_sqrt(c)
-    assert root.floored == 0
-    assert np.max(np.abs(root.matrix - np.eye(4))) < 1e-12
+    m = np.eye(4)
+    assert np.max(np.abs(m @ c @ m - np.eye(4))) < 1e-12
+    h, phi = channel_rows(4, lam / 2, cfg)
+    assert gain_mc(4, lam / 2, cfg) == pytest.approx(abs(h @ m @ phi) ** 2 / 4, rel=1e-12)
 
 
-def test_inv_sqrt_two_antenna_spectral_form(cfg):
-    # spectral route through eigenvalues 1 +/- J(2)
+def test_two_antenna_gain_through_the_spectral_root(cfg):
+    # C = [[1, J], [J, 1]] has eigenvalues 1 +/- J on (1, +/-1) / sqrt(2)
     lam = cfg.wavelength
-    c = coupling_matrix(2, 0.25 * lam, cfg)
-    j2 = sinc_j0(cfg.k0 * 0.25 * lam)
-    w = np.linalg.eigvalsh(c)
-    assert np.allclose(np.sort(w), [1 - j2, 1 + j2], atol=1e-12)
-    sp, sm = 1 / math.sqrt(1 + j2), 1 / math.sqrt(1 - j2)
-    expected = np.array([[sp + sm, sp - sm], [sp - sm, sp + sm]]) / 2
-    assert np.max(np.abs(inv_sqrt(c).matrix - expected)) < 1e-12
+    for x in (0.05, 0.25, 0.4, 0.7):
+        c = coupling_matrix(2, x * lam, cfg)
+        j2 = c[0, 1]
+        sp, sm = 1 / math.sqrt(1 + j2), 1 / math.sqrt(1 - j2)
+        m = np.array([[sp + sm, sp - sm], [sp - sm, sp + sm]]) / 2
+        assert np.max(np.abs(m @ c @ m - np.eye(2))) < 1e-12
+        h, phi = channel_rows(2, x * lam, cfg)
+        assert gain_mc(2, x * lam, cfg) == pytest.approx(abs(h @ m @ phi) ** 2 / 2, rel=1e-12)
 
 
-def test_inv_sqrt_defining_property(cfg):
+def test_gain_mc_against_a_30_digit_root(cfg):
+    # M = C^(-1/2) built by mpmath at 30 digits from the float matrix; with
+    # every eigenvalue above 1e-6 (none floored) gain_mc holds to 1e-12
+    # relative (2e-13 seen at lambda_min = 8e-6)
+    mp = pytest.importorskip("mpmath")
     lam = cfg.wavelength
     rng = np.random.default_rng(13)
     checked = 0
-    while checked < 50:
+    while checked < 20:
+        n = int(rng.choice([4, 6, 8]))
         spacing = float(rng.uniform(0.05, 1.0)) * lam
-        c = coupling_matrix(6, spacing, cfg)
+        c = coupling_matrix(n, spacing, cfg)
         if np.linalg.eigvalsh(c).min() <= 1e-6:
             continue
         checked += 1
-        m = inv_sqrt(c).matrix
-        assert np.linalg.norm(m @ m @ c - np.eye(6)) < 1e-8
+        h, phi = (mp.matrix([[mp.mpc(z.real, z.imag) for z in row]])
+                  for row in channel_rows(n, spacing, cfg))
+        with mp.workdps(30):
+            cm = mp.matrix(c.tolist())
+            w, v = mp.eigsy(cm)
+            m = v * mp.diag([1 / mp.sqrt(e) for e in w]) * v.T
+            assert mp.mnorm(m * cm * m - mp.eye(n), 1) < 1e-25
+            want = float(abs((h * m * phi.T)[0]) ** 2 / n)
+        assert abs(gain_mc(n, spacing, cfg) - want) <= 1e-12 * want
 
 
 def test_eigenvalues_sum_to_count(cfg):
@@ -199,7 +225,6 @@ def test_scalar_spacing_returns_float(cfg):
     lam = cfg.wavelength
     assert type(gain_mc(4, 0.6 * lam, cfg)) is float
     assert type(gain_mc_two_closed(0.6 * lam, cfg)) is float
-    assert type(inv_sqrt(coupling_matrix(4, 0.6 * lam, cfg)).floored) is int
 
 
 def test_stacked_matrices_equal_single_ones(cfg):
@@ -208,11 +233,6 @@ def test_stacked_matrices_equal_single_ones(cfg):
     assert stack.shape == (spacings.size, 6, 6)
     for s, c in zip(spacings, stack):
         assert np.array_equal(c, coupling_matrix(6, float(s), cfg))
-    root = inv_sqrt(stack)
-    assert root.matrix.shape == stack.shape
-    for c, m, k in zip(stack, root.matrix, root.floored):
-        single = inv_sqrt(c)
-        assert np.array_equal(m, single.matrix) and k == single.floored
 
 
 def test_closed_form_array_equals_scalar_calls(cfg):
@@ -247,7 +267,8 @@ def test_floor_warns_once_per_call_with_the_count(cfg):
         gain_mc(4, spacings, cfg)
     assert len(caught) == 1
     assert "floored" in str(caught[0].message)
-    floored = int(np.sum(inv_sqrt(coupling_matrix(4, spacings, cfg)).floored > 0))
+    w = np.linalg.eigh(coupling_matrix(4, spacings, cfg))[0]
+    floored = int(np.sum(np.any(w < EIG_FLOOR, axis=-1)))
     assert floored > 0 and f"at {floored} of 40 spacing(s)" in str(caught[0].message)
 
 

@@ -6,10 +6,15 @@ byte per CSV line, so that a moved digest names the first line whose check
 byte moved, not only the hash.  The coupling benchmark argv is held row by
 row to 1e-10 relative instead of by digest: its floored rows (coupling
 matrices whose small eigenvalues are floored before the inverse square root)
-move by up to 4e-11 relative with numpy's SIMD dispatch level.
+amplify input rounding about tenfold, so one ulp of another libm's ``exp`` or
+``sin`` can move their last printed digits.
 
-The digests hold on one machine and numpy build.  A change that moves one
-rewrites the file and names the rows that moved:
+The digests hold on one machine and numpy build.  A second test reruns the
+README argvs and the coupling argv in child processes at each SIMD dispatch
+level numpy offers on this CPU (``NPY_DISABLE_CPU_FEATURES``) and holds every
+row to one unit in its 12th digit, printing how many rows differ in bytes
+(``pytest -rP`` shows it).  A change that moves a digest rewrites the file and
+names the rows that moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,7 +24,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tempfile
 import warnings
 import zlib
@@ -27,7 +35,13 @@ from pathlib import Path
 
 import pytest
 
+import passgain
 from passgain.cli import main
+
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath as umath
 
 GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
@@ -85,9 +99,9 @@ def rows(lines):
 
 @pytest.mark.parametrize("argv", ROWS)
 def test_coupling_rows_match_the_golden_to_1e_10(golden, argv, tmp_path):
-    # not by digest: the floored rows move with numpy's SIMD dispatch level
-    # (4e-11 relative at mc_N16, 0.201 wavelengths), until the coupling gain
-    # stops flooring its eigenvalues
+    # not by digest: the floored rows amplify input rounding (a 1e-11 scaling
+    # of the channel moves mc_N16 at 0.201 wavelengths by 2.1e-10), until the
+    # coupling gain stops flooring its eigenvalues
     got = rows(csv_lines(argv, tmp_path))
     want = [line.split(",") for line in golden["rows"][argv]]
     assert len(got) == len(want), f"{argv}: {len(got)} rows where the golden has {len(want)}"
@@ -95,6 +109,49 @@ def test_coupling_rows_match_the_golden_to_1e_10(golden, argv, tmp_path):
         close = all(abs(float(a) - float(b)) <= REL_TOL * max(abs(float(a)), abs(float(b)))
                     for a, b in zip(g[1:], w[1:]))
         assert g[0] == w[0] and close, f"{argv}: row {i + 1} is {g}, the golden {w}"
+
+
+# NPY_DISABLE_CPU_FEATURES values, one per dispatch level below the top that
+# this CPU offers: each switches off one dispatched feature and all after it.
+OFFERED = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+LEVELS = [" ".join(OFFERED[i:]) for i in range(len(OFFERED))]
+CHILD = """
+import shlex, sys, warnings
+from passgain.cli import main
+warnings.simplefilter("ignore", RuntimeWarning)
+for i, argv in enumerate(sys.argv[2:]):
+    assert main([*shlex.split(argv), "--out", f"{sys.argv[1]}/{i}.csv"]) == 0
+"""
+
+
+def within_one_unit(a, b):
+    """Two printed numbers that differ by at most one unit in the 12th digit."""
+    unit = 10.0 ** (max(int(a.split("e")[1]), int(b.split("e")[1])) - 11)
+    return abs(float(a) - float(b)) < 1.5 * unit  # printed values lie whole units apart
+
+
+@pytest.mark.skipif(not LEVELS, reason="numpy dispatches no optional SIMD feature on this CPU")
+def test_rows_agree_across_simd_levels(tmp_path):
+    argvs = DIGESTS[:5] + ROWS  # the README commands and the coupling benchmark
+    want = [csv_lines(argv, tmp_path) for argv in argvs]
+    src = str(Path(passgain.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    differ = 0
+    for level in LEVELS:
+        out = tmp_path / level.split()[0]
+        out.mkdir()
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": level, "PYTHONPATH": path}
+        subprocess.run([sys.executable, "-c", CHILD, str(out), *argvs],
+                       env=env, check=True, capture_output=True)
+        for i, argv in enumerate(argvs):
+            got = (out / f"{i}.csv").read_bytes().splitlines(keepends=True)
+            assert len(got) == len(want[i]), f"{argv} without {level}: row count moved"
+            moved = [(g, w) for g, w in zip(rows(got), rows(want[i])) if g != w]
+            for g, w in moved:
+                assert g[0] == w[0] and all(map(within_one_unit, g[1:], w[1:])), \
+                    f"{argv} without {level}: {g} where this level prints {w}"
+            differ += len(moved)
+    print(f"{differ} rows differ in bytes across {len(LEVELS)} lower SIMD levels")
 
 
 def write_golden():
