@@ -31,12 +31,14 @@ from .errors import NumericsError
 from .geometry import AntennaLayout, SystemConfig, _resolve_feed
 
 
-def _los_channel(offsets, cfg: SystemConfig):
-    """Spherical-wave coefficients ``sqrt(eta) exp(-j k0 r) / r`` of antennas at
-    signed ``offsets`` (m, any shape) along the waveguide from the user's
-    projection, ``r = hypot(offset, d)``."""
+def _antenna_terms(offsets, cfg: SystemConfig):
+    """``(h, phi)`` of antennas at signed ``offsets`` (m, any shape) along the
+    waveguide from the user's projection: the spherical-wave coefficients
+    ``sqrt(eta) exp(-j k0 r) / r``, ``r = hypot(offset, d)``, and the
+    in-waveguide phasors ``exp(-j k0 n_eff offset)``."""
     r = np.hypot(offsets, cfg.d_m)
-    return math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
+    h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
+    return h, np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
 
 
 def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
@@ -48,8 +50,8 @@ def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
     for each layout, so without loss the feed cannot move the gain."""
     offsets = np.asarray(offsets, dtype=float)
     att = 10.0 ** (-alpha * (offsets - _resolve_feed(cfg, offsets[..., :1])) / 20.0)
-    phase = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
-    total = np.sum(att * _los_channel(offsets, cfg) * phase, axis=-1)
+    h, phase = _antenna_terms(offsets, cfg)
+    total = np.sum(att * h * phase, axis=-1)
     # np.square, not ** 2, which is libm pow on a numpy scalar but x * x on an array
     return np.square(np.abs(total)) / offsets.shape[-1]
 

@@ -26,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .channel import _los_channel
+from .channel import _antenna_terms
 from .errors import ConfigError
 from .geometry import SystemConfig, _symmetric_offsets, _uniform_spacings
 
@@ -57,12 +57,10 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
     coupling spectrum had to be floored.
     """
     w, v = np.linalg.eigh(coupling_matrix(n, delta, cfg))
-    offsets = _symmetric_offsets(n, delta)
-    h = _los_channel(offsets, cfg)[..., None, :]
-    phi = np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)[..., None, :]
+    h, phi = _antenna_terms(_symmetric_offsets(n, delta), cfg)
+    terms = (h[..., None, :] @ v)[..., 0, :] * (phi[..., None, :] @ v)[..., 0, :]
     # not w ** -0.5: numpy's pow rounds per SIMD level, sqrt and division do not
-    terms = (h @ v)[..., 0, :] * (phi @ v)[..., 0, :] / np.sqrt(np.maximum(w, EIG_FLOOR))
-    total = np.sum(terms, axis=-1)
+    total = np.sum(terms / np.sqrt(np.maximum(w, EIG_FLOOR)), axis=-1)
 
     floored = np.any(w < EIG_FLOOR, axis=-1)
     if floored.any():

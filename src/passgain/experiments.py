@@ -120,6 +120,19 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     return y.size
 
 
+def _distinct(flag: str, values, fmt: str) -> None:
+    """Refuse an empty ``flag`` list, or two of its entries that print alike
+    under ``fmt``, as they do in their series name or CSV abscissa."""
+    if len(values) == 0:
+        raise ConfigError(f"{flag} needs at least one entry")
+    printed = {}
+    for v in values:
+        text = format(v, fmt)
+        if text in printed:
+            raise ConfigError(f"{flag} entries {printed[text]} and {v} both print as {text}")
+        printed[text] = v
+
+
 def _check_size(what: str, count) -> None:
     if count > MAX_SWEEP_SIZE:
         raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
@@ -160,14 +173,12 @@ def run_fub_curve(x_max: float, step: float):
         raise ConfigError(f"x_max = {x_max:g} leaves no grid point at step {step:g}")
     from . import gain
     xs = step * np.arange(1, count + 1)
-    xstar, fstar = gain.find_xstar()
-    return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", xstar, fstar)]
+    return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", gain.XSTAR, gain.f_ub(gain.XSTAR))]
 
 
 def run_fmc_curve(n_eff_values, step: float):
     """Tabulate the coupling shape function over one wavelength of spacing."""
-    if not n_eff_values:
-        raise ConfigError("need at least one refractive-index value")
+    _distinct("--n-eff-list", n_eff_values, "g")
     from . import coupling
     xs = step * np.arange(0, _grid_count(1.0, step) + 1)
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
@@ -176,8 +187,7 @@ def run_fmc_curve(n_eff_values, step: float):
 def run_gain_vs_n(cfg: SystemConfig, delta_p_values, cases, n_max: int, n_step: int):
     """Gain versus antenna count: phase-free bound, refined layout, uniform
     layout, and the fixed-antenna baseline, per spacing and loss case."""
-    if not delta_p_values:
-        raise ConfigError("delta_p grid must be non-empty")
+    _distinct("--delta-p", delta_p_values, "g")
     if n_max < 2:
         raise ConfigError("n_max must be >= 2")
     _check_size("antenna pairs", n_max // 2)
@@ -228,8 +238,7 @@ def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int
     the figure.  Standard errors above 5 percent of the mean are flagged.
     """
     from . import gain
-    if not delta_p_values:
-        raise ConfigError("delta_p grid must be non-empty")
+    _distinct("--delta-p", delta_p_values, ".11e")
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
@@ -281,12 +290,12 @@ def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int
 
         points.append(Curve("bound", float(dp), gain.max_gain_estimate(cfg_dp)))
 
-    # the single-antenna baselines do not depend on the spacing
+    # the single-antenna baselines do not depend on the spacing; fluid1 is exact
     fluid_reach = FLUID_RANGE_WAVELENGTHS * cfg.wavelength
-    fluid1 = np.full(trials, cfg.eta / cfg.d_m**2)
     fluid2 = cfg.eta / (np.maximum(0.0, np.abs(x_us) - fluid_reach) ** 2 + cfg.d_m**2)
     fixed = cfg.eta / ((x_us - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
-    for name, vals in (("fluid1", fluid1), ("fluid2", fluid2), ("fixed", fixed)):
+    points += [Curve("fluid1", float(dp), cfg.eta / cfg.d_m**2) for dp in delta_p_values]
+    for name, vals in (("fluid2", fluid2), ("fixed", fixed)):
         mean, err = _mean_stderr(vals)
         points += [Curve(name, float(dp), mean, err) for dp in delta_p_values]
     return points
@@ -307,8 +316,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     give N eta / d^2 without coupling, and eta / d^2 for the coupling-aware
     pair.  The grid is solved in chunks, as the module docstring says.
     """
-    if not n_values:
-        raise ConfigError("antenna-count list must be non-empty")
+    _distinct("--n-list", n_values, "")
     for n in n_values:
         _check_antenna_count(n, "every n_list entry")
         _check_size("coupling-matrix entries", n * n)

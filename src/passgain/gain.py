@@ -17,9 +17,9 @@ it), where ``f_ub(x*) ~ 1.105``, which pins down the optimal antenna count and
 the overall gain ceiling.
 
 Public: XSTAR, gain_symmetric, uniform_deltas, gain_uniform, uniform_integrand,
-gain_uniform_single_integral, gain_uniform_integral, upper_bound_sum,
-upper_bound_sum_uniform, f_ub, find_xstar, closed_bound_value, BoundReport,
-upper_bound_closed, optimal_antenna_number, max_gain_estimate, gain_limit.
+gain_uniform_integral, upper_bound_sum, upper_bound_sum_uniform, f_ub,
+closed_bound_value, BoundReport, upper_bound_closed, optimal_antenna_number,
+max_gain_estimate, gain_limit.
 """
 
 from __future__ import annotations
@@ -36,6 +36,11 @@ from .geometry import SystemConfig, _check_antenna_count
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
 XSTAR = 3.3198263863951483
+# Bounds of the panel quadrature in gain_uniform_integral: the largest spread
+# of its two Gauss orders, relative to the phase-free sum, and the most
+# integrand evaluations it may make.
+_QUAD_REL_TOL = 1e-10
+_QUAD_MAX_EVALS = 10**6
 
 
 def _half_phasors(deltas, cfg: SystemConfig):
@@ -82,78 +87,6 @@ def uniform_integrand(x, cfg: SystemConfig):
     return 2.0 * np.exp(-1j * k0d * root) * np.cos(k0d * cfg.delta_p * cfg.n_eff * x) / root
 
 
-def _panel_integral(
-    n: int,
-    cfg: SystemConfig,
-    k_img: int,
-    rel_tol: float,
-    max_evals: int,
-) -> complex:
-    """(1/eps) sum_{|m| <= k_img} (-1)^m int_0^B f(x) exp(j 2 pi m x / eps) dx.
-
-    f is :func:`uniform_integrand`, B = N eps / 2 and eps = wavelength / d.
-    Each antenna cell of width eps is split into ceil(k_img + delta_p (n_eff + 1))
-    equal Gauss-Legendre panels, at most one cycle of the fastest phase each.
-    The panels are integrated at two Gauss orders; if they disagree by more
-    than ``rel_tol`` of the phase-free sum, or would need more than
-    ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
-    """
-    _check_antenna_count(n)
-    eps = cfg.wavelength / cfg.d_m
-    dp, ne = cfg.delta_p, cfg.n_eff
-    upper = n * eps / 2.0
-    per_antenna = math.ceil(k_img + dp * (ne + 1.0))
-    panels = (n // 2) * per_antenna
-    orders = (16, 24)
-    if panels * sum(orders) > max_evals:
-        raise NumericsError(
-            f"panel quadrature for N={n} needs {panels * sum(orders)} evaluations, "
-            f"above max_evals={max_evals}"
-        )
-
-    edges = np.linspace(0.0, upper, panels + 1)
-    width = np.diff(edges)[:, None]
-    m = np.arange(1, k_img + 1)[:, None]
-    estimates = []
-    for order in orders:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
-        images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
-        values = (uniform_integrand(x, cfg) * images).reshape(panels, order)
-        estimates.append(np.sum(values * weights * width) / (2.0 * eps))
-    scale = 2.0 * math.asinh(dp * upper) / (dp * eps)
-    spread = abs(estimates[1] - estimates[0]) / scale
-    if not spread <= rel_tol:
-        raise NumericsError(
-            f"panel quadrature did not converge for N={n}: orders {orders} differ by "
-            f"{spread:.1e} of the phase-free sum"
-        )
-    return complex(estimates[1])
-
-
-def gain_uniform_single_integral(
-    n: int,
-    cfg: SystemConfig,
-    rel_tol: float = 1e-10,
-    max_evals: int = 10**6,
-) -> float:
-    """The paper's single-integral continuum form of :func:`gain_uniform`.
-
-    ``eta |I|^2 / (N d^2 eps^2)`` with ``I`` the integral of
-    :func:`uniform_integrand` over [0, N eps / 2], evaluated on the
-    Gauss-Legendre panels of :func:`gain_uniform_integral` with no images;
-    ``rel_tol`` and ``max_evals`` bound that quadrature the same way.
-
-    This is only the m = 0 term of the Poisson sum behind
-    :func:`gain_uniform_integral`.  Once the phase advance per antenna,
-    ``delta_p (n_eff +/- sin theta)`` cycles, reaches a whole cycle, the exact
-    sum carries an aliased lobe that this integral lacks (97-100 percent off
-    at 28 GHz, d = 3 m, delta_p = 0.5 and N = 100..1000).
-    """
-    integral = _panel_integral(n, cfg, 0, rel_tol, max_evals)
-    return float(cfg.eta * abs(integral) ** 2 / (n * cfg.d_m**2))
-
-
 def _image_tail(a: float, k: int) -> float:
     """Sum over |m| > k of (-1)^m / (a + m), for |a| < k.
 
@@ -172,12 +105,7 @@ def _image_tail(a: float, k: int) -> float:
     return (-1) ** m0 * paired - rest
 
 
-def gain_uniform_integral(
-    n: int,
-    cfg: SystemConfig,
-    rel_tol: float = 1e-10,
-    max_evals: int = 10**6,
-) -> float:
+def gain_uniform_integral(n: int, cfg: SystemConfig) -> float:
     """Continuum approximation of :func:`gain_uniform`, aliased lobes included.
 
     By Poisson summation the midpoint sum over the N/2 positive-side antennas
@@ -185,9 +113,9 @@ def gain_uniform_integral(
 
         sum_k f(x_k) = (1/eps) sum_m (-1)^m int_0^B f(x) exp(j 2 pi m x / eps) dx,
 
-    with f = :func:`uniform_integrand` and B = N eps / 2.  The m = 0 term is
-    :func:`gain_uniform_single_integral`; an image m holds a stationary
-    (aliased) lobe wherever the phase advance per antenna,
+    with f = :func:`uniform_integrand`, B = N eps / 2 and eps = wavelength / d.
+    The m = 0 term alone is the paper's single integral; an image m holds a
+    stationary (aliased) lobe wherever the phase advance per antenna,
     a = delta_p (+/- n_eff - sin theta) cycles with sin theta = delta / r,
     equals -m.  Only the -n_eff component can do so on the array, where
     0 <= sin theta < 1: image m is stationary at sin theta = m / delta_p - n_eff,
@@ -196,22 +124,48 @@ def gain_uniform_integral(
     delta = d tan theta, at N ~ 2 delta / (delta_p wavelength) antennas (at
     delta_p = 0.5 and n_eff = 1.44: image 1, sin theta = 0.56, N ~ 758, just
     below the peak of :func:`gain_uniform` at N = 832).  Images up to
-    |m| <= K = ceil(delta_p (n_eff + 1)) + 1 are integrated explicitly on
-    Gauss-Legendre panels of at most one oscillation cycle.  Every further
-    image contributes only its endpoint term; summed over |m| > K in closed
-    form with sum_m (-1)^m / (a + m) = pi / sin(pi a), they give
+    |m| <= K = ceil(delta_p (n_eff + 1)) + 1 are integrated explicitly: each
+    antenna cell of width eps is split into ceil(K + delta_p (n_eff + 1)) equal
+    Gauss-Legendre panels, at most one cycle of the fastest phase each.  Every
+    further image contributes only its endpoint term; summed over |m| > K in
+    closed form with sum_m (-1)^m / (a + m) = pi / sin(pi a), they give
     [exp(j phi) / (2 pi j sqrt(1 + delta_p^2 x^2)) * tail(a)] from 0 to B per
     cosine component (the image factors exp(j 2 pi m x / eps) are 1 at both
     ends).
 
     The panels are integrated at two Gauss orders; if they disagree by more
-    than ``rel_tol`` of the phase-free sum, or would need more than
-    ``max_evals`` integrand evaluations, :class:`NumericsError` is raised.
+    than ``_QUAD_REL_TOL`` of the phase-free sum, or would need more than
+    ``_QUAD_MAX_EVALS`` integrand evaluations, :class:`NumericsError` is raised.
     """
+    _check_antenna_count(n)
     dp, ne = cfg.delta_p, cfg.n_eff
     k_img = math.ceil(dp * (ne + 1.0)) + 1
-    integral = _panel_integral(n, cfg, k_img, rel_tol, max_evals)
-    upper = n * (cfg.wavelength / cfg.d_m) / 2.0
+    eps = cfg.wavelength / cfg.d_m
+    upper = n * eps / 2.0
+    panels = (n // 2) * math.ceil(k_img + dp * (ne + 1.0))
+    orders = (16, 24)
+    if panels * sum(orders) > _QUAD_MAX_EVALS:
+        raise NumericsError(
+            f"panel quadrature for N={n} needs {panels * sum(orders)} evaluations, "
+            f"above {_QUAD_MAX_EVALS}"
+        )
+
+    edges = np.linspace(0.0, upper, panels + 1)
+    width = np.diff(edges)[:, None]
+    m = np.arange(1, k_img + 1)[:, None]
+    estimates = []
+    for order in orders:
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
+        images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
+        values = (uniform_integrand(x, cfg) * images).reshape(panels, order)
+        estimates.append(np.sum(values * weights * width) / (2.0 * eps))
+    spread = abs(estimates[1] - estimates[0]) / (2.0 * math.asinh(dp * upper) / (dp * eps))
+    if not spread <= _QUAD_REL_TOL:
+        raise NumericsError(
+            f"panel quadrature did not converge for N={n}: orders {orders} differ by "
+            f"{spread:.1e} of the phase-free sum"
+        )
     k0d = cfg.k0 * cfg.d_m
 
     def endpoint(x: float) -> complex:
@@ -223,7 +177,7 @@ def gain_uniform_integral(
             total += complex(math.cos(phi), math.sin(phi)) * _image_tail(a, k_img)
         return total / (2j * math.pi * root)
 
-    summed = integral + endpoint(upper) - endpoint(0.0)
+    summed = complex(estimates[1]) + endpoint(upper) - endpoint(0.0)
     return float(cfg.eta * abs(summed) ** 2 / (n * cfg.d_m**2))
 
 
@@ -248,11 +202,6 @@ def f_ub(x):
     return float(out) if out.ndim == 0 else out
 
 
-def find_xstar() -> tuple[float, float]:
-    """The maximizer of f_ub and its peak value: (XSTAR, f_ub(XSTAR))."""
-    return XSTAR, f_ub(XSTAR)
-
-
 def closed_bound_value(n, cfg: SystemConfig):
     """Closed-form upper bound 2 eta f_ub(L) / (delta_p d^2 eps); vectorized in n."""
     n = np.asarray(n, dtype=float)
@@ -260,8 +209,7 @@ def closed_bound_value(n, cfg: SystemConfig):
     L = n * cfg.delta_p * eps / 2.0
     if not np.all((L > 0) & (L < np.inf)):
         raise ConfigError("antenna count must be positive, with a finite aperture")
-    out = 2.0 * cfg.eta * (np.arcsinh(L) ** 2 / L) / (cfg.delta_p * cfg.d_m**2 * eps)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * cfg.eta * f_ub(L) / (cfg.delta_p * cfg.d_m**2 * eps)
 
 
 @dataclass(frozen=True)
@@ -309,8 +257,7 @@ def optimal_antenna_number(cfg: SystemConfig) -> int:
 
 def max_gain_estimate(cfg: SystemConfig) -> float:
     """Peak of the closed bound over N: 2 eta f_ub(x*) / (d delta_p wavelength)."""
-    _, fstar = find_xstar()
-    return 2.0 * cfg.eta * fstar / (cfg.d_m * cfg.delta_p * cfg.wavelength)
+    return 2.0 * cfg.eta * f_ub(XSTAR) / (cfg.d_m * cfg.delta_p * cfg.wavelength)
 
 
 def gain_limit(cfg: SystemConfig) -> float:

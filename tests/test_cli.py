@@ -316,6 +316,28 @@ def test_bad_antenna_count_names_n_list(tmp_path, n_list):
     assert "n_list" in res.stderr
 
 
+# Two list entries that print alike would write one series twice, or two rows
+# of one series at one abscissa.
+COLLIDING = [
+    ("gain-vs-n", "--delta-p", "0.5,0.5000001"),
+    ("maxgain-vs-spacing", "--delta-p", "0.5,0.5"),
+    ("fmc-curve", "--n-eff-list", "1.44,1.44"),
+    ("gain-vs-delta-mc", "--n-list", "2,2"),
+]
+
+
+@pytest.mark.parametrize("argv", COLLIDING, ids=lambda argv: argv[0])
+def test_colliding_list_entries_exit_2(tmp_path, argv):
+    # refused before the sweep runs, so no CSV is written
+    name, flag, entries = argv
+    res = run_cli(name, flag, entries, "--out", str(tmp_path / "x.csv"))
+    first, second = entries.split(",")
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
+    assert flag in res.stderr and f"{first} and {second}" in res.stderr, res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", ["1e300"])
 def test_loss_overflow_exits_3_naming_the_loss(tmp_path, alpha):
     cfgfile = tmp_path / "lossy.cfg"

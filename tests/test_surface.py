@@ -17,7 +17,7 @@ KEPT = {
     "cli": {"SUBCOMMANDS", "main"},
     "coupling": {"gain_mc", "gain_mc_two_closed"},
     "experiments": {"write_csv"},
-    "gain": {"find_xstar", "gain_limit", "gain_uniform", "max_gain_estimate",
+    "gain": {"gain_limit", "gain_uniform", "max_gain_estimate",
              "optimal_antenna_number", "uniform_deltas", "upper_bound_closed"},
     "geometry": {"SystemConfig", "symmetric_uniform_layout"},
     "refine": {"build_refined_layout", "refined_half_deltas"},
