@@ -138,13 +138,17 @@ def _check_size(what: str, count) -> None:
         raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
 
 
-def _grid_count(span: float, step: float) -> int:
-    """Number of grid steps ``round(span / step)``, for a finite positive step
-    and at most MAX_SWEEP_SIZE points."""
+def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """Points ``start + k * step`` up to ``stop`` (1e-12 slack), then ``stop`` if the last
+    falls short, for ``stop >= start``, a finite step > 0 and <= MAX_SWEEP_SIZE points."""
     if not 0.0 < step < math.inf:
         raise ConfigError(f"grid step must be finite and > 0, got {step}")
-    _check_size("grid points", span / step)
-    return int(round(span / step))
+    _check_size("grid points", (stop - start) / step)
+    xs = start + step * np.arange(0, round((stop - start) / step) + 1)
+    xs = xs[xs <= stop + 1e-12]
+    if xs[-1] < stop - 1e-12:
+        xs = np.append(xs, stop)
+    return xs
 
 
 def _layouts(m_max, cfg, reach=np.inf):
@@ -154,25 +158,19 @@ def _layouts(m_max, cfg, reach=np.inf):
     from . import gain, refine
     half = gain.uniform_deltas(2 * m_max, cfg)
     half = half[:np.searchsorted(half, reach, side="right") + 1]
-    try:  # refinement only widens gaps, so it reaches past `reach` within half.size pairs
-        d_left, _, _ = refine.refined_half_deltas(half.size, cfg, side="left", reach=reach)
-    except NumericsError:  # name a failing right side first, as a walk of both does
-        refine.refined_half_deltas(half.size, cfg, side="right")
-        raise
-    d_right, _, _ = refine.refined_half_deltas(d_left.size, cfg, side="right")
+    d_right, d_left = refine._refined_offsets(half.size, cfg, reach)
     return {"uniform": _pair_phasors(half, half, cfg),
             "refined": _pair_phasors(d_right, d_left, cfg)}
 
 
 def run_fub_curve(x_max: float, step: float):
-    """Tabulate the bound shape function and mark its maximizer."""
+    """Tabulate the bound shape function on (0, x_max] and mark its maximizer."""
     if not math.isfinite(x_max):
         raise ConfigError(f"x_max must be finite, got {x_max}")
-    count = _grid_count(x_max, step)
-    if count < 1:
+    xs = _grid(0.0, max(x_max, 0.0), step)[1:]
+    if xs.size == 0:
         raise ConfigError(f"x_max = {x_max:g} leaves no grid point at step {step:g}")
     from . import gain
-    xs = step * np.arange(1, count + 1)
     return [Curve("fub", xs, gain.f_ub(xs)), Curve("fub_peak", gain.XSTAR, gain.f_ub(gain.XSTAR))]
 
 
@@ -180,7 +178,7 @@ def run_fmc_curve(n_eff_values, step: float):
     """Tabulate the coupling shape function over one wavelength of spacing."""
     _distinct("--n-eff-list", n_eff_values, "g")
     from . import coupling
-    xs = step * np.arange(0, _grid_count(1.0, step) + 1)
+    xs = _grid(0.0, 1.0, step)
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
 
 
@@ -322,11 +320,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
         _check_size("coupling-matrix entries", n * n)
     from . import coupling
     d2 = cfg.d_m**2
-    count = _grid_count(1.0 - DELTA_MIN_WL, step)
-    xs = DELTA_MIN_WL + step * np.arange(0, count + 1)
-    xs = xs[xs <= 1.0 + 1e-12]
-    if xs[-1] < 1.0 - 1e-12:
-        xs = np.append(xs, 1.0)  # the sweep covers the full wavelength
+    xs = _grid(DELTA_MIN_WL, 1.0, step)
     spacings = xs * cfg.wavelength
     points = [Curve("fixed", xs, _fixed_gain(cfg))]
 

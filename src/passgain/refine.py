@@ -33,12 +33,10 @@ must call for the index walked, each path must hit its target to within
 1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
 float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
 
-Public: combined_path, refined_half_deltas, RefinedLayout, build_refined_layout.
+Public: combined_path, refined_half_deltas, build_refined_layout.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,36 +157,24 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     raise NumericsError(f"{side}-side antenna {i + 1}: refined path misses target {t:.6e} m {how}")
 
 
-@dataclass(frozen=True)
-class RefinedLayout:
-    """Phase-aligned layout plus the shifts and per-antenna path targets.
-
-    ``shifts`` are the right-side (positive-index) nudges, each within one
-    wavelength; ``shifts_left`` are the left-side ones, bounded by
-    wavelength / (n_eff - 1).  ``targets`` holds every antenna's combined-path
-    wavelength multiple, ordered like ``layout.positions``.
-    """
-
-    layout: AntennaLayout
-    shifts: tuple[float, ...]
-    shifts_left: tuple[float, ...]
-    targets: tuple[float, ...]
+def _refined_offsets(n_half: int, cfg: SystemConfig, reach: float = np.inf):
+    """Refined offsets ``(d_right, d_left)`` of both sides: the left side walked
+    first, up to the first antenna past ``reach``, then the right side to the
+    left side's length.  A failing right side's error is raised first."""
+    try:
+        d_left, _, _ = refined_half_deltas(n_half, cfg, side="left", reach=reach)
+    except NumericsError:  # name a failing right side first
+        refined_half_deltas(n_half, cfg, side="right")
+        raise
+    d_right, _, _ = refined_half_deltas(d_left.size, cfg, side="right")
+    return d_right, d_left
 
 
-def build_refined_layout(n: int, cfg: SystemConfig) -> RefinedLayout:
-    """Refined symmetric-count layout with N/2 antennas per side."""
+def build_refined_layout(n: int, cfg: SystemConfig) -> AntennaLayout:
+    """Refined symmetric-count layout with N/2 antennas per side; each side's
+    shifts and path targets are those :func:`refined_half_deltas` returns."""
     _check_antenna_count(n)
-    n_half = n // 2
-    d_right, v_right, t_right = refined_half_deltas(n_half, cfg, side="right")
-    d_left, v_left, t_left = refined_half_deltas(n_half, cfg, side="left")
-
+    d_right, d_left = _refined_offsets(n // 2, cfg)
     positions = np.concatenate([cfg.x_u_m - d_left[::-1], cfg.x_u_m + d_right])
-    layout = AntennaLayout(positions=tuple(positions), center=cfg.x_u_m,
-                           min_spacing=cfg.delta_p * cfg.wavelength)
-    targets = np.concatenate([t_left[::-1], t_right])
-    return RefinedLayout(
-        layout=layout,
-        shifts=tuple(v_right),
-        shifts_left=tuple(v_left),
-        targets=tuple(targets),
-    )
+    return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m,
+                         min_spacing=cfg.delta_p * cfg.wavelength)

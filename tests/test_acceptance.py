@@ -176,16 +176,16 @@ def test_07_refinement_coherence():
     beats_uniform = True
     worst_tracking = 1.0
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, CFG)
+        layout = build_refined_layout(n, CFG)
         paths = np.array(
-            [combined_path(x - CFG.x_u_m, CFG) for x in rl.layout.positions]
+            [combined_path(x - CFG.x_u_m, CFG) for x in layout.positions]
         )
         worst_residual = max(
             worst_residual, float(np.max(np.abs(paths - lam * np.round(paths / lam))))
         )
-        a_ref = array_gain_exact(rl.layout, CFG)
+        a_ref = array_gain_exact(layout, CFG)
         beats_uniform = beats_uniform and a_ref >= gain_uniform(n, CFG)
-        half = np.asarray(rl.layout.positions[n // 2 :]) - CFG.x_u_m
+        half = np.asarray(layout.positions[n // 2 :]) - CFG.x_u_m
         worst_tracking = min(worst_tracking, a_ref / upper_bound_sum(half, CFG))
     ok = worst_residual <= 1e-9 and beats_uniform and worst_tracking >= 0.90
     report(

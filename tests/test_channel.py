@@ -207,7 +207,7 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
     # every antenna of a refined layout adds in phase, so attenuating any of
     # them can only lower the gain (an unaligned layout has no such guarantee)
     try:
-        lay = build_refined_layout(n, cfg).layout
+        lay = build_refined_layout(n, cfg)
     except NumericsError as exc:
         # at n_eff = 1 the left-side path only tends to 0, so once it drops
         # below one wavelength no offset reaches the next multiple down

@@ -146,6 +146,64 @@ def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
         assert content.split()[0] in res.stderr
 
 
+@pytest.mark.parametrize("argv, first, last", [
+    (("fub-curve", "--x-max", "10", "--grid-step", "0.6"), 0.6, 10.0),
+    (("fub-curve", "--x-max", "0.004", "--grid-step", "0.01"), 0.004, 0.004),
+    (("fmc-curve", "--grid-step", "0.6"), 0.0, 1.0),
+    (("fmc-curve", "--grid-step", "0.3"), 0.0, 1.0),
+    (("fmc-curve", "--grid-step", "2"), 0.0, 1.0),
+], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
+def test_grids_end_exactly_at_their_stated_end(tmp_path, argv, first, last):
+    # a step that does not divide the range neither runs past its end nor
+    # stops short of it: the end itself is the last row
+    out = tmp_path / "x.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--out", str(out)]) == 0
+    curves = {}
+    for line in out.read_text().splitlines()[2:]:
+        series, x, _, _ = line.split(",")
+        if not series.endswith("_peak"):
+            curves.setdefault(series, []).append(float(x))
+    assert curves
+    for xs in curves.values():  # each series' rows come sorted by x
+        assert xs[0] == first and xs[-1] == last
+
+
+# The scenario fields each subcommand ignores, as the README's scenario section
+# says; it reads every other one.  fmc-curve reads n_eff without --n-eff-list.
+IGNORED_FIELDS = {
+    "fub-curve": ("f_c_hz", "d_m", "n_eff", "x_u_m", "x_0_m", "alpha_wg_db_per_m", "delta_p"),
+    "fmc-curve": ("f_c_hz", "d_m", "x_u_m", "x_0_m", "alpha_wg_db_per_m", "delta_p"),
+    "gain-vs-n": ("delta_p",),
+    "maxgain-vs-spacing": ("x_u_m", "delta_p"),
+    "gain-vs-delta-mc": ("x_0_m", "alpha_wg_db_per_m", "delta_p"),
+}
+OTHER_VALUES = {"f_c_hz": "30e9", "d_m": "4", "n_eff": "1.6", "x_u_m": "5", "x_0_m": "-20",
+                "alpha_wg_db_per_m": "3", "delta_p": "0.8"}
+SMALL_RUNS = {
+    "fub-curve": ("--x-max", "5", "--grid-step", "0.1"),
+    "fmc-curve": ("--grid-step", "0.05"),
+    "gain-vs-n": ("--n-max", "200", "--delta-p", "0.5"),
+    "maxgain-vs-spacing": ("--trials", "20", "--n-max", "200", "--delta-p", "0.5"),
+    "gain-vs-delta-mc": ("--n-list", "2,4", "--grid-step", "0.1"),
+}
+
+
+@pytest.mark.parametrize("field", sorted(OTHER_VALUES))
+@pytest.mark.parametrize("name", sorted(SMALL_RUNS))
+def test_subcommand_reads_the_scenario_fields_readme_names(tmp_path, name, field):
+    # a field is ignored exactly when setting it leaves every CSV byte as it was
+    csvs = []
+    for i, text in enumerate(("", f"{field} = {OTHER_VALUES[field]}\n")):
+        config, out = tmp_path / f"{i}.cfg", tmp_path / f"{i}.csv"
+        config.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor
+            assert main([name, "--config", str(config), "--out", str(out), *SMALL_RUNS[name]]) == 0
+        csvs.append(out.read_bytes())
+    assert (csvs[0] == csvs[1]) == (field in IGNORED_FIELDS[name])
+
+
 def test_readme_mc_sweep_prints_one_floor_warning(tmp_path):
     res = run_cli("gain-vs-delta-mc", "--n-list", "2,4", "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 0, res.stderr
@@ -289,6 +347,7 @@ BAD_NUMBERS = [
     ("fub-curve", "--grid-step", "1e-300"),
     ("fub-curve", "--x-max", "inf"),
     ("fub-curve", "--x-max", "-5"),
+    ("fub-curve", "--x-max=-1e300", "--grid-step", "1e-300"),  # x_max / step is -inf
     ("fmc-curve", "--n-eff-list", "0.5"),
     ("fmc-curve", "--n-eff-list", "inf"),
     ("maxgain-vs-spacing", "--trials", str(MAX_SWEEP_SIZE + 1)),

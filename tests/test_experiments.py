@@ -38,7 +38,7 @@ from passgain.geometry import (
     SystemConfig,
     symmetric_uniform_layout,
 )
-from passgain.refine import refined_half_deltas
+from passgain.refine import build_refined_layout, refined_half_deltas
 from reference import direct_gains, pair_gains
 
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
@@ -384,17 +384,19 @@ def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials
     assert_rows_match(pts, expected)
 
 
-@pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing"])
+@pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing", "build_refined_layout"])
 def test_refinement_failing_on_both_sides_names_the_right_one(runner):
     # at 1e12 wavelengths the right side's indices leave the exact integers at
     # antenna 3,691 and the left targets run out at antenna 20,471; the sweeps
-    # walk the left side first, and still name the right side's failure
+    # and the layout builder walk the left side first, and still name the
+    # right side's failure
     cfg = SystemConfig(x_0_m=-1e16)
     run = {
         "gain_vs_n": lambda: run_gain_vs_n(cfg, (1e12,), (("case1", 0.0),), n_max=41000,
                                            n_step=2000),
         "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
             cfg, (1e12,), (("case1", 0.0),), trials=5, seed=0, n_max=41000),
+        "build_refined_layout": lambda: build_refined_layout(41000, replace(cfg, delta_p=1e12)),
     }[runner]
     with pytest.raises(NumericsError, match="^right-side antenna 3691: .*no finite"):
         run()

@@ -152,13 +152,15 @@ def test_unit_index_branch():
 def test_refined_layout_paths_are_wavelength_multiples(cfg):
     lam = cfg.wavelength
     for n in (2, 10, 100, 200):
-        rl = build_refined_layout(n, cfg)
-        for x, target in zip(rl.layout.positions, rl.targets):
+        layout = build_refined_layout(n, cfg)
+        _, _, t_right = refined_half_deltas(n // 2, cfg, side="right")
+        _, _, t_left = refined_half_deltas(n // 2, cfg, side="left")
+        for x, target in zip(layout.positions, np.concatenate([t_left[::-1], t_right])):
             p = combined_path(x - cfg.x_u_m, cfg)
             assert abs(p - lam * round(p / lam)) <= 1e-9
             assert p == pytest.approx(target, abs=1e-9)
         # phase coherence in radians
-        for x in rl.layout.positions:
+        for x in layout.positions:
             p = combined_path(x - cfg.x_u_m, cfg)
             phase = cfg.k0 * p
             err = abs(phase - 2 * math.pi * round(phase / (2 * math.pi)))
@@ -167,36 +169,33 @@ def test_refined_layout_paths_are_wavelength_multiples(cfg):
 
 def test_refined_beats_uniform_everywhere(cfg):
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, cfg)
-        a_ref = array_gain_exact(rl.layout, cfg)
+        a_ref = array_gain_exact(build_refined_layout(n, cfg), cfg)
         assert a_ref >= gain_uniform(n, cfg)
 
 
 def test_refined_tracks_phase_free_bound(cfg):
     for n in range(2, 201, 2):
-        rl = build_refined_layout(n, cfg)
-        half = np.asarray(rl.layout.positions[n // 2 :]) - cfg.x_u_m
+        layout = build_refined_layout(n, cfg)
+        half = np.asarray(layout.positions[n // 2 :]) - cfg.x_u_m
         bound = upper_bound_sum(half, cfg)
-        a_ref = array_gain_exact(rl.layout, cfg)
+        a_ref = array_gain_exact(layout, cfg)
         assert a_ref >= 0.90 * bound
 
 
 def test_refined_spacing_preserved(cfg):
     lam = cfg.wavelength
-    rl = build_refined_layout(120, cfg)
-    gaps = np.diff(rl.layout.positions)
+    gaps = np.diff(build_refined_layout(120, cfg).positions)
     assert gaps.min() >= cfg.delta_p * lam - 1e-12
 
 
 def test_shift_magnitudes_and_running_sum(cfg):
     lam = cfg.wavelength
-    rl = build_refined_layout(200, cfg)
-    shifts = np.asarray(rl.shifts)
+    _, shifts, _ = refined_half_deltas(100, cfg, side="right")
     assert np.all(shifts >= 0.0)
     assert np.all(shifts <= lam)
     for k in range(1, len(shifts) + 1):
         assert shifts[:k].sum() <= k * lam
-    left = np.asarray(rl.shifts_left)
+    _, left, _ = refined_half_deltas(100, cfg, side="left")
     assert np.all(left >= 0.0)
     assert np.all(left <= lam / (cfg.n_eff - 1.0) + 1e-12)
 
@@ -268,7 +267,7 @@ def test_refined_layout_far_out_keeps_its_gaps(x_u_m):
     # cannot resolve 1e-12 m: the gaps hold the spacing to its rounding
     cfg = SystemConfig(f_c_hz=1e9, d_m=1.0, n_eff=1.0000000000000002, delta_p=0.5,
                        x_u_m=x_u_m)
-    positions = build_refined_layout(10, cfg).layout.positions
+    positions = build_refined_layout(10, cfg).positions
     assert positions[0] - x_u_m < -4.7e7
 
 
