@@ -156,7 +156,8 @@ def _layouts(m_max, cfg, reach=np.inf):
     ``m_max`` antenna pairs, keyed by layout kind; each ends at its first pair
     whose left offset exceeds ``reach``, if that comes sooner."""
     from . import gain, refine
-    half = gain.uniform_deltas(2 * m_max, cfg)
+    pairs = min(m_max, reach / (cfg.delta_p * cfg.wavelength) + 2)  # enough pairs to pass the reach
+    half = gain.uniform_deltas(2 * int(pairs), cfg)
     half = half[:np.searchsorted(half, reach, side="right") + 1]
     d_right, d_left = refine._refined_offsets(half.size, cfg, reach)
     return {"uniform": _pair_phasors(half, half, cfg),

@@ -25,13 +25,19 @@ largest of the front's chain of unshifted seeds and the seeds one and two gaps
 past a root, repeats ``delta = seed + max(0, u - seed)`` and keeps the antennas
 up to the first guess that is not the true seed or calls for another index.
 The next pass starts from that seed, so the output is bit-identical to the
-antenna-by-antenna recurrence.  It stops before an antenna whose successor
-index is 2**53 or more, past which float64 skips integers.  Near 1e6
-wavelengths float rounding flips the increment every few antennas, and the
-walk takes a pass per flip.  The whole walk is checked at once: each seed
-must call for the index walked, each path must hit its target to within
-1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
-float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
+antenna-by-antenna recurrence.  Passes are sized from the runs walked: the
+first covers 256 antennas, one that holds all its k antennas is followed by
+8k + 256, one that breaks early by half its size (at least 2k + 16).  After a
+run of 32 or more the next pass follows the increment the break reveals;
+after a shorter one it keeps the increment, and follows only after a
+one-antenna pass.  Near 1e6 wavelengths float rounding flips the increment
+every few antennas: the walk takes a pass per flip, and would take a fifth
+more if it followed every flip.  It stops before an antenna whose successor
+index is 2**53 or more, past which float64 skips integers.  The whole walk is
+checked at once: each seed must call for the index walked, each path must hit
+its target to within 1e-9 m or 4 ulp of its larger term
+``sqrt(d^2 + delta^2) + n_eff |delta|``, float64's resolution, which is
+coarser than 1e-9 m beyond about 2e6 m.
 
 Public: combined_path, refined_half_deltas, build_refined_layout.
 """
@@ -63,26 +69,18 @@ def _lattice_index(delta, cfg: SystemConfig, side: str):
     return np.floor((combined_path(-delta, cfg) + _PATH_SNAP_M) / cfg.wavelength)
 
 
-@np.errstate(**_QUIET)
 def _root(t, cfg: SystemConfig, side: str):
     """Offset whose combined path on ``side`` equals the target ``t`` (a scalar
-    or an array); NaN or inf where none exists.  With s = sqrt(t^2 + d^2 (n^2 - 1)),
-    (t^2 - d^2) / (t n + s) and (d^2 - t^2) / (s + t n) cancel nothing as n_eff -> 1;
-    a left t <= 0 takes (s - t n) / (n^2 - 1), as the latter is 0/0 at t = -d."""
+    or an array); NaN or inf where none exists, quietly under ``_QUIET``.  With
+    s = sqrt(t^2 + d^2 (n^2 - 1)), (t^2 - d^2) / (t n + s) and (d^2 - t^2) / (s + t n)
+    cancel nothing as n_eff -> 1; a left t <= 0 takes (s - t n) / (n^2 - 1), as
+    the latter is 0/0 at t = -d."""
     ne, dd, t = cfg.n_eff, cfg.d_m * cfg.d_m, np.asarray(t, dtype=float)
     tt = t * t
     s = np.sqrt(tt + dd * (ne * ne - 1.0))
     if side == "right":
         return ((tt - dd) / (t * ne + s))[()]
     return np.where(t > 0, (dd - tt) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
-
-
-def _path_tolerance(delta, cfg: SystemConfig):
-    """Largest accepted |path - target| at offset ``delta``: the snap, or 4 ulp
-    of the path's larger term (on the left the path is a difference of two
-    terms, and its rounding error scales with them, not with the path)."""
-    return np.maximum(_PATH_SNAP_M,
-                      4 * np.spacing(np.hypot(cfg.d_m, delta) + cfg.n_eff * np.abs(delta)))
 
 
 @np.errstate(**_QUIET)
@@ -106,11 +104,14 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     j = _lattice_index(seed, cfg, side)
     if not abs(j) < 2.0**53:
         raise NumericsError(f"refinement lattice index {j:.6g} is not a finite exact integer")
-    walked, deltas, chain = np.empty(n_half), np.empty(n_half), np.full(n_half, step)
-    ramp = np.arange(n_half, dtype=float)
-    n, inc, size = 0, sign, 16
+    # a walk ended at its reach writes, and so makes resident, only the
+    # antennas it walked; the pass buffers grow with the window
+    walked, deltas, ramp = np.empty(n_half), np.empty(n_half), np.empty(0)
+    n, inc, size = 0, sign, 256
     while n < n_half:  # one pass per run of antennas n, n + 1, ... at j, j + inc, ...
         m = min(size, n_half - n)
+        if m > ramp.size:
+            ramp, chain = np.arange(m, dtype=float), np.full(m, step)
         idx = walked[n:n + m] = j + inc * ramp[:m]
         u = _root(lam * idx, cfg, side)
         chain[0] = seed  # guessed seeds, as the module docstring says
@@ -129,14 +130,13 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
         held = (nxt[:-1] == guess[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
         f = int(held.argmin()) if m > 1 else 0
         k = f + 1 if m > 1 and not held[f] else m  # antennas refined by this pass
-        past = d[:k] > reach
-        if past.any():  # the walk ends at the first antenna past the reach
-            k = int(past.argmax()) + 1
+        if d[k - 1] > reach:  # the walk ends at the first antenna past the reach
+            k = int(np.argmax(d[:k] > reach)) + 1
             n_half = n + k
         n, seed, j = n + k, nxt[k - 1], j_nxt[k - 1]
-        if k == 1:  # the increment broke at once: follow the one just seen
-            inc = j - idx[0]
-        size = 2 * k + 16
+        if k == 1 or k >= 32:  # follow the increment the break reveals
+            inc = j - idx[k - 1]
+        size = 8 * k + 256 if k == m else max(size // 2, 2 * k + 16)
     if n < n_half and abs(_lattice_index(u[0] + step, cfg, side)) < 2.0**53:
         # the front is unshifted, and only its seed's successor is inexact
         raise NumericsError(f"refinement lattice index {j_nxt[0]:.6g} is not a finite exact integer")
@@ -144,9 +144,12 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     targets = lam * walked
     seeds = np.concatenate(([step / 2.0], deltas + step))[:n]
     shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
-    miss = combined_path(sign * deltas, cfg) - targets
+    # the path's two terms; on the left it is their difference, whose rounding
+    # error scales with them: 4 ulp of their sum or the snap is accepted
+    h, nd = np.hypot(cfg.d_m, deltas), cfg.n_eff * deltas
+    miss = h + sign * nd - targets
     bad = (_lattice_index(seeds, cfg, side) != walked) | ~(shifts >= 0.0)
-    bad |= ~(np.abs(miss) <= _path_tolerance(deltas, cfg))
+    bad |= ~(np.abs(miss) <= np.maximum(_PATH_SNAP_M, 4 * np.spacing(h + nd)))
     if n == n_half and not bad.any():
         return deltas, shifts, targets
     i = int(np.argmax(np.append(bad, True)))  # first failed antenna, or where the walk stopped

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from passgain import coupling, experiments
+from passgain import coupling, experiments, gain
 from passgain.cli import SUBCOMMANDS, build_parser
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
@@ -866,3 +866,17 @@ def test_maxgain_survives_loss_overflow_beyond_the_feed():
     with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
         run_maxgain_vs_spacing(lossy, (2.0,), (("case2", 1e300),), trials=50, seed=0,
                                n_max=10000)
+
+
+def test_reach_limited_layouts_build_only_what_the_reach_uses(monkeypatch):
+    # the Monte Carlo layouts end at the first pair past the longest feed run,
+    # about 8,400 uniform pairs out at delta_p = 0.5: the largest accepted
+    # n_max gives the rows of n_max = 10000 without building 1e6 offsets first
+    built = []
+    uniform = gain.uniform_deltas
+    monkeypatch.setattr(gain, "uniform_deltas", lambda n, cfg: built.append(n) or uniform(n, cfg))
+    rows = [run_maxgain_vs_spacing(SystemConfig(), (0.5, 2.0), (("case2", 0.08),), trials=2000,
+                                   seed=1, n_max=n_max)
+            for n_max in (10000, 2 * experiments.MAX_SWEEP_SIZE)]
+    assert rows[0] == rows[1]
+    assert max(built) < 20000

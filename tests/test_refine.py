@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from passgain import refine
@@ -36,9 +36,17 @@ def target_path_left(delta_n, cfg):
     return cfg.wavelength * refine._lattice_index(delta_n, cfg, "left")
 
 
+def path_tolerance(delta, cfg):
+    """Largest |path - target| the walk accepts at offset ``delta``: the 1e-9 m
+    snap, or 4 ulp of the path's larger term (on the left the path is a
+    difference of two terms, and its rounding error scales with them)."""
+    return np.maximum(refine._PATH_SNAP_M,
+                      4 * np.spacing(np.hypot(cfg.d_m, delta) + cfg.n_eff * np.abs(delta)))
+
+
 def _check_residual(delta, target, cfg, where):
     miss = combined_path(delta, cfg) - target
-    if not abs(miss) <= refine._path_tolerance(delta, cfg):
+    if not abs(miss) <= path_tolerance(delta, cfg):
         raise NumericsError(f"{where}: refined path misses target by {miss:.3e} m")
 
 
@@ -249,7 +257,7 @@ def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
         reject()
     lam, sign = cfg.wavelength, 1 if side == "right" else -1
     miss = combined_path(sign * deltas, cfg) - targets
-    assert np.all(np.abs(miss) <= refine._path_tolerance(deltas, cfg))
+    assert np.all(np.abs(miss) <= path_tolerance(deltas, cfg))
     assert np.all(shifts >= 0.0)
     if side == "right":
         assert np.all(shifts < lam)
@@ -346,6 +354,35 @@ def test_lattice_walk_matches_sequential_recurrence(n_eff, side):
     assert (raised > 0) == ((n_eff, side) == (1.0, "left"))
 
 
+@settings(max_examples=100, deadline=None)
+@given(log_dp=st.floats(math.log10(0.05), 6.0), n_eff=st.floats(1.0, 2.5), coarse=st.booleans(),
+       side=st.sampled_from(["right", "left"]), n_half=st.integers(1, 1500),
+       reach=st.none() | st.floats(0.0, 2.0))
+@example(log_dp=6.0, n_eff=1.44, coarse=True, side="right", n_half=1500, reach=1.9)
+@example(log_dp=6.0, n_eff=1.44, coarse=True, side="left", n_half=1500, reach=None)
+def test_lattice_walk_matches_sequential_recurrence_anywhere(log_dp, n_eff, coarse, side,
+                                                             n_half, reach):
+    # pass boundaries land anywhere; two-digit spacings and indices make
+    # (1 + n_eff) delta_p nearly whole, and at large spacings rounding then
+    # flips the increment every few antennas.  A finite reach is a fraction
+    # of twice the uniform extent.  Both give the recurrence's bits, or both
+    # fail before the walk ends
+    delta_p = 10.0**log_dp
+    if coarse:
+        delta_p, n_eff = float(f"{delta_p:.2g}"), round(n_eff, 2)
+    cfg = SystemConfig(n_eff=n_eff, delta_p=delta_p, alpha_wg_db_per_m=0.0)
+    reach = np.inf if reach is None else reach * n_half * cfg.delta_p * cfg.wavelength
+    *expected, refined = sequential_half_deltas(n_half, cfg, side)
+    past = np.flatnonzero(expected[0] > reach)
+    if past.size == 0 and refined < n_half:
+        with pytest.raises(NumericsError):
+            refined_half_deltas(n_half, cfg, side=side, reach=reach)
+        return
+    stop = past[0] + 1 if past.size else n_half
+    for a, b in zip(refined_half_deltas(n_half, cfg, side=side, reach=reach), expected):
+        assert np.array_equal(a, b[:stop])
+
+
 def test_lattice_walk_keeps_the_sequential_rounding():
     # setting delta = u(j) directly, instead of seed + (u(j) - seed), is one
     # ulp off at the first antenna here
@@ -390,6 +427,46 @@ def test_lattice_walk_matches_sequential_recurrence_at_huge_spacing(delta_p, sid
         assert np.all(shifts > 0.0)
 
 
+def walk_passes(monkeypatch, run):
+    """Numpy passes of the walks that ``run`` makes: its calls of
+    ``refine._root``, less the one of each walk's final check."""
+    calls = {"root": 0, "walk": 0}
+    root, walk = refine._root, refine.refined_half_deltas
+
+    def counted_root(*args):
+        calls["root"] += 1
+        return root(*args)
+
+    def counted_walk(*args, **kwargs):
+        calls["walk"] += 1
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(refine, "_root", counted_root)
+    monkeypatch.setattr(refine, "refined_half_deltas", counted_walk)
+    run()
+    return calls["root"] - calls["walk"]
+
+
+@pytest.mark.parametrize("argv, most", [
+    # half the passes of a window restarted at 18 antennas after every break
+    (["maxgain-vs-spacing", "--trials", "2000", "--delta-p", "0.5,1,1.5,2", "--case", "both"], 46),
+    (["gain-vs-n", "--delta-p", "0.5,1", "--case", "both", "--n-max", "6000"], 22),
+])
+def test_walk_sizes_its_passes_from_the_runs_walked(monkeypatch, tmp_path, argv, most):
+    # each side is 2-4 runs of one increment, 1,400-3,000 antennas long
+    from passgain.cli import main
+    run = lambda: main([*argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
+    assert walk_passes(monkeypatch, run) <= most
+
+
+@pytest.mark.parametrize("side, most", [("right", 1410), ("left", 1241)])
+def test_walk_keeps_its_increment_where_rounding_flips_it(monkeypatch, side, most):
+    # at 1e6 wavelengths the increment flips every few antennas; following
+    # each flip would take a fifth more passes than keeping it
+    cfg = SystemConfig(delta_p=1e6, alpha_wg_db_per_m=0.0)
+    assert walk_passes(monkeypatch, lambda: refine.refined_half_deltas(5000, cfg, side=side)) <= most
+
+
 def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
     # at 1e12 wavelengths the right side's indices pass 2**53 near antenna
     # 3,700; the walk must stop at the same antenna however its passes fall,
@@ -417,6 +494,7 @@ def test_walk_rejects_non_finite_lattice_index():
 
 
 @pytest.mark.parametrize("n_eff", [1.0, 1.0 + 1e-12, 1.0000001, 1.001, 1.44, 2.0])
+@np.errstate(**refine._QUIET)  # at n_eff = 1 the left branch unused at t > 0 divides by 0
 def test_roots_hold_the_path_near_unit_index(n_eff):
     cfg = SystemConfig(n_eff=n_eff, alpha_wg_db_per_m=0.0)
     lam = cfg.wavelength
