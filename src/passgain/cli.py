@@ -5,6 +5,11 @@ takes ``--config`` (scenario file), ``--out`` (CSV path) and ``--seed``
 (written to the ``# seed=`` header; the Monte Carlo sweep draws from it).
 Its other flags are its own, declared once in :data:`SUBCOMMANDS`.
 
+:func:`main` builds the parser of the subcommand named by ``argv[0]`` alone,
+so an unknown flag is reported against that subcommand.  Help, a missing or
+an unknown subcommand go to the five-subcommand tree of :func:`build_parser`,
+which declares each subcommand's flags through the same helper.
+
 Exit codes: 0 success, 2 configuration error (including a flag the
 subcommand does not take), 3 numerical failure (including an overflow, a
 division by zero or a non-finite result at extreme inputs).
@@ -97,6 +102,16 @@ SUBCOMMANDS = {
 }
 
 
+def _add_flags(parser: argparse.ArgumentParser, command: Subcommand) -> argparse.ArgumentParser:
+    """Declare the shared ``--config``/``--out``/``--seed`` and ``command``'s own flags."""
+    parser.add_argument("--config", help="scenario file (flat key = value lines)")
+    parser.add_argument("--out", required=True, help="output CSV path")
+    parser.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64), kept in the CSV")
+    for flag, keywords in command.flags:
+        parser.add_argument(flag, **keywords)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="passgain",
@@ -104,18 +119,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for name, command in SUBCOMMANDS.items():
-        p = subs.add_parser(name, help=command.help)
-        p.add_argument("--config", help="scenario file (flat key = value lines)")
-        p.add_argument("--out", required=True, help="output CSV path")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (PCG64), kept in the CSV")
-        for flag, keywords in command.flags:
-            p.add_argument(flag, **keywords)
+        _add_flags(subs.add_parser(name, help=command.help), command)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in SUBCOMMANDS:  # build only the named subcommand's parser
+        parser = _add_flags(argparse.ArgumentParser(prog=f"passgain {argv[0]}"),
+                            SUBCOMMANDS[argv[0]])
+        args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:  # help, no subcommand or an unknown one: the full tree reports it
+        args = build_parser().parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         cfg = load_scenario(args.config) if args.config else SystemConfig()
         rows = write_csv(SUBCOMMANDS[args.command].run(args, cfg), args.out, seed=args.seed)
     except ConfigError as exc:

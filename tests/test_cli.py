@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import passgain.cli
 from passgain.cli import SUBCOMMANDS, Subcommand, build_parser, main
+from passgain.errors import ConfigError
 from passgain.experiments import MAX_SWEEP_SIZE, Curve
 from passgain.gain import uniform_deltas
 from passgain.geometry import SystemConfig
@@ -312,16 +314,72 @@ def test_flag_of_another_subcommand_exits_2(argv, capsys):
         build_parser().parse_args([*argv, "--out", "x.csv"])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+    # main parses with the subcommand's own parser, which names it in the error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "x.csv"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"passgain {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
 
 
-def test_readme_cli_lines_parse():
+def readme_cli_argvs():
     text = README.read_text()
     block = text[text.index("## CLI"):]
     block = block[block.index("```sh") + len("```sh"):]
     lines = [l for l in block[:block.index("```")].splitlines() if l.startswith("passgain ")]
-    assert [shlex.split(l)[1] for l in lines] == list(SUBCOMMANDS)
-    for line in lines:
-        build_parser().parse_args(shlex.split(line)[1:])
+    return [shlex.split(l)[1:] for l in lines]
+
+
+def parsed_by_main(monkeypatch, argv):
+    """The namespace main hands the named subcommand's sweep for ``argv``."""
+    seen = []
+
+    def run(args, cfg):
+        seen.append(args)
+        raise ConfigError("parsed")
+
+    command = SUBCOMMANDS[argv[0]]
+    monkeypatch.setitem(SUBCOMMANDS, argv[0], Subcommand(command.help, command.flags, run))
+    assert main(argv) == 2
+    return seen[0]
+
+
+def test_readme_cli_lines_parse(monkeypatch, capsys):
+    # main's one-subcommand parser reads each line as the full tree does
+    argvs = readme_cli_argvs()
+    assert [argv[0] for argv in argvs] == list(SUBCOMMANDS)
+    for argv in argvs:
+        assert parsed_by_main(monkeypatch, argv) == build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("name", list(SUBCOMMANDS))
+def test_subcommand_help_matches_the_tree(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == subcommand_parsers()[name].format_help()
+
+
+@pytest.mark.parametrize("argv, code", [([], 2), (["-h"], 0), (["bogus"], 2)])
+def test_no_named_subcommand_goes_through_the_tree(argv, code, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    usage = (out if code == 0 else err).split("\n\n")[0]
+    assert usage.startswith("usage: passgain [-h]")
+    assert all(name in usage for name in SUBCOMMANDS), usage
+
+
+def test_main_runs_readme_lines_without_the_tree(tmp_path, monkeypatch):
+    def no_tree():
+        raise AssertionError("build_parser called for a named subcommand")
+
+    monkeypatch.setattr(passgain.cli, "build_parser", no_tree)
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor
+        assert [main(argv) for argv in readme_cli_argvs()] == [0] * len(SUBCOMMANDS)
 
 
 def test_readme_library_tour_runs():
@@ -355,7 +413,12 @@ BAD_NUMBERS = [
     ("gain-vs-n", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-delta-mc", "--n-list", f"2,{int(MAX_SWEEP_SIZE**0.5) + 2}"),
     ("gain-vs-delta-mc", "--n-list", "0"),  # checked before N^2 divides anything
-    ("maxgain-vs-spacing", "--seed", "-1"),  # PCG64 takes no negative seed
+    # PCG64 takes no negative seed, and no subcommand writes one to its header
+    ("fub-curve", "--seed", "-3"),
+    ("fmc-curve", "--seed", "-3"),
+    ("gain-vs-n", "--seed", "-3"),
+    ("maxgain-vs-spacing", "--seed", "-1"),
+    ("gain-vs-delta-mc", "--seed", "-3"),
 ]
 
 
