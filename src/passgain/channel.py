@@ -57,14 +57,13 @@ def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
 
 
 def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:
-    """Exact array gain (received SNR over transmit SNR) of a layout.
-
-    Equal power split over the N antennas:
-    ``a = |sum_n att_n h_n exp(-j phi_n)|^2 / N``, by :func:`gain_at_offsets`
-    under the configured waveguide loss.  The feed enters only the loss, so
-    with zero loss the value does not depend on the feed position at all.
+    """Exact array gain (received SNR over transmit SNR) of a layout, equal
+    power split over its N antennas, by :func:`gain_at_offsets` under the
+    configured loss at the offsets ``layout.offsets + (layout.center - x_u)``
+    from the user: exactly ``layout.offsets`` for a layout centred on ``x_u``.
+    The feed enters only the loss, so without loss the gain ignores the feed.
     """
-    offsets = np.asarray(layout.positions) - cfg.x_u_m
+    offsets = layout.offsets + (layout.center - cfg.x_u_m)
     return float(gain_at_offsets(offsets, cfg, cfg.alpha_wg_db_per_m))
 
 

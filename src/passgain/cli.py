@@ -55,7 +55,8 @@ class Subcommand:
 _CASE = ("--case", dict(choices=["1", "2", "both"], default="both",
                         help="waveguide loss: 1 = lossless, 2 = configured dB/m, both"))
 _DELTA_P = dict(type=_list_of(float),
-                help="minimum spacings to sweep, wavelengths (the scenario's delta_p is not used)")
+                help="minimum spacings to sweep, wavelengths (the scenario's delta_p is not used); "
+                     "coupling-free model, exact only for uniform layouts at multiples of 1/2")
 
 
 def _cases(args: argparse.Namespace, cfg: SystemConfig) -> tuple[tuple[str, float], ...]:

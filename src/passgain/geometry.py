@@ -99,30 +99,40 @@ def _check_antenna_count(n: int, name: str = "antenna count") -> None:
         raise ConfigError(f"{name} must be even and >= 2, got {n}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AntennaLayout:
-    """Ordered pinching-antenna x-coordinates with spacing metadata.
+    """Antennas at signed ``offsets`` (m) from ``center``, the user's projection,
+    so at ``positions = center + offsets``.  Layouts compare by identity.
 
-    Positions must be strictly increasing, the count even, and every
-    consecutive gap ``b - a`` at least ``min_spacing``, up to 1e-12 m plus
-    3 ulp of ``|a| + |b| + |center|``: what rounding the two offsets from the
-    center, the two positions and their difference can cost.
+    The offsets, kept as a read-only float64 copy, must be 1-D, finite, of even
+    count and strictly increasing, each gap ``b - a`` at least ``min_spacing``
+    (finite, >= 0) up to 1e-12 m plus 3 ulp of ``|a| + |b|``; ``center`` finite.
     """
 
-    positions: tuple[float, ...]
+    offsets: np.ndarray
     center: float
     min_spacing: float
 
     def __post_init__(self):
-        _check_antenna_count(len(self.positions))
-        for a, b in zip(self.positions, self.positions[1:]):
-            if not b > a:
-                raise ConfigError("layout positions must be strictly increasing")
-            slack = 1e-12 + 3 * math.ulp(abs(a) + abs(b) + abs(self.center))
-            if b - a < self.min_spacing - slack:
-                raise ConfigError(
-                    f"layout gap {b - a:.3e} m below minimum spacing {self.min_spacing:.3e} m"
-                )
+        offsets = np.array(self.offsets, dtype=float)
+        offsets.flags.writeable = False
+        object.__setattr__(self, "offsets", offsets)
+        if offsets.ndim != 1 or not np.isfinite(offsets).all() or not math.isfinite(self.center):
+            raise ConfigError("layout offsets must be a finite 1-D array and center finite")
+        if not 0.0 <= self.min_spacing < math.inf:
+            raise ConfigError(f"layout min_spacing must be finite and >= 0, got {self.min_spacing}")
+        _check_antenna_count(offsets.size)
+        gaps, mag = np.diff(offsets), np.abs(offsets)
+        if not np.all(gaps > 0):
+            raise ConfigError("layout positions must be strictly increasing")
+        short = gaps < self.min_spacing - (1e-12 + 3 * np.spacing(mag[:-1] + mag[1:]))
+        if short.any():
+            raise ConfigError(f"layout gap {gaps[short][0]:.3e} m below minimum spacing "
+                              f"{self.min_spacing:.3e} m")
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self.center + self.offsets
 
 
 def _uniform_spacings(n: int, spacing) -> np.ndarray:
@@ -149,8 +159,7 @@ def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> Anten
     Antenna k = 1..n/2 sits at ``x_u +/- (k - 1/2) * spacing``; the model only
     covers even antenna counts, so odd ``n`` is rejected.
     """
-    positions = (cfg.x_u_m + _symmetric_offsets(n, spacing)).tolist()
-    return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m, min_spacing=spacing)
+    return AntennaLayout(_symmetric_offsets(n, spacing), cfg.x_u_m, spacing)
 
 
 def _resolve_feed(cfg: SystemConfig, leftmost):

@@ -178,6 +178,4 @@ def build_refined_layout(n: int, cfg: SystemConfig) -> AntennaLayout:
     shifts and path targets are those :func:`refined_half_deltas` returns."""
     _check_antenna_count(n)
     d_right, d_left = _refined_offsets(n // 2, cfg)
-    positions = np.concatenate([cfg.x_u_m - d_left[::-1], cfg.x_u_m + d_right])
-    return AntennaLayout(positions=tuple(positions), center=cfg.x_u_m,
-                         min_spacing=cfg.delta_p * cfg.wavelength)
+    return AntennaLayout(np.append(-d_left[::-1], d_right), cfg.x_u_m, cfg.delta_p * cfg.wavelength)

@@ -15,7 +15,7 @@ from passgain.refine import build_refined_layout
 
 
 def pair(x_left, x_right):
-    return AntennaLayout(positions=(x_left, x_right), center=x_left, min_spacing=0.0)
+    return AntennaLayout(offsets=(x_left, x_right), center=0.0, min_spacing=0.0)
 
 
 def lone_antenna_power(x, cfg):
@@ -98,8 +98,8 @@ def test_exact_gain_matches_symmetric_form(cfg):
         half = np.sort(rng.uniform(1e-4, 3.0, size=int(rng.integers(1, 30))))
         while np.any(np.diff(half) <= 0):
             half = np.sort(rng.uniform(1e-4, 3.0, size=half.size))
-        positions = tuple(np.concatenate([cfg.x_u_m - half[::-1], cfg.x_u_m + half]))
-        lay = AntennaLayout(positions=positions, center=cfg.x_u_m, min_spacing=0.0)
+        offsets = np.concatenate([-half[::-1], half])
+        lay = AntennaLayout(offsets=offsets, center=cfg.x_u_m, min_spacing=0.0)
         a_exact = array_gain_exact(lay, cfg)
         a_sym = gain_symmetric(half, cfg)
         assert a_exact == pytest.approx(a_sym, rel=1e-12)
@@ -114,6 +114,17 @@ def test_feed_invariance_without_loss(cfg):
         assert array_gain_exact(lay0, shifted) == pytest.approx(
             base, rel=1e-12
         )
+
+
+@pytest.mark.parametrize("x_u_m", [123.456, 1e9, 1e17])
+def test_library_layout_gains_ignore_the_user_position(x_u_m):
+    # layouts hold offsets from the user, so moving the user changes no bit
+    # of either gain, even where absolute positions would lose every gap
+    base = SystemConfig()
+    far = replace(base, x_u_m=x_u_m)
+    for build in (lambda c: symmetric_uniform_layout(c, 100, 0.5 * c.wavelength),
+                  lambda c: build_refined_layout(100, c)):
+        assert array_gain_exact(build(far), far) == array_gain_exact(build(base), base)
 
 
 def test_two_antennas_half_wavelength(cfg):
@@ -166,8 +177,8 @@ half_offsets = st.lists(st.floats(1e-4, 3.0), min_size=1, max_size=40).map(np.cu
 
 def mirrored(half, cfg):
     half = np.asarray(half)
-    positions = tuple(np.concatenate([cfg.x_u_m - half[::-1], cfg.x_u_m + half]))
-    return AntennaLayout(positions=positions, center=cfg.x_u_m, min_spacing=0.0)
+    offsets = np.concatenate([-half[::-1], half])
+    return AntennaLayout(offsets=offsets, center=cfg.x_u_m, min_spacing=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -180,7 +191,7 @@ def test_phase_free_bound_dominates_symmetric_gain(cfg, half):
 @given(cfg=configs, half=half_offsets)
 def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
     # compared on the scale of the phase-free bound, as deep nulls have no
-    # relative accuracy; the user's position rounds the offsets by an ulp
+    # relative accuracy
     lay = mirrored(half, cfg)
     scale = upper_bound_sum(half, cfg)
     assert abs(array_gain_exact(lay, cfg) - gain_symmetric(half, cfg)) <= 1e-9 * scale

@@ -258,11 +258,9 @@ def test_pair_gains_match_exact_channel():
     for alpha in (0.0, 0.08):
         g = pair_gains(dr, dl, cfg, alpha)
         for m in (1, 3, 17, 40):
-            pos = tuple(
-                np.concatenate([cfg.x_u_m - dl[:m][::-1], cfg.x_u_m + dr[:m]])
-            )
+            offsets = np.concatenate([-dl[:m][::-1], dr[:m]])
             lay = AntennaLayout(
-                positions=pos, center=cfg.x_u_m, min_spacing=cfg.delta_p * cfg.wavelength
+                offsets=offsets, center=cfg.x_u_m, min_spacing=cfg.delta_p * cfg.wavelength
             )
             reference = array_gain_exact(lay, replace(cfg, alpha_wg_db_per_m=alpha))
             fast = g[m - 1] * 10.0 ** (-alpha * (cfg.x_u_m + 30.0) / 10.0)

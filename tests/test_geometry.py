@@ -1,5 +1,5 @@
 import math
-from dataclasses import fields, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -75,7 +75,7 @@ def test_invalid_config_rejected(field, value):
 
 def test_two_antenna_layout_straddles_user(cfg):
     lay = symmetric_uniform_layout(cfg, 2, 0.01)
-    assert lay.positions == (cfg.x_u_m - 0.005, cfg.x_u_m + 0.005)
+    assert tuple(lay.positions) == (cfg.x_u_m - 0.005, cfg.x_u_m + 0.005)
     assert lay.center == cfg.x_u_m
 
 
@@ -111,17 +111,55 @@ def test_layout_spacing_property(cfg):
 
 def test_layout_validation():
     with pytest.raises(ConfigError):
-        AntennaLayout(positions=(0.0, 0.0), center=0.0, min_spacing=0.0)
+        AntennaLayout(offsets=(0.0, 0.0), center=0.0, min_spacing=0.0)
     with pytest.raises(ConfigError):
-        AntennaLayout(positions=(0.0, 0.1, 0.2), center=0.1, min_spacing=0.05)
+        AntennaLayout(offsets=(-0.1, 0.0, 0.1), center=0.1, min_spacing=0.05)
     with pytest.raises(ConfigError):
-        AntennaLayout(positions=(0.0, 0.01), center=0.0, min_spacing=0.1)
-    # a gap may fall short by 1e-12 m plus 3 ulp of |a| + |b| + |center|
+        AntennaLayout(offsets=(0.0, 0.01), center=0.0, min_spacing=0.1)
+    # a gap between offsets a and b may fall short by 1e-12 m plus 3 ulp of |a| + |b|
     a, b = 5e7, 5e7 + 0.1
-    slack = 1e-12 + 3 * math.ulp(a + b + 1.0)
-    AntennaLayout(positions=(a, b), center=1.0, min_spacing=b - a + 0.9 * slack)
+    slack = 1e-12 + 3 * math.ulp(a + b)
+    AntennaLayout(offsets=(a, b), center=1.0, min_spacing=b - a + 0.9 * slack)
     with pytest.raises(ConfigError, match="below minimum spacing"):
-        AntennaLayout(positions=(a, b), center=1.0, min_spacing=b - a + 1.1 * slack)
+        AntennaLayout(offsets=(a, b), center=1.0, min_spacing=b - a + 1.1 * slack)
+
+
+@pytest.mark.parametrize("offsets,center,min_spacing,match", [
+    ((0.0, math.inf), 0.0, 0.0, "finite"),
+    ((-math.inf, 0.0), 0.0, 0.0, "finite"),
+    ((0.0, math.nan), 0.0, 0.0, "finite"),
+    ((0.0, 1.0), math.nan, 0.0, "finite"),
+    ((0.0, 1.0), -math.inf, 0.0, "finite"),
+    (((0.0, 1.0), (2.0, 3.0)), 0.0, 0.0, "1-D"),
+    (0.5, 0.0, 0.0, "1-D"),
+    ((0.0, 1.0), 0.0, math.nan, "min_spacing"),
+    ((0.0, 1.0), 0.0, -0.5, "min_spacing"),
+    ((0.0, 1.0), 0.0, math.inf, "min_spacing"),
+])
+def test_layout_refuses_non_finite_input(offsets, center, min_spacing, match):
+    # such a layout would reach the gain as nan or inf with only a warning
+    with pytest.raises(ConfigError, match=match):
+        AntennaLayout(offsets=offsets, center=center, min_spacing=min_spacing)
+
+
+def test_layout_holds_a_read_only_copy_of_its_offsets():
+    offsets = np.array([-0.5, 0.25, 1.0, 2.0])
+    lay = AntennaLayout(offsets=offsets, center=3.0, min_spacing=0.25)
+    offsets[0] = -9.0
+    assert lay.offsets.tolist() == [-0.5, 0.25, 1.0, 2.0]
+    with pytest.raises(ValueError):
+        lay.offsets[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        lay.offsets = offsets
+    assert np.array_equal(lay.positions, 3.0 + lay.offsets)
+
+
+def test_layouts_compare_by_identity(cfg):
+    # an array field has no value ==, so layouts compare (and hash) by identity
+    a, b = (symmetric_uniform_layout(cfg, 4, 0.01) for _ in range(2))
+    assert np.array_equal(a.offsets, b.offsets) and a.center == b.center
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
 
 
 def test_feed_resolution(cfg):
