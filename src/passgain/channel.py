@@ -86,14 +86,36 @@ def _pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> _PairPhasors:
 def _scaled_accumulate(ufunc, values, scale):
     """Running ``ufunc`` (``np.add``, ``np.maximum``) of ``values`` in units of
     ``10**scale``, ``scale`` nondecreasing: each run of equal scale accumulates
-    in its own units, after the total before it times ``10**(previous - scale)``."""
-    out = ufunc.accumulate(values)
+    in its own units, after the total before it times ``10**(previous - scale)``.
+
+    Runs of one length accumulate as the rows of one array.  The carries into
+    runs 2, 3, ... obey ``c[k] = ufunc(total[k-1], c[k-1]) * factor[k]``, taken
+    in whole-array passes from ``c[k] = total[k-1] * factor[k]`` until a pass
+    changes no bit.  Pass p fixes carry p, so there is at most one pass per
+    run; in the sweeps' pair sums no carry moves the run total it meets, so
+    the first pass changes nothing."""
     if scale[0] == scale[-1]:  # one run
-        return out
+        return ufunc.accumulate(values)
     starts = np.flatnonzero(np.diff(scale)) + 1
-    for a, b in zip(starts, [*starts[1:], values.size]):
-        carry = out[a - 1] * 10.0 ** (scale[a - 1] - scale[a])
-        out[a:b] = ufunc(ufunc.accumulate(values[a:b]), carry)
+    bounds = np.concatenate(([0], starts, [values.size]))
+    sizes = np.diff(bounds)
+    out = values.copy()  # a run of one value is its own accumulate
+    for n in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
+        rows = bounds[:-1][sizes == n, None] + np.arange(n)
+        out[rows] = ufunc.accumulate(values[rows], axis=1)
+    # numpy's scalar pow, once per distinct step: its array pow rounds per SIMD level
+    step = scale[starts - 1] - scale[starts]
+    steps = np.unique(step)
+    factor = np.array([10.0 ** s for s in steps])[np.searchsorted(steps, step)]
+    totals = out[starts - 1]
+    carry = totals * factor
+    while True:
+        moved = np.concatenate((carry[:1], ufunc(totals[1:], carry[:-1]) * factor[1:]))
+        if np.array_equal(moved.view(np.uint64), carry.view(np.uint64)):
+            break
+        carry = moved
+    tail = out[starts[0]:]
+    ufunc(tail, np.repeat(carry, sizes[1:]), out=tail)
     return out
 
 

@@ -146,7 +146,3 @@ def main(argv=None) -> int:
         return 3
     print(f"wrote {rows} rows to {args.out}")
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

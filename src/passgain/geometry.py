@@ -45,7 +45,9 @@ class SystemConfig:
     wavelength squared or ``eta`` leaves the normal float range is a
     configuration error naming ``f_c_hz``; so is a height whose d^2, eta/d^2
     or 2 d^2 + wavelength^2/2 (the two-antenna coupling form's denominator at
-    one wavelength) does, naming ``d_m``.
+    one wavelength) does, naming ``d_m``; so is a ``delta_p`` whose spacing
+    delta_p * wavelength falls below it, and an ``n_eff`` whose guided
+    wavenumber k0 n_eff overflows, each naming its field.
     """
 
     f_c_hz: float = 28e9
@@ -89,7 +91,16 @@ class SystemConfig:
             raise ConfigError(f"invalid-config: d_m = {self.d_m:g} at f_c_hz = {self.f_c_hz:g} "
                               f"takes d_m^2, eta / d_m^2 or 2 d_m^2 + wavelength^2 / 2 out of "
                               f"the normal float range")
-        for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam), ("eta", eta)):
+        if not self.delta_p * lam >= _NORMAL_MIN:
+            raise ConfigError(f"invalid-config: delta_p = {self.delta_p:g} at f_c_hz = "
+                              f"{self.f_c_hz:g} gives a spacing of {self.delta_p * lam:g} m, "
+                              f"below the normal float range")
+        k0 = 2.0 * math.pi / lam
+        if not k0 * self.n_eff < math.inf:
+            raise ConfigError(f"invalid-config: n_eff = {self.n_eff:g} at f_c_hz = "
+                              f"{self.f_c_hz:g} takes the guided wavenumber k0 n_eff past the "
+                              f"float range")
+        for name, value in (("wavelength", lam), ("k0", k0), ("eta", eta)):
             object.__setattr__(self, name, value)
 
 

@@ -34,6 +34,20 @@ def direct_gains(delta_right, delta_left, cfg, alpha, counts):
     return np.array(gains), np.array(bounds)
 
 
+def scaled_accumulate_loop(ufunc, values, scale):
+    """The running ``ufunc`` of ``_scaled_accumulate``, one run at a time: each
+    run of equal scale accumulates in its own units, after the total before it
+    times ``10**(previous - scale)``."""
+    out = ufunc.accumulate(values)
+    if scale[0] == scale[-1]:  # one run
+        return out
+    starts = np.flatnonzero(np.diff(scale)) + 1
+    for a, b in zip(starts, [*starts[1:], values.size]):
+        carry = out[a - 1] * 10.0 ** (scale[a - 1] - scale[a])
+        out[a:b] = ufunc(ufunc.accumulate(values[a:b]), carry)
+    return out
+
+
 def gain_two_uncoupled(delta, cfg):
     """Coupling-free two-antenna gain 2 eta cos^2(n_eff k0 delta / 2) / (d^2 + delta^2/4);
     at delta = 0 this is exactly 2 eta / d^2."""

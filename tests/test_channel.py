@@ -6,12 +6,16 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from passgain.channel import array_gain_exact
+from passgain import channel
+from passgain.channel import _nested_gains as nested_gains
+from passgain.channel import _pair_phasors as pair_phasors
+from passgain.channel import _scaled_accumulate, array_gain_exact
 from passgain.errors import ConfigError, NumericsError
-from passgain.gain import gain_symmetric, upper_bound_sum
+from passgain.gain import gain_symmetric, uniform_deltas, upper_bound_sum
 from passgain.geometry import AntennaLayout, SystemConfig, symmetric_uniform_layout
 from passgain.geometry import _resolve_feed as resolve_feed
 from passgain.refine import build_refined_layout
+from reference import scaled_accumulate_loop
 
 
 def pair(x_left, x_right):
@@ -228,3 +232,49 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
     fed = cfg if gap is None else replace(cfg, x_0_m=lay.positions[0] - gap)
     low, high = (array_gain_exact(lay, replace(fed, alpha_wg_db_per_m=a)) for a in alphas)
     assert high <= low * (1 + 1e-12)
+
+
+# ------------------------------------------------ the blockwise running sum
+
+def same_bits(got, want):
+    """Bit for bit, but for the sign of a zero, which adding 0.0 makes +: the
+    loop's numpy-scalar complex-by-real product and the array one give an
+    underflowing carry part opposite signs, and |s|^2 cannot tell them apart."""
+    return got.dtype == want.dtype and (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(ufunc=st.sampled_from([np.add, np.maximum]), runs=st.sampled_from([1, 2, 7, 40, 300]),
+       longest=st.sampled_from([1, 2, 60]), steps=st.sampled_from(["blocks", "fine", "any"]),
+       origin=st.sampled_from([0.0, -300.0, 17.5]), decades=st.sampled_from([0.0, 2.0, 150.0]),
+       zeros=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_scaled_accumulate_is_the_run_by_run_loop_bit_for_bit(ufunc, runs, longest, steps, origin,
+                                                              decades, zeros, seed):
+    # runs of 1 to `longest` values; steps between run scales of whole blocks
+    # (100 decades, as the pair sums take them; 200 for the gains they square),
+    # or fine enough that a total carries on over all 300 runs, or any;
+    # values over up to 150 decades, or all of one size, so that they do
+    rng = np.random.default_rng(seed)
+    step = {"blocks": lambda: 100.0 * rng.integers(1, 4, runs - 1),
+            "fine": lambda: rng.uniform(1e-4, 1e-2, runs - 1),
+            "any": lambda: rng.uniform(1e-3, 400.0, runs - 1)}[steps]()
+    scale = np.repeat(origin + np.cumsum([0.0, *step]), rng.integers(1, longest + 1, runs))
+    magnitude = 10.0 ** rng.uniform(-50.0, decades - 50.0, scale.size)
+    magnitude[rng.random(scale.size) < zeros] = 0.0
+    values = magnitude * (np.exp(2j * np.pi * rng.random(scale.size)) if ufunc is np.add else 1.0)
+    want = scaled_accumulate_loop(ufunc, values.copy(), scale)
+    assert same_bits(_scaled_accumulate(ufunc, values, scale), want)
+
+
+@pytest.mark.parametrize("alpha, blocks", [(10.0, 3), (100.0, 27), (1e4, 2677), (1e6, 100_000)])
+def test_pair_sums_are_the_run_by_run_loop_bit_for_bit(cfg, alpha, blocks, monkeypatch):
+    # the sweeps' own inputs: 100,000 uniform pairs over 3 to 100,000 blocks of
+    # loss, their pair sums (np.add) and the running best of the gains (np.maximum)
+    half = uniform_deltas(200_000, cfg)
+    ph = pair_phasors(half, half, cfg)
+    gains, scale = nested_gains(ph, cfg, alpha)
+    assert np.unique(scale).size == blocks
+    assert same_bits(_scaled_accumulate(np.maximum, gains, scale),
+                     scaled_accumulate_loop(np.maximum, gains.copy(), scale))
+    monkeypatch.setattr(channel, "_scaled_accumulate", scaled_accumulate_loop)
+    assert same_bits(gains, nested_gains(ph, cfg, alpha)[0])

@@ -1,6 +1,9 @@
 import argparse
+import ast
 import contextlib
+import gc
 import io
+import re
 import shlex
 import subprocess
 import sys
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import passgain.__main__
 import passgain.cli
 from passgain.cli import SUBCOMMANDS, Subcommand, build_parser, main
 from passgain.errors import ConfigError
@@ -21,7 +25,8 @@ from passgain.geometry import SystemConfig
 from passgain.refine import refined_half_deltas
 from reference import direct_gains
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(*args):
@@ -131,11 +136,13 @@ def test_extreme_finite_config_exits_cleanly(tmp_path, content, command):
 
 @pytest.mark.parametrize(
     "content", ["f_c_hz = 1e-300\n", "f_c_hz = 1e-150\n", "f_c_hz = 1e300\n", "d_m = 1e-200\n",
-                "d_m = 1e-160\n", "d_m = 1e200\n", "x_u_m = 1e300\n"])
+                "d_m = 1e-160\n", "d_m = 1e200\n", "delta_p = 5e-324\n", "n_eff = 1e306\n",
+                "x_u_m = 1e300\n"])
 def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
-    # a wavelength, eta, d^2 or eta / d^2 beyond the normal float range, or a
-    # user so far out that float64 cannot square its distance to the fixed
-    # antenna (the sweeps themselves work in offsets from the user)
+    # a wavelength, eta, d^2, eta / d^2 or spacing beyond the normal float
+    # range, a guided wavenumber k0 n_eff past the float range, or a user so
+    # far out that float64 cannot square its distance to the fixed antenna
+    # (the sweeps themselves work in offsets from the user)
     cfgfile = tmp_path / "extreme.cfg"
     cfgfile.write_text(content)
     argvs = [("gain-vs-delta-mc", "--grid-step", "0.1"), ("gain-vs-n", "--n-max", "200")]
@@ -430,6 +437,21 @@ def test_bad_numeric_flag_exits_2(tmp_path, argv):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("argv, field", [
+    (("gain-vs-n", "--delta-p", "5e-324", "--n-max", "4"), "delta_p"),  # the spacing is 0 m
+    (("maxgain-vs-spacing", "--delta-p", "5e-324", "--trials", "3"), "delta_p"),
+    (("gain-vs-delta-mc", "--n-list", "2", "--grid-step", "0.5"), "n_eff"),  # k0 n_eff is inf
+    (("fmc-curve", "--n-eff-list", "1e308"), "n_eff"),  # pi n_eff is inf
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_overflowing_spacing_or_index_exits_2_naming_the_field(tmp_path, argv, field):
+    cfgfile = tmp_path / "index.cfg"
+    cfgfile.write_text("n_eff = 1e306\n" if argv[0] == "gain-vs-delta-mc" else "")
+    res = run_cli(*argv, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1, res.stderr
+    assert field in res.stderr
+
+
 @pytest.mark.parametrize("n_list", ["0", "2,3", "-2"])
 def test_bad_antenna_count_names_n_list(tmp_path, n_list):
     res = run_cli("gain-vs-delta-mc", f"--n-list={n_list}", "--out", str(tmp_path / "x.csv"))
@@ -589,3 +611,56 @@ def test_any_drawn_run_keeps_the_exit_code_contract(tmp_path_factory, run):
         assert err.count("\n") == 1 and "Traceback" not in err, (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+# ------------------------------------------------ the process entry
+
+def script_target():
+    """``(module, function)`` that pyproject.toml's ``passgain`` script runs."""
+    text = (ROOT / "pyproject.toml").read_text()  # no tomllib before Python 3.11
+    scripts = text[text.index("[project.scripts]"):].split("\n[")[0]
+    return re.search(r'^passgain\s*=\s*"([\w.]+):(\w+)"', scripts, re.M).groups()
+
+
+def entry_in_child(route, *argv):
+    """Exit code and frozen-object count of a child running ``passgain argv``
+    as ``python -m passgain`` does (route "module") or as the script does."""
+    module, function = script_target()
+    run = {"module": "runpy.run_module('passgain', run_name='__main__')",
+           "script": f"sys.exit(importlib.import_module({module!r}).{function}())"}[route]
+    code = (f"import gc, importlib, runpy, sys\nsys.argv = ['passgain', *{list(argv)!r}]\n"
+            f"try:\n    {run}\nexcept SystemExit as exc:\n"
+            f"    print(exc.code, gc.get_freeze_count())\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return tuple(int(v) for v in res.stdout.split()[-2:])
+
+
+@pytest.mark.parametrize("route", ["module", "script"])
+@pytest.mark.parametrize("argv, code", [
+    (("fub-curve", "--x-max", "1"), 0),
+    (("fub-curve", "--x-max", "1", "--seed", "-3"), 2),  # a configuration error
+    (("fub-curve", "--x-max", "1", "--trials", "3"), 2),  # refused by argparse
+], ids=["exit0", "config_error", "usage_error"])
+def test_process_entry_freezes_the_heap_once_the_exit_code_is_known(tmp_path, route, argv, code):
+    exit_code, frozen = entry_in_child(route, *argv, "--out", str(tmp_path / "f.csv"))
+    assert exit_code == code and frozen > 0
+
+
+def test_script_and_module_share_one_entry():
+    module, function = script_target()
+    assert module == passgain.__main__.__name__
+    assert callable(getattr(passgain.__main__, function))
+    # python -m passgain runs the same function under its __main__ guard
+    guard = next(node for node in ast.parse(Path(passgain.__main__.__file__).read_text()).body
+                 if isinstance(node, ast.If))
+    assert function in {node.func.id for node in ast.walk(guard)
+                        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_main_called_from_python_leaves_the_heap_unfrozen(tmp_path, capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["fub-curve", "--x-max", "1", "--out", str(tmp_path / "f.csv")]) == 0
+    assert main(["fub-curve", "--seed", "-3", "--out", str(tmp_path / "f.csv")]) == 2
+    with pytest.raises(SystemExit):
+        main(["fub-curve", "--trials", "3", "--out", str(tmp_path / "f.csv")])
+    assert gc.get_freeze_count() == frozen

@@ -307,8 +307,12 @@ def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
             counts = [np.count_nonzero(dl <= run) for run in runs]
             if min(counts) < 1:
                 return None
+            # layout m's gain is a prefix sum over its own m pairs, so the
+            # pairs past every draw add nothing; their loss from the user's
+            # projection may pass the one block of pair_gains
+            reach = max(counts)
             for label, alpha in cases:
-                g = pair_gains(dr, dl, c, alpha)
+                g = pair_gains(dr[:reach], dl[:reach], c, alpha)
                 best = np.array([
                     g[:count].max() * 10.0 ** (-alpha * run / 10.0)
                     for count, run in zip(counts, runs)
@@ -361,6 +365,9 @@ def test_maxgain_search_matches_brute_force_argmax():
 @example(x_0_m=-30.0, dp=2.0, n_eff=3.0, n_max=10000, trials=40, alpha=0.08, seed=1)
 @example(x_0_m=-30.0, dp=0.3, n_eff=1.0, n_max=10000, trials=40, alpha=0.08, seed=1)
 @example(x_0_m=-15.0, dp=4.0, n_eff=1.0, n_max=336, trials=1, alpha=0.0, seed=0)
+# the refined left walk of 1,009 pairs at n_eff = 1.0078 reaches past 1 km,
+# 100 decades of loss at 2 dB/m, far beyond every draw
+@example(x_0_m=-15.0, dp=1.0, n_eff=1.0078125, n_max=2018, trials=1, alpha=2.0, seed=0)
 def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials, alpha, seed):
     # the sweep lays out only the pairs a draw can reach; the brute force all
     # n_max / 2 of them, or the refined pairs up to the first past every draw
