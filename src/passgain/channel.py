@@ -61,7 +61,9 @@ def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:
     power split over its N antennas, by :func:`gain_at_offsets` under the
     configured loss at the offsets ``layout.offsets + (layout.center - x_u)``
     from the user: exactly ``layout.offsets`` for a layout centred on ``x_u``.
-    The feed enters only the loss, so without loss the gain ignores the feed.
+    The feed enters only the loss, so without loss it cannot move the gain,
+    but an explicit ``cfg.x_0_m`` right of the leftmost antenna raises
+    :class:`~passgain.errors.ConfigError` at any loss.
     """
     offsets = layout.offsets + (layout.center - cfg.x_u_m)
     return float(gain_at_offsets(offsets, cfg, cfg.alpha_wg_db_per_m))

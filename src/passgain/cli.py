@@ -76,7 +76,8 @@ SUBCOMMANDS = {
         (("--n-eff-list", dict(type=_list_of(float),
                                help="refractive indices to plot (default: the configured one)")),
          ("--grid-step", dict(type=float, default=0.005))),
-        lambda a, cfg: experiments.run_fmc_curve(a.n_eff_list or (cfg.n_eff,), a.grid_step),
+        lambda a, cfg: experiments.run_fmc_curve(
+            (cfg.n_eff,) if a.n_eff_list is None else a.n_eff_list, a.grid_step),
     ),
     "gain-vs-n": Subcommand(
         "gain and bounds versus antenna count",

@@ -20,19 +20,14 @@ refinement only ever widens gaps.
 A shifted antenna sits on the root u(j) of ``combined path = j * wavelength``,
 and its successor aims for the index ceil(g(j)) past j, g smooth and monotone,
 so each side is a few runs of indices j, j + c, j + 2c, ...  A numpy pass of
-:func:`refined_half_deltas` takes u over such a run, guesses each seed as the
-largest of the front's chain of unshifted seeds and the seeds one and two gaps
-past a root, repeats ``delta = seed + max(0, u - seed)`` and keeps the antennas
-up to the first guess that is not the true seed or calls for another index.
-The next pass starts from that seed, so the output is bit-identical to the
-antenna-by-antenna recurrence.  Passes are sized from the runs walked: the
-first covers 256 antennas, one that holds all its k antennas is followed by
-8k + 256, one that breaks early by half its size (at least 2k + 16).  After a
-run of 32 or more the next pass follows the increment the break reveals;
-after a shorter one it keeps the increment, and follows only after a
-one-antenna pass.  Near 1e6 wavelengths float rounding flips the increment
-every few antennas: the walk takes a pass per flip, and would take a fifth
-more if it followed every flip.  It stops before an antenna whose successor
+:func:`refined_half_deltas` takes u over such a run, starts from the true
+seed, guesses every later seed one nominal gap past the previous antenna's
+root, repeats ``delta = seed + max(0, u - seed)`` and keeps the antennas up to
+the first guess that is not the true seed or calls for another index.  The
+next pass starts from that seed and follows the increment the last kept
+antenna calls for, so the output is bit-identical to the antenna-by-antenna
+recurrence.  The first pass covers 256 antennas, and one after a pass that
+kept k covers 8k + 256.  The walk stops before an antenna whose successor
 index is 2**53 or more, past which float64 skips integers.  The whole walk is
 checked at once: each seed must call for the index walked, each path must hit
 its target to within 1e-9 m or 4 ulp of its larger term
@@ -105,21 +100,14 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     if not abs(j) < 2.0**53:
         raise NumericsError(f"refinement lattice index {j:.6g} is not a finite exact integer")
     # a walk ended at its reach writes, and so makes resident, only the
-    # antennas it walked; the pass buffers grow with the window
-    walked, deltas, ramp = np.empty(n_half), np.empty(n_half), np.empty(0)
+    # antennas it walked
+    walked, deltas = np.empty(n_half), np.empty(n_half)
     n, inc, size = 0, sign, 256
     while n < n_half:  # one pass per run of antennas n, n + 1, ... at j, j + inc, ...
         m = min(size, n_half - n)
-        if m > ramp.size:
-            ramp, chain = np.arange(m, dtype=float), np.full(m, step)
-        idx = walked[n:n + m] = j + inc * ramp[:m]
+        idx = walked[n:n + m] = j + inc * np.arange(m, dtype=float)
         u = _root(lam * idx, cfg, side)
-        chain[0] = seed  # guessed seeds, as the module docstring says
-        guess = np.add.accumulate(chain[:m])
-        after = u + step
-        guess[1:] = np.maximum(guess[1:], after[:-1])
-        after += step
-        guess[2:] = np.maximum(guess[2:], after[:-2])
+        guess = np.append(seed, u[:-1] + step)  # seeds one gap past the previous root
         d = deltas[n:n + m] = guess + np.maximum(u - guess, 0.0)  # seed + max(0, u - seed)
         nxt = d + step
         j_nxt = _lattice_index(nxt, cfg, side)
@@ -128,15 +116,12 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
             break
         # a run holds while guesses are true seeds calling for their index, with exact successors
         held = (nxt[:-1] == guess[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
-        f = int(held.argmin()) if m > 1 else 0
-        k = f + 1 if m > 1 and not held[f] else m  # antennas refined by this pass
+        k = int(np.append(held, False).argmin()) + 1  # antennas refined by this pass
         if d[k - 1] > reach:  # the walk ends at the first antenna past the reach
             k = int(np.argmax(d[:k] > reach)) + 1
             n_half = n + k
-        n, seed, j = n + k, nxt[k - 1], j_nxt[k - 1]
-        if k == 1 or k >= 32:  # follow the increment the break reveals
-            inc = j - idx[k - 1]
-        size = 8 * k + 256 if k == m else max(size // 2, 2 * k + 16)
+        n, seed, j, inc = n + k, nxt[k - 1], j_nxt[k - 1], j_nxt[k - 1] - idx[k - 1]
+        size = 8 * k + 256
     if n < n_half and abs(_lattice_index(u[0] + step, cfg, side)) < 2.0**53:
         # the front is unshifted, and only its seed's successor is inexact
         raise NumericsError(f"refinement lattice index {j_nxt[0]:.6g} is not a finite exact integer")

@@ -399,6 +399,8 @@ def test_readme_library_tour_runs():
         warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor at 0.05 wavelengths
         exec(block[:block.index("```")], namespace)
     assert 0 < namespace["a"] <= namespace["report"].a_hat_sum
+    assert namespace["a_uni"] == namespace["report"].a_uni
+    assert namespace["a_mc2"] == pytest.approx(namespace["a_mc"], rel=1e-12)
     assert namespace["a_mc4"].shape == (96,)
 
 
@@ -479,6 +481,22 @@ def test_colliding_list_entries_exit_2(tmp_path, argv):
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1
     assert flag in res.stderr and f"{first} and {second}" in res.stderr, res.stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gain-vs-n", "--delta-p", ""),
+    ("maxgain-vs-spacing", "--delta-p", ","),
+    ("fmc-curve", "--n-eff-list", ""),
+    ("fmc-curve", "--n-eff-list", ","),
+    ("gain-vs-delta-mc", "--n-list", ","),
+], ids=lambda argv: f"{argv[0]}-{'comma' if argv[2] else 'blank'}")
+def test_empty_list_exits_2(tmp_path, argv):
+    # an empty list is refused, not read as the flag's default
+    name, flag, entries = argv
+    res = run_cli(name, flag, entries, "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2, res.stderr
+    assert res.stderr == f"config error: {flag} needs at least one entry\n", res.stderr
     assert not (tmp_path / "x.csv").exists()
 
 

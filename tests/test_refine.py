@@ -448,23 +448,15 @@ def walk_passes(monkeypatch, run):
 
 
 @pytest.mark.parametrize("argv, most", [
-    # half the passes of a window restarted at 18 antennas after every break
-    (["maxgain-vs-spacing", "--trials", "2000", "--delta-p", "0.5,1,1.5,2", "--case", "both"], 46),
-    (["gain-vs-n", "--delta-p", "0.5,1", "--case", "both", "--n-max", "6000"], 22),
+    (["maxgain-vs-spacing", "--trials", "2000", "--delta-p", "0.5,1,1.5,2", "--case", "both"], 32),
+    (["gain-vs-n", "--delta-p", "0.5,1", "--case", "both", "--n-max", "6000"], 15),
 ])
 def test_walk_sizes_its_passes_from_the_runs_walked(monkeypatch, tmp_path, argv, most):
-    # each side is 2-4 runs of one increment, 1,400-3,000 antennas long
+    # each side is 1-3 runs of one increment, 1,800-3,000 antennas long, all
+    # shifted, so a pass ends only where the increment changes: 2-5 passes a side
     from passgain.cli import main
     run = lambda: main([*argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
     assert walk_passes(monkeypatch, run) <= most
-
-
-@pytest.mark.parametrize("side, most", [("right", 1410), ("left", 1241)])
-def test_walk_keeps_its_increment_where_rounding_flips_it(monkeypatch, side, most):
-    # at 1e6 wavelengths the increment flips every few antennas; following
-    # each flip would take a fifth more passes than keeping it
-    cfg = SystemConfig(delta_p=1e6, alpha_wg_db_per_m=0.0)
-    assert walk_passes(monkeypatch, lambda: refine.refined_half_deltas(5000, cfg, side=side)) <= most
 
 
 def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
