@@ -21,7 +21,7 @@ from .errors import ConfigError
 @functools.cache
 def _tables():
     """Lookup tables of :func:`_csv_rows`, built on its first call: the scale
-    and the least in-range scaled value per decimal exponent, and the word
+    per decimal exponent, 0 where the fast path cannot take it, and the word
     table of each of a number's five words.
 
     The exponent tables have 800 slots, one per decimal exponent in
@@ -34,8 +34,6 @@ def _tables():
     # correctly rounded 10^(11 - e), parsed from decimal; 0 where e is not fast
     scale = np.zeros(800)
     scale[fast] = [float(f"1e{11 - i}") for i in e[fast].tolist()]
-    s_min = np.where(fast, 1e11, np.inf)
-    s_min[-400] = 0.0
 
     def digits(k, width):
         return [48 + k // 10**i % 10 for i in reversed(range(width))]
@@ -56,9 +54,9 @@ def _tables():
         words(np.where((e < 0) & (a > 0), ord("-"), ord("+")),
               np.where(a >= 100, hundreds, 0), tens, ones),
     )
-    for t in (scale, s_min, *tables):
+    for t in (scale, *tables):
         t.flags.writeable = False
-    return scale, s_min, tables
+    return scale, tables
 
 
 def _label_words(names) -> np.ndarray:
@@ -87,14 +85,14 @@ def _csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
     digits and "e"; the exponent.  The NUL padding is dropped from the bytes
     of the lines.
     """
-    scale, s_min, tables = _tables()
+    scale, tables = _tables()
     n, width = labels.shape
     mag = np.abs(values)
     with np.errstate(divide="ignore"):  # zero: log10 -inf, slot -400
         e = np.maximum(np.floor(np.log10(mag)), -400).astype(np.intp)
     s = mag * scale[e]
     m = np.rint(s)
-    slow = (s < s_min[e]) | (s >= 999999999999.5) | (np.abs(s - m) >= 0.499)
+    slow = ((s < 1e11) & (mag != 0)) | (s >= 999999999999.5) | (np.abs(s - m) >= 0.499)
     m = m.astype(np.int64)
     if slow.any():
         texts = ["%.11e" % v for v in mag[slow].tolist()]  # d.ddddddddddde+XX

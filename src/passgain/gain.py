@@ -214,17 +214,11 @@ def closed_bound_value(n, cfg: SystemConfig):
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Uniform-spacing gain and its discrete and closed-form upper bounds.
-
-    ``eps`` is wavelength/d and ``l_eps`` the dimensionless half-aperture
-    N * delta_p * eps / 2 at which the closed bound was evaluated.
-    """
+    """Uniform-spacing gain and its discrete and closed-form upper bounds."""
 
     a_uni: float
     a_hat_sum: float
     a_hat_closed: float
-    l_eps: float
-    eps: float
 
     def __post_init__(self):
         if self.a_uni > self.a_hat_sum * (1.0 + 1e-9):
@@ -235,13 +229,10 @@ class BoundReport:
 
 def upper_bound_closed(n: int, cfg: SystemConfig) -> BoundReport:
     """Exact uniform gain alongside its discrete and closed bounds at count N."""
-    eps = cfg.wavelength / cfg.d_m
     return BoundReport(
         a_uni=gain_uniform(n, cfg),
         a_hat_sum=upper_bound_sum_uniform(n, cfg),
         a_hat_closed=float(closed_bound_value(n, cfg)),
-        l_eps=n * cfg.delta_p * eps / 2.0,
-        eps=eps,
     )
 
 

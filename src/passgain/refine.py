@@ -27,10 +27,11 @@ the first guess that is not the true seed or calls for another index.  The
 next pass starts from that seed and follows the increment the last kept
 antenna calls for, so the output is bit-identical to the antenna-by-antenna
 recurrence.  The first pass covers 256 antennas, and one after a pass that
-kept k covers 8k + 256.  The walk stops before an antenna whose successor
-index is 2**53 or more, past which float64 skips integers.  The whole walk is
-checked at once: each seed must call for the index walked, each path must hit
-its target to within 1e-9 m or 4 ulp of its larger term
+kept k covers 8k + 256.  The walk neither starts from nor steps to an index
+of 2**53 or more, past which float64 skips integers.  The whole walk is
+checked at once, and that check names every failure, a walk stopped short
+included: each seed must call for the index walked, each path must hit its
+target to within 1e-9 m or 4 ulp of its larger term
 ``sqrt(d^2 + delta^2) + n_eff |delta|``, float64's resolution, which is
 coarser than 1e-9 m beyond about 2e6 m.
 
@@ -97,13 +98,11 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     step = cfg.delta_p * lam
     seed = step / 2.0
     j = _lattice_index(seed, cfg, side)
-    if not abs(j) < 2.0**53:
-        raise NumericsError(f"refinement lattice index {j:.6g} is not a finite exact integer")
     # a walk ended at its reach writes, and so makes resident, only the
     # antennas it walked
     walked, deltas = np.empty(n_half), np.empty(n_half)
     n, inc, size = 0, sign, 256
-    while n < n_half:  # one pass per run of antennas n, n + 1, ... at j, j + inc, ...
+    while n < n_half and abs(j) < 2.0**53:  # one pass per run of antennas at j, j + inc, ...
         m = min(size, n_half - n)
         idx = walked[n:n + m] = j + inc * np.arange(m, dtype=float)
         u = _root(lam * idx, cfg, side)
@@ -122,9 +121,6 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
             n_half = n + k
         n, seed, j, inc = n + k, nxt[k - 1], j_nxt[k - 1], j_nxt[k - 1] - idx[k - 1]
         size = 8 * k + 256
-    if n < n_half and abs(_lattice_index(u[0] + step, cfg, side)) < 2.0**53:
-        # the front is unshifted, and only its seed's successor is inexact
-        raise NumericsError(f"refinement lattice index {j_nxt[0]:.6g} is not a finite exact integer")
     walked, deltas = walked[:n], deltas[:n]
     targets = lam * walked
     seeds = np.concatenate(([step / 2.0], deltas + step))[:n]

@@ -161,11 +161,20 @@ def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
     (("fmc-curve", "--grid-step", "0.6"), 0.0, 1.0),
     (("fmc-curve", "--grid-step", "0.3"), 0.0, 1.0),
     (("fmc-curve", "--grid-step", "2"), 0.0, 1.0),
+    # the ends' slack is 1e-12, so an --x-max below one step is the single row
+    # above 1e-12, and at or below it can leave no grid point
+    (("fub-curve", "--x-max", "2e-12", "--grid-step", "1e-11"), 2e-12, 2e-12),
+    (("fub-curve", "--x-max", "5e-13", "--grid-step", "1e-12"), None, None),
 ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
-def test_grids_end_exactly_at_their_stated_end(tmp_path, argv, first, last):
+def test_grids_end_exactly_at_their_stated_end(tmp_path, argv, first, last, capsys):
     # a step that does not divide the range neither runs past its end nor
     # stops short of it: the end itself is the last row
     out = tmp_path / "x.csv"
+    if first is None:
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "leaves no grid point" in capsys.readouterr().err
+        assert not out.exists()
+        return
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0
     curves = {}
@@ -327,6 +336,17 @@ def test_flag_of_another_subcommand_exits_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"passgain {argv[0]}: error: unrecognized arguments: {' '.join(argv[1:])}" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gain-vs-n", "--delta-p", "abc"), "argument --delta-p: bad float list 'abc'"),
+    (("gain-vs-delta-mc", "--n-list", "2,x"), "argument --n-list: bad int list '2,x'"),
+])
+def test_unparsable_list_entry_exits_2_naming_the_subcommand(argv, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", "x.csv"])
+    assert exc.value.code == 2
+    assert f"passgain {argv[0]}: error: {message}\n" in capsys.readouterr().err
 
 
 def readme_cli_argvs():

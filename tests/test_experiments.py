@@ -765,8 +765,10 @@ def test_runners_reject_bad_inputs(cfg):
     bad_calls = [
         lambda: run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=0, seed=0, n_max=100),
         lambda: run_maxgain_vs_spacing(cfg, (), BOTH_CASES, trials=5, seed=0, n_max=100),
+        lambda: run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=5, seed=-1, n_max=100),
         lambda: run_gain_vs_n(cfg, (), BOTH_CASES, n_max=100, n_step=2),
         lambda: run_gain_vs_n(cfg, np.array([0.5, 0.5]), BOTH_CASES, n_max=100, n_step=2),
+        lambda: run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=100, n_step=3),
         lambda: run_gain_vs_delta_mc(cfg, (), step=0.1),
         lambda: run_fub_curve(x_max=4.0, step=0.0),
         lambda: run_fub_curve(x_max=-5.0, step=0.01),

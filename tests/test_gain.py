@@ -335,8 +335,6 @@ def test_closed_bound_vanishes_at_huge_counts(cfg):
 def test_bound_report(cfg):
     rep = upper_bound_closed(200, cfg)
     assert rep.a_uni <= rep.a_hat_sum * (1 + 1e-9)
-    assert rep.eps == pytest.approx(cfg.wavelength / cfg.d_m, rel=1e-15)
-    assert rep.l_eps == pytest.approx(200 * cfg.delta_p * rep.eps / 2, rel=1e-15)
     assert min(rep.a_uni, rep.a_hat_sum, rep.a_hat_closed) >= 0
     with pytest.raises(NumericsError):
-        BoundReport(a_uni=1.0, a_hat_sum=0.5, a_hat_closed=0.5, l_eps=1.0, eps=1e-3)
+        BoundReport(a_uni=1.0, a_hat_sum=0.5, a_hat_closed=0.5)

@@ -299,6 +299,19 @@ def test_build_refined_layout_validation(cfg):
         build_refined_layout(3, cfg)
     with pytest.raises(ConfigError):
         build_refined_layout(0, cfg)
+    with pytest.raises(ConfigError, match="at least one antenna per side"):
+        refined_half_deltas(0, cfg)
+    with pytest.raises(ConfigError, match="side must be 'right' or 'left', got 'up'"):
+        refined_half_deltas(5, cfg, side="up")
+
+
+def test_refined_layout_raises_the_left_side_failure_when_the_right_side_walks():
+    # at n_eff = 1 the left targets run out at antenna 168; the right side,
+    # walked only to name its own failure first, has none
+    cfg = SystemConfig(n_eff=1.0, delta_p=4.0)
+    assert refined_half_deltas(168, cfg, side="right")[0].size == 168
+    with pytest.raises(NumericsError, match="^left-side targets are exhausted at antenna 168 "):
+        build_refined_layout(336, cfg)
 
 
 # ------------------------------------------------------------- lattice walk
@@ -478,8 +491,17 @@ def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
 
 def test_walk_rejects_non_finite_lattice_index():
     cfg = SystemConfig(d_m=1e17)
-    with pytest.raises(NumericsError, match="lattice index"):
+    with pytest.raises(NumericsError, match="^right-side antenna 1: .*no finite lattice index"):
         refined_half_deltas(10, cfg, side="right")
+
+
+def test_walk_never_starts_from_an_inexact_index():
+    # the left side's first index, 9.17e15, is past 2**53 but its successor's
+    # is exact: the walk must refuse at antenna 1, not walk on from it
+    cfg = SystemConfig(d_m=1e14, delta_p=2.3e14)
+    assert abs(refine._lattice_index(cfg.delta_p * cfg.wavelength / 2, cfg, "left")) >= 2.0**53
+    with pytest.raises(NumericsError, match="^left-side antenna 1: .*no finite lattice index"):
+        refined_half_deltas(10, cfg, side="left")
 
 
 # ------------------------------------------------------------ stable roots
