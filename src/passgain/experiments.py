@@ -46,7 +46,8 @@ import numpy as np
 
 from .channel import _at_feed, _nested_gains, _pair_phasors, _scaled_accumulate, gain_at_offsets
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, _check_antenna_count, _resolve_feed, _symmetric_offsets
+from .geometry import (SystemConfig, _check_antenna_count, _half_offsets, _resolve_feed,
+                       _symmetric_offsets)
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -139,25 +140,22 @@ def _check_size(what: str, count) -> None:
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Points ``start + k * step`` up to ``stop`` (1e-12 slack), then ``stop`` if the last
-    falls short, for ``stop >= start``, a finite step > 0 and <= MAX_SWEEP_SIZE points."""
+    """Points ``start + k * step`` for k below ``round((stop - start) / step)`` (at least
+    k = 0), then ``stop``: the last gap is half a step to 1.5 steps, unless the range is
+    under half a step.  For ``stop >= start``, a finite step > 0, <= MAX_SWEEP_SIZE points."""
     if not 0.0 < step < math.inf:
         raise ConfigError(f"grid step must be finite and > 0, got {step}")
     _check_size("grid points", (stop - start) / step)
-    xs = start + step * np.arange(0, round((stop - start) / step) + 1)
-    xs = xs[xs <= stop + 1e-12]
-    if xs[-1] < stop - 1e-12:
-        xs = np.append(xs, stop)
-    return xs
+    return np.append(start + step * np.arange(max(1, round((stop - start) / step))), stop)
 
 
 def _layouts(m_max, cfg, reach=np.inf):
     """:func:`~passgain.channel._pair_phasors` of the uniform and the refined layout with
     ``m_max`` antenna pairs, keyed by layout kind; each ends at its first pair
     whose left offset exceeds ``reach``, if that comes sooner."""
-    from . import gain, refine
+    from . import refine
     pairs = min(m_max, reach / (cfg.delta_p * cfg.wavelength) + 2)  # enough pairs to pass the reach
-    half = gain.uniform_deltas(2 * int(pairs), cfg)
+    half = _half_offsets(2 * int(pairs), cfg.delta_p * cfg.wavelength)
     half = half[:np.searchsorted(half, reach, side="right") + 1]
     d_right, d_left = refine._refined_offsets(half.size, cfg, reach)
     return {"uniform": _pair_phasors(half, half, cfg),
@@ -168,7 +166,8 @@ def run_fub_curve(x_max: float, step: float):
     """Tabulate the bound shape function on (0, x_max] and mark its maximizer."""
     if not math.isfinite(x_max):
         raise ConfigError(f"x_max must be finite, got {x_max}")
-    xs = _grid(0.0, max(x_max, 0.0), step)[1:]
+    xs = _grid(0.0, max(x_max, 0.0), step)
+    xs = xs[xs != 0.0]
     if xs.size == 0:
         raise ConfigError(f"x_max = {x_max:g} leaves no grid point at step {step:g}")
     from . import gain

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import _nested_gains, _pair_phasors
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, _check_antenna_count
+from .geometry import SystemConfig, _check_antenna_count, _half_offsets
 
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
@@ -64,10 +64,8 @@ def gain_symmetric(deltas, cfg: SystemConfig) -> float:
 
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
-    """Positive-side offsets (k - 1/2) * delta_p * wavelength for k = 1..n/2."""
-    _check_antenna_count(n)
-    k = np.arange(1, n // 2 + 1, dtype=float)
-    return (k - 0.5) * cfg.delta_p * cfg.wavelength
+    """Positive-side offsets (k - 1/2) * (delta_p * wavelength), k = 1..n/2, as layouts have."""
+    return _half_offsets(n, cfg.delta_p * cfg.wavelength)
 
 
 def gain_uniform(n: int, cfg: SystemConfig) -> float:

@@ -156,11 +156,15 @@ def _uniform_spacings(n: int, spacing) -> np.ndarray:
     return spacing
 
 
+def _half_offsets(n: int, spacing) -> np.ndarray:
+    """Right-half offsets ``(k - 1/2) * spacing``, k = 1..n/2, of the symmetric uniform
+    layout, the package's one rounding of them: shape (n/2,), or (S, n/2) for S spacings."""
+    return (np.arange(1, n // 2 + 1) - 0.5) * _uniform_spacings(n, spacing)[..., None]
+
+
 def _symmetric_offsets(n: int, spacing) -> np.ndarray:
-    """Offsets ``+/-(k - 1/2) * spacing``, k = 1..n/2, of the equally spaced
-    layout mirror-symmetric about the user, left to right: shape (n,) for one
-    spacing and (S, n) for a 1-D array of S spacings."""
-    half = (np.arange(1, n // 2 + 1) - 0.5) * _uniform_spacings(n, spacing)[..., None]
+    """:func:`_half_offsets` mirrored about the user, left to right: shape (n,) or (S, n)."""
+    half = _half_offsets(n, spacing)
     return np.concatenate([-half[..., ::-1], half], axis=-1)
 
 
@@ -179,18 +183,17 @@ def _resolve_feed(cfg: SystemConfig, leftmost):
     "auto" puts the feed at each layout's own leftmost antenna.
 
     The feed must not sit to the right of any antenna, since in-waveguide
-    distance is measured rightward from it.
+    distance is measured rightward from it; it is checked, with 1e-12 m of
+    slack, in the user's coordinates, against the positions ``x_u + leftmost``.
     """
     if cfg.x_0_m is None:
         return leftmost
-    feed = cfg.x_0_m - cfg.x_u_m
-    inside = feed > np.asarray(leftmost) + 1e-12
+    left = cfg.x_u_m + np.asarray(leftmost)
+    inside = cfg.x_0_m > left + 1e-12
     if inside.any():
-        raise ConfigError(
-            f"feed point x_0={cfg.x_0_m} m lies right of the leftmost antenna "
-            f"at {cfg.x_u_m + np.asarray(leftmost)[inside].flat[0]} m"
-        )
-    return feed
+        raise ConfigError(f"feed point x_0={cfg.x_0_m} m lies right of the leftmost antenna "
+                          f"at {left[inside].flat[0]} m")
+    return cfg.x_0_m - cfg.x_u_m
 
 
 _SCENARIO_KEYS = frozenset(f.name for f in fields(SystemConfig) if f.init)

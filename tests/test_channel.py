@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -76,6 +77,30 @@ def test_feed_right_of_antenna_rejected():
         resolve_feed(fed_at_origin, lay.positions[0] - fed_at_origin.x_u_m)
     with pytest.raises(ConfigError):
         array_gain_exact(lay, fed_at_origin)
+
+
+@pytest.mark.parametrize("x_u_m", [0.0, 1e3, 1e6, 1e9, 1e17])
+def test_feed_is_checked_where_the_antennas_are(x_u_m):
+    # a feed at the layout's own leftmost position is accepted however far out
+    # the user stands: the check does not round x_0 - x_u, it compares in the
+    # user's coordinates
+    cfg = SystemConfig(x_u_m=x_u_m)
+    spacing = cfg.delta_p * cfg.wavelength
+    for n in range(2, 17, 2):
+        lay = symmetric_uniform_layout(cfg, n, spacing)
+        at_leftmost = replace(cfg, x_0_m=float(lay.positions[0]))
+        assert resolve_feed(at_leftmost, lay.offsets[0]) == at_leftmost.x_0_m - x_u_m
+        assert array_gain_exact(lay, at_leftmost) > 0
+        if x_u_m == 1e17:  # float64 resolves 16 m there, not one spacing
+            continue
+        # one spacing right of the leftmost antenna is still refused, and the
+        # message tells the feed from the antenna
+        inside = replace(cfg, x_0_m=float(lay.positions[0]) + spacing)
+        with pytest.raises(ConfigError) as exc:
+            array_gain_exact(lay, inside)
+        feed, antenna = re.fullmatch(r"feed point x_0=(\S+) m lies right of the leftmost "
+                                     r"antenna at (\S+) m", str(exc.value)).groups()
+        assert feed != antenna and float(antenna) == lay.positions[0]
 
 
 def test_attenuation_values():

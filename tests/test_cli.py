@@ -19,7 +19,7 @@ import passgain.__main__
 import passgain.cli
 from passgain.cli import SUBCOMMANDS, Subcommand, build_parser, main
 from passgain.errors import ConfigError
-from passgain.experiments import MAX_SWEEP_SIZE, Curve
+from passgain.experiments import MAX_SWEEP_SIZE, Curve, write_csv
 from passgain.gain import uniform_deltas
 from passgain.geometry import SystemConfig
 from passgain.refine import refined_half_deltas
@@ -161,30 +161,32 @@ def test_unresolvable_config_exits_2_naming_the_field(tmp_path, content):
     (("fmc-curve", "--grid-step", "0.6"), 0.0, 1.0),
     (("fmc-curve", "--grid-step", "0.3"), 0.0, 1.0),
     (("fmc-curve", "--grid-step", "2"), 0.0, 1.0),
-    # the ends' slack is 1e-12, so an --x-max below one step is the single row
-    # above 1e-12, and at or below it can leave no grid point
+    # an --x-max up to half a step is the single row, at any scale
     (("fub-curve", "--x-max", "2e-12", "--grid-step", "1e-11"), 2e-12, 2e-12),
-    (("fub-curve", "--x-max", "5e-13", "--grid-step", "1e-12"), None, None),
+    (("fub-curve", "--x-max", "9e-13", "--grid-step", "1e-12"), 9e-13, 9e-13),
+    (("fub-curve", "--x-max", "5e-13", "--grid-step", "1e-12"), 5e-13, 5e-13),
+    # an end less than half a step past a grid point takes that point's place
+    (("fub-curve", "--x-max", "2.9999999999995", "--grid-step", "1"), 1.0, 2.9999999999995),
+    (("fub-curve", "--x-max", "1.000000000002", "--grid-step", "0.001"), 0.001, 1.000000000002),
+    (("fub-curve", "--x-max", "1000.00000000002", "--grid-step", "1"), 1.0, 1000.00000000002),
 ], ids=lambda v: "_".join(v) if isinstance(v, tuple) else None)
-def test_grids_end_exactly_at_their_stated_end(tmp_path, argv, first, last, capsys):
+def test_grids_end_exactly_at_their_stated_end(tmp_path, monkeypatch, argv, first, last):
     # a step that does not divide the range neither runs past its end nor
-    # stops short of it: the end itself is the last row
+    # stops short of it: the end itself is the last row, and no two rows of a
+    # series print the same x
+    written = []
+    monkeypatch.setattr(passgain.cli, "write_csv",
+                        lambda curves, *a, **k: written.extend(curves) or write_csv(curves, *a, **k))
     out = tmp_path / "x.csv"
-    if first is None:
-        assert main([*argv, "--out", str(out)]) == 2
-        assert "leaves no grid point" in capsys.readouterr().err
-        assert not out.exists()
-        return
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([*argv, "--out", str(out)]) == 0
-    curves = {}
+    grids = [c.x for c in written if not c.series.endswith("_peak") and np.ndim(c.x)]
+    assert grids and all(xs[0] == first and xs[-1] == last for xs in grids)
+    printed = {}
     for line in out.read_text().splitlines()[2:]:
         series, x, _, _ = line.split(",")
-        if not series.endswith("_peak"):
-            curves.setdefault(series, []).append(float(x))
-    assert curves
-    for xs in curves.values():  # each series' rows come sorted by x
-        assert xs[0] == first and xs[-1] == last
+        printed.setdefault(series, []).append(x)
+    assert all(len(set(xs)) == len(xs) for xs in printed.values())
 
 
 # The scenario fields each subcommand ignores, as the README's scenario section
@@ -260,7 +262,7 @@ def test_maxgain_skips_refinement_no_draw_reaches(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(tmp_path):
     # nor the CSV kernel, which the first write imports, nor the modules that
     # only some sweeps use
     lazy = "{'scipy', 'passgain.csvrows', 'passgain.gain', 'passgain.refine', 'passgain.coupling'}"
@@ -268,6 +270,13 @@ def test_cli_import_leaves_scipy_out():
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "set()"
+    # gain-vs-n takes its uniform offsets from geometry, so never loads gain
+    argv = ["gain-vs-n", "--n-max", "200", "--out", str(tmp_path / "x.csv")]
+    code = f"import sys, passgain.cli; passgain.cli.main({argv!r}); print(sorted(sys.modules))"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    loaded = ast.literal_eval(res.stdout.splitlines()[-1])
+    assert "passgain.refine" in loaded and "passgain.gain" not in loaded
 
 
 def test_unknown_flag_exits_2(tmp_path):

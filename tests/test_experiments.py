@@ -9,10 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from passgain import coupling, experiments, gain
+from passgain import coupling, experiments
 from passgain.cli import SUBCOMMANDS, build_parser
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
@@ -463,6 +463,26 @@ def test_fmc_curve_multiple_indices():
     assert set(pts) == {"fmc_neff1", "fmc_neff1.44"}
 
 
+@settings(max_examples=300, deadline=None)
+@given(start=st.floats(-1e6, 1e6), width=st.floats(1e-6, 1e6), step=st.floats(1e-6, 1e6))
+@example(start=0.0, width=5e-13, step=1e-12)  # under half a step: the two ends
+@example(start=0.0, width=1.000000000002, step=0.001)  # the end replaces x = 1
+@example(start=0.0, width=1.0, step=0.3)  # 0.9 gives way to 1
+@example(start=1e-3, width=0.999, step=0.005)  # gain-vs-delta-mc's grid
+def test_grid_runs_from_start_to_stop_in_gaps_of_at_least_half_a_step(start, width, step):
+    stop = start + width
+    assume(width / step <= 1e4)
+    xs = experiments._grid(start, stop, step)
+    assert xs[0] == start and xs[-1] == stop
+    gaps = np.diff(xs)
+    assert np.all(gaps > 0)
+    if xs.size > 2:
+        # up to the rounding of start + k * step at the grid's magnitude
+        slack = 8 * np.spacing(max(abs(start), abs(stop)))
+        assert np.all(np.abs(gaps[:-1] - step) <= slack)
+        assert step / 2 - slack <= gaps[-1] <= 1.5 * step + slack
+
+
 # ------------------------------------------------------------ gain versus N
 
 
@@ -880,10 +900,22 @@ def test_reach_limited_layouts_build_only_what_the_reach_uses(monkeypatch):
     # about 8,400 uniform pairs out at delta_p = 0.5: the largest accepted
     # n_max gives the rows of n_max = 10000 without building 1e6 offsets first
     built = []
-    uniform = gain.uniform_deltas
-    monkeypatch.setattr(gain, "uniform_deltas", lambda n, cfg: built.append(n) or uniform(n, cfg))
+    half = experiments._half_offsets
+    monkeypatch.setattr(experiments, "_half_offsets",
+                        lambda n, spacing: built.append(n) or half(n, spacing))
     rows = [run_maxgain_vs_spacing(SystemConfig(), (0.5, 2.0), (("case2", 0.08),), trials=2000,
                                    seed=1, n_max=n_max)
             for n_max in (10000, 2 * experiments.MAX_SWEEP_SIZE)]
     assert rows[0] == rows[1]
     assert max(built) < 20000
+
+
+@pytest.mark.parametrize("dp", [0.1, 0.3, 1.5])
+def test_uniform_offsets_round_one_way_everywhere(dp):
+    # gain_uniform, the layouts and the sweeps sum the same offsets, bit for
+    # bit, at spacings where (k - 1/2) delta_p wavelength rounds two ways
+    cfg, n = SystemConfig(delta_p=dp), 6000
+    half = uniform_deltas(n, cfg)
+    layout = symmetric_uniform_layout(cfg, n, dp * cfg.wavelength)
+    assert np.array_equal(half, layout.offsets[n // 2:])
+    assert np.array_equal(half, experiments._layouts(n // 2, cfg)["uniform"].dr)
