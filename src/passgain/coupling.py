@@ -10,11 +10,13 @@ spacing ``C`` is the identity and coupling vanishes; as the spacing shrinks
 before inversion.
 
 :func:`coupling_matrix` and :func:`gain_mc` take one spacing or a 1-D array
-of S spacings.  An array is solved as one (S, N, N) stack: one ``eigh`` call,
-contracted against its eigenvectors without forming ``C^(-1/2)``, and the
-channel taken at the offsets ``+/-(k - 1/2) delta`` from the user, so the
-result does not depend on where the user stands.  A stack holds S N^2
-entries; the caller picks S.
+of S spacings.  ``h`` is even on the symmetric layout, so only ``Re phi`` and
+the N/2 x N/2 block ``C_e[k, l] = J(|k - l| + 1) + J(k + l + 2)`` reach the
+gain (Cantoni & Butler 1976), and the floor acts on ``C_e``.  An array is one
+(S, N/2, N/2) stack: one ``eigh`` call, contracted against its eigenvectors,
+with the channel at the offsets ``(k - 1/2) delta`` from the user, so the result
+does not depend on where the user stands.  A stack holds S (N/2)^2 entries; the
+caller picks S.
 
 Public: EIG_FLOOR, coupling_matrix, gain_mc, gain_mc_two_closed, f_mc.
 """
@@ -28,39 +30,42 @@ import numpy as np
 
 from .channel import _antenna_terms
 from .errors import ConfigError
-from .geometry import SystemConfig, _symmetric_offsets, _uniform_spacings
+from .geometry import SystemConfig, _half_offsets, _uniform_spacings
 
 # Coupling-matrix eigenvalues below this are floored before the -1/2 power.
 EIG_FLOOR = 1e-10
+
+
+def _sinc_rows(n: int, delta, cfg: SystemConfig) -> np.ndarray:
+    """``J(1..n)``: sin(k0 delta i) / (k0 delta i), numpy's sinc of 2 (delta / lambda) i."""
+    return np.sinc(2.0 * (_uniform_spacings(n, delta) / cfg.wavelength)[..., None] * np.arange(n))
 
 
 def coupling_matrix(n: int, delta, cfg: SystemConfig) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
     ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
     i = np.arange(n)
-    # sin(k0 delta i) / (k0 delta i) is numpy's sinc of 2 (delta / lambda) i
-    first_rows = np.sinc(2.0 * (_uniform_spacings(n, delta) / cfg.wavelength)[..., None] * i)
-    return first_rows[..., abs(i[:, None] - i)]
+    return _sinc_rows(n, delta, cfg)[..., abs(i[:, None] - i)]
 
 
 def gain_mc(n: int, delta, cfg: SystemConfig):
     """Coupling-aware gain |h^T C^(-1/2) phi|^2 / N of the uniform symmetric array.
 
     ``delta`` is one spacing (m), giving a float, or a 1-D array of S
-    spacings, giving an array: the S coupling matrices are solved as one
-    (S, N, N) stack, so the caller bounds S N^2.  Over the eigenpairs
-    (w_k, v_k) of C the sum is ``sum_k (h.v_k)(phi.v_k) max(w_k, EIG_FLOOR)^-1/2``.
-    The channel is taken at the offsets ``+/-(k - 1/2) delta`` from the user
-    and the in-waveguide phases are referenced to the array center; the model
-    is translation-invariant and the reference only contributes a unit-modulus
-    factor.  Warns once per call, with the number of spacings, when the
-    coupling spectrum had to be floored.
+    spacings, giving an array: the S blocks ``C_e`` are solved as one
+    (S, N/2, N/2) stack, so the caller bounds S (N/2)^2.  Over the eigenpairs
+    (w_k, v_k) of ``C_e`` and the right halves h+, phi+ of the channel and phases
+    the sum is ``2 sum_k (h+.v_k)(Re phi+.v_k) max(w_k, EIG_FLOOR)^-1/2``, with
+    the offsets ``(k - 1/2) delta`` from the user and the phases referenced to
+    the array center, a reference that only scales the sum by a unit modulus.
+    Warns once per call, with the number of spacings, when ``C_e`` was floored.
     """
-    w, v = np.linalg.eigh(coupling_matrix(n, delta, cfg))
-    h, phi = _antenna_terms(_symmetric_offsets(n, delta), cfg)
-    terms = (h[..., None, :] @ v)[..., 0, :] * (phi[..., None, :] @ v)[..., 0, :]
+    k, rows = np.arange(n // 2), _sinc_rows(n, delta, cfg)
+    w, v = np.linalg.eigh(rows[..., abs(k[:, None] - k)] + rows[..., k[:, None] + k + 1])
+    h, phi = _antenna_terms(_half_offsets(n, delta), cfg)
+    terms = (h[..., None, :] @ v)[..., 0, :] * (phi.real[..., None, :] @ v)[..., 0, :]
     # not w ** -0.5: numpy's pow rounds per SIMD level, sqrt and division do not
-    total = np.sum(terms / np.sqrt(np.maximum(w, EIG_FLOOR)), axis=-1)
+    total = 2.0 * np.sum(terms / np.sqrt(np.maximum(w, EIG_FLOOR)), axis=-1)
 
     floored = np.any(w < EIG_FLOOR, axis=-1)
     if floored.any():

@@ -24,10 +24,10 @@ gaps.  The search costs one pass over the offsets and one lookup per draw,
 made in ascending order of feed run.
 
 The coupling sweep hands each antenna count N its spacing grid in chunks of
-``MAX_SWEEP_SIZE // N^2`` spacings (at least one); each chunk is one stacked
-eigensolve in :func:`coupling.gain_mc`, so no stack holds more than
-MAX_SWEEP_SIZE matrix entries.  Its coupling-free rows use the same offsets
-from the user.
+``MAX_SWEEP_SIZE // (N/2)^2`` spacings (at least one); each chunk is one stacked
+eigensolve of N/2 x N/2 blocks in :func:`coupling.gain_mc`, so no stack holds
+more than MAX_SWEEP_SIZE matrix entries.  Its coupling-free rows use the same
+offsets from the user.
 
 Public: USER_HALF_RANGE_M, DEFAULT_FEED_X0_M, FLUID_RANGE_WAVELENGTHS,
 FIXED_ANTENNA_X_M, DELTA_MIN_WL, MAX_SWEEP_SIZE, Curve, write_csv,
@@ -325,7 +325,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     points = [Curve("fixed", xs, _fixed_gain(cfg))]
 
     for n in n_values:
-        size = max(1, MAX_SWEEP_SIZE // (n * n))  # spacings per eigensolve stack
+        size = max(1, MAX_SWEEP_SIZE // (n // 2) ** 2)  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
         nomc_vals = np.concatenate([gain_at_offsets(_symmetric_offsets(n, s), cfg, 0.0)
                                     for s in chunks])

@@ -48,6 +48,26 @@ def scaled_accumulate_loop(ufunc, values, scale):
     return out
 
 
+def mp_gain_mc(n, spacing, cfg, digits=50):
+    """The coupling-aware gain |h^T C^(-1/2) phi|^2 / N of the uniform symmetric
+    array at ``spacing`` (m), in mpmath at ``digits`` digits from the float
+    inputs: the full sinc-Toeplitz C, its root by ``eigsy``, no floor."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        k0, s = mp.mpf(cfg.k0), mp.mpf(spacing)
+        off = [(k - n // 2 + mp.mpf(1) / 2) * s for k in range(n)]
+        c = mp.matrix(n, n)
+        for a in range(n):
+            for b in range(n):
+                c[a, b] = mp.sin(k0 * s * abs(a - b)) / (k0 * s * abs(a - b)) if a != b else 1
+        w, v = mp.eigsy(c)
+        root = v * mp.diag([1 / mp.sqrt(e) for e in w]) * v.T
+        r = [mp.sqrt(o * o + mp.mpf(cfg.d_m) ** 2) for o in off]
+        h = mp.matrix([[mp.sqrt(mp.mpf(cfg.eta)) * mp.exp(-1j * k0 * ri) / ri for ri in r]])
+        phi = mp.matrix([mp.exp(-1j * k0 * cfg.n_eff * o) for o in off])
+        return float(abs((h * root * phi)[0]) ** 2 / n)
+
+
 def gain_two_uncoupled(delta, cfg):
     """Coupling-free two-antenna gain 2 eta cos^2(n_eff k0 delta / 2) / (d^2 + delta^2/4);
     at delta = 0 this is exactly 2 eta / d^2."""

@@ -39,7 +39,7 @@ from passgain.geometry import (
     symmetric_uniform_layout,
 )
 from passgain.refine import build_refined_layout, refined_half_deltas
-from reference import direct_gains, pair_gains
+from reference import direct_gains, mp_gain_mc, pair_gains
 
 BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
 
@@ -681,28 +681,31 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         rows = by_series(run_gain_vs_delta_mc(cfg, (2, 8), step=0.005))
-        for n in (2, 8):
-            xs = np.array([p.x for p in rows[f"mc_N{n}"] if p.x > 0])
-            mc = [p.y for p in rows[f"mc_N{n}"] if p.x > 0]
-            layouts = [symmetric_uniform_layout(cfg, n, float(x) * lam) for x in xs]
+    # and against mpmath's unfloored full-matrix root at sampled rows: 5e-12
+    # at or above half a wavelength (2.5e-12 seen); below it 1e-7 (8.8e-8 seen
+    # at N = 8, 0.066 wavelengths, where an N x N eigensolve reads 1.1e-10).
+    # Rows whose even coupling block is floored are counted, not compared
+    mp_errs, floored = [], 0
+    for n in (2, 8):
+        xs = np.array([p.x for p in rows[f"mc_N{n}"] if p.x > 0])
+        mc = [p.y for p in rows[f"mc_N{n}"] if p.x > 0]
+        layouts = [symmetric_uniform_layout(cfg, n, float(x) * lam) for x in xs]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
             assert mc == [coupling.gain_mc(n, float(x) * lam, cfg) for x in xs]
-            assert [p.y for p in rows[f"nomc_N{n}"] if p.x > 0] == [
-                array_gain_exact(layout, cfg) for layout in layouts]
-            # against h M phi with the root M = V max(w, floor)^(-1/2) V^T
-            # formed explicitly: 1e-13 at or above half a wavelength (1.4e-14
-            # seen); below it the floored N = 8 rows are ill-conditioned and
-            # held to 1e-9 (3.7e-10 seen)
-            ref = []
-            for x, layout in zip(xs, layouts):
-                pos = np.asarray(layout.positions)
-                r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
-                h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
-                phi = np.exp(-1j * cfg.k0 * cfg.n_eff * (pos - cfg.x_u_m))
-                w, v = np.linalg.eigh(coupling.coupling_matrix(n, float(x) * lam, cfg))
-                root = (v * np.maximum(w, coupling.EIG_FLOOR) ** -0.5) @ v.T
-                ref.append(abs(h @ root @ phi) ** 2 / n)
-            err = np.abs(np.array(mc) - ref) / np.array(ref)
-            assert err[xs >= 0.5].max() <= 1e-13 and err.max() <= 1e-9
+        assert [p.y for p in rows[f"nomc_N{n}"] if p.x > 0] == [
+            array_gain_exact(layout, cfg) for layout in layouts]
+        c, h = coupling.coupling_matrix(n, xs * lam, cfg), n // 2
+        even_floored = np.linalg.eigvalsh(
+            c[:, h:, h:] + c[:, h:, h - 1::-1]).min(axis=-1) < coupling.EIG_FLOOR
+        floored += int(even_floored.sum())
+        for x in (0.066, 0.071, 0.201, 0.401, 0.521, 0.751, 1.0):
+            i = int(np.argmin(np.abs(xs - x)))
+            if not even_floored[i]:
+                want = mp_gain_mc(n, float(xs[i]) * lam, cfg)
+                mp_errs.append((n, x, abs(mc[i] - want) / want))
+    assert floored > 0 and len(mp_errs) == 14
+    assert all(err <= (5e-12 if x >= 0.5 else 1e-7) for n, x, err in mp_errs), mp_errs
     # the closed form in Python floats, relative to the gain or, near the
     # cos^2 nulls, to 1e-6 eta / d^2, as the benchmark oracle measures it
     spacings = np.linspace(0.0, 1.0, 1429)[1:] * lam
@@ -715,20 +718,20 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
 
 
 def test_mc_sweep_chunks_keep_bytes_and_cap(cfg, tmp_path, monkeypatch):
+    # the sweep's eigensolves take stacks of N/2 x N/2 even blocks
     whole = mc_csv_rows(cfg, tmp_path / "whole.csv", (2, 4, 8))
-    stacks, coupling_matrix = [], coupling.coupling_matrix
+    stacks, eigh = [], np.linalg.eigh
 
-    def recording_coupling_matrix(*args):
-        stack = coupling_matrix(*args)
+    def recording_eigh(stack):
         stacks.append(stack.shape)
-        return stack
+        return eigh(stack)
 
-    monkeypatch.setattr(experiments, "MAX_SWEEP_SIZE", 1000)
-    monkeypatch.setattr(coupling, "coupling_matrix", recording_coupling_matrix)
+    monkeypatch.setattr(experiments, "MAX_SWEEP_SIZE", 200)
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     chunked = mc_csv_rows(cfg, tmp_path / "chunked.csv", (2, 4, 8))
     assert chunked == whole
-    assert all(math.prod(shape) <= 1000 for shape in stacks)
-    per_n = {n: [s[0] for s in stacks if s[-1] == n] for n in (2, 4, 8)}
+    assert all(math.prod(shape) <= 200 for shape in stacks)
+    per_n = {n: [s[0] for s in stacks if s[-1] == n // 2] for n in (2, 4, 8)}
     assert len(per_n[4]) >= 3 and len(per_n[8]) >= 3
     assert all(sum(sizes) == 201 for sizes in per_n.values())
 
