@@ -16,6 +16,7 @@ The pair sum runs its loss from the user's projection, over which a left
 antenna ``dl`` out gains ``alpha dl / 20`` decades, in blocks of 100 decades:
 each block sums in units of 10^(its lower edge) and carries its total on by a
 factor <= 1, so no factor exceeds 10^100; :func:`_at_feed` moves it to the feed.
+Right-side factors fall outward, and only those of 10^-324 or more take a pow.
 
 Public: gain_at_offsets, array_gain_exact.
 """
@@ -73,13 +74,13 @@ _PairPhasors = namedtuple("_PairPhasors", "dr dl rr rl er el")
 
 
 def _pair_phasors(delta_right, delta_left, cfg: SystemConfig) -> _PairPhasors:
-    """Per-side offsets ``dr``/``dl``, distances ``rr``/``rl`` and phasors
-    ``er``/``el`` (``exp(-j theta)``) of the antenna pairs at ``+dr`` and
-    ``-dl``: the loss-free part of their gains, shared by all loss cases."""
+    """Per-side offsets ``dr``/``dl`` (``dl = dr`` if ``delta_left`` is None),
+    distances ``rr``/``rl`` and phasors ``er``/``el`` (``exp(-j theta)``) of the
+    pairs at ``+dr`` and ``-dl``: the loss-free part of their gains."""
     dr = np.asarray(delta_right, dtype=float)
-    dl = np.asarray(delta_left, dtype=float)
+    dl = dr if delta_left is None else np.asarray(delta_left, dtype=float)
     rr = np.hypot(cfg.d_m, dr)
-    rl = np.hypot(cfg.d_m, dl)
+    rl = rr if delta_left is None else np.hypot(cfg.d_m, dl)
     er = np.exp(-1j * (cfg.k0 * (rr + cfg.n_eff * dr)))
     el = np.exp(-1j * (cfg.k0 * (rl - cfg.n_eff * dl)))
     return _PairPhasors(dr, dl, rr, rl, er, el)
@@ -141,7 +142,9 @@ def _nested_gains(phasors: _PairPhasors, cfg: SystemConfig, alpha: float):
     if up[-1] >= 100.0:  # in units of 10^(each block's lower edge)
         block = 100.0 * np.floor(up / 100.0)
         lo, hi = lo - block, hi - block
-    s = _scaled_accumulate(np.add, 10.0 ** lo * er / rr + 10.0 ** hi * el / rl, block)
+    p, right = lo.size - np.searchsorted(lo[::-1], -324.0), np.zeros(lo.size)
+    np.power(10.0, lo[:p], out=right[:p])
+    s = _scaled_accumulate(np.add, right * er / rr + 10.0 ** hi * el / rl, block)
     return cfg.eta * np.abs(s) ** 2 / (2.0 * m), 2.0 * block
 
 

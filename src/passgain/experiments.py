@@ -81,8 +81,12 @@ class Curve:
 
 def _column(values, sizes) -> np.ndarray:
     """Concatenate per-block scalars or arrays; a scalar fills its block."""
-    parts = [v if getattr(v, "ndim", 0) else np.full(n, v) for v, n in zip(values, sizes)]
-    return np.concatenate([np.empty(0), *parts])
+    arrays = {i for i, v in enumerate(values) if getattr(v, "ndim", 0)}
+    scalars = np.array([0.0 if i in arrays else v for i, v in enumerate(values)], dtype=float)
+    column, ends = np.repeat(scalars, sizes), np.cumsum(sizes)
+    for i in arrays:
+        column[ends[i] - sizes[i]:ends[i]] = values[i]
+    return column
 
 
 def write_csv(curves, path: str | Path, seed: int = 0) -> int:
@@ -98,7 +102,7 @@ def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     names = sorted({c.series for c in curves})
     labels = _label_words(names)
     rank = {name: i for i, name in enumerate(names)}
-    sizes = [getattr(c.x, "size", 1) for c in curves]
+    sizes = np.array([getattr(c.x, "size", 1) for c in curves], dtype=int)
     ranks = np.repeat(np.array([rank[c.series] for c in curves], dtype=int), sizes)
     x, y, err = (_column([getattr(c, f) for c in curves], sizes) for f in ("x", "y", "stderr"))
     order = np.lexsort((x, ranks))
@@ -158,7 +162,7 @@ def _layouts(m_max, cfg, reach=np.inf):
     half = _half_offsets(2 * int(pairs), cfg.delta_p * cfg.wavelength)
     half = half[:np.searchsorted(half, reach, side="right") + 1]
     d_right, d_left = refine._refined_offsets(half.size, cfg, reach)
-    return {"uniform": _pair_phasors(half, half, cfg),
+    return {"uniform": _pair_phasors(half, None, cfg),
             "refined": _pair_phasors(d_right, d_left, cfg)}
 
 

@@ -53,7 +53,7 @@ def _half_phasors(deltas, cfg: SystemConfig):
         raise ConfigError("offsets must be finite and non-negative")
     if not np.all(np.diff(deltas) > 0):
         raise ConfigError("offsets must be strictly increasing")
-    return _pair_phasors(deltas, deltas, cfg)
+    return _pair_phasors(deltas, None, cfg)
 
 
 def gain_symmetric(deltas, cfg: SystemConfig) -> float:

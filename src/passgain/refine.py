@@ -27,9 +27,12 @@ the first guess that is not the true seed or calls for another index.  The
 next pass starts from that seed and follows the increment the last kept
 antenna calls for, so the output is bit-identical to the antenna-by-antenna
 recurrence.  The first pass covers 256 antennas, and one after a pass that
-kept k covers 8k + 256.  The walk neither starts from nor steps to an index
-of 2**53 or more, past which float64 skips integers.  The whole walk is
-checked at once, and that check names every failure, a walk stopped short
+kept k covers 8k + 256, or up to ``(reach - seed) / step + 2`` antennas: as
+antenna i of a pass lies at or past ``seed + i * step``, that holds the first
+antenna past the reach, with a gap of slack for rounding.  The walk neither
+starts from nor steps to an index of 2**53 or more, past which float64 skips
+integers.  The whole walk is checked at once, reading the roots and indices
+its passes computed, and the check names every failure, a walk stopped short
 included: each seed must call for the index walked, each path must hit its
 target to within 1e-9 m or 4 ulp of its larger term
 ``sqrt(d^2 + delta^2) + n_eff |delta|``, float64's resolution, which is
@@ -72,11 +75,11 @@ def _root(t, cfg: SystemConfig, side: str):
     cancel nothing as n_eff -> 1; a left t <= 0 takes (s - t n) / (n^2 - 1), as
     the latter is 0/0 at t = -d."""
     ne, dd, t = cfg.n_eff, cfg.d_m * cfg.d_m, np.asarray(t, dtype=float)
-    tt = t * t
+    tt, tn = t * t, t * ne
     s = np.sqrt(tt + dd * (ne * ne - 1.0))
     if side == "right":
-        return ((tt - dd) / (t * ne + s))[()]
-    return np.where(t > 0, (dd - tt) / (s + t * ne), (s - t * ne) / (ne * ne - 1.0))[()]
+        return ((tt - dd) / (tn + s))[()]
+    return np.where(t > 0, (dd - tt) / (s + tn), (s - tn) / (ne * ne - 1.0))[()]
 
 
 @np.errstate(**_QUIET)
@@ -99,37 +102,37 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     seed = step / 2.0
     j = _lattice_index(seed, cfg, side)
     # a walk ended at its reach writes, and so makes resident, only the
-    # antennas it walked
-    walked, deltas = np.empty(n_half), np.empty(n_half)
-    n, inc, size = 0, sign, 256
+    # antennas it walked; antenna i's successor index goes in index[i + 1]
+    walked, deltas, roots, guess, index = (np.empty(n_half + 1) for _ in range(5))
+    index[0], n, inc, k = j, 0, sign, 0
     while n < n_half and abs(j) < 2.0**53:  # one pass per run of antennas at j, j + inc, ...
-        m = min(size, n_half - n)
+        m = int(min(8 * k + 256, n_half - n, max(1, (reach - seed) / step + 2)))  # to the reach
         idx = walked[n:n + m] = j + inc * np.arange(m, dtype=float)
-        u = _root(lam * idx, cfg, side)
-        guess = np.append(seed, u[:-1] + step)  # seeds one gap past the previous root
-        d = deltas[n:n + m] = guess + np.maximum(u - guess, 0.0)  # seed + max(0, u - seed)
+        u = roots[n:n + m] = _root(lam * idx, cfg, side)
+        g = guess[:m]  # seeds one gap past the previous root
+        g[0], g[1:] = seed, u[:-1] + step
+        d = deltas[n:n + m] = g + np.maximum(u - g, 0.0)  # seed + max(0, u - seed)
         nxt = d + step
-        j_nxt = _lattice_index(nxt, cfg, side)
+        j_nxt = index[n + 1:n + m + 1] = _lattice_index(nxt, cfg, side)
         exact = np.abs(j_nxt) < 2.0**53
         if not exact[0]:  # stop before the front: its successor has no exact index
             break
         # a run holds while guesses are true seeds calling for their index, with exact successors
-        held = (nxt[:-1] == guess[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
-        k = int(np.append(held, False).argmin()) + 1  # antennas refined by this pass
+        held = (nxt[:-1] == g[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
+        k = m if held.all() else int(held.argmin()) + 1  # antennas refined by this pass
         if d[k - 1] > reach:  # the walk ends at the first antenna past the reach
             k = int(np.argmax(d[:k] > reach)) + 1
             n_half = n + k
         n, seed, j, inc = n + k, nxt[k - 1], j_nxt[k - 1], j_nxt[k - 1] - idx[k - 1]
-        size = 8 * k + 256
     walked, deltas = walked[:n], deltas[:n]
     targets = lam * walked
     seeds = np.concatenate(([step / 2.0], deltas + step))[:n]
-    shifts = np.maximum(0.0, _root(targets, cfg, side) - seeds)
+    shifts = np.maximum(0.0, roots[:n] - seeds)
     # the path's two terms; on the left it is their difference, whose rounding
     # error scales with them: 4 ulp of their sum or the snap is accepted
     h, nd = np.hypot(cfg.d_m, deltas), cfg.n_eff * deltas
     miss = h + sign * nd - targets
-    bad = (_lattice_index(seeds, cfg, side) != walked) | ~(shifts >= 0.0)
+    bad = (index[:n] != walked) | ~(shifts >= 0.0)
     bad |= ~(np.abs(miss) <= np.maximum(_PATH_SNAP_M, 4 * np.spacing(h + nd)))
     if n == n_half and not bad.any():
         return deltas, shifts, targets

@@ -149,6 +149,9 @@ WRITER_CASES = {
                Curve("r", np.array([1.0, 1.0]), np.array([3.0, 2.0]), 0.5)],
     "scalar_blocks": [Curve("b", 2.0, 1.0), Curve("a", 5.0, 2.0, 0.1), Curve("b", 1.0, 3.0),
                       Curve("a", 0.5, 4.0)],
+    # only scalar blocks, of Python and numpy int and float types
+    "integer_scalar_blocks": [Curve("i", 3, 2), Curve("i", np.int64(1), np.float64(-7.5), 1),
+                              Curve("h", 2, np.float32(0.25), np.int32(4))],
     "negative_zero": [Curve("z", np.array([0.0, -0.0, 1.0]), np.array([-0.0, 0.0, -0.0]), -0.0),
                       Curve("z", -0.0, 5.0)],
     "fixed_value_block": [Curve("fixed", np.arange(2.0, 12.0, 2.0), 0.25)],

@@ -10,11 +10,11 @@ amplify input rounding about tenfold, so one ulp of another libm's ``exp`` or
 ``sin`` can move their last printed digits.
 
 The digests hold on one machine and numpy build.  A second test reruns the
-README argvs and the coupling argv in child processes at each SIMD dispatch
-level numpy offers on this CPU (``NPY_DISABLE_CPU_FEATURES``) and holds every
-row to one unit in its 12th digit, printing how many rows differ in bytes
-(``pytest -rP`` shows it).  A change that moves a digest rewrites the file and
-names the rows that moved:
+README argvs, the coupling argv and a ``gain-vs-n`` at 1e6 dB/m in child
+processes at each SIMD dispatch level numpy offers on this CPU
+(``NPY_DISABLE_CPU_FEATURES``) and holds every row to one unit in its 12th
+digit, printing how many rows differ in bytes (``pytest -rP`` shows it).  A
+change that moves a digest rewrites the file and names the rows that moved:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -132,7 +132,13 @@ def within_one_unit(a, b):
 
 @pytest.mark.skipif(not LEVELS, reason="numpy dispatches no optional SIMD feature on this CPU")
 def test_rows_agree_across_simd_levels(tmp_path):
-    argvs = DIGESTS[:5] + ROWS  # the README commands and the coupling benchmark
+    # the README commands, the coupling benchmark and a loss whose right-side
+    # factors 10^lo are nearly all below 10^-324, where they take no pow
+    lossy = tmp_path / "lossy.cfg"
+    lossy.write_text("alpha_wg_db_per_m = 1e6\n")
+    argvs = DIGESTS[:5] + ROWS + [
+        "gain-vs-n --case 2 --delta-p 0.5 --n-max 200000 --grid-step 200 "
+        f"--config {shlex.quote(str(lossy))}"]
     want = [csv_lines(argv, tmp_path) for argv in argvs]
     src = str(Path(passgain.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -440,36 +440,52 @@ def test_lattice_walk_matches_sequential_recurrence_at_huge_spacing(delta_p, sid
         assert np.all(shifts > 0.0)
 
 
-def walk_passes(monkeypatch, run):
-    """Numpy passes of the walks that ``run`` makes: its calls of
-    ``refine._root``, less the one of each walk's final check."""
-    calls = {"root": 0, "walk": 0}
-    root, walk = refine._root, refine.refined_half_deltas
+def walk_roots(monkeypatch, run):
+    """``(passes, roots)`` of the walks that ``run`` makes: its calls of
+    ``refine._root``, one per numpy pass, and the roots they evaluate."""
+    counts = {"calls": 0, "roots": 0}
+    root = refine._root
 
-    def counted_root(*args):
-        calls["root"] += 1
-        return root(*args)
-
-    def counted_walk(*args, **kwargs):
-        calls["walk"] += 1
-        return walk(*args, **kwargs)
+    def counted_root(t, cfg, side):
+        counts["calls"] += 1
+        counts["roots"] += np.size(t)
+        return root(t, cfg, side)
 
     monkeypatch.setattr(refine, "_root", counted_root)
-    monkeypatch.setattr(refine, "refined_half_deltas", counted_walk)
     run()
-    return calls["root"] - calls["walk"]
+    return counts["calls"], counts["roots"]
 
 
-@pytest.mark.parametrize("argv, most", [
-    (["maxgain-vs-spacing", "--trials", "2000", "--delta-p", "0.5,1,1.5,2", "--case", "both"], 32),
-    (["gain-vs-n", "--delta-p", "0.5,1", "--case", "both", "--n-max", "6000"], 15),
-])
+def cli_run(argv, tmp_path):
+    from passgain.cli import main
+    return lambda: main([*argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
+
+
+MC_TRIALS = ["maxgain-vs-spacing", "--trials", "2000", "--delta-p", "0.5,1,1.5,2", "--case", "both"]
+README_GAIN_VS_N = ["gain-vs-n", "--delta-p", "0.5,1", "--case", "both", "--n-max", "6000"]
+
+
+@pytest.mark.parametrize("argv, most", [(MC_TRIALS, 32), (README_GAIN_VS_N, 15)])
 def test_walk_sizes_its_passes_from_the_runs_walked(monkeypatch, tmp_path, argv, most):
     # each side is 1-3 runs of one increment, 1,800-3,000 antennas long, all
     # shifted, so a pass ends only where the increment changes: 2-5 passes a side
-    from passgain.cli import main
-    run = lambda: main([*argv, "--seed", "1", "--out", str(tmp_path / "out.csv")])
-    assert walk_passes(monkeypatch, run) <= most
+    assert walk_roots(monkeypatch, cli_run(argv, tmp_path))[0] <= most
+
+
+@pytest.mark.parametrize("argv, most", [(MC_TRIALS, 24_000), (README_GAIN_VS_N, 15_100)])
+def test_walk_evaluates_each_root_once_and_none_past_the_reach(monkeypatch, tmp_path, argv, most):
+    # 15,824 and 12,000 antennas: no pass runs past the first antenna beyond
+    # the reach, and the whole-walk check reads the roots the passes took
+    assert walk_roots(monkeypatch, cli_run(argv, tmp_path))[1] <= most
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_walk_check_catches_a_wrong_root(monkeypatch, side):
+    # the check trusts the passes' roots for the shifts, but not for the path
+    root = refine._root
+    monkeypatch.setattr(refine, "_root", lambda t, cfg, s: root(t, cfg, s) + 1e-6)
+    with pytest.raises(NumericsError, match=f"^{side}-side antenna 1: .*misses target"):
+        refined_half_deltas(300, SystemConfig(alpha_wg_db_per_m=0.0), side=side)
 
 
 def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
