@@ -70,11 +70,12 @@ def _label_words(names) -> np.ndarray:
     return np.frombuffer(text, np.uint32).reshape(len(names), width)
 
 
-def _csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
+def _csv_rows(labels: np.ndarray, ranks: np.ndarray, values: np.ndarray) -> bytes:
     """``label,x,y,stderr`` CSV lines, each number in ``%.11e``.
 
-    ``labels`` holds the :func:`_label_words` row of each line's series;
-    ``values`` holds the x, y and stderr rows.  Each number with |e| < 100,
+    ``labels`` is the :func:`_label_words` table of the series names, and
+    ``ranks`` holds each line's row in it; ``values`` holds the x, y and
+    stderr rows, one column per line.  Each number with |e| < 100,
     e its decimal exponent, gets the 12-digit mantissa
     m = rint(|v| 10^(11 - e)) from one rounded multiplication by a rounded
     power of ten.  That scaling errs by less than 2.5e-4 in m, so wherever
@@ -86,7 +87,7 @@ def _csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
     of the lines.
     """
     scale, tables = _tables()
-    n, width = labels.shape
+    n, width = ranks.size, labels.shape[1]
     mag = np.abs(values)
     with np.errstate(divide="ignore"):  # zero: log10 -inf, slot -400
         e = np.maximum(np.floor(np.log10(mag)), -400).astype(np.intp)
@@ -103,7 +104,7 @@ def _csv_rows(labels: np.ndarray, values: np.ndarray) -> bytes:
     lead = top // 10**4 + 10 * np.signbit(values)
     middle = rest // 1000
     words = np.empty((width + 16, n), np.uint32)
-    words[:width] = labels.T
+    np.take(labels.T, ranks, axis=1, out=words[:width], mode="wrap")  # "raise" buffers `out`
     keys = (lead, top, middle, rest - middle * 1000, e)
     for j, (table, key) in enumerate(zip(tables, keys)):
         # wrap: `top` modulo 10^4, negative exponents from the table's end

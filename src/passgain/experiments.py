@@ -5,11 +5,14 @@ and ``stderr`` are each a scalar or a 1-D array, a scalar filling its block;
 per-series peaks are single-row ``<series>_peak`` blocks.  :func:`write_csv`
 writes the rows sorted by (series, x) with 12-significant-digit scientific
 notation, so a fixed seed always yields byte-identical files.  It works by
-column, once per file: one stable sort, one finiteness check, then the rows in
-chunks, each rendered by the numpy kernel of :mod:`passgain.csvrows`, which
-looks the digits, sign and exponent of every number up in tables of 4-byte
-words.  A number whose digits the kernel cannot vouch for (near a rounding
-tie, or with a decimal exponent of 100 or more) gets them from Python's ``%``.
+column, once per file: the blocks go in series order, which leaves the rows
+sorted where each series' x runs in order, as every sweep lays it out (the
+Monte Carlo sweep given ascending spacings); only otherwise are the rows
+sorted, stably.  One finiteness check follows, then the rows in chunks, each
+rendered by the numpy kernel of :mod:`passgain.csvrows`, which looks the
+digits, sign and exponent of every number up in tables of 4-byte words.  A
+number whose digits the kernel cannot vouch for (near a rounding tie, or with
+a decimal exponent of 100 or more) gets them from Python's ``%``.
 
 The Monte Carlo sweep draws user positions from a seeded PCG64 generator and,
 per draw, finds the best even antenna count exactly.  The gain of every nested
@@ -79,50 +82,58 @@ class Curve:
     stderr: float | np.ndarray = 0.0
 
 
-def _column(values, sizes) -> np.ndarray:
-    """Concatenate per-block scalars or arrays; a scalar fills its block."""
-    arrays = {i for i, v in enumerate(values) if getattr(v, "ndim", 0)}
-    scalars = np.array([0.0 if i in arrays else v for i, v in enumerate(values)], dtype=float)
-    column, ends = np.repeat(scalars, sizes), np.cumsum(sizes)
-    for i in arrays:
-        column[ends[i] - sizes[i]:ends[i]] = values[i]
-    return column
+def _values(curves, sizes) -> np.ndarray:
+    """The (3, rows) matrix of the blocks' x, y and stderr; a scalar fills its block."""
+    flat = [v for c in curves for v in (c.x, c.y, c.stderr)]
+    arrays = [k for k, v in enumerate(flat) if getattr(v, "ndim", 0)]
+    scalars = np.array([0.0 if getattr(v, "ndim", 0) else v for v in flat], dtype=float)
+    values = np.repeat(scalars.reshape(-1, 3).T, sizes, axis=1)
+    starts, sizes = (np.cumsum(sizes) - sizes).tolist(), sizes.tolist()
+    for k in arrays:
+        i, j = divmod(k, 3)
+        values[j, starts[i]:starts[i] + sizes[i]] = flat[k]
+    return values
 
 
 def write_csv(curves, path: str | Path, seed: int = 0) -> int:
     """Write curve blocks as ``series,x,y,stderr`` rows sorted by (series, x),
     rows with equal keys in input order, and return the number of rows.
 
-    The seed goes into a leading ``#`` comment line; all numbers use
-    12-significant-digit scientific notation, making output byte-stable.  A
-    non-finite number raises NumericsError naming its series."""
+    The blocks go in series order, stably; the rows are sorted, stably, only
+    if some series' x then decreases.  The seed goes into a leading ``#`` comment
+    line; all numbers use 12-significant-digit scientific notation, making
+    output byte-stable.  A non-finite number raises NumericsError naming its
+    series."""
     from .csvrows import _csv_rows, _label_words  # `import passgain.cli` skips them
 
     curves = list(curves)
     names = sorted({c.series for c in curves})
     labels = _label_words(names)
     rank = {name: i for i, name in enumerate(names)}
+    curves.sort(key=lambda c: rank[c.series])
     sizes = np.array([getattr(c.x, "size", 1) for c in curves], dtype=int)
     ranks = np.repeat(np.array([rank[c.series] for c in curves], dtype=int), sizes)
-    x, y, err = (_column([getattr(c, f) for c in curves], sizes) for f in ("x", "y", "stderr"))
-    order = np.lexsort((x, ranks))
-    ranks, x, y, err = ranks[order], x[order], y[order], err[order]
-    bad = ~(np.isfinite(x) & np.isfinite(y) & np.isfinite(err))
+    values = _values(curves, sizes)
+    x = values[0]
+    if not ((x[1:] >= x[:-1]) | (ranks[1:] != ranks[:-1])).all():  # NaN lands here too
+        order = np.lexsort((x, ranks))
+        ranks, values = ranks[order], values[:, order]
+    bad = ~np.isfinite(values).all(axis=0)
     if bad.any():
         i = int(np.argmax(bad))
+        x, y, err = values[:, i]
         raise NumericsError(f"non-finite curve point in series {names[ranks[i]]!r}: "
-                            f"x={x[i]:.11e}, y={y[i]:.11e}, stderr={err[i]:.11e}")
+                            f"x={x:.11e}, y={y:.11e}, stderr={err:.11e}")
     path = Path(path)
     try:
         with path.open("wb") as fh:
             fh.write(f"# seed={seed}\nseries,x,y,stderr\n".encode())
-            for a in range(0, y.size, _CSV_CHUNK_ROWS):
+            for a in range(0, ranks.size, _CSV_CHUNK_ROWS):
                 rows = slice(a, a + _CSV_CHUNK_ROWS)
-                values = np.stack((x[rows], y[rows], err[rows]))
-                fh.write(_csv_rows(labels[ranks[rows]], values))
+                fh.write(_csv_rows(labels, ranks[rows], values[:, rows]))
     except OSError as exc:
         raise ConfigError(f"cannot write CSV to {path}: {exc}") from exc
-    return y.size
+    return ranks.size
 
 
 def _distinct(flag: str, values, fmt: str) -> None:
@@ -337,11 +348,11 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
 
         mc_series = f"mc_N{n}"
         nomc_series = f"nomc_N{n}"
-        points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
-                   Curve(nomc_series, 0.0, n * cfg.eta / d2)]
+        points.append(Curve(nomc_series, 0.0, n * cfg.eta / d2))  # before the grid: x order
         if n == 2:
             points.append(Curve(mc_series, 0.0, cfg.eta / d2))
-        points += [_peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
+        points += [Curve(mc_series, xs, mc_vals), Curve(nomc_series, xs, nomc_vals),
+                   _peak(mc_series, xs, mc_vals), _peak(nomc_series, xs, nomc_vals)]
 
     if 2 in n_values:
         closed = coupling.gain_mc_two_closed(spacings, cfg)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import shlex
@@ -236,6 +237,95 @@ def test_write_csv_matches_reference_on_readme_sweeps(tmp_path, argv):
     rows = reference_write_csv(curves, ref, seed=args.seed)
     assert write_csv(curves, new, seed=args.seed) == rows
     assert new.read_bytes() == ref.read_bytes()
+
+
+def test_write_csv_reads_an_iterator_like_its_list(tmp_path):
+    # the writer reads the blocks twice, so it must not exhaust a one-shot iterable
+    for case, curves in WRITER_CASES.items():
+        listed, iterated = tmp_path / f"{case}_list.csv", tmp_path / f"{case}_iter.csv"
+        assert write_csv(iter(curves), iterated) == write_csv(curves, listed)
+        assert iterated.read_bytes() == listed.read_bytes()
+
+
+@contextlib.contextmanager
+def counting_lexsorts():
+    """Count the calls of ``np.lexsort`` in the block, in a one-item list."""
+    calls, lexsort = [0], np.lexsort
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return lexsort(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "lexsort", counted)
+        yield calls
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: argv[0])
+def test_write_csv_sorts_no_readme_sweep(tmp_path, argv):
+    # every README sweep lays each series out in x order, so no row is sorted
+    args = build_parser().parse_args(argv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        curves = SUBCOMMANDS[args.command].run(args, SystemConfig())
+    with counting_lexsorts() as calls:
+        write_csv(curves, tmp_path / "out.csv")
+    assert calls == [0]
+
+
+def test_write_csv_sorts_blocks_out_of_x_order_once(tmp_path):
+    with counting_lexsorts() as calls:
+        write_csv(WRITER_CASES["scalar_blocks"], tmp_path / "out.csv")  # a: 5.0 then 0.5
+    assert calls == [1]
+
+
+def _in_x_order(curves):
+    """True when each series' x is nondecreasing through its blocks."""
+    xs = {}
+    for p in expand(curves):
+        xs.setdefault(p.series, []).append(p.x)
+    return all(a <= b for v in xs.values() for a, b in zip(v, v[1:]))
+
+
+magnitudes = st.floats(min_value=1e-310, max_value=1e300)
+csv_numbers = st.one_of(st.sampled_from([0.0, -0.0]), magnitudes, magnitudes.map(lambda v: -v))
+
+
+@st.composite
+def curve_lists(draw):
+    """Blocks of series whose names prefix one another: scalar or array,
+    with array abscissae sorted, reversed, tied in pairs or as drawn."""
+    curves = []
+    for _ in range(draw(st.integers(0, 6))):
+        name = draw(st.sampled_from(["a", "a_peak", "ab", "b"]))
+        if draw(st.booleans()):
+            curves.append(Curve(name, draw(csv_numbers), draw(csv_numbers), draw(csv_numbers)))
+            continue
+        n = draw(st.integers(1, 8))
+        column = st.lists(csv_numbers, min_size=n, max_size=n).map(np.array)
+        x = draw(column)
+        x = {"sorted": np.sort(x), "reversed": np.sort(x)[::-1].copy(),
+             "ties": np.sort(x[np.arange(n) // 2]), "drawn": x}[
+            draw(st.sampled_from(["sorted", "reversed", "ties", "drawn"]))]
+        curves.append(Curve(name, x, draw(column), draw(st.one_of(csv_numbers, column))))
+    return curves
+
+
+@settings(deadline=None, max_examples=200)
+@given(curve_lists())
+@example([Curve("a", np.array([1.0, 2.0]), np.array([-0.0, 1e-310])), Curve("a_peak", 2.0, 3.0),
+          Curve("a", 2.0, -1e300), Curve("ab", 5.0, 0.5, np.array([0.0]))])
+@example([Curve("b", np.array([2.0, 1.0]), np.array([3.0, 4.0])), Curve("a", 1.0, 1.0),
+          Curve("b", 0.5, 0.0, -0.0)])
+def test_write_csv_matches_reference_on_any_blocks(tmp_path_factory, curves):
+    # both branches: blocks already in x order write unsorted, the rest take one lexsort
+    path = tmp_path_factory.mktemp("blocks")
+    new, ref = path / "new.csv", path / "ref.csv"
+    with counting_lexsorts() as calls:
+        rows = write_csv(curves, new)
+    assert rows == reference_write_csv(curves, ref)
+    assert new.read_bytes() == ref.read_bytes()
+    assert calls == [0 if _in_x_order(curves) else 1]
 
 
 # ------------------------------------------------------------- fast kernels
