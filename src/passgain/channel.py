@@ -5,12 +5,15 @@ waveguide (height ``d``) has the spherical-wave coefficient
 ``h = sqrt(eta) exp(-j k0 r) / r``, ``r = hypot(delta, d)``, and is reached
 with the in-waveguide phase ``phi = k0 n_eff delta`` and, on a lossy
 waveguide, the amplitude ``att = 10^(-alpha run / 20)`` of its run from the
-feed.  The gain is ``|sum_n att_n h_n exp(-j phi_n)|^2 / N``.  Phase taken
-from the feed instead differs by one unit-modulus factor, so the feed enters
-only through the loss.  Two forms of the sum remain, rounding differently:
-the direct one, :func:`gain_at_offsets`, and the pair one,
-:func:`_pair_phasors` and :func:`_nested_gains`, which reads all nested
-symmetric layouts off one prefix sum; the benchmark oracles mirror each.
+feed, ``alpha`` being the scenario's ``alpha_wg_db_per_m`` (dB/m): the public
+functions read it there, and only the sweeps' private pair sums take it as an
+argument, 0 for their lossless case.  The gain is
+``|sum_n att_n h_n exp(-j phi_n)|^2 / N``.  Phase taken from the feed instead
+differs by one unit-modulus factor, so the feed enters only through the loss.
+Two forms of the sum remain, rounding differently: the direct one,
+:func:`gain_at_offsets`, and the pair one, :func:`_pair_phasors` and
+:func:`_nested_gains`, which reads all nested symmetric layouts off one prefix
+sum; the benchmark oracles mirror each.
 
 The pair sum runs its loss from the user's projection, over which a left
 antenna ``dl`` out gains ``alpha dl / 20`` decades, in blocks of 100 decades:
@@ -29,7 +32,7 @@ from collections import namedtuple
 import numpy as np
 
 from .errors import NumericsError
-from .geometry import AntennaLayout, SystemConfig, _resolve_feed
+from .geometry import AntennaLayout, SystemConfig, _increasing_offsets, _resolve_feed
 
 
 def _antenna_terms(offsets, cfg: SystemConfig):
@@ -42,15 +45,17 @@ def _antenna_terms(offsets, cfg: SystemConfig):
     return h, np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
 
 
-def gain_at_offsets(offsets, cfg: SystemConfig, alpha: float):
+def gain_at_offsets(offsets, cfg: SystemConfig):
     """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
-    their antenna offsets from the user's projection, left to right along the
-    last axis (shape (..., N), giving shape (...)), under waveguide loss
-    ``alpha`` (dB/m).  The phase runs from the user's projection; the loss
-    runs from the feed, as :func:`~passgain.geometry._resolve_feed` places it
-    for each layout, so without loss the feed cannot move the gain."""
-    offsets = np.asarray(offsets, dtype=float)
-    att = 10.0 ** (-alpha * (offsets - _resolve_feed(cfg, offsets[..., :1])) / 20.0)
+    their antenna offsets from the user's projection, finite and strictly
+    increasing along the last axis (shape (..., N), giving shape (...)), under
+    the scenario's waveguide loss ``cfg.alpha_wg_db_per_m`` (dB/m).  The phase
+    runs from the user's projection; the loss runs from the feed, as
+    :func:`~passgain.geometry._resolve_feed` places it for each layout, so
+    without loss the feed cannot move the gain."""
+    offsets = _increasing_offsets(offsets, "offsets")
+    run = offsets - _resolve_feed(cfg, offsets[..., :1])  # the feed is checked at any loss
+    att = 10.0 ** (-cfg.alpha_wg_db_per_m * run / 20.0) if cfg.alpha_wg_db_per_m else 1.0
     h, phase = _antenna_terms(offsets, cfg)
     total = np.sum(att * h * phase, axis=-1)
     # np.square, not ** 2, which is libm pow on a numpy scalar but x * x on an array
@@ -66,8 +71,7 @@ def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:
     but an explicit ``cfg.x_0_m`` right of the leftmost antenna raises
     :class:`~passgain.errors.ConfigError` at any loss.
     """
-    offsets = layout.offsets + (layout.center - cfg.x_u_m)
-    return float(gain_at_offsets(offsets, cfg, cfg.alpha_wg_db_per_m))
+    return float(gain_at_offsets(layout.offsets + (layout.center - cfg.x_u_m), cfg))
 
 
 _PairPhasors = namedtuple("_PairPhasors", "dr dl rr rl er el")

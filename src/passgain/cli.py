@@ -59,11 +59,6 @@ _DELTA_P = dict(type=_list_of(float),
                      "coupling-free model, exact only for uniform layouts at multiples of 1/2")
 
 
-def _cases(args: argparse.Namespace, cfg: SystemConfig) -> tuple[tuple[str, float], ...]:
-    both = (("case1", 0.0), ("case2", cfg.alpha_wg_db_per_m))
-    return {"1": both[:1], "2": both[1:], "both": both}[args.case]
-
-
 SUBCOMMANDS = {
     "fub-curve": Subcommand(
         "bound shape function f_ub with its peak",
@@ -84,16 +79,15 @@ SUBCOMMANDS = {
         (("--delta-p", dict(_DELTA_P, default=(0.5, 1.0))), _CASE,
          ("--n-max", dict(type=int, default=6000)),
          ("--grid-step", dict(type=int, default=2, help="antenna-count step (even)"))),
-        lambda a, cfg: experiments.run_gain_vs_n(cfg, a.delta_p, _cases(a, cfg),
-                                                 a.n_max, a.grid_step),
+        lambda a, cfg: experiments.run_gain_vs_n(cfg, a.delta_p, a.case, a.n_max, a.grid_step),
     ),
     "maxgain-vs-spacing": Subcommand(
         "Monte Carlo maximum gain versus minimum spacing",
         (("--delta-p", dict(_DELTA_P, default=(0.5, 1.0, 1.5, 2.0))), _CASE,
          ("--n-max", dict(type=int, default=10000)),
          ("--trials", dict(type=int, default=1000, help="Monte Carlo trials"))),
-        lambda a, cfg: experiments.run_maxgain_vs_spacing(cfg, a.delta_p, _cases(a, cfg),
-                                                          a.trials, a.seed, a.n_max),
+        lambda a, cfg: experiments.run_maxgain_vs_spacing(cfg, a.delta_p, a.case, a.trials,
+                                                          a.seed, a.n_max),
     ),
     "gain-vs-delta-mc": Subcommand(
         "gain versus spacing with mutual coupling (lossless waveguide)",

@@ -61,10 +61,11 @@ def _tables():
 
 def _label_words(names) -> np.ndarray:
     """The series names as rows of NUL-padded uint32 words, one row per name;
-    :func:`_csv_rows` drops the NUL bytes, so no name may hold one."""
+    :func:`_csv_rows` drops the NUL bytes, and a comma or line break would
+    split the row, so no name may hold one."""
+    if bad := [name for name in names if not {"\0", ",", "\n", "\r"}.isdisjoint(name)]:
+        raise ConfigError(f"series name {bad[0]!r} holds a NUL, a comma or a line break")
     encoded = [name.encode() for name in names]
-    if any(b"\0" in name for name in encoded):
-        raise ConfigError("series names must not contain NUL characters")
     width = -(-max(map(len, encoded), default=0) // 4)
     text = b"".join(name.ljust(4 * width, b"\0") for name in encoded)
     return np.frombuffer(text, np.uint32).reshape(len(names), width)

@@ -154,6 +154,15 @@ def _check_size(what: str, count) -> None:
         raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
 
 
+def _pair_count(n_max: int) -> int:
+    """The antenna pairs of layouts of up to ``n_max`` antennas, after checking
+    that ``n_max >= 2`` and the pairs stay within MAX_SWEEP_SIZE."""
+    if n_max < 2:
+        raise ConfigError("n_max must be >= 2")
+    _check_size("antenna pairs", n_max // 2)
+    return n_max // 2
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """Points ``start + k * step`` for k below ``round((stop - start) / step)`` (at least
     k = 0), then ``stop``: the last gap is half a step to 1.5 steps, unless the range is
@@ -197,16 +206,24 @@ def run_fmc_curve(n_eff_values, step: float):
     return [Curve(f"fmc_neff{ne:g}", xs, coupling.f_mc(xs, ne)) for ne in n_eff_values]
 
 
-def run_gain_vs_n(cfg: SystemConfig, delta_p_values, cases, n_max: int, n_step: int):
+def _cases(cfg: SystemConfig, case) -> tuple[tuple[str, float], ...]:
+    """The ``(label, loss)`` pairs of ``case``: "1" the lossless waveguide,
+    "2" the scenario's ``alpha_wg_db_per_m`` (dB/m), "both" the two."""
+    if not (isinstance(case, str) and case in ("1", "2", "both")):
+        raise ConfigError(f"case must be '1', '2' or 'both', got {case!r}")
+    both = (("case1", 0.0), ("case2", cfg.alpha_wg_db_per_m))
+    return {"1": both[:1], "2": both[1:], "both": both}[case]
+
+
+def run_gain_vs_n(cfg: SystemConfig, delta_p_values, case: str, n_max: int, n_step: int):
     """Gain versus antenna count: phase-free bound, refined layout, uniform
-    layout, and the fixed-antenna baseline, per spacing and loss case."""
+    layout, and the fixed-antenna baseline, per spacing and loss case, the
+    cases of ``case`` as :func:`_cases` gives them: the lossy one reads its
+    loss from ``cfg.alpha_wg_db_per_m``."""
     _distinct("--delta-p", delta_p_values, "g")
-    if n_max < 2:
-        raise ConfigError("n_max must be >= 2")
-    _check_size("antenna pairs", n_max // 2)
+    cases, m_max = _cases(cfg, case), _pair_count(n_max)
     if n_step < 2 or n_step % 2 != 0:
         raise ConfigError("the antenna-count step must be a positive even integer")
-    m_max = n_max // 2
     counts = 2.0 * np.arange(1, m_max + 1)
     sample = np.arange(0, m_max, n_step // 2)
     points = [Curve("fixed", counts[sample], _fixed_gain(cfg))]
@@ -241,42 +258,39 @@ def _peak(series: str, xs, ys) -> Curve:
     return Curve(f"{series}_peak", float(xs[i]), float(ys[i]))
 
 
-def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int, seed: int,
+def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, case: str, trials: int, seed: int,
                            n_max: int):
     """Monte Carlo maximum gain versus minimum spacing, with baselines.
 
     Per user draw the best even antenna count in [2, n_max] is found for
-    the refined and the uniform layout under each loss case; the movable and
-    fixed single-antenna baselines and the closed-form bound estimate complete
-    the figure.  Standard errors above 5 percent of the mean are flagged.
+    the refined and the uniform layout under each loss case of ``case``, as
+    :func:`_cases` gives them (the lossy one at ``cfg.alpha_wg_db_per_m``); the
+    movable and fixed single-antenna baselines and the closed-form bound
+    estimate complete the figure.  Standard errors above 5 percent of the mean
+    are flagged, layout by layout.
     """
     from . import gain
     _distinct("--delta-p", delta_p_values, ".11e")
+    cases = _cases(cfg, case)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    if n_max < 2:
-        raise ConfigError("n_max must be >= 2")
+    m_max = _pair_count(n_max)
     _check_size("Monte Carlo trials", trials)
-    _check_size("antenna pairs", n_max // 2)
     rng = np.random.Generator(np.random.PCG64(seed))
     x_us = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials)
     feed_x0 = DEFAULT_FEED_X0_M if cfg.x_0_m is None else cfg.x_0_m
     if feed_x0 > -USER_HALF_RANGE_M:
-        raise ConfigError(
-            f"feed at {feed_x0} m can fall right of a drawn user position"
-        )
+        raise ConfigError(f"feed at {feed_x0} m can fall right of a drawn user position")
 
     feed_run = x_us - feed_x0
     order = np.argsort(feed_run, kind="stable")  # searchsorted runs faster on sorted keys
     runs = feed_run[order]
-    m_max = n_max // 2
     points = []
     for dp in delta_p_values:
         cfg_dp = replace(cfg, delta_p=dp)
         layouts = _layouts(m_max, cfg_dp, reach=runs[-1])  # as the module docstring says
-        last = {}  # per kind and draw, the index of the outermost usable pair
         for kind, ph in layouts.items():
             # a draw may use the first `cap` pairs: those left of its
             # projection that still lie right of the feed
@@ -286,14 +300,12 @@ def run_maxgain_vs_spacing(cfg: SystemConfig, delta_p_values, cases, trials: int
                     f"no feasible antenna count for {int(np.sum(cap < 1))} draw(s): "
                     f"the first {kind} antenna at delta_p={dp:g} lies left of the feed"
                 )
-            last[kind] = np.empty_like(cap)
-            last[kind][order] = cap - 1
-
-        for label, alpha in cases:
-            for kind, ph in layouts.items():
+            last = np.empty_like(cap)  # per draw, the index of the outermost usable pair
+            last[order] = cap - 1
+            for label, alpha in cases:
                 g, scale = _nested_gains(ph, cfg_dp, alpha)
-                peak, i = _scaled_accumulate(np.maximum, g, scale), last[kind]
-                best = _at_feed(peak[i], scale[i], alpha, feed_run)
+                peak = _scaled_accumulate(np.maximum, g, scale)
+                best = _at_feed(peak[last], scale[last], alpha, feed_run)
                 mean, err = _mean_stderr(best)
                 points.append(Curve(f"{kind}_{label}", float(dp), mean, err))
                 if err > 0.05 * mean:
@@ -337,12 +349,13 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     d2 = cfg.d_m**2
     xs = _grid(DELTA_MIN_WL, 1.0, step)
     spacings = xs * cfg.wavelength
+    lossless = replace(cfg, alpha_wg_db_per_m=0.0)  # the coupling model is lossless
     points = [Curve("fixed", xs, _fixed_gain(cfg))]
 
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n // 2) ** 2)  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
-        nomc_vals = np.concatenate([gain_at_offsets(_symmetric_offsets(n, s), cfg, 0.0)
+        nomc_vals = np.concatenate([gain_at_offsets(_symmetric_offsets(n, s), lossless)
                                     for s in chunks])
         mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg) for s in chunks])
 

@@ -31,7 +31,7 @@ import numpy as np
 
 from .channel import _nested_gains, _pair_phasors
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, _check_antenna_count, _half_offsets
+from .geometry import SystemConfig, _check_antenna_count, _half_offsets, _increasing_offsets
 
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
@@ -46,13 +46,9 @@ _QUAD_MAX_EVALS = 10**6
 def _half_phasors(deltas, cfg: SystemConfig):
     """:func:`~passgain.channel._pair_phasors` of the mirror-symmetric layout
     with positive-side offsets ``deltas``, after checking them."""
-    deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise ConfigError("expected a non-empty 1-D list of positive-side offsets")
-    if not (deltas[0] >= 0 and np.isfinite(deltas[-1])):
-        raise ConfigError("offsets must be finite and non-negative")
-    if not np.all(np.diff(deltas) > 0):
-        raise ConfigError("offsets must be strictly increasing")
+    deltas = _increasing_offsets(deltas, "positive-side offsets")
+    if deltas.ndim != 1 or not deltas[0] >= 0:
+        raise ConfigError("positive-side offsets must be 1-D and non-negative")
     return _pair_phasors(deltas, None, cfg)
 
 

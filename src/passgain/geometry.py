@@ -110,6 +110,18 @@ def _check_antenna_count(n: int, name: str = "antenna count") -> None:
         raise ConfigError(f"{name} must be even and >= 2, got {n}")
 
 
+def _increasing_offsets(offsets, what: str) -> np.ndarray:
+    """``offsets`` as a float array, after checking that they are finite, at
+    least 1-D and, along the last axis, non-empty and strictly increasing;
+    :class:`ConfigError` names them as ``what``."""
+    offsets = np.asarray(offsets, dtype=float)
+    if offsets.ndim == 0 or offsets.shape[-1] == 0 or not np.isfinite(offsets).all():
+        raise ConfigError(f"{what} must be finite, at least 1-D and non-empty")
+    if not (offsets[..., 1:] > offsets[..., :-1]).all():
+        raise ConfigError(f"{what} must be strictly increasing")
+    return offsets
+
+
 @dataclass(frozen=True, eq=False)
 class AntennaLayout:
     """Antennas at signed ``offsets`` (m) from ``center``, the user's projection,
@@ -128,14 +140,13 @@ class AntennaLayout:
         offsets = np.array(self.offsets, dtype=float)
         offsets.flags.writeable = False
         object.__setattr__(self, "offsets", offsets)
-        if offsets.ndim != 1 or not np.isfinite(offsets).all() or not math.isfinite(self.center):
+        if offsets.ndim != 1 or not math.isfinite(self.center):
             raise ConfigError("layout offsets must be a finite 1-D array and center finite")
+        _increasing_offsets(offsets, "layout offsets")
         if not 0.0 <= self.min_spacing < math.inf:
             raise ConfigError(f"layout min_spacing must be finite and >= 0, got {self.min_spacing}")
         _check_antenna_count(offsets.size)
         gaps, mag = np.diff(offsets), np.abs(offsets)
-        if not np.all(gaps > 0):
-            raise ConfigError("layout positions must be strictly increasing")
         short = gaps < self.min_spacing - (1e-12 + 3 * np.spacing(mag[:-1] + mag[1:]))
         if short.any():
             raise ConfigError(f"layout gap {gaps[short][0]:.3e} m below minimum spacing "
@@ -148,11 +159,12 @@ class AntennaLayout:
 
 def _uniform_spacings(n: int, spacing) -> np.ndarray:
     """``spacing`` (one value or a 1-D array) as a float array, after checking
-    that the even-count model covers ``n`` antennas and every spacing is > 0."""
+    that the even-count model covers ``n`` antennas and every spacing is > 0
+    and finite."""
     _check_antenna_count(n)
     spacing = np.asarray(spacing, dtype=float)
-    if not np.all(spacing > 0):
-        raise ConfigError(f"spacing must be > 0, got {spacing[~(spacing > 0)].flat[0]}")
+    if not (ok := (spacing > 0) & (spacing < math.inf)).all():
+        raise ConfigError(f"spacing must be > 0 and finite, got {spacing[~ok].flat[0]}")
     return spacing
 
 

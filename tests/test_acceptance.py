@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -243,9 +244,9 @@ def test_09_spacing_sweep_figure():
     dps = (0.5, 1.0, 1.5, 2.0)
     trials, seed, alpha = 100, 20260810, 0.08
     pts = run_maxgain_vs_spacing(
-        CFG,
+        replace(CFG, alpha_wg_db_per_m=alpha),
         dps,
-        (("case1", 0.0), ("case2", alpha)),
+        "both",
         trials=trials,
         seed=seed,
         n_max=10000,

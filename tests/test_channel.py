@@ -79,6 +79,32 @@ def test_feed_right_of_antenna_rejected():
         array_gain_exact(lay, fed_at_origin)
 
 
+@pytest.mark.parametrize("offsets, match", [
+    ([0.1, -0.1], "strictly increasing"),  # the feed check reads the first offset alone
+    ([[-0.2, 0.1], [0.1, 0.1]], "strictly increasing"),
+    ([], "non-empty"),
+    ([np.nan, 0.1], "finite"),
+    ([0.1, np.inf], "finite"),
+    (0.1, "1-D"),
+])
+def test_direct_sum_refuses_offsets_it_cannot_sum(offsets, match):
+    # once a NaN gain with a RuntimeWarning, or the gain of an antenna left of the feed
+    with pytest.raises(ConfigError, match=match):
+        channel.gain_at_offsets(offsets, SystemConfig(x_0_m=0.0))
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda offsets: channel.gain_at_offsets(offsets, SystemConfig()),
+    lambda offsets: AntennaLayout(offsets, 0.0, 0.0),
+    lambda offsets: gain_symmetric(offsets, SystemConfig()),
+], ids=["gain_at_offsets", "AntennaLayout", "gain_symmetric"])
+def test_offsets_have_one_check(evaluate):
+    for offsets, match in (([0.3, 0.1], "offsets must be strictly increasing"),
+                           ([0.1, np.nan], "offsets must be finite")):
+        with pytest.raises(ConfigError, match=match):
+            evaluate(offsets)
+
+
 @pytest.mark.parametrize("x_u_m", [0.0, 1e3, 1e6, 1e9, 1e17])
 def test_feed_is_checked_where_the_antennas_are(x_u_m):
     # a feed at the layout's own leftmost position is accepted however far out

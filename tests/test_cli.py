@@ -559,8 +559,8 @@ def test_high_loss_exits_0_matching_the_direct_sum(tmp_path, alpha):
         cfg = SystemConfig(alpha_wg_db_per_m=float(alpha), delta_p=dp)
         half = uniform_deltas(6000, cfg)
         refined = [refined_half_deltas(3000, cfg, side=s)[0] for s in ("right", "left")]
-        g_uni, b_uni = direct_gains(half, half, cfg, cfg.alpha_wg_db_per_m, counts)
-        g_ref, b_ref = direct_gains(*refined, cfg, cfg.alpha_wg_db_per_m, counts)
+        g_uni, b_uni = direct_gains(half, half, cfg, counts)
+        g_ref, b_ref = direct_gains(*refined, cfg, counts)
         for kind, want, bound in (("uniform", g_uni, b_uni), ("bound", b_uni, b_uni),
                                   ("refined", g_ref, b_ref)):
             got = [rows[f"{kind}_dp{dp:g}_case2", 2 * m] for m in counts]

@@ -264,14 +264,16 @@ def test_closed_form_array_equals_scalar_calls(cfg):
         gain_mc_two_closed(np.array([0.1, -1e-9, 0.2]), cfg)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1e-3])
+@pytest.mark.parametrize("bad", [0.0, -1e-3, np.inf])
 def test_array_with_bad_spacing_rejected(cfg, bad):
+    # an infinite spacing once gave NaN gains and an all-NaN matrix with warnings
     spacings = spacing_grid(cfg)
     spacings[37] = bad
-    with pytest.raises(ConfigError, match="spacing must be > 0"):
-        gain_mc(4, spacings, cfg)
-    with pytest.raises(ConfigError, match="spacing must be > 0"):
-        coupling_matrix(4, spacings, cfg)
+    for delta in (spacings, bad):
+        with pytest.raises(ConfigError, match="spacing must be > 0"):
+            gain_mc(4, delta, cfg)
+        with pytest.raises(ConfigError, match="spacing must be > 0"):
+            coupling_matrix(4, delta, cfg)
 
 
 def test_array_with_odd_count_rejected(cfg):

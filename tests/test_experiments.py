@@ -42,9 +42,6 @@ from passgain.geometry import (
 from passgain.refine import build_refined_layout, refined_half_deltas
 from reference import direct_gains, mp_gain_mc, pair_gains
 
-BOTH_CASES = (("case1", 0.0), ("case2", 0.08))
-
-
 def expand(curves):
     """One scalar Curve per CSV row, in input order."""
     for c in curves:
@@ -183,6 +180,10 @@ def test_write_csv_rejects_nul_in_series_name(tmp_path):
     # the writer drops NUL bytes from its output, so a name holding one is refused
     with pytest.raises(ConfigError, match="NUL"):
         write_csv([Curve("a\0b", 0.0, 1.0)], tmp_path / "x.csv")
+    # a comma would add a field to the row, a line break split it
+    for name in ("a,b", "a\nb", "a\rb", "x,"):
+        with pytest.raises(ConfigError, match=re.escape(repr(name))):
+            write_csv([Curve("ok", 0.0, 1.0), Curve(name, 0.0, 1.0)], tmp_path / "x.csv")
 
 
 def test_write_csv_rejects_non_finite(tmp_path):
@@ -200,7 +201,8 @@ def test_write_csv_format(tmp_path):
 def test_write_csv_deterministic(tmp_path, cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        pts = run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=10, seed=4, n_max=800)
+        pts = run_maxgain_vs_spacing(replace(cfg, alpha_wg_db_per_m=0.08), (0.5,), "both",
+                                     trials=10, seed=4, n_max=800)
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(pts, f1, seed=4)
     write_csv(pts, f2, seed=4)
@@ -334,7 +336,8 @@ def test_write_csv_matches_reference_on_any_blocks(tmp_path_factory, curves):
 def test_library_uniform_gain_and_bound_are_the_sweep_rows(cfg):
     # gain_uniform and upper_bound_sum_uniform take the sweep's own pair
     # kernel, so the library and the gain-vs-n CSV agree to the last bit
-    rows = by_series(run_gain_vs_n(cfg, (0.5, 1.0), BOTH_CASES, n_max=2000, n_step=2))
+    rows = by_series(run_gain_vs_n(replace(cfg, alpha_wg_db_per_m=0.08), (0.5, 1.0), "both",
+                                   n_max=2000, n_step=2))
     for dp in (0.5, 1.0):
         c = replace(cfg, delta_p=dp)
         for kind, library in (("uniform", gain_uniform), ("bound", upper_bound_sum_uniform)):
@@ -382,12 +385,12 @@ def refined_pairs_past(run, m_max, cfg):
         return dr[:m], dl[:m]
 
 
-def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
+def brute_force_maxgain(cfg, dps, trials, seed, n_max):
     """Per draw, the argmax over every pair count whose leftmost antenna lies
     right of the feed, on the sweep's own PCG64 draws, over layouts of the
     full n_max / 2 pairs (refined ones cut past the longest feed run where
-    their left targets run out): {(series, delta_p): (mean, stderr)}, or None
-    when some draw has no such count."""
+    their left targets run out), lossless and at ``cfg.alpha_wg_db_per_m``:
+    {(series, delta_p): (mean, stderr)}, or None when some draw has no such count."""
     rng = np.random.Generator(np.random.PCG64(seed))
     runs = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials) - cfg.x_0_m
     m_max = n_max // 2
@@ -404,7 +407,7 @@ def brute_force_maxgain(cfg, dps, cases, trials, seed, n_max):
             # pairs past every draw add nothing; their loss from the user's
             # projection may pass the one block of pair_gains
             reach = max(counts)
-            for label, alpha in cases:
+            for label, alpha in (("case1", 0.0), ("case2", cfg.alpha_wg_db_per_m)):
                 g = pair_gains(dr[:reach], dl[:reach], c, alpha)
                 best = np.array([
                     g[:count].max() * 10.0 ** (-alpha * run / 10.0)
@@ -429,8 +432,8 @@ def test_maxgain_search_matches_brute_force_argmax():
     dps = (0.5, 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        pts = run_maxgain_vs_spacing(cfg, dps, BOTH_CASES, trials=trials, seed=seed, n_max=n_max)
-    expected = brute_force_maxgain(cfg, dps, BOTH_CASES, trials, seed, n_max)
+        pts = run_maxgain_vs_spacing(cfg, dps, "both", trials=trials, seed=seed, n_max=n_max)
+    expected = brute_force_maxgain(cfg, dps, trials, seed, n_max)
     assert len(expected) == 8
     assert_rows_match(pts, expected)
 
@@ -465,10 +468,9 @@ def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials
     # the sweep lays out only the pairs a draw can reach; the brute force all
     # n_max / 2 of them, or the refined pairs up to the first past every draw
     # where the full-length walk runs out of left targets
-    cfg = SystemConfig(x_0_m=x_0_m, n_eff=n_eff)
-    cases = (("case1", 0.0), ("case2", alpha))
+    cfg = SystemConfig(x_0_m=x_0_m, n_eff=n_eff, alpha_wg_db_per_m=alpha)
     try:
-        expected = brute_force_maxgain(cfg, (dp,), cases, trials, seed, n_max)
+        expected = brute_force_maxgain(cfg, (dp,), trials, seed, n_max)
         error = (ConfigError, "no feasible antenna count") if expected is None else None
     except NumericsError:  # the left targets run out within the longest feed run
         error = (NumericsError, "left-side targets are exhausted")
@@ -476,9 +478,9 @@ def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials
         warnings.simplefilter("ignore", RuntimeWarning)
         if error:
             with pytest.raises(error[0], match=error[1]):
-                run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
+                run_maxgain_vs_spacing(cfg, (dp,), "both", trials=trials, seed=seed, n_max=n_max)
             return
-        pts = run_maxgain_vs_spacing(cfg, (dp,), cases, trials=trials, seed=seed, n_max=n_max)
+        pts = run_maxgain_vs_spacing(cfg, (dp,), "both", trials=trials, seed=seed, n_max=n_max)
     assert_rows_match(pts, expected)
 
 
@@ -490,10 +492,9 @@ def test_refinement_failing_on_both_sides_names_the_right_one(runner):
     # right side's failure
     cfg = SystemConfig(x_0_m=-1e16)
     run = {
-        "gain_vs_n": lambda: run_gain_vs_n(cfg, (1e12,), (("case1", 0.0),), n_max=41000,
-                                           n_step=2000),
+        "gain_vs_n": lambda: run_gain_vs_n(cfg, (1e12,), "1", n_max=41000, n_step=2000),
         "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
-            cfg, (1e12,), (("case1", 0.0),), trials=5, seed=0, n_max=41000),
+            cfg, (1e12,), "1", trials=5, seed=0, n_max=41000),
         "build_refined_layout": lambda: build_refined_layout(41000, replace(cfg, delta_p=1e12)),
     }[runner]
     with pytest.raises(NumericsError, match="^right-side antenna 3691: .*no finite"):
@@ -504,12 +505,27 @@ def test_refinement_failing_on_both_sides_names_the_right_one(runner):
 @pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing"])
 def test_runners_reject_n_max_below_two(cfg, runner, n_max):
     # the message names the flag, not the halved pair count it becomes
+    lossy = replace(cfg, alpha_wg_db_per_m=0.08)
     run = {
-        "gain_vs_n": lambda: run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=n_max, n_step=2),
+        "gain_vs_n": lambda: run_gain_vs_n(lossy, (0.5,), "both", n_max=n_max, n_step=2),
         "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
-            cfg, (0.5,), BOTH_CASES, trials=5, seed=0, n_max=n_max),
+            lossy, (0.5,), "both", trials=5, seed=0, n_max=n_max),
     }[runner]
     with pytest.raises(ConfigError, match=r"^n_max must be >= 2$"):
+        run()
+
+
+@pytest.mark.parametrize("case", ["3", "case1", (("case1", 0.0),), [("case2", 0.08)], 2, None],
+                         ids=["3", "label", "label_alpha_tuple", "label_alpha_list", "int", "None"])
+@pytest.mark.parametrize("runner", ["gain_vs_n", "maxgain_vs_spacing"])
+def test_runners_refuse_a_case_other_than_1_2_or_both(cfg, runner, case):
+    # the loss of case 2 is the scenario's; a (label, alpha) sequence is no case
+    run = {
+        "gain_vs_n": lambda: run_gain_vs_n(cfg, (0.5,), case, n_max=100, n_step=2),
+        "maxgain_vs_spacing": lambda: run_maxgain_vs_spacing(
+            cfg, (0.5,), case, trials=5, seed=0, n_max=100),
+    }[runner]
+    with pytest.raises(ConfigError, match="^case must be '1', '2' or 'both', got "):
         run()
 
 
@@ -518,7 +534,7 @@ def test_maxgain_rejects_draw_without_feasible_count():
     # user, more than the feed run of every draw within 10.7 m of the feed
     cfg = SystemConfig(x_0_m=-15.0, delta_p=2000.0)
     with pytest.raises(ConfigError, match="no feasible antenna count"):
-        run_maxgain_vs_spacing(cfg, (2000.0,), BOTH_CASES, trials=30, seed=0, n_max=20)
+        run_maxgain_vs_spacing(cfg, (2000.0,), "both", trials=30, seed=0, n_max=20)
 
 
 # ------------------------------------------------------------------- curves
@@ -581,7 +597,8 @@ def test_grid_runs_from_start_to_stop_in_gaps_of_at_least_half_a_step(start, wid
 
 @pytest.fixture(scope="module")
 def gain_vs_n_points(cfg):
-    return by_series(run_gain_vs_n(cfg, (0.5, 1.0), BOTH_CASES, n_max=4000, n_step=4))
+    return by_series(run_gain_vs_n(replace(cfg, alpha_wg_db_per_m=0.08), (0.5, 1.0), "both",
+                                   n_max=4000, n_step=4))
 
 
 def test_gain_vs_n_series_present(gain_vs_n_points):
@@ -632,10 +649,10 @@ def test_gain_vs_n_bound_dominates_and_below_limit(cfg, gain_vs_n_points):
 def test_gain_vs_n_with_explicit_feed():
     # a fixed feed close to the array bounds how many antennas fit left of it
     cfg = SystemConfig(x_0_m=-30.0)
-    points = by_series(run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=400, n_step=8))
+    points = by_series(run_gain_vs_n(cfg, (0.5,), "both", n_max=400, n_step=8))
     assert "refined_dp0.5_case2" in points
     with pytest.raises(ConfigError):
-        run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=40000, n_step=100)
+        run_gain_vs_n(cfg, (0.5,), "both", n_max=40000, n_step=100)
 
 
 # -------------------------------------------------- max gain versus spacing
@@ -647,7 +664,8 @@ def maxgain_points(cfg):
         warnings.simplefilter("ignore", RuntimeWarning)
         return by_series(
             run_maxgain_vs_spacing(
-                cfg, (0.5, 1.0, 2.0), BOTH_CASES, trials=40, seed=11, n_max=6000
+                replace(cfg, alpha_wg_db_per_m=0.08), (0.5, 1.0, 2.0), "both", trials=40,
+                seed=11, n_max=6000
             )
         )
 
@@ -690,7 +708,8 @@ def test_maxgain_stderr_populated(cfg, trials):
     # stderr of the constant drifts off 0 by rounding at 1000 trials)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        points = by_series(run_maxgain_vs_spacing(cfg, (0.5, 1.0, 2.0), BOTH_CASES,
+        points = by_series(run_maxgain_vs_spacing(replace(cfg, alpha_wg_db_per_m=0.08),
+                                                  (0.5, 1.0, 2.0), "both",
                                                   trials=trials, seed=11, n_max=6000))
     assert all(p.stderr > 0 for p in points["refined_case2"])
     assert all(p.stderr >= 0 for p in points["refined_case1"])
@@ -698,18 +717,18 @@ def test_maxgain_stderr_populated(cfg, trials):
 
 
 def test_maxgain_same_seed_same_result(cfg):
-    case2 = (("case2", 0.08),)
-    a = run_maxgain_vs_spacing(cfg, (0.5,), case2, trials=15, seed=3, n_max=500)
-    b = run_maxgain_vs_spacing(cfg, (0.5,), case2, trials=15, seed=3, n_max=500)
+    lossy = replace(cfg, alpha_wg_db_per_m=0.08)
+    a = run_maxgain_vs_spacing(lossy, (0.5,), "2", trials=15, seed=3, n_max=500)
+    b = run_maxgain_vs_spacing(lossy, (0.5,), "2", trials=15, seed=3, n_max=500)
     assert a == b
-    c = run_maxgain_vs_spacing(cfg, (0.5,), case2, trials=15, seed=4, n_max=500)
+    c = run_maxgain_vs_spacing(lossy, (0.5,), "2", trials=15, seed=4, n_max=500)
     assert any(pa.y != pc.y for pa, pc in zip(a, c) if pa.series == "refined_case2")
 
 
 def test_maxgain_rejects_infeasible_feed():
     cfg = SystemConfig(x_0_m=-5.0)  # inside the user range
     with pytest.raises(ConfigError):
-        run_maxgain_vs_spacing(cfg, (0.5,), (("case1", 0.0),), trials=5, seed=0, n_max=100)
+        run_maxgain_vs_spacing(cfg, (0.5,), "1", trials=5, seed=0, n_max=100)
 
 
 # ------------------------------------------------- gain versus spacing (MC)
@@ -857,8 +876,8 @@ FEED_INSIDE = SystemConfig(x_0_m=0.0)  # the user's projection: inside every lay
 
 @pytest.mark.parametrize("evaluate", [
     lambda c: array_gain_exact(symmetric_uniform_layout(c, 4, 0.01), c),
-    lambda c: run_gain_vs_n(c, (0.5,), (("case1", 0.0),), n_max=100, n_step=2),
-    lambda c: run_gain_vs_n(c, (0.5,), (("case2", 0.08),), n_max=100, n_step=2),
+    lambda c: run_gain_vs_n(c, (0.5,), "1", n_max=100, n_step=2),
+    lambda c: run_gain_vs_n(c, (0.5,), "2", n_max=100, n_step=2),
     lambda c: run_gain_vs_delta_mc(c, (2, 4), step=0.1),
 ], ids=["array_gain_exact", "gain_vs_n_lossless", "gain_vs_n_lossy", "gain_vs_delta_mc"])
 def test_feed_inside_the_array_has_one_message(evaluate):
@@ -878,13 +897,14 @@ def test_mc_sweep_names_an_unresolvable_user_position(cfg):
 
 
 def test_runners_reject_bad_inputs(cfg):
+    lossy = replace(cfg, alpha_wg_db_per_m=0.08)
     bad_calls = [
-        lambda: run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=0, seed=0, n_max=100),
-        lambda: run_maxgain_vs_spacing(cfg, (), BOTH_CASES, trials=5, seed=0, n_max=100),
-        lambda: run_maxgain_vs_spacing(cfg, (0.5,), BOTH_CASES, trials=5, seed=-1, n_max=100),
-        lambda: run_gain_vs_n(cfg, (), BOTH_CASES, n_max=100, n_step=2),
-        lambda: run_gain_vs_n(cfg, np.array([0.5, 0.5]), BOTH_CASES, n_max=100, n_step=2),
-        lambda: run_gain_vs_n(cfg, (0.5,), BOTH_CASES, n_max=100, n_step=3),
+        lambda: run_maxgain_vs_spacing(lossy, (0.5,), "both", trials=0, seed=0, n_max=100),
+        lambda: run_maxgain_vs_spacing(lossy, (), "both", trials=5, seed=0, n_max=100),
+        lambda: run_maxgain_vs_spacing(lossy, (0.5,), "both", trials=5, seed=-1, n_max=100),
+        lambda: run_gain_vs_n(lossy, (), "both", n_max=100, n_step=2),
+        lambda: run_gain_vs_n(lossy, np.array([0.5, 0.5]), "both", n_max=100, n_step=2),
+        lambda: run_gain_vs_n(lossy, (0.5,), "both", n_max=100, n_step=3),
         lambda: run_gain_vs_delta_mc(cfg, (), step=0.1),
         lambda: run_fub_curve(x_max=4.0, step=0.0),
         lambda: run_fub_curve(x_max=-5.0, step=0.01),
@@ -904,7 +924,7 @@ def test_gain_vs_n_loss_overflow_names_the_loss(alpha):
     lossy = SystemConfig(alpha_wg_db_per_m=alpha)
     with np.errstate(over="raise", invalid="raise"):
         with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
-            run_gain_vs_n(lossy, (0.5, 1.0), (("case2", alpha),), n_max=6000, n_step=2)
+            run_gain_vs_n(lossy, (0.5, 1.0), "2", n_max=6000, n_step=2)
 
 
 def assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, n_max, counts):
@@ -912,12 +932,12 @@ def assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, n_max, counts):
     ``counts`` are :func:`reference.direct_gains` on the sweep's layouts, to
     within 1e-9 of the phase-free bound, or of the smallest normal float
     where the bound is subnormal and float64 holds fewer digits."""
-    c = replace(cfg, delta_p=dp)
-    rows = by_series(run_gain_vs_n(c, (dp,), (("case2", alpha),), n_max=n_max, n_step=2))
+    c = replace(cfg, delta_p=dp, alpha_wg_db_per_m=alpha)
+    rows = by_series(run_gain_vs_n(c, (dp,), "2", n_max=n_max, n_step=2))
     half = uniform_deltas(n_max // 2 * 2, c)
     refined = [refined_half_deltas(n_max // 2, c, side=s)[0] for s in ("right", "left")]
-    g_uni, b_uni = direct_gains(half, half, c, alpha, counts)
-    g_ref, b_ref = direct_gains(*refined, c, alpha, counts)
+    g_uni, b_uni = direct_gains(half, half, c, counts)
+    g_ref, b_ref = direct_gains(*refined, c, counts)
     for kind, want, bound in (("uniform", g_uni, b_uni), ("bound", b_uni, b_uni),
                               ("refined", g_ref, b_ref)):
         got = np.array([rows[f"{kind}_dp{dp:g}_case2"][m - 1].y for m in counts])
@@ -960,17 +980,17 @@ def test_maxgain_at_high_loss_matches_a_direct_sum_per_draw(alpha):
     # a -60 m feed runs 45-75 m to the draws, up to 225 decades of amplitude
     # over the projection at 60 dB/m; per draw, the best of the direct sums
     # over every count whose leftmost antenna lies right of the feed
-    cfg = SystemConfig(x_0_m=-60.0, delta_p=8.0)
+    cfg = SystemConfig(x_0_m=-60.0, delta_p=8.0, alpha_wg_db_per_m=alpha)
     trials, seed, n_max = 3, 5, 2000
     with pytest.warns(RuntimeWarning, match="standard error"):  # 3 draws only
-        rows = by_series(run_maxgain_vs_spacing(cfg, (8.0,), (("case2", alpha),),
+        rows = by_series(run_maxgain_vs_spacing(cfg, (8.0,), "2",
                                                 trials=trials, seed=seed, n_max=n_max))
     rng = np.random.Generator(np.random.PCG64(seed))
     x_us = rng.uniform(-USER_HALF_RANGE_M, USER_HALF_RANGE_M, size=trials)
     half = uniform_deltas(n_max, cfg)
     for kind, (dr, dl) in (("uniform", (half, half)),
                            ("refined", refined_pairs_past(x_us.max() + 60.0, n_max // 2, cfg))):
-        best = [direct_gains(dr, dl, replace(cfg, x_u_m=x_u), alpha,
+        best = [direct_gains(dr, dl, replace(cfg, x_u_m=x_u),
                              range(1, np.count_nonzero(dl <= x_u + 60.0) + 1))[0].max()
                 for x_u in x_us]
         assert rows[f"{kind}_case2"][0].y == pytest.approx(np.mean(best), rel=1e-9)
@@ -983,12 +1003,11 @@ def test_maxgain_survives_loss_overflow_beyond_the_feed():
     lossy = SystemConfig(alpha_wg_db_per_m=60.0)
     with np.errstate(over="raise", invalid="raise"):
         with pytest.warns(RuntimeWarning, match="standard error"):  # 50 draws only
-            pts = run_maxgain_vs_spacing(lossy, (2.0,), (("case2", 60.0),), trials=50,
-                                         seed=0, n_max=10000)
+            pts = run_maxgain_vs_spacing(lossy, (2.0,), "2", trials=50, seed=0, n_max=10000)
     assert all(np.isfinite(p.y) and p.y > 0 for p in pts)
     with pytest.raises(NumericsError, match="alpha_wg_db_per_m"):
-        run_maxgain_vs_spacing(lossy, (2.0,), (("case2", 1e300),), trials=50, seed=0,
-                               n_max=10000)
+        run_maxgain_vs_spacing(replace(lossy, alpha_wg_db_per_m=1e300), (2.0,), "2", trials=50,
+                               seed=0, n_max=10000)
 
 
 def test_reach_limited_layouts_build_only_what_the_reach_uses(monkeypatch):
@@ -999,7 +1018,7 @@ def test_reach_limited_layouts_build_only_what_the_reach_uses(monkeypatch):
     half = experiments._half_offsets
     monkeypatch.setattr(experiments, "_half_offsets",
                         lambda n, spacing: built.append(n) or half(n, spacing))
-    rows = [run_maxgain_vs_spacing(SystemConfig(), (0.5, 2.0), (("case2", 0.08),), trials=2000,
+    rows = [run_maxgain_vs_spacing(SystemConfig(), (0.5, 2.0), "2", trials=2000,
                                    seed=1, n_max=n_max)
             for n_max in (10000, 2 * experiments.MAX_SWEEP_SIZE)]
     assert rows[0] == rows[1]
