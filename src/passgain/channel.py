@@ -13,7 +13,11 @@ differs by one unit-modulus factor, so the feed enters only through the loss.
 Two forms of the sum remain, rounding differently: the direct one,
 :func:`gain_at_offsets`, and the pair one, :func:`_pair_phasors` and
 :func:`_nested_gains`, which reads all nested symmetric layouts off one prefix
-sum; the benchmark oracles mirror each.
+sum; the benchmark oracles mirror each.  :func:`gain_at_offsets` checks its
+offsets and hands them to ``_direct_sum``, which sums offsets as given and
+only resolves the feed; the coupling sweep calls it on the offsets of its
+spacing grid, which ``coupling.gain_mc`` checks.  The pair sums, like
+``_direct_sum``, leave the checks of what they are given to their callers.
 
 The pair sum runs its loss from the user's projection, over which a left
 antenna ``dl`` out gains ``alpha dl / 20`` decades, in blocks of 100 decades:
@@ -45,6 +49,17 @@ def _antenna_terms(offsets, cfg: SystemConfig):
     return h, np.exp(-1j * cfg.k0 * cfg.n_eff * offsets)
 
 
+def _direct_sum(offsets: np.ndarray, cfg: SystemConfig):
+    """:func:`gain_at_offsets` of offsets that
+    :func:`~passgain.geometry._increasing_offsets` accepts, unchecked."""
+    run = offsets - _resolve_feed(cfg, offsets[..., :1])  # the feed is checked at any loss
+    att = 10.0 ** (-cfg.alpha_wg_db_per_m * run / 20.0) if cfg.alpha_wg_db_per_m else 1.0
+    h, phase = _antenna_terms(offsets, cfg)
+    total = np.sum(att * h * phase, axis=-1)
+    # np.square, not ** 2, which is libm pow on a numpy scalar but x * x on an array
+    return np.square(np.abs(total)) / offsets.shape[-1]
+
+
 def gain_at_offsets(offsets, cfg: SystemConfig):
     """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
     their antenna offsets from the user's projection, finite and strictly
@@ -53,13 +68,7 @@ def gain_at_offsets(offsets, cfg: SystemConfig):
     runs from the user's projection; the loss runs from the feed, as
     :func:`~passgain.geometry._resolve_feed` places it for each layout, so
     without loss the feed cannot move the gain."""
-    offsets = _increasing_offsets(offsets, "offsets")
-    run = offsets - _resolve_feed(cfg, offsets[..., :1])  # the feed is checked at any loss
-    att = 10.0 ** (-cfg.alpha_wg_db_per_m * run / 20.0) if cfg.alpha_wg_db_per_m else 1.0
-    h, phase = _antenna_terms(offsets, cfg)
-    total = np.sum(att * h * phase, axis=-1)
-    # np.square, not ** 2, which is libm pow on a numpy scalar but x * x on an array
-    return np.square(np.abs(total)) / offsets.shape[-1]
+    return _direct_sum(_increasing_offsets(offsets, "offsets"), cfg)
 
 
 def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:

@@ -16,7 +16,9 @@ gain (Cantoni & Butler 1976), and the floor acts on ``C_e``.  An array is one
 (S, N/2, N/2) stack: one ``eigh`` call, contracted against its eigenvectors,
 with the channel at the offsets ``(k - 1/2) delta`` from the user, so the result
 does not depend on where the user stands.  A stack holds S (N/2)^2 entries; the
-caller picks S.
+caller picks S.  Both functions check the count and spacings once, with
+``geometry._uniform_spacings``; ``_sinc_rows`` and ``geometry._half_offsets``
+take them unchecked.
 
 Public: EIG_FLOOR, coupling_matrix, gain_mc, gain_mc_two_closed, f_mc.
 """
@@ -36,16 +38,17 @@ from .geometry import SystemConfig, _half_offsets, _uniform_spacings
 EIG_FLOOR = 1e-10
 
 
-def _sinc_rows(n: int, delta, cfg: SystemConfig) -> np.ndarray:
-    """``J(1..n)``: sin(k0 delta i) / (k0 delta i), numpy's sinc of 2 (delta / lambda) i."""
-    return np.sinc(2.0 * (_uniform_spacings(n, delta) / cfg.wavelength)[..., None] * np.arange(n))
+def _sinc_rows(n: int, delta: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """``J(1..n)``: sin(k0 delta i) / (k0 delta i), numpy's sinc of 2 (delta / lambda) i,
+    for spacings ``delta`` that :func:`~passgain.geometry._uniform_spacings` returned."""
+    return np.sinc(2.0 * (delta / cfg.wavelength)[..., None] * np.arange(n))
 
 
 def coupling_matrix(n: int, delta, cfg: SystemConfig) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
     ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
     i = np.arange(n)
-    return _sinc_rows(n, delta, cfg)[..., abs(i[:, None] - i)]
+    return _sinc_rows(n, _uniform_spacings(n, delta), cfg)[..., abs(i[:, None] - i)]
 
 
 def gain_mc(n: int, delta, cfg: SystemConfig):
@@ -60,6 +63,7 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
     the array center, a reference that only scales the sum by a unit modulus.
     Warns once per call, with the number of spacings, when ``C_e`` was floored.
     """
+    delta = _uniform_spacings(n, delta)
     k, rows = np.arange(n // 2), _sinc_rows(n, delta, cfg)
     w, v = np.linalg.eigh(rows[..., abs(k[:, None] - k)] + rows[..., k[:, None] + k + 1])
     h, phi = _antenna_terms(_half_offsets(n, delta), cfg)
@@ -69,7 +73,7 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
 
     floored = np.any(w < EIG_FLOOR, axis=-1)
     if floored.any():
-        hit = np.asarray(delta, dtype=float)[floored]
+        hit = delta[floored]
         warnings.warn(f"coupling matrix near-singular at {hit.size} of {floored.size} spacing(s) "
                       f"(smallest {hit.min():.3e} m): eigenvalues floored at {EIG_FLOOR:g}",
                       RuntimeWarning, stacklevel=2)

@@ -30,7 +30,9 @@ The coupling sweep hands each antenna count N its spacing grid in chunks of
 ``MAX_SWEEP_SIZE // (N/2)^2`` spacings (at least one); each chunk is one stacked
 eigensolve of N/2 x N/2 blocks in :func:`coupling.gain_mc`, so no stack holds
 more than MAX_SWEEP_SIZE matrix entries.  Its coupling-free rows use the same
-offsets from the user.
+offsets from the user, summed by the direct sum's unchecked kernel: ``gain_mc``
+checks each chunk's spacings, once.  The runners check their own arguments;
+the spacings they lay out come from the scenario, which bounds them.
 
 Public: USER_HALF_RANGE_M, DEFAULT_FEED_X0_M, FLUID_RANGE_WAVELENGTHS,
 FIXED_ANTENNA_X_M, DELTA_MIN_WL, MAX_SWEEP_SIZE, Curve, write_csv,
@@ -47,7 +49,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import _at_feed, _nested_gains, _pair_phasors, _scaled_accumulate, gain_at_offsets
+from .channel import _at_feed, _direct_sum, _nested_gains, _pair_phasors, _scaled_accumulate
 from .errors import ConfigError, NumericsError
 from .geometry import (SystemConfig, _check_antenna_count, _half_offsets, _resolve_feed,
                        _symmetric_offsets)
@@ -233,10 +235,11 @@ def run_gain_vs_n(cfg: SystemConfig, delta_p_values, case: str, n_max: int, n_st
         layouts = _layouts(m_max, cfg_dp)
         layouts["bound"] = layouts["uniform"]._replace(er=1.0, el=1.0)
 
+        # each layout's feed-to-projection run, every feed checked before any sum
+        runs = {kind: -_resolve_feed(cfg_dp, -ph.dl) for kind, ph in layouts.items()}
         for label, alpha in cases:
             for kind, ph in layouts.items():
-                run = -_resolve_feed(cfg_dp, -ph.dl)  # each layout's feed-to-projection run
-                g = _at_feed(*_nested_gains(ph, cfg_dp, alpha), alpha, run)
+                g = _at_feed(*_nested_gains(ph, cfg_dp, alpha), alpha, runs[kind])
                 series = f"{kind}_dp{dp:g}_{label}"
                 points += [Curve(series, counts[sample], g[sample]), _peak(series, counts, g)]
     return points
@@ -355,8 +358,7 @@ def run_gain_vs_delta_mc(cfg: SystemConfig, n_values, step: float):
     for n in n_values:
         size = max(1, MAX_SWEEP_SIZE // (n // 2) ** 2)  # spacings per eigensolve stack
         chunks = [spacings[a:a + size] for a in range(0, spacings.size, size)]
-        nomc_vals = np.concatenate([gain_at_offsets(_symmetric_offsets(n, s), lossless)
-                                    for s in chunks])
+        nomc_vals = np.concatenate([_direct_sum(_symmetric_offsets(n, s), lossless) for s in chunks])
         mc_vals = np.concatenate([coupling.gain_mc(n, s, cfg) for s in chunks])
 
         mc_series = f"mc_N{n}"

@@ -61,6 +61,7 @@ def gain_symmetric(deltas, cfg: SystemConfig) -> float:
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
     """Positive-side offsets (k - 1/2) * (delta_p * wavelength), k = 1..n/2, as layouts have."""
+    _check_antenna_count(n)  # the scenario bounds the spacing
     return _half_offsets(n, cfg.delta_p * cfg.wavelength)
 
 

@@ -7,6 +7,14 @@ x-axis at height ``d``.  The signal enters the waveguide at the feed point
 
 All lengths are in metres, frequencies in Hz, loss in dB/m.
 
+Each input is checked where it enters: :class:`SystemConfig` checks the
+scenario when it is built, and each public function its own arguments, with
+``_check_antenna_count``, ``_uniform_spacings`` (a count and spacings) and
+``_increasing_offsets`` (offsets).  The builders ``_half_offsets`` and
+``_symmetric_offsets`` only compute, on a count and spacings those checks
+accept or on the scenario's spacing ``delta_p * wavelength``, which
+:class:`SystemConfig` bounds.
+
 Public: SPEED_OF_LIGHT, SystemConfig, AntennaLayout, symmetric_uniform_layout,
 load_scenario.
 """
@@ -46,7 +54,7 @@ class SystemConfig:
     configuration error naming ``f_c_hz``; so is a height whose d^2, eta/d^2
     or 2 d^2 + wavelength^2/2 (the two-antenna coupling form's denominator at
     one wavelength) does, naming ``d_m``; so is a ``delta_p`` whose spacing
-    delta_p * wavelength falls below it, and an ``n_eff`` whose guided
+    delta_p * wavelength leaves it, and an ``n_eff`` whose guided
     wavenumber k0 n_eff overflows, each naming its field.
     """
 
@@ -91,10 +99,10 @@ class SystemConfig:
             raise ConfigError(f"invalid-config: d_m = {self.d_m:g} at f_c_hz = {self.f_c_hz:g} "
                               f"takes d_m^2, eta / d_m^2 or 2 d_m^2 + wavelength^2 / 2 out of "
                               f"the normal float range")
-        if not self.delta_p * lam >= _NORMAL_MIN:
+        if not _NORMAL_MIN <= self.delta_p * lam < math.inf:
             raise ConfigError(f"invalid-config: delta_p = {self.delta_p:g} at f_c_hz = "
                               f"{self.f_c_hz:g} gives a spacing of {self.delta_p * lam:g} m, "
-                              f"below the normal float range")
+                              f"outside the normal float range")
         k0 = 2.0 * math.pi / lam
         if not k0 * self.n_eff < math.inf:
             raise ConfigError(f"invalid-config: n_eff = {self.n_eff:g} at f_c_hz = "
@@ -170,8 +178,9 @@ def _uniform_spacings(n: int, spacing) -> np.ndarray:
 
 def _half_offsets(n: int, spacing) -> np.ndarray:
     """Right-half offsets ``(k - 1/2) * spacing``, k = 1..n/2, of the symmetric uniform
-    layout, the package's one rounding of them: shape (n/2,), or (S, n/2) for S spacings."""
-    return (np.arange(1, n // 2 + 1) - 0.5) * _uniform_spacings(n, spacing)[..., None]
+    layout, the package's one rounding of them: shape (n/2,), or (S, n/2) for S spacings.
+    Unchecked: the caller passes what :func:`_uniform_spacings` accepts."""
+    return (np.arange(1, n // 2 + 1) - 0.5) * np.asarray(spacing, dtype=float)[..., None]
 
 
 def _symmetric_offsets(n: int, spacing) -> np.ndarray:
@@ -186,7 +195,7 @@ def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> Anten
     Antenna k = 1..n/2 sits at ``x_u +/- (k - 1/2) * spacing``; the model only
     covers even antenna counts, so odd ``n`` is rejected.
     """
-    return AntennaLayout(_symmetric_offsets(n, spacing), cfg.x_u_m, spacing)
+    return AntennaLayout(_symmetric_offsets(n, _uniform_spacings(n, spacing)), cfg.x_u_m, spacing)
 
 
 def _resolve_feed(cfg: SystemConfig, leftmost):

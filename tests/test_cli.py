@@ -469,15 +469,24 @@ def test_bad_numeric_flag_exits_2(tmp_path, argv):
     assert "Traceback" not in res.stderr
 
 
-@pytest.mark.parametrize("argv, field", [
-    (("gain-vs-n", "--delta-p", "5e-324", "--n-max", "4"), "delta_p"),  # the spacing is 0 m
-    (("maxgain-vs-spacing", "--delta-p", "5e-324", "--trials", "3"), "delta_p"),
-    (("gain-vs-delta-mc", "--n-list", "2", "--grid-step", "0.5"), "n_eff"),  # k0 n_eff is inf
-    (("fmc-curve", "--n-eff-list", "1e308"), "n_eff"),  # pi n_eff is inf
-], ids=lambda v: v[0] if isinstance(v, tuple) else None)
-def test_overflowing_spacing_or_index_exits_2_naming_the_field(tmp_path, argv, field):
+@pytest.mark.parametrize("argv, scenario, field", [
+    pytest.param(("gain-vs-n", "--delta-p", "5e-324", "--n-max", "4"), "", "delta_p",
+                 id="gain-vs-n-delta_p"),  # the spacing is 0 m
+    pytest.param(("maxgain-vs-spacing", "--delta-p", "5e-324", "--trials", "3"), "", "delta_p",
+                 id="maxgain-vs-spacing-delta_p"),
+    pytest.param(("gain-vs-delta-mc", "--n-list", "2", "--grid-step", "0.5"), "n_eff = 1e306\n",
+                 "n_eff", id="gain-vs-delta-mc-n_eff"),  # k0 n_eff is inf
+    pytest.param(("fmc-curve", "--n-eff-list", "1e308"), "", "n_eff",
+                 id="fmc-curve-n_eff"),  # pi n_eff is inf
+    # the spacing delta_p * wavelength is inf m, from the scenario or from a flag
+    pytest.param(("fub-curve",), "f_c_hz = 1e6\ndelta_p = 1e308\n", "delta_p",
+                 id="fub-curve-delta_p"),
+    pytest.param(("gain-vs-n", "--delta-p", "1e308", "--n-max", "4"), "f_c_hz = 1e6\n",
+                 "delta_p", id="gain-vs-n-inf-delta_p"),
+])
+def test_overflowing_spacing_or_index_exits_2_naming_the_field(tmp_path, argv, scenario, field):
     cfgfile = tmp_path / "index.cfg"
-    cfgfile.write_text("n_eff = 1e306\n" if argv[0] == "gain-vs-delta-mc" else "")
+    cfgfile.write_text(scenario)
     res = run_cli(*argv, "--config", str(cfgfile), "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1, res.stderr

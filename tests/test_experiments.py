@@ -2,7 +2,9 @@ import contextlib
 import math
 import re
 import shlex
+import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from passgain import coupling, experiments
+from passgain import coupling, experiments, geometry
 from passgain.cli import SUBCOMMANDS, build_parser
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
@@ -927,6 +929,16 @@ def test_gain_vs_n_loss_overflow_names_the_loss(alpha):
             run_gain_vs_n(lossy, (0.5, 1.0), "2", n_max=6000, n_step=2)
 
 
+@pytest.mark.parametrize("case", ["2", "both"])
+def test_gain_vs_n_checks_every_feed_before_any_sum(case):
+    # the feed lies left of the uniform layout but right of the refined one,
+    # under a loss past float64's decades: the feed is named, in either case
+    layouts = experiments._layouts(2, SystemConfig())
+    x_0 = -(layouts["uniform"].dl[-1] + layouts["refined"].dl[-1]) / 2
+    with pytest.raises(ConfigError, match="lies right of the leftmost antenna"):
+        run_gain_vs_n(SystemConfig(x_0_m=x_0, alpha_wg_db_per_m=1e22), (0.5,), case, 4, 2)
+
+
 def assert_gain_vs_n_rows_are_the_direct_sum(cfg, dp, alpha, n_max, counts):
     """The gain-vs-n ``uniform``, ``bound`` and ``refined`` rows at pair counts
     ``counts`` are :func:`reference.direct_gains` on the sweep's layouts, to
@@ -1034,3 +1046,39 @@ def test_uniform_offsets_round_one_way_everywhere(dp):
     layout = symmetric_uniform_layout(cfg, n, dp * cfg.wavelength)
     assert np.array_equal(half, layout.offsets[n // 2:])
     assert np.array_equal(half, experiments._layouts(n // 2, cfg)["uniform"].dr)
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Calls of the two array checks and of the feed resolution, counted at
+    every name a passgain module holds them under."""
+    counts = Counter()
+    modules = [m for n, m in list(sys.modules.items())
+               if m is not None and (n == "passgain" or n.startswith("passgain."))]
+    for name in ("_uniform_spacings", "_increasing_offsets", "_resolve_feed"):
+        fn = getattr(geometry, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+
+        for m in modules:
+            for key in [k for k, v in vars(m).items() if v is fn]:
+                monkeypatch.setattr(m, key, counted)
+    return counts
+
+
+@pytest.mark.parametrize("call, spacings, offsets, feeds", [
+    # one spacing check per chunk, inside gain_mc; the coupling-free rows
+    # resolve the feed once per chunk and are not checked again
+    (lambda cfg: run_gain_vs_delta_mc(cfg, (32, 2, 8, 16, 4), 0.2), 5, 0, 5),
+    (lambda cfg: coupling.gain_mc(8, np.array([0.1, 0.25, 0.4]) * cfg.wavelength, cfg), 1, 0, 0),
+    # the scenario bounds the sweep's spacings; one feed per layout kind and spacing
+    (lambda cfg: run_gain_vs_n(cfg, (0.5, 1.0), "both", 6000, 2), 0, 0, 6),
+], ids=["gain_vs_delta_mc", "gain_mc", "gain_vs_n"])
+def test_each_input_is_checked_once_where_it_enters(checks, call, spacings, offsets, feeds):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor warning
+        call(SystemConfig())
+    assert (checks["_uniform_spacings"], checks["_increasing_offsets"],
+            checks["_resolve_feed"]) == (spacings, offsets, feeds)

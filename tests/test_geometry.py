@@ -64,6 +64,13 @@ def test_height_beyond_the_normal_float_range_names_d_m(d_m):
         SystemConfig(d_m=d_m)
 
 
+@pytest.mark.parametrize("delta_p", [5e-324, 1e308])
+def test_spacing_outside_the_normal_float_range_names_delta_p(delta_p):
+    # at 1 MHz, delta_p wavelengths round to 0 m or to inf m
+    with pytest.raises(ConfigError, match="delta_p = .* outside the normal float range"):
+        SystemConfig(f_c_hz=1e6, delta_p=delta_p)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("f_c_hz", 0.0), ("d_m", -1.0), ("n_eff", 0.99), ("alpha_wg_db_per_m", -0.1), ("delta_p", 0.0)],
