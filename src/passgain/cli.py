@@ -11,8 +11,9 @@ an unknown subcommand go to the five-subcommand tree of :func:`build_parser`,
 which declares each subcommand's flags through the same helper.
 
 Exit codes: 0 success, 2 configuration error (including a flag the
-subcommand does not take), 3 numerical failure (including an overflow, a
-division by zero or a non-finite result at extreme inputs).
+subcommand does not take, and a scenario value outside the domain that
+:class:`~passgain.geometry.SystemConfig` states), 3 numerical failure (a
+refinement walk that fails, or a non-finite result).
 
 Public: Subcommand, SUBCOMMANDS, build_parser, main.
 """
@@ -135,7 +136,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (NumericsError, ArithmeticError) as exc:  # e.g. overflow at extreme inputs
+    except (NumericsError, ArithmeticError) as exc:  # the latter a float error no check foresaw
         print(f"numeric failure: {exc if isinstance(exc, NumericsError) else repr(exc)}",
               file=sys.stderr)
         return 3

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import _antenna_terms
 from .errors import ConfigError
-from .geometry import SystemConfig, _half_offsets, _uniform_spacings
+from .geometry import SystemConfig, _check_domain, _half_offsets, _uniform_spacings
 
 # Coupling-matrix eigenvalues below this are floored before the -1/2 power.
 EIG_FLOOR = 1e-10
@@ -92,12 +92,11 @@ def gain_mc_two_closed(delta, cfg: SystemConfig):
 
 def f_mc(x, n_eff: float):
     """Coupling shape function cos^2(pi n_eff x) / (1 + j0(2 pi x)) of the
-    spacing x >= 0 in wavelengths, for n_eff >= 1 with pi n_eff finite;
-    f_mc(0) = 1/2."""
+    spacing x >= 0 in wavelengths, for n_eff in the scenario domain's range
+    (:class:`~passgain.geometry.SystemConfig`); f_mc(0) = 1/2."""
     x = np.asarray(x, dtype=float)
     if not np.all((x >= 0) & (x < np.inf)):
         raise ConfigError("spacing must be finite and >= 0")
-    if not (1.0 <= n_eff and math.pi * n_eff < math.inf):
-        raise ConfigError(f"n_eff must be >= 1 with pi n_eff finite, got {n_eff}")
+    _check_domain("n_eff", n_eff)
     out = np.square(np.cos(math.pi * n_eff * x)) / (1.0 + np.sinc(2.0 * x))
     return float(out) if out.ndim == 0 else out

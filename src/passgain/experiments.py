@@ -247,12 +247,7 @@ def run_gain_vs_n(cfg: SystemConfig, delta_p_values, case: str, n_max: int, n_st
 
 def _fixed_gain(cfg):
     """Gain of the single antenna fixed at ``FIXED_ANTENNA_X_M``."""
-    try:
-        gap2 = (cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2
-    except OverflowError:
-        raise ConfigError(f"x_u_m = {cfg.x_u_m:g} is too far from the fixed antenna at "
-                          f"x = {FIXED_ANTENNA_X_M:g} m for float64") from None
-    return cfg.eta / (gap2 + cfg.d_m**2)
+    return cfg.eta / ((cfg.x_u_m - FIXED_ANTENNA_X_M) ** 2 + cfg.d_m**2)
 
 
 def _peak(series: str, xs, ys) -> Curve:

@@ -8,9 +8,11 @@ x-axis at height ``d``.  The signal enters the waveguide at the feed point
 All lengths are in metres, frequencies in Hz, loss in dB/m.
 
 Each input is checked where it enters: :class:`SystemConfig` checks the
-scenario when it is built, and each public function its own arguments, with
+scenario against the one range table of the scenario domain when it is
+built, and each public function its own arguments, with
 ``_check_antenna_count``, ``_uniform_spacings`` (a count and spacings) and
-``_increasing_offsets`` (offsets).  The builders ``_half_offsets`` and
+``_increasing_offsets`` (offsets), which also hold every length within
+``_MAX_LENGTH_M``.  The builders ``_half_offsets`` and
 ``_symmetric_offsets`` only compute, on a count and spacings those checks
 accept or on the scenario's spacing ``delta_p * wavelength``, which
 :class:`SystemConfig` bounds.
@@ -22,7 +24,6 @@ load_scenario.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -32,7 +33,20 @@ from .errors import ConfigError
 
 # Exact SI value, fixed for reproducibility.
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-_NORMAL_MIN = sys.float_info.min
+# The scenario domain: the closed range of each SystemConfig field, in its units.
+_DOMAIN = {"f_c_hz": (1e6, 1e15), "d_m": (1e-3, 1e4), "n_eff": (1.0, 10.0),
+           "x_u_m": (-1e6, 1e6), "x_0_m": (-1e6, 1e6), "alpha_wg_db_per_m": (0.0, 1e6),
+           "delta_p": (1e-3, 1e6)}
+# The longest offset, spacing or refined offset the model takes, in metres.
+_MAX_LENGTH_M = 1e11
+
+
+def _check_domain(name: str, value) -> None:
+    """Refuse a ``name`` value outside its ``_DOMAIN`` range, NaN and +-inf
+    included; an ``x_0_m`` of None, the "auto" feed, passes."""
+    lo, hi = _DOMAIN[name]
+    if not (value is None and name == "x_0_m" or lo <= value <= hi):
+        raise ConfigError(f"invalid-config: {name} must lie in [{lo:g}, {hi:g}], got {value}")
 
 
 @dataclass(frozen=True)
@@ -45,17 +59,45 @@ class SystemConfig:
     (-30 m).  ``alpha_wg_db_per_m`` is the
     waveguide propagation loss (0 for the lossless configuration).
     ``delta_p`` is the minimum inter-antenna spacing in carrier wavelengths.
-    Every numeric field must be finite.
+
+    Every numeric field must lie in its closed range of the scenario domain,
+    or the scenario is a configuration error naming the field:
+
+    =====================  =================
+    ``f_c_hz``             [1e6, 1e15] Hz
+    ``d_m``                [1e-3, 1e4] m
+    ``n_eff``              [1, 10]
+    ``x_u_m``, ``x_0_m``   [-1e6, 1e6] m
+    ``alpha_wg_db_per_m``  [0, 1e6] dB/m
+    ``delta_p``            [1e-3, 1e6]
+    =====================  =================
+
+    Positions stay within 1e6 m, where float64 resolves 1.2e-10 m: a feed the
+    feed rule accepts then lies at most 2e-10 m right of an antenna, under
+    1e-3 dB at the largest loss.  ``delta_p`` reaches 1e6 wavelengths, where
+    rounding already decides the refinement walk's shifts, and its indices
+    stay below 1.2e13 (:mod:`passgain.refine`).
 
     Derived on construction, and neither arguments nor part of ``repr`` and
     ``==``: ``wavelength`` c/f_c (m), ``k0`` 2*pi/wavelength (rad/m) and the
-    path-loss constant ``eta`` (wavelength/4pi)^2 (m^2).  A carrier whose
-    wavelength squared or ``eta`` leaves the normal float range is a
-    configuration error naming ``f_c_hz``; so is a height whose d^2, eta/d^2
-    or 2 d^2 + wavelength^2/2 (the two-antenna coupling form's denominator at
-    one wavelength) does, naming ``d_m``; so is a ``delta_p`` whose spacing
-    delta_p * wavelength leaves it, and an ``n_eff`` whose guided
-    wavenumber k0 n_eff overflows, each naming its field.
+    path-loss constant ``eta`` (wavelength/4pi)^2 (m^2).  Over the domain no
+    derived quantity leaves the normal float range, so none is checked:
+
+    - the wavelength lies in [3.0e-7, 300] m and ``eta`` in [5.7e-16, 570] m^2;
+    - d^2 lies in [1e-6, 1e8] m^2, ``eta / d^2`` in [5.7e-24, 5.7e8] and the
+      two-antenna coupling form's denominator 2 d^2 + wavelength^2 / 2 below 2.1e8;
+    - the spacing ``delta_p * wavelength`` lies in [3.0e-10, 3.0e8] m and the
+      guided wavenumber ``k0 * n_eff`` in [0.021, 2.1e8] rad/m;
+    - the fixed antenna at x = 0 lies at most 1e6 m from the user, so the
+      square of that distance, at most 1e12 m^2, cannot overflow.
+
+    Lengths are bounded apart from the scenario: public offsets and spacings
+    (``_increasing_offsets``, ``_uniform_spacings``) and refined offsets lie
+    within ``_MAX_LENGTH_M`` (1e11 m).  So every layout a sweep sums under loss
+    (its uniform offsets lie inside the refined ones, which the walk bounds)
+    spans at most 1e6 * 1e11 / 20 = 5e15 decades of loss, below 2^53, where
+    float64 still resolves whole decades; and a phase ``k0 * n_eff * offset``
+    stays below 2.1e19 rad, far from overflow.
     """
 
     f_c_hz: float = 28e9
@@ -70,45 +112,11 @@ class SystemConfig:
     eta: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name, None)
-            if not f.init or (f.name == "x_0_m" and value is None):
-                continue  # derived below, or the "auto" feed
-            if not math.isfinite(value):
-                raise ConfigError(f"invalid-config: {f.name} must be finite, got {value}")
-        if not self.f_c_hz > 0:
-            raise ConfigError(f"invalid-config: f_c_hz must be > 0, got {self.f_c_hz}")
-        if not self.d_m > 0:
-            raise ConfigError(f"invalid-config: d_m must be > 0, got {self.d_m}")
-        if not self.n_eff >= 1:
-            raise ConfigError(f"invalid-config: n_eff must be >= 1, got {self.n_eff}")
-        if not self.alpha_wg_db_per_m >= 0:
-            raise ConfigError(
-                f"invalid-config: alpha_wg_db_per_m must be >= 0, got {self.alpha_wg_db_per_m}"
-            )
-        if not self.delta_p > 0:
-            raise ConfigError(f"invalid-config: delta_p must be > 0, got {self.delta_p}")
+        for name in _DOMAIN:
+            _check_domain(name, getattr(self, name))
         lam = SPEED_OF_LIGHT / self.f_c_hz
-        eta = (lam / (4.0 * math.pi)) ** 2 if lam * lam < math.inf else 0.0
-        if not eta >= _NORMAL_MIN:
-            raise ConfigError(f"invalid-config: f_c_hz = {self.f_c_hz:g} gives a wavelength of "
-                              f"{lam:g} m, whose path-loss constant leaves the normal float range")
-        d2 = self.d_m * self.d_m
-        if not (d2 >= _NORMAL_MIN and _NORMAL_MIN <= eta / d2 < math.inf
-                and 2.0 * d2 + lam * lam / 2.0 < math.inf):
-            raise ConfigError(f"invalid-config: d_m = {self.d_m:g} at f_c_hz = {self.f_c_hz:g} "
-                              f"takes d_m^2, eta / d_m^2 or 2 d_m^2 + wavelength^2 / 2 out of "
-                              f"the normal float range")
-        if not _NORMAL_MIN <= self.delta_p * lam < math.inf:
-            raise ConfigError(f"invalid-config: delta_p = {self.delta_p:g} at f_c_hz = "
-                              f"{self.f_c_hz:g} gives a spacing of {self.delta_p * lam:g} m, "
-                              f"outside the normal float range")
-        k0 = 2.0 * math.pi / lam
-        if not k0 * self.n_eff < math.inf:
-            raise ConfigError(f"invalid-config: n_eff = {self.n_eff:g} at f_c_hz = "
-                              f"{self.f_c_hz:g} takes the guided wavenumber k0 n_eff past the "
-                              f"float range")
-        for name, value in (("wavelength", lam), ("k0", k0), ("eta", eta)):
+        for name, value in (("wavelength", lam), ("k0", 2.0 * math.pi / lam),
+                            ("eta", (lam / (4.0 * math.pi)) ** 2)):
             object.__setattr__(self, name, value)
 
 
@@ -119,12 +127,13 @@ def _check_antenna_count(n: int, name: str = "antenna count") -> None:
 
 
 def _increasing_offsets(offsets, what: str) -> np.ndarray:
-    """``offsets`` as a float array, after checking that they are finite, at
-    least 1-D and, along the last axis, non-empty and strictly increasing;
-    :class:`ConfigError` names them as ``what``."""
+    """``offsets`` as a float array, after checking that they lie within
+    ``_MAX_LENGTH_M`` of 0, are at least 1-D and, along the last axis, non-empty
+    and strictly increasing; :class:`ConfigError` names them as ``what``."""
     offsets = np.asarray(offsets, dtype=float)
-    if offsets.ndim == 0 or offsets.shape[-1] == 0 or not np.isfinite(offsets).all():
-        raise ConfigError(f"{what} must be finite, at least 1-D and non-empty")
+    if offsets.ndim == 0 or offsets.shape[-1] == 0 or not (abs(offsets) <= _MAX_LENGTH_M).all():
+        raise ConfigError(f"{what} must be finite, within {_MAX_LENGTH_M:g} m of 0, at least "
+                          f"1-D and non-empty")
     if not (offsets[..., 1:] > offsets[..., :-1]).all():
         raise ConfigError(f"{what} must be strictly increasing")
     return offsets
@@ -167,12 +176,13 @@ class AntennaLayout:
 
 def _uniform_spacings(n: int, spacing) -> np.ndarray:
     """``spacing`` (one value or a 1-D array) as a float array, after checking
-    that the even-count model covers ``n`` antennas and every spacing is > 0
-    and finite."""
+    that the even-count model covers ``n`` antennas and every spacing lies in
+    (0, ``_MAX_LENGTH_M``]."""
     _check_antenna_count(n)
     spacing = np.asarray(spacing, dtype=float)
-    if not (ok := (spacing > 0) & (spacing < math.inf)).all():
-        raise ConfigError(f"spacing must be > 0 and finite, got {spacing[~ok].flat[0]}")
+    if not (ok := (spacing > 0) & (spacing <= _MAX_LENGTH_M)).all():
+        raise ConfigError(f"spacing must be > 0 and at most {_MAX_LENGTH_M:g} m, "
+                          f"got {spacing[~ok].flat[0]}")
     return spacing
 
 

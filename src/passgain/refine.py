@@ -29,14 +29,19 @@ antenna calls for, so the output is bit-identical to the antenna-by-antenna
 recurrence.  The first pass covers 256 antennas, and one after a pass that
 kept k covers 8k + 256, or up to ``(reach - seed) / step + 2`` antennas: as
 antenna i of a pass lies at or past ``seed + i * step``, that holds the first
-antenna past the reach, with a gap of slack for rounding.  The walk neither
-starts from nor steps to an index of 2**53 or more, past which float64 skips
-integers.  The whole walk is checked at once, reading the roots and indices
-its passes computed, and the check names every failure, a walk stopped short
-included: each seed must call for the index walked, each path must hit its
-target to within 1e-9 m or 4 ulp of its larger term
-``sqrt(d^2 + delta^2) + n_eff |delta|``, float64's resolution, which is
-coarser than 1e-9 m beyond about 2e6 m.
+antenna past the reach, with a gap of slack for rounding.  A side holds at
+most ``MAX_SWEEP_SIZE`` (10^6) antennas, the sweeps' pair limit.  In the
+scenario domain one antenna moves the index by at most
+``(n_eff + 1) delta_p + 1``, 1.1e7, from a first index below 3.4e10, so
+every index stays below 1.2e13, exact in float64; the walk stops where the
+successor's index is not finite, as where the left targets run out.  The
+whole walk is checked at once, reading the roots and indices its passes
+computed, and the check names every failure, a walk stopped short included:
+each seed must call for the index walked, each offset must lie within the
+length bound ``_MAX_LENGTH_M`` of :mod:`passgain.geometry` (left offsets grow
+without bound as n_eff -> 1), and each path must hit its target to within
+1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
+float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
 
 Public: combined_path, refined_half_deltas, build_refined_layout.
 """
@@ -46,7 +51,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import AntennaLayout, SystemConfig, _check_antenna_count
+from .experiments import MAX_SWEEP_SIZE
+from .geometry import _MAX_LENGTH_M, AntennaLayout, SystemConfig, _check_antenna_count
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -93,8 +99,8 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     Returns (deltas, shifts, targets) as arrays of length ``n_half``, or up to
     the first antenna whose offset exceeds ``reach``, if that comes sooner.
     """
-    if n_half < 1:
-        raise ConfigError("need at least one antenna per side")
+    if not 1 <= n_half <= MAX_SWEEP_SIZE:
+        raise ConfigError(f"need at least one antenna per side and at most {MAX_SWEEP_SIZE}")
     if side not in ("right", "left"):
         raise ConfigError(f"side must be 'right' or 'left', got {side!r}")
     sign, lam = (1 if side == "right" else -1), cfg.wavelength
@@ -105,7 +111,7 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     # antennas it walked; antenna i's successor index goes in index[i + 1]
     walked, deltas, roots, guess, index = (np.empty(n_half + 1) for _ in range(5))
     index[0], n, inc, k = j, 0, sign, 0
-    while n < n_half and abs(j) < 2.0**53:  # one pass per run of antennas at j, j + inc, ...
+    while n < n_half:  # one pass per run of antennas at j, j + inc, ...
         m = int(min(8 * k + 256, n_half - n, max(1, (reach - seed) / step + 2)))  # to the reach
         idx = walked[n:n + m] = j + inc * np.arange(m, dtype=float)
         u = roots[n:n + m] = _root(lam * idx, cfg, side)
@@ -114,11 +120,11 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
         d = deltas[n:n + m] = g + np.maximum(u - g, 0.0)  # seed + max(0, u - seed)
         nxt = d + step
         j_nxt = index[n + 1:n + m + 1] = _lattice_index(nxt, cfg, side)
-        exact = np.abs(j_nxt) < 2.0**53
-        if not exact[0]:  # stop before the front: its successor has no exact index
+        finite = np.isfinite(j_nxt)
+        if not finite[0]:  # stop before the front: its successor has no index
             break
-        # a run holds while guesses are true seeds calling for their index, with exact successors
-        held = (nxt[:-1] == g[1:]) & (j_nxt[:-1] == idx[1:]) & exact[1:]
+        # a run holds while guesses are true seeds calling for their index, with finite successors
+        held = (nxt[:-1] == g[1:]) & (j_nxt[:-1] == idx[1:]) & finite[1:]
         k = m if held.all() else int(held.argmin()) + 1  # antennas refined by this pass
         if d[k - 1] > reach:  # the walk ends at the first antenna past the reach
             k = int(np.argmax(d[:k] > reach)) + 1
@@ -132,11 +138,14 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     # error scales with them: 4 ulp of their sum or the snap is accepted
     h, nd = np.hypot(cfg.d_m, deltas), cfg.n_eff * deltas
     miss = h + sign * nd - targets
-    bad = (index[:n] != walked) | ~(shifts >= 0.0)
+    bad = (index[:n] != walked) | ~(shifts >= 0.0) | ~(deltas <= _MAX_LENGTH_M)
     bad |= ~(np.abs(miss) <= np.maximum(_PATH_SNAP_M, 4 * np.spacing(h + nd)))
     if n == n_half and not bad.any():
         return deltas, shifts, targets
     i = int(np.argmax(np.append(bad, True)))  # first failed antenna, or where the walk stopped
+    if i < n and not deltas[i] <= _MAX_LENGTH_M:
+        raise NumericsError(f"{side}-side antenna {i + 1} lies {deltas[i]:.3e} m out, past the "
+                            f"{_MAX_LENGTH_M:g} m length bound")
     t = lam * (walked[i] if i < n else j)
     if side == "left" and t <= 0.0:
         raise NumericsError(f"left-side targets are exhausted at antenna {i + 1} (target {t:.3e} m)")

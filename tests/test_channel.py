@@ -11,6 +11,7 @@ from passgain import channel
 from passgain.channel import _nested_gains as nested_gains
 from passgain.channel import _pair_phasors as pair_phasors
 from passgain.channel import _scaled_accumulate, array_gain_exact
+from passgain.coupling import coupling_matrix, gain_mc
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_symmetric, uniform_deltas, upper_bound_sum
 from passgain.geometry import AntennaLayout, SystemConfig, symmetric_uniform_layout
@@ -105,11 +106,38 @@ def test_offsets_have_one_check(evaluate):
             evaluate(offsets)
 
 
+@pytest.mark.filterwarnings("error")
+def test_lengths_past_the_bound_are_refused_not_summed_to_nan():
+    # past about 3e305 m the phases k0 (r +- n_eff delta) overflowed, and these
+    # calls returned NaN with numpy warnings; lengths past 1e11 m are refused,
+    # and the bound itself still sums to a finite gain
+    cfg = SystemConfig()
+    calls = [
+        lambda: channel.gain_at_offsets([-3e305, 3e305], cfg),
+        lambda: gain_symmetric([3e305], cfg),
+        lambda: array_gain_exact(AntennaLayout([-1e306, 1e306], 0.0, 0.0), cfg),
+        lambda: gain_mc(2, 1e306, cfg),
+        lambda: coupling_matrix(4, 1e306, cfg),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"1e\+11 m"):
+            call()
+    assert np.isfinite(channel.gain_at_offsets([-1e11, 1e11], cfg))
+    assert np.isfinite(gain_mc(2, 1e11, cfg))
+
+
 @pytest.mark.parametrize("x_u_m", [0.0, 1e3, 1e6, 1e9, 1e17])
 def test_feed_is_checked_where_the_antennas_are(x_u_m):
-    # a feed at the layout's own leftmost position is accepted however far out
-    # the user stands: the check does not round x_0 - x_u, it compares in the
-    # user's coordinates
+    # a feed at the layout's own leftmost position is accepted wherever in the
+    # domain the user stands: the check does not round x_0 - x_u, it compares
+    # in the user's coordinates.  Past the domain's 1e6 m the user is refused
+    # before any feed is checked: float64 rounds positions there too coarsely
+    # for the feed rule (at x_u = x_0 = 1e17 m and 1e6 dB/m the feed run
+    # rounded to 0 m, left of an antenna, and the gains overflowed)
+    if x_u_m > 1e6:
+        with pytest.raises(ConfigError, match="^invalid-config: x_u_m must lie in "):
+            SystemConfig(x_u_m=x_u_m)
+        return
     cfg = SystemConfig(x_u_m=x_u_m)
     spacing = cfg.delta_p * cfg.wavelength
     for n in range(2, 17, 2):
@@ -117,11 +145,9 @@ def test_feed_is_checked_where_the_antennas_are(x_u_m):
         at_leftmost = replace(cfg, x_0_m=float(lay.positions[0]))
         assert resolve_feed(at_leftmost, lay.offsets[0]) == at_leftmost.x_0_m - x_u_m
         assert array_gain_exact(lay, at_leftmost) > 0
-        if x_u_m == 1e17:  # float64 resolves 16 m there, not one spacing
-            continue
-        # one spacing right of the leftmost antenna is still refused, and the
-        # message tells the feed from the antenna
-        inside = replace(cfg, x_0_m=float(lay.positions[0]) + spacing)
+        # half a spacing right of the leftmost antenna is still refused, and
+        # the message tells the feed from the antenna
+        inside = replace(cfg, x_0_m=float(lay.positions[0]) + spacing / 2)
         with pytest.raises(ConfigError) as exc:
             array_gain_exact(lay, inside)
         feed, antenna = re.fullmatch(r"feed point x_0=(\S+) m lies right of the leftmost "
@@ -171,11 +197,16 @@ def test_feed_invariance_without_loss(cfg):
         )
 
 
-@pytest.mark.parametrize("x_u_m", [123.456, 1e9, 1e17])
+@pytest.mark.parametrize("x_u_m", [123.456, 1e6, -1e6, 1e9, 1e17])
 def test_library_layout_gains_ignore_the_user_position(x_u_m):
     # layouts hold offsets from the user, so moving the user changes no bit
-    # of either gain, even where absolute positions would lose every gap
+    # of either gain, even where absolute positions round every gap to 1e-10 m;
+    # a user past the domain's 1e6 m is refused as the scenario is built
     base = SystemConfig()
+    if abs(x_u_m) > 1e6:
+        with pytest.raises(ConfigError, match="^invalid-config: x_u_m must lie in "):
+            replace(base, x_u_m=x_u_m)
+        return
     far = replace(base, x_u_m=x_u_m)
     for build in (lambda c: symmetric_uniform_layout(c, 100, 0.5 * c.wavelength),
                   lambda c: build_refined_layout(100, c)):
@@ -253,10 +284,10 @@ def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
 
 
 @settings(max_examples=60, deadline=None)
-@given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 1e9))
+@given(cfg=configs, half=half_offsets, gap=st.floats(0.0, 9.99e5))
 def test_lossless_gain_ignores_the_feed(cfg, half, gap):
     # the phase runs from the user's projection, so a lossless feed changes
-    # no bit, however far away it is
+    # no bit, however far away in the domain it is
     lay = mirrored(half, cfg)
     fed = replace(cfg, x_0_m=lay.positions[0] - gap)
     assert array_gain_exact(lay, fed) == array_gain_exact(lay, cfg)

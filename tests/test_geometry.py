@@ -6,6 +6,7 @@ import pytest
 
 from passgain.errors import ConfigError
 from passgain.geometry import (
+    _DOMAIN,
     SPEED_OF_LIGHT,
     AntennaLayout,
     SystemConfig,
@@ -50,25 +51,37 @@ def test_derive_constants_pure(cfg):
 
 @pytest.mark.parametrize("f_c_hz", [1e-300, 1e-150, 1e300])
 def test_carrier_beyond_the_float_range_names_f_c_hz(f_c_hz):
-    # the wavelength (1e-300 Hz) or eta (1e-150 Hz) overflows, or eta
-    # underflows (1e300 Hz)
+    # far outside the domain, where the wavelength (1e-300 Hz) or eta
+    # (1e-150 Hz) would overflow, or eta underflow (1e300 Hz)
     with pytest.raises(ConfigError, match="f_c_hz"):
         SystemConfig(f_c_hz=f_c_hz)
 
 
 @pytest.mark.parametrize("d_m", [1e-200, 1e-160, 1e154, 1e200])
 def test_height_beyond_the_normal_float_range_names_d_m(d_m):
-    # d^2 underflows (1e-200) or is subnormal (1e-160); eta / d^2 is subnormal
-    # (1e154) or d^2 overflows (1e200)
+    # far outside the domain, where d^2 would underflow (1e-200) or be
+    # subnormal (1e-160), or eta / d^2 subnormal (1e154) or d^2 overflow (1e200)
     with pytest.raises(ConfigError, match="d_m"):
         SystemConfig(d_m=d_m)
 
 
 @pytest.mark.parametrize("delta_p", [5e-324, 1e308])
 def test_spacing_outside_the_normal_float_range_names_delta_p(delta_p):
-    # at 1 MHz, delta_p wavelengths round to 0 m or to inf m
-    with pytest.raises(ConfigError, match="delta_p = .* outside the normal float range"):
+    # at 1 MHz, delta_p wavelengths would round to 0 m or to inf m; both lie
+    # outside the domain's delta_p range
+    with pytest.raises(ConfigError, match=r"^invalid-config: delta_p must lie in \[0\.001, "
+                                          r"1e\+06\], got "):
         SystemConfig(f_c_hz=1e6, delta_p=delta_p)
+
+
+def test_domain_keeps_the_derived_constants_normal():
+    # over the corners of f_c_hz and d_m each derived constant lies in the
+    # range the SystemConfig docstring states, far inside the normal floats
+    for f_c in _DOMAIN["f_c_hz"]:
+        for d in _DOMAIN["d_m"]:
+            c = SystemConfig(f_c_hz=f_c, d_m=d)
+            assert 5.6e-16 <= c.eta <= 570 and 5.6e-24 <= c.eta / d**2 <= 5.7e8
+            assert 2 * d**2 + c.wavelength**2 / 2 < 2.1e8 and c.k0 * _DOMAIN["n_eff"][1] < 2.1e8
 
 
 @pytest.mark.parametrize(

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from passgain import refine
 from passgain.channel import array_gain_exact
 from passgain.errors import ConfigError, NumericsError
+from passgain.experiments import MAX_SWEEP_SIZE, run_gain_vs_n
 from passgain.gain import gain_uniform, uniform_deltas, upper_bound_sum
 from passgain.geometry import SystemConfig
 from passgain.refine import build_refined_layout, combined_path, refined_half_deltas
@@ -488,36 +489,51 @@ def test_walk_check_catches_a_wrong_root(monkeypatch, side):
         refined_half_deltas(300, SystemConfig(alpha_wg_db_per_m=0.0), side=side)
 
 
-def test_lattice_walk_stops_where_indices_leave_the_exact_integers():
-    # at 1e12 wavelengths the right side's indices pass 2**53 near antenna
-    # 3,700; the walk must stop at the same antenna however its passes fall,
-    # not round past 2**53 where index and successor agree by accident
-    cfg = SystemConfig(delta_p=1e12, alpha_wg_db_per_m=0.0)
-    deltas, shifts, targets, _ = sequential_half_deltas(3700, cfg, "right")
-    last = int(np.argmax(np.abs(targets / cfg.wavelength) >= 2.0**53))
-    assert last > 3000
-    # the oracle's targets round paths whose ulp is a sizeable part of a
-    # wavelength, so only its offsets and shifts are exact here
-    for a, b in zip(refined_half_deltas(last - 1, cfg, side="right"), (deltas, shifts)):
-        assert np.array_equal(a, b[:last - 1])
-    for n_half in (last, last + 1, last + 2, last + 9, last + 100, 5000):
-        with pytest.raises(NumericsError, match=f"right-side antenna {last}: .*no finite"):
-            refined_half_deltas(n_half, cfg, side="right")
+def test_lattice_indices_stay_exact_over_the_domain():
+    # a side holds at most the sweeps' pair limit, refused before any walk,
+    # and one antenna moves its index by at most (n_eff + 1) delta_p + 1.  At
+    # the domain's corner of the fastest growth, from a first index below
+    # 3.4e10, 10^6 antennas keep every index below 1.2e13, far from 2**53
+    cfg = SystemConfig(f_c_hz=1e15, d_m=1e4, n_eff=10.0, delta_p=1e6)
+    for side in ("right", "left"):
+        with pytest.raises(ConfigError, match="at least one antenna per side and at most 1000000$"):
+            refined_half_deltas(MAX_SWEEP_SIZE + 1, cfg, side=side)
+        index = np.round(refined_half_deltas(2000, cfg, side=side)[2] / cfg.wavelength)
+        assert abs(index[0]) < 3.4e10 and np.max(np.abs(np.diff(index))) <= 11 * 1e6 + 1
+        assert abs(index[0]) + MAX_SWEEP_SIZE * (11 * 1e6 + 1) < 1.2e13 < 2.0**53
 
 
-def test_walk_rejects_non_finite_lattice_index():
-    cfg = SystemConfig(d_m=1e17)
+def test_walk_refuses_offsets_past_the_length_bound():
+    # at n_eff one ulp above 1 the left path crosses 0 only 47 km out, then
+    # falls by 2.2e-16 m per metre: the 22nd left antenna lies 1.35e18 m out.
+    # The walk refuses it, so no sweep sums a loss over such a run
+    cfg = SystemConfig(f_c_hz=1e6, d_m=1e-3, n_eff=1.0000000000000002, delta_p=1e3,
+                       alpha_wg_db_per_m=1e6)
+    match = r"^left-side antenna 22 lies 1\.350e\+18 m out, past the 1e\+11 m length bound$"
+    assert refined_half_deltas(21, cfg, side="left")[0][-1] <= 1e11
+    with pytest.raises(NumericsError, match=match):
+        refined_half_deltas(22, cfg, side="left")
+    with pytest.raises(NumericsError, match=match):
+        run_gain_vs_n(cfg, (1e3,), "2", n_max=2000, n_step=2)
+
+
+def test_walk_rejects_non_finite_lattice_index(monkeypatch):
+    # in the domain only the left side at n_eff = 1 meets one, where its
+    # targets run out; a root that is not finite stops either side there
+    monkeypatch.setattr(refine, "_root", lambda t, cfg, side: np.full(np.shape(t), np.nan)[()])
     with pytest.raises(NumericsError, match="^right-side antenna 1: .*no finite lattice index"):
-        refined_half_deltas(10, cfg, side="right")
+        refined_half_deltas(10, SystemConfig(), side="right")
 
 
 def test_walk_never_starts_from_an_inexact_index():
-    # the left side's first index, 9.17e15, is past 2**53 but its successor's
-    # is exact: the walk must refuse at antenna 1, not walk on from it
-    cfg = SystemConfig(d_m=1e14, delta_p=2.3e14)
-    assert abs(refine._lattice_index(cfg.delta_p * cfg.wavelength / 2, cfg, "left")) >= 2.0**53
-    with pytest.raises(NumericsError, match="^left-side antenna 1: .*no finite lattice index"):
-        refined_half_deltas(10, cfg, side="left")
+    # the first index is at most d / wavelength + (n_eff + 1) delta_p / 2 + 1:
+    # at the domain's corner below 3.4e10, far from 2**53, on either side
+    cfg = SystemConfig(f_c_hz=1e15, d_m=1e4, n_eff=10.0, delta_p=1e6)
+    for side in ("right", "left"):
+        first = refine._lattice_index(cfg.delta_p * cfg.wavelength / 2, cfg, side)
+        assert abs(first) < 3.4e10
+        assert np.array_equal(refined_half_deltas(10, cfg, side=side)[0],
+                              sequential_half_deltas(10, cfg, side)[0])
 
 
 # ------------------------------------------------------------ stable roots
