@@ -17,8 +17,8 @@ built, and each public function its own arguments, with
 accept or on the scenario's spacing ``delta_p * wavelength``, which
 :class:`SystemConfig` bounds.
 
-Public: SPEED_OF_LIGHT, SystemConfig, AntennaLayout, symmetric_uniform_layout,
-load_scenario.
+Public: SPEED_OF_LIGHT, MAX_SWEEP_SIZE, SystemConfig, AntennaLayout,
+symmetric_uniform_layout, load_scenario.
 """
 
 from __future__ import annotations
@@ -39,6 +39,10 @@ _DOMAIN = {"f_c_hz": (1e6, 1e15), "d_m": (1e-3, 1e4), "n_eff": (1.0, 10.0),
            "delta_p": (1e-3, 1e6)}
 # The longest offset, spacing or refined offset the model takes, in metres.
 _MAX_LENGTH_M = 1e11
+# Largest array a sweep lays out: grid points, Monte Carlo trials, antenna
+# pairs, refined antennas a side, coupling-matrix entries.  Larger inputs are
+# rejected from their count, before anything is allocated.
+MAX_SWEEP_SIZE = 10**6
 
 
 def _check_domain(name: str, value) -> None:

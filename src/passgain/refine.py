@@ -30,18 +30,24 @@ recurrence.  The first pass covers 256 antennas, and one after a pass that
 kept k covers 8k + 256, or up to ``(reach - seed) / step + 2`` antennas: as
 antenna i of a pass lies at or past ``seed + i * step``, that holds the first
 antenna past the reach, with a gap of slack for rounding.  A side holds at
-most ``MAX_SWEEP_SIZE`` (10^6) antennas, the sweeps' pair limit.  In the
-scenario domain one antenna moves the index by at most
-``(n_eff + 1) delta_p + 1``, 1.1e7, from a first index below 3.4e10, so
-every index stays below 1.2e13, exact in float64; the walk stops where the
-successor's index is not finite, as where the left targets run out.  The
-whole walk is checked at once, reading the roots and indices its passes
-computed, and the check names every failure, a walk stopped short included:
-each seed must call for the index walked, each offset must lie within the
-length bound ``_MAX_LENGTH_M`` of :mod:`passgain.geometry` (left offsets grow
-without bound as n_eff -> 1), and each path must hit its target to within
-1e-9 m or 4 ulp of its larger term ``sqrt(d^2 + delta^2) + n_eff |delta|``,
-float64's resolution, which is coarser than 1e-9 m beyond about 2e6 m.
+most ``MAX_SWEEP_SIZE`` (10^6) antennas, the sweeps' size limit of
+:mod:`passgain.geometry`.  In the scenario domain one antenna moves the index
+by at most ``(n_eff + 1) delta_p + 1``, 1.1e7, from a first index below
+3.4e10, so every index stays below 1.2e13, exact in float64; the walk stops
+where the successor's index is not finite, as where the left targets run out.
+
+Each seed calls for the index walked by construction: a pass keeps antenna
+i + 1 only where antenna i's successor index is the one walked, and the next
+pass starts from the index the last kept antenna calls for.  Every kept
+antenna has a finite successor index, so neither its root nor its offset is
+NaN and its shift ``max(0, root - seed)`` is >= 0.  What the passes do not
+construct is checked over the whole walk at once, reading the roots its
+passes computed, and the check names every failure, a walk stopped short
+included: each offset must lie within the length bound ``_MAX_LENGTH_M`` of
+:mod:`passgain.geometry` (left offsets grow without bound as n_eff -> 1), and
+each path must hit its target to within 1e-9 m or 4 ulp of its larger term
+``sqrt(d^2 + delta^2) + n_eff |delta|``, float64's resolution, which is
+coarser than 1e-9 m beyond about 2e6 m.
 
 Public: combined_path, refined_half_deltas, build_refined_layout.
 """
@@ -51,8 +57,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .experiments import MAX_SWEEP_SIZE
-from .geometry import _MAX_LENGTH_M, AntennaLayout, SystemConfig, _check_antenna_count
+from .geometry import (_MAX_LENGTH_M, MAX_SWEEP_SIZE, AntennaLayout, SystemConfig,
+                       _check_antenna_count)
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -108,18 +114,17 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     seed = step / 2.0
     j = _lattice_index(seed, cfg, side)
     # a walk ended at its reach writes, and so makes resident, only the
-    # antennas it walked; antenna i's successor index goes in index[i + 1]
-    walked, deltas, roots, guess, index = (np.empty(n_half + 1) for _ in range(5))
-    index[0], n, inc, k = j, 0, sign, 0
+    # antennas it walked
+    walked, deltas, roots = (np.empty(n_half) for _ in range(3))
+    n, inc, k = 0, sign, 0
     while n < n_half:  # one pass per run of antennas at j, j + inc, ...
         m = int(min(8 * k + 256, n_half - n, max(1, (reach - seed) / step + 2)))  # to the reach
         idx = walked[n:n + m] = j + inc * np.arange(m, dtype=float)
         u = roots[n:n + m] = _root(lam * idx, cfg, side)
-        g = guess[:m]  # seeds one gap past the previous root
-        g[0], g[1:] = seed, u[:-1] + step
+        g = np.concatenate(([seed], u[:-1] + step))  # seeds one gap past the previous root
         d = deltas[n:n + m] = g + np.maximum(u - g, 0.0)  # seed + max(0, u - seed)
         nxt = d + step
-        j_nxt = index[n + 1:n + m + 1] = _lattice_index(nxt, cfg, side)
+        j_nxt = _lattice_index(nxt, cfg, side)
         finite = np.isfinite(j_nxt)
         if not finite[0]:  # stop before the front: its successor has no index
             break
@@ -138,8 +143,8 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
     # error scales with them: 4 ulp of their sum or the snap is accepted
     h, nd = np.hypot(cfg.d_m, deltas), cfg.n_eff * deltas
     miss = h + sign * nd - targets
-    bad = (index[:n] != walked) | ~(shifts >= 0.0) | ~(deltas <= _MAX_LENGTH_M)
-    bad |= ~(np.abs(miss) <= np.maximum(_PATH_SNAP_M, 4 * np.spacing(h + nd)))
+    tol = np.maximum(_PATH_SNAP_M, 4 * np.spacing(h + nd))
+    bad = ~((deltas <= _MAX_LENGTH_M) & (np.abs(miss) <= tol))
     if n == n_half and not bad.any():
         return deltas, shifts, targets
     i = int(np.argmax(np.append(bad, True)))  # first failed antenna, or where the walk stopped

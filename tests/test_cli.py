@@ -287,6 +287,26 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     assert "passgain.refine" in loaded and "passgain.gain" not in loaded
 
 
+def test_refine_import_leaves_the_sweep_layer_out():
+    # the walk takes its size limit from geometry, below the sweeps
+    code = ("import sys, passgain.refine; "
+            "print({'passgain.experiments', 'passgain.csvrows'} & set(sys.modules))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "set()"
+
+
+def test_maxgain_csv_ignores_the_delta_p_order(tmp_path):
+    # the draws come before any spacing, and the rows go out in (series, x) order
+    written = []
+    for delta_p in ("2,0.5,1.5", "0.5,1.5,2"):
+        out = tmp_path / f"{delta_p}.csv"
+        argv = ["maxgain-vs-spacing", "--delta-p", delta_p, "--trials", "300", "--seed", "5"]
+        assert main([*argv, "--out", str(out)]) == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
 def test_unknown_flag_exits_2(tmp_path):
     res = run_cli("fub-curve", "--out", str(tmp_path / "x.csv"), "--frobnicate")
     assert res.returncode == 2
@@ -459,6 +479,8 @@ BAD_NUMBERS = [
     ("gain-vs-n", "--n-max", str(2 * MAX_SWEEP_SIZE + 2)),
     ("gain-vs-delta-mc", "--n-list", f"2,{int(MAX_SWEEP_SIZE**0.5) + 2}"),
     ("gain-vs-delta-mc", "--n-list", "0"),  # checked before N^2 divides anything
+    ("gain-vs-n", "--grid-step", "3"),
+    ("gain-vs-n", "--grid-step", "0"),
     # PCG64 takes no negative seed, and no subcommand writes one to its header
     ("fub-curve", "--seed", "-3"),
     ("fmc-curve", "--seed", "-3"),
@@ -468,11 +490,19 @@ BAD_NUMBERS = [
 ]
 
 
+# The message of a refusal that names the rule it breaks.
+BAD_NUMBER_MESSAGES = {
+    ("gain-vs-n", "--grid-step", "3"): "the antenna-count step must be even and >= 2, got 3",
+    ("gain-vs-n", "--grid-step", "0"): "the antenna-count step must be even and >= 2, got 0",
+}
+
+
 @pytest.mark.parametrize("argv", BAD_NUMBERS, ids="_".join)
 def test_bad_numeric_flag_exits_2(tmp_path, argv):
     res = run_cli(*argv, "--out", str(tmp_path / "x.csv"))
     assert res.returncode == 2, res.stderr
     assert res.stderr.startswith("config error:") and res.stderr.count("\n") == 1, res.stderr
+    assert BAD_NUMBER_MESSAGES.get(argv, "") in res.stderr
     assert "Traceback" not in res.stderr
 
 
