@@ -1,9 +1,11 @@
 """Array-gain analysis for pinching-antenna systems on a dielectric waveguide.
 
-The scenario and layouts live in :mod:`passgain.geometry`, the exact gain in
-:mod:`passgain.channel`, closed forms and bounds in :mod:`passgain.gain`,
-refinement in :mod:`passgain.refine`, coupling in :mod:`passgain.coupling`,
-and the sweeps and CLI in :mod:`passgain.experiments` and :mod:`passgain.cli`.
+A layout is the 1-D array of its antennas' offsets from the user's projection.
+The scenario and the uniform layout live in :mod:`passgain.geometry`, the
+exact gain of any layout in :mod:`passgain.channel`, closed forms and bounds
+in :mod:`passgain.gain`, the refined layout in :mod:`passgain.refine`,
+coupling in :mod:`passgain.coupling`, and the sweeps and CLI in
+:mod:`passgain.experiments` and :mod:`passgain.cli`.
 Each module's docstring lists its public names on one ``Public:`` line.
 """
 
@@ -11,7 +13,6 @@ from .channel import array_gain_exact
 from .errors import ConfigError, NumericsError
 from .geometry import (
     SPEED_OF_LIGHT,
-    AntennaLayout,
     SystemConfig,
     load_scenario,
     symmetric_uniform_layout,
@@ -20,7 +21,6 @@ from .geometry import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntennaLayout",
     "ConfigError",
     "NumericsError",
     "SPEED_OF_LIGHT",

@@ -11,9 +11,9 @@ argument, 0 for their lossless case.  The gain is
 ``|sum_n att_n h_n exp(-j phi_n)|^2 / N``.  Phase taken from the feed instead
 differs by one unit-modulus factor, so the feed enters only through the loss.
 Two forms of the sum remain, rounding differently: the direct one,
-:func:`gain_at_offsets`, and the pair one, :func:`_pair_phasors` and
+:func:`array_gain_exact`, and the pair one, :func:`_pair_phasors` and
 :func:`_nested_gains`, which reads all nested symmetric layouts off one prefix
-sum; the benchmark oracles mirror each.  :func:`gain_at_offsets` checks its
+sum; the benchmark oracles mirror each.  :func:`array_gain_exact` checks its
 offsets and hands them to ``_direct_sum``, which sums offsets as given and
 only resolves the feed; the coupling sweep calls it on the offsets of its
 spacing grid, which ``coupling.gain_mc`` checks.  The pair sums, like
@@ -31,7 +31,7 @@ factor would pass 10^199, whose square leaves float64.  The domain's
 lengths keep every loss below 5e15 decades (:class:`~passgain.geometry.SystemConfig`),
 where float64 still resolves whole decades, so the blocks' edges are exact.
 
-Public: gain_at_offsets, array_gain_exact.
+Public: array_gain_exact.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .geometry import AntennaLayout, SystemConfig, _increasing_offsets, _resolve_feed
+from .geometry import SystemConfig, _increasing_offsets, _resolve_feed
 
 
 def _antenna_terms(offsets, cfg: SystemConfig):
@@ -55,7 +55,7 @@ def _antenna_terms(offsets, cfg: SystemConfig):
 
 
 def _direct_sum(offsets: np.ndarray, cfg: SystemConfig):
-    """:func:`gain_at_offsets` of offsets that
+    """:func:`array_gain_exact` of offsets that
     :func:`~passgain.geometry._increasing_offsets` accepts, unchecked."""
     run = offsets - _resolve_feed(cfg, offsets[..., :1])  # the feed is checked at any loss
     att = 10.0 ** (-cfg.alpha_wg_db_per_m * run / 20.0) if cfg.alpha_wg_db_per_m else 1.0
@@ -65,27 +65,20 @@ def _direct_sum(offsets: np.ndarray, cfg: SystemConfig):
     return np.square(np.abs(total)) / offsets.shape[-1]
 
 
-def gain_at_offsets(offsets, cfg: SystemConfig):
-    """Exact gain ``|sum_n att_n h_n exp(-j phi_n)|^2 / N`` of layouts given by
-    their antenna offsets from the user's projection, finite and strictly
-    increasing along the last axis (shape (..., N), giving shape (...)), under
-    the scenario's waveguide loss ``cfg.alpha_wg_db_per_m`` (dB/m).  The phase
-    runs from the user's projection; the loss runs from the feed, as
+def array_gain_exact(offsets, cfg: SystemConfig):
+    """Exact array gain (received SNR over transmit SNR), equal power split
+    over N antennas, ``|sum_n att_n h_n exp(-j phi_n)|^2 / N``, of layouts
+    given by their signed antenna offsets (m) from the user's projection,
+    finite and strictly increasing along the last axis: shape (..., N) gives
+    shape (...), and 1-D offsets a float.  The loss is the scenario's
+    ``cfg.alpha_wg_db_per_m`` (dB/m).  The phase runs from the user's
+    projection; the loss runs from the feed, as
     :func:`~passgain.geometry._resolve_feed` places it for each layout, so
-    without loss the feed cannot move the gain."""
-    return _direct_sum(_increasing_offsets(offsets, "offsets"), cfg)
-
-
-def array_gain_exact(layout: AntennaLayout, cfg: SystemConfig) -> float:
-    """Exact array gain (received SNR over transmit SNR) of a layout, equal
-    power split over its N antennas, by :func:`gain_at_offsets` under the
-    configured loss at the offsets ``layout.offsets + (layout.center - x_u)``
-    from the user: exactly ``layout.offsets`` for a layout centred on ``x_u``.
-    The feed enters only the loss, so without loss it cannot move the gain,
-    but an explicit ``cfg.x_0_m`` right of the leftmost antenna raises
-    :class:`~passgain.errors.ConfigError` at any loss.
-    """
-    return float(gain_at_offsets(layout.offsets + (layout.center - cfg.x_u_m), cfg))
+    without loss the feed cannot move the gain, but an explicit ``cfg.x_0_m``
+    right of a leftmost antenna raises :class:`~passgain.errors.ConfigError`
+    at any loss."""
+    gains = _direct_sum(_increasing_offsets(offsets, "offsets"), cfg)
+    return float(gains) if gains.ndim == 0 else gains
 
 
 _PairPhasors = namedtuple("_PairPhasors", "dr dl rr rl er el")

@@ -15,8 +15,10 @@ the N/2 x N/2 block ``C_e[k, l] = J(|k - l| + 1) + J(k + l + 2)`` reach the
 gain (Cantoni & Butler 1976), and the floor acts on ``C_e``.  An array is one
 (S, N/2, N/2) stack: one ``eigh`` call, contracted against its eigenvectors,
 with the channel at the offsets ``(k - 1/2) delta`` from the user, so the result
-does not depend on where the user stands.  A stack holds S (N/2)^2 entries; the
-caller picks S.  Both functions check the count and spacings once, with
+does not depend on where the user stands.  A stack holds S (N/2)^2 entries and
+:func:`coupling_matrix` S N^2; the caller picks S, and either count past
+``MAX_SWEEP_SIZE`` is refused before anything is allocated.  Both functions
+check the count, the spacings and that size once, with
 ``geometry._uniform_spacings``; ``_sinc_rows`` and ``geometry._half_offsets``
 take them unchecked.
 
@@ -46,9 +48,11 @@ def _sinc_rows(n: int, delta: np.ndarray, cfg: SystemConfig) -> np.ndarray:
 
 def coupling_matrix(n: int, delta, cfg: SystemConfig) -> np.ndarray:
     """Symmetric Toeplitz coupling matrix for N antennas at uniform spacing
-    ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack."""
+    ``delta`` (m); a 1-D array of S spacings gives the (S, N, N) stack, of at
+    most ``MAX_SWEEP_SIZE`` entries."""
+    delta = _uniform_spacings(n, delta, n * n, "coupling-matrix entries")
     i = np.arange(n)
-    return _sinc_rows(n, _uniform_spacings(n, delta), cfg)[..., abs(i[:, None] - i)]
+    return _sinc_rows(n, delta, cfg)[..., abs(i[:, None] - i)]
 
 
 def gain_mc(n: int, delta, cfg: SystemConfig):
@@ -56,14 +60,14 @@ def gain_mc(n: int, delta, cfg: SystemConfig):
 
     ``delta`` is one spacing (m), giving a float, or a 1-D array of S
     spacings, giving an array: the S blocks ``C_e`` are solved as one
-    (S, N/2, N/2) stack, so the caller bounds S (N/2)^2.  Over the eigenpairs
-    (w_k, v_k) of ``C_e`` and the right halves h+, phi+ of the channel and phases
-    the sum is ``2 sum_k (h+.v_k)(Re phi+.v_k) max(w_k, EIG_FLOOR)^-1/2``, with
+    (S, N/2, N/2) stack, so S (N/2)^2 may not pass ``MAX_SWEEP_SIZE``.  Over
+    the eigenpairs (w_k, v_k) of ``C_e`` and the right halves h+, phi+ of the
+    channel and phases the sum is ``2 sum_k (h+.v_k)(Re phi+.v_k) max(w_k, EIG_FLOOR)^-1/2``, with
     the offsets ``(k - 1/2) delta`` from the user and the phases referenced to
     the array center, a reference that only scales the sum by a unit modulus.
     Warns once per call, with the number of spacings, when ``C_e`` was floored.
     """
-    delta = _uniform_spacings(n, delta)
+    delta = _uniform_spacings(n, delta, (n // 2) ** 2, "coupling-block entries")
     k, rows = np.arange(n // 2), _sinc_rows(n, delta, cfg)
     w, v = np.linalg.eigh(rows[..., abs(k[:, None] - k)] + rows[..., k[:, None] + k + 1])
     h, phi = _antenna_terms(_half_offsets(n, delta), cfg)

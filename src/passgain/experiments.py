@@ -52,8 +52,8 @@ import numpy as np
 
 from .channel import _at_feed, _direct_sum, _nested_gains, _pair_phasors, _scaled_accumulate
 from .errors import ConfigError, NumericsError
-from .geometry import (MAX_SWEEP_SIZE, SystemConfig, _check_antenna_count, _half_offsets,
-                       _resolve_feed, _symmetric_offsets)
+from .geometry import (MAX_SWEEP_SIZE, SystemConfig, _check_antenna_count, _check_size,
+                       _half_offsets, _resolve_feed, _symmetric_offsets)
 
 # Monte Carlo user-position half-range and default feed location for the
 # max-gain-versus-spacing sweep; the movable-antenna baseline may roam over
@@ -146,11 +146,6 @@ def _distinct(flag: str, values, fmt: str) -> None:
         if text in printed:
             raise ConfigError(f"{flag} entries {printed[text]} and {v} both print as {text}")
         printed[text] = v
-
-
-def _check_size(what: str, count) -> None:
-    if count > MAX_SWEEP_SIZE:
-        raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
 
 
 def _pair_count(n_max: int) -> int:

@@ -31,7 +31,8 @@ import numpy as np
 
 from .channel import _nested_gains, _pair_phasors
 from .errors import ConfigError, NumericsError
-from .geometry import SystemConfig, _check_antenna_count, _half_offsets, _increasing_offsets
+from .geometry import (SystemConfig, _check_antenna_count, _check_size, _half_offsets,
+                       _increasing_offsets)
 
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
@@ -60,8 +61,10 @@ def gain_symmetric(deltas, cfg: SystemConfig) -> float:
 
 
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
-    """Positive-side offsets (k - 1/2) * (delta_p * wavelength), k = 1..n/2, as layouts have."""
+    """Positive-side offsets (k - 1/2) * (delta_p * wavelength), k = 1..n/2, as layouts
+    have, within MAX_SWEEP_SIZE pairs."""
     _check_antenna_count(n)  # the scenario bounds the spacing
+    _check_size("antenna pairs", n // 2)
     return _half_offsets(n, cfg.delta_p * cfg.wavelength)
 
 
@@ -147,12 +150,13 @@ def gain_uniform_integral(n: int, cfg: SystemConfig) -> float:
 
     edges = np.linspace(0.0, upper, panels + 1)
     width = np.diff(edges)[:, None]
-    m = np.arange(1, k_img + 1)[:, None]
     estimates = []
     for order in orders:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
-        images = 1.0 + 2.0 * np.sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps), axis=0)
+        # image by image, in the order of a sum over an (images, nodes) array, never built
+        images = 1.0 + 2.0 * sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps)
+                                 for m in range(1, k_img + 1))
         values = (uniform_integrand(x, cfg) * images).reshape(panels, order)
         estimates.append(np.sum(values * weights * width) / (2.0 * eps))
     spread = abs(estimates[1] - estimates[0]) / (2.0 * math.asinh(dp * upper) / (dp * eps))

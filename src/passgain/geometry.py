@@ -3,21 +3,23 @@
 A scenario is a user on the ground plane at ``[x_u, 0, 0]`` served by pinching
 antennas activated along a dielectric waveguide that runs parallel to the
 x-axis at height ``d``.  The signal enters the waveguide at the feed point
-``x_0`` and accumulates in-waveguide phase at the guided wavenumber.
+``x_0`` and accumulates in-waveguide phase at the guided wavenumber.  A
+layout is the 1-D float64 array of its antennas' signed offsets from the
+user's projection ``x_u``, left to right.
 
 All lengths are in metres, frequencies in Hz, loss in dB/m.
 
 Each input is checked where it enters: :class:`SystemConfig` checks the
 scenario against the one range table of the scenario domain when it is
 built, and each public function its own arguments, with
-``_check_antenna_count``, ``_uniform_spacings`` (a count and spacings) and
-``_increasing_offsets`` (offsets), which also hold every length within
-``_MAX_LENGTH_M``.  The builders ``_half_offsets`` and
-``_symmetric_offsets`` only compute, on a count and spacings those checks
-accept or on the scenario's spacing ``delta_p * wavelength``, which
-:class:`SystemConfig` bounds.
+``_check_antenna_count``, ``_uniform_spacings`` (a count and spacings, and
+the size of what is laid out for them) and ``_increasing_offsets``
+(offsets), which also hold every length within ``_MAX_LENGTH_M``.  The
+builders ``_half_offsets`` and ``_symmetric_offsets`` only compute, on a
+count and spacings those checks accept or on the scenario's spacing
+``delta_p * wavelength``, which :class:`SystemConfig` bounds.
 
-Public: SPEED_OF_LIGHT, MAX_SWEEP_SIZE, SystemConfig, AntennaLayout,
+Public: SPEED_OF_LIGHT, MAX_SWEEP_SIZE, SystemConfig,
 symmetric_uniform_layout, load_scenario.
 """
 
@@ -143,50 +145,23 @@ def _increasing_offsets(offsets, what: str) -> np.ndarray:
     return offsets
 
 
-@dataclass(frozen=True, eq=False)
-class AntennaLayout:
-    """Antennas at signed ``offsets`` (m) from ``center``, the user's projection,
-    so at ``positions = center + offsets``.  Layouts compare by identity.
-
-    The offsets, kept as a read-only float64 copy, must be 1-D, finite, of even
-    count and strictly increasing, each gap ``b - a`` at least ``min_spacing``
-    (finite, >= 0) up to 1e-12 m plus 3 ulp of ``|a| + |b|``; ``center`` finite.
-    """
-
-    offsets: np.ndarray
-    center: float
-    min_spacing: float
-
-    def __post_init__(self):
-        offsets = np.array(self.offsets, dtype=float)
-        offsets.flags.writeable = False
-        object.__setattr__(self, "offsets", offsets)
-        if offsets.ndim != 1 or not math.isfinite(self.center):
-            raise ConfigError("layout offsets must be a finite 1-D array and center finite")
-        _increasing_offsets(offsets, "layout offsets")
-        if not 0.0 <= self.min_spacing < math.inf:
-            raise ConfigError(f"layout min_spacing must be finite and >= 0, got {self.min_spacing}")
-        _check_antenna_count(offsets.size)
-        gaps, mag = np.diff(offsets), np.abs(offsets)
-        short = gaps < self.min_spacing - (1e-12 + 3 * np.spacing(mag[:-1] + mag[1:]))
-        if short.any():
-            raise ConfigError(f"layout gap {gaps[short][0]:.3e} m below minimum spacing "
-                              f"{self.min_spacing:.3e} m")
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.center + self.offsets
+def _check_size(what: str, count) -> None:
+    """Refuse ``count`` array entries (``what``) past MAX_SWEEP_SIZE."""
+    if count > MAX_SWEEP_SIZE:
+        raise ConfigError(f"{count:.6g} {what} exceed the limit of {MAX_SWEEP_SIZE}")
 
 
-def _uniform_spacings(n: int, spacing) -> np.ndarray:
+def _uniform_spacings(n: int, spacing, per_spacing: int, what: str) -> np.ndarray:
     """``spacing`` (one value or a 1-D array) as a float array, after checking
-    that the even-count model covers ``n`` antennas and every spacing lies in
-    (0, ``_MAX_LENGTH_M``]."""
+    that the even-count model covers ``n`` antennas, every spacing lies in
+    (0, ``_MAX_LENGTH_M``] and the ``per_spacing`` entries (``what``) the
+    caller lays out for each spacing stay within MAX_SWEEP_SIZE in all."""
     _check_antenna_count(n)
     spacing = np.asarray(spacing, dtype=float)
     if not (ok := (spacing > 0) & (spacing <= _MAX_LENGTH_M)).all():
         raise ConfigError(f"spacing must be > 0 and at most {_MAX_LENGTH_M:g} m, "
                           f"got {spacing[~ok].flat[0]}")
+    _check_size(what, spacing.size * per_spacing)
     return spacing
 
 
@@ -203,13 +178,13 @@ def _symmetric_offsets(n: int, spacing) -> np.ndarray:
     return np.concatenate([-half[..., ::-1], half], axis=-1)
 
 
-def symmetric_uniform_layout(cfg: SystemConfig, n: int, spacing: float) -> AntennaLayout:
-    """Equally spaced layout mirror-symmetric about the user.
-
-    Antenna k = 1..n/2 sits at ``x_u +/- (k - 1/2) * spacing``; the model only
-    covers even antenna counts, so odd ``n`` is rejected.
+def symmetric_uniform_layout(n: int, spacing) -> np.ndarray:
+    """Offsets of the equally spaced layout mirror-symmetric about the user,
+    left to right: antenna k = 1..n/2 sits at ``+/- (k - 1/2) * spacing``.
+    The model only covers even antenna counts, so odd ``n`` is rejected; a 1-D
+    array of S spacings gives shape (S, n), within MAX_SWEEP_SIZE pairs.
     """
-    return AntennaLayout(_symmetric_offsets(n, _uniform_spacings(n, spacing)), cfg.x_u_m, spacing)
+    return _symmetric_offsets(n, _uniform_spacings(n, spacing, n // 2, "antenna pairs"))
 
 
 def _resolve_feed(cfg: SystemConfig, leftmost):

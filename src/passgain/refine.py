@@ -57,8 +57,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import (_MAX_LENGTH_M, MAX_SWEEP_SIZE, AntennaLayout, SystemConfig,
-                       _check_antenna_count)
+from .geometry import _MAX_LENGTH_M, MAX_SWEEP_SIZE, SystemConfig, _check_antenna_count
 
 # Paths already on a multiple to within this snap do not trigger a shift.
 _PATH_SNAP_M = 1e-9
@@ -171,9 +170,10 @@ def _refined_offsets(n_half: int, cfg: SystemConfig, reach: float = np.inf):
     return d_right, d_left
 
 
-def build_refined_layout(n: int, cfg: SystemConfig) -> AntennaLayout:
-    """Refined symmetric-count layout with N/2 antennas per side; each side's
-    shifts and path targets are those :func:`refined_half_deltas` returns."""
+def build_refined_layout(n: int, cfg: SystemConfig) -> np.ndarray:
+    """Offsets from the user, left to right, of the refined layout with N/2
+    antennas per side; each side's shifts and path targets are those
+    :func:`refined_half_deltas` returns."""
     _check_antenna_count(n)
     d_right, d_left = _refined_offsets(n // 2, cfg)
-    return AntennaLayout(np.append(-d_left[::-1], d_right), cfg.x_u_m, cfg.delta_p * cfg.wavelength)
+    return np.append(-d_left[::-1], d_right)

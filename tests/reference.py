@@ -7,7 +7,7 @@ import numpy as np
 from passgain.errors import ConfigError
 from passgain.channel import _nested_gains as nested_gains
 from passgain.channel import _pair_phasors as pair_phasors
-from passgain.channel import gain_at_offsets
+from passgain.channel import array_gain_exact
 from passgain.geometry import _resolve_feed as resolve_feed
 
 
@@ -23,13 +23,13 @@ def pair_gains(delta_right, delta_left, cfg, alpha):
 
 def direct_gains(delta_right, delta_left, cfg, counts):
     """Gains and phase-free bounds of the layouts of the innermost m pairs, for
-    m in ``counts``, by the direct sum :func:`gain_at_offsets`, each layout
+    m in ``counts``, by the direct sum :func:`array_gain_exact`, each layout
     fed where ``cfg`` puts its feed, so every loss factor is <= 1, under the
     loss ``cfg.alpha_wg_db_per_m``."""
     gains, bounds = [], []
     for m in counts:
         off = np.concatenate([-np.asarray(delta_left[:m])[::-1], delta_right[:m]])
-        gains.append(gain_at_offsets(off, cfg))
+        gains.append(array_gain_exact(off, cfg))
         att = 10.0 ** (-cfg.alpha_wg_db_per_m * (off - resolve_feed(cfg, off[0])) / 20.0)
         bounds.append(cfg.eta * np.sum(att / np.hypot(off, cfg.d_m)) ** 2 / off.size)
     return np.array(gains), np.array(bounds)

@@ -130,7 +130,7 @@ def test_05_coupling_oracle_equivalence():
         np.max(np.abs(coupling_matrix(2, lam / 2, CFG) - np.eye(2)))
     )
     a_mc_half = gain_mc(2, lam / 2, CFG)
-    a_free_half = array_gain_exact(symmetric_uniform_layout(CFG, 2, lam / 2), CFG)
+    a_free_half = array_gain_exact(symmetric_uniform_layout(2, lam / 2), CFG)
     half_rel = abs(a_mc_half - a_free_half) / a_free_half
     ok = worst <= 1e-9 and identity_err <= 1e-12 and half_rel <= 1e-9
     report(
@@ -178,15 +178,13 @@ def test_07_refinement_coherence():
     worst_tracking = 1.0
     for n in range(2, 201, 2):
         layout = build_refined_layout(n, CFG)
-        paths = np.array(
-            [combined_path(x - CFG.x_u_m, CFG) for x in layout.positions]
-        )
+        paths = np.array([combined_path(x, CFG) for x in layout])
         worst_residual = max(
             worst_residual, float(np.max(np.abs(paths - lam * np.round(paths / lam))))
         )
         a_ref = array_gain_exact(layout, CFG)
         beats_uniform = beats_uniform and a_ref >= gain_uniform(n, CFG)
-        half = np.asarray(layout.positions[n // 2 :]) - CFG.x_u_m
+        half = layout[n // 2 :]
         worst_tracking = min(worst_tracking, a_ref / upper_bound_sum(half, CFG))
     ok = worst_residual <= 1e-9 and beats_uniform and worst_tracking >= 0.90
     report(

@@ -14,14 +14,14 @@ from passgain.channel import _scaled_accumulate, array_gain_exact
 from passgain.coupling import coupling_matrix, gain_mc
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import gain_symmetric, uniform_deltas, upper_bound_sum
-from passgain.geometry import AntennaLayout, SystemConfig, symmetric_uniform_layout
+from passgain.geometry import SystemConfig, symmetric_uniform_layout
 from passgain.geometry import _resolve_feed as resolve_feed
 from passgain.refine import build_refined_layout
 from reference import scaled_accumulate_loop
 
 
 def pair(x_left, x_right):
-    return AntennaLayout(offsets=(x_left, x_right), center=0.0, min_spacing=0.0)
+    return np.array([x_left, x_right])
 
 
 def lone_antenna_power(x, cfg):
@@ -66,7 +66,7 @@ def test_inwaveguide_phase_values(cfg):
     lambda_g = cfg.wavelength / cfg.n_eff
     for s, cos2 in ((lambda_g, 1.0), (lambda_g / 2, 0.0),
                     (cfg.wavelength, math.cos(math.pi * 1.44) ** 2)):
-        got = array_gain_exact(symmetric_uniform_layout(cfg, 2, s), cfg)
+        got = array_gain_exact(symmetric_uniform_layout(2, s), cfg)
         expected = 2 * cfg.eta * cos2 / (cfg.d_m**2 + s**2 / 4)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12 * cfg.eta)
 
@@ -75,7 +75,7 @@ def test_feed_right_of_antenna_rejected():
     lay = pair(-1.0, 1.0)
     fed_at_origin = SystemConfig(x_0_m=0.0)
     with pytest.raises(ConfigError):
-        resolve_feed(fed_at_origin, lay.positions[0] - fed_at_origin.x_u_m)
+        resolve_feed(fed_at_origin, lay[0])
     with pytest.raises(ConfigError):
         array_gain_exact(lay, fed_at_origin)
 
@@ -91,14 +91,13 @@ def test_feed_right_of_antenna_rejected():
 def test_direct_sum_refuses_offsets_it_cannot_sum(offsets, match):
     # once a NaN gain with a RuntimeWarning, or the gain of an antenna left of the feed
     with pytest.raises(ConfigError, match=match):
-        channel.gain_at_offsets(offsets, SystemConfig(x_0_m=0.0))
+        array_gain_exact(offsets, SystemConfig(x_0_m=0.0))
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda offsets: channel.gain_at_offsets(offsets, SystemConfig()),
-    lambda offsets: AntennaLayout(offsets, 0.0, 0.0),
+    lambda offsets: array_gain_exact(offsets, SystemConfig()),
     lambda offsets: gain_symmetric(offsets, SystemConfig()),
-], ids=["gain_at_offsets", "AntennaLayout", "gain_symmetric"])
+], ids=["array_gain_exact", "gain_symmetric"])
 def test_offsets_have_one_check(evaluate):
     for offsets, match in (([0.3, 0.1], "offsets must be strictly increasing"),
                            ([0.1, np.nan], "offsets must be finite")):
@@ -113,16 +112,16 @@ def test_lengths_past_the_bound_are_refused_not_summed_to_nan():
     # and the bound itself still sums to a finite gain
     cfg = SystemConfig()
     calls = [
-        lambda: channel.gain_at_offsets([-3e305, 3e305], cfg),
+        lambda: array_gain_exact([-3e305, 3e305], cfg),
         lambda: gain_symmetric([3e305], cfg),
-        lambda: array_gain_exact(AntennaLayout([-1e306, 1e306], 0.0, 0.0), cfg),
+        lambda: array_gain_exact([[-1.0, 1.0], [-1e306, 1e306]], cfg),
         lambda: gain_mc(2, 1e306, cfg),
         lambda: coupling_matrix(4, 1e306, cfg),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match=r"1e\+11 m"):
             call()
-    assert np.isfinite(channel.gain_at_offsets([-1e11, 1e11], cfg))
+    assert np.isfinite(array_gain_exact([-1e11, 1e11], cfg))
     assert np.isfinite(gain_mc(2, 1e11, cfg))
 
 
@@ -141,28 +140,29 @@ def test_feed_is_checked_where_the_antennas_are(x_u_m):
     cfg = SystemConfig(x_u_m=x_u_m)
     spacing = cfg.delta_p * cfg.wavelength
     for n in range(2, 17, 2):
-        lay = symmetric_uniform_layout(cfg, n, spacing)
-        at_leftmost = replace(cfg, x_0_m=float(lay.positions[0]))
-        assert resolve_feed(at_leftmost, lay.offsets[0]) == at_leftmost.x_0_m - x_u_m
+        lay = symmetric_uniform_layout(n, spacing)
+        leftmost = x_u_m + lay[0]
+        at_leftmost = replace(cfg, x_0_m=leftmost)
+        assert resolve_feed(at_leftmost, lay[0]) == at_leftmost.x_0_m - x_u_m
         assert array_gain_exact(lay, at_leftmost) > 0
         # half a spacing right of the leftmost antenna is still refused, and
         # the message tells the feed from the antenna
-        inside = replace(cfg, x_0_m=float(lay.positions[0]) + spacing / 2)
+        inside = replace(cfg, x_0_m=leftmost + spacing / 2)
         with pytest.raises(ConfigError) as exc:
             array_gain_exact(lay, inside)
         feed, antenna = re.fullmatch(r"feed point x_0=(\S+) m lies right of the leftmost "
                                      r"antenna at (\S+) m", str(exc.value)).groups()
-        assert feed != antenna and float(antenna) == lay.positions[0]
+        assert feed != antenna and float(antenna) == leftmost
 
 
 def test_attenuation_values():
     # The feed-to-array run attenuates every antenna alike, so moving the feed
     # `run` metres left scales the gain by the power factor 10^(-alpha run / 10).
     lossy = SystemConfig(alpha_wg_db_per_m=0.08)
-    lay = symmetric_uniform_layout(lossy, 8, 0.02)
+    lay = symmetric_uniform_layout(8, 0.02)
 
     def gain_fed_from(run, alpha):
-        fed = replace(lossy, x_0_m=lay.positions[0] - run, alpha_wg_db_per_m=alpha)
+        fed = replace(lossy, x_0_m=lossy.x_u_m + lay[0] - run, alpha_wg_db_per_m=alpha)
         return array_gain_exact(lay, fed)
 
     assert gain_fed_from(5.0, 0.0) == pytest.approx(gain_fed_from(0.0, 0.0), rel=1e-12)
@@ -180,21 +180,26 @@ def test_exact_gain_matches_symmetric_form(cfg):
         while np.any(np.diff(half) <= 0):
             half = np.sort(rng.uniform(1e-4, 3.0, size=half.size))
         offsets = np.concatenate([-half[::-1], half])
-        lay = AntennaLayout(offsets=offsets, center=cfg.x_u_m, min_spacing=0.0)
-        a_exact = array_gain_exact(lay, cfg)
+        a_exact = array_gain_exact(offsets, cfg)
         a_sym = gain_symmetric(half, cfg)
         assert a_exact == pytest.approx(a_sym, rel=1e-12)
 
 
+def test_exact_gain_of_a_stack_is_each_layouts_gain(cfg):
+    # one layout gives a float, as gain_mc does; a stack of them an array
+    stack = symmetric_uniform_layout(6, np.array([0.004, 0.01, 0.03]))
+    gains = array_gain_exact(stack, cfg)
+    assert type(array_gain_exact(stack[0], cfg)) is float
+    assert gains.shape == (3,)
+    assert gains.tolist() == [array_gain_exact(lay, cfg) for lay in stack]
+
+
 def test_feed_invariance_without_loss(cfg):
-    lay = symmetric_uniform_layout(cfg, 6, 0.01)
+    lay = symmetric_uniform_layout(6, 0.01)
     base = array_gain_exact(lay, cfg)
     for x0 in (-0.1, -3.0, -123.456):
         shifted = SystemConfig(x_0_m=x0, alpha_wg_db_per_m=0.0)
-        lay0 = symmetric_uniform_layout(shifted, 6, 0.01)
-        assert array_gain_exact(lay0, shifted) == pytest.approx(
-            base, rel=1e-12
-        )
+        assert array_gain_exact(lay, shifted) == pytest.approx(base, rel=1e-12)
 
 
 @pytest.mark.parametrize("x_u_m", [123.456, 1e6, -1e6, 1e9, 1e17])
@@ -208,7 +213,7 @@ def test_library_layout_gains_ignore_the_user_position(x_u_m):
             replace(base, x_u_m=x_u_m)
         return
     far = replace(base, x_u_m=x_u_m)
-    for build in (lambda c: symmetric_uniform_layout(c, 100, 0.5 * c.wavelength),
+    for build in (lambda c: symmetric_uniform_layout(100, 0.5 * c.wavelength),
                   lambda c: build_refined_layout(100, c)):
         assert array_gain_exact(build(far), far) == array_gain_exact(build(base), base)
 
@@ -216,8 +221,7 @@ def test_library_layout_gains_ignore_the_user_position(x_u_m):
 def test_two_antennas_half_wavelength(cfg):
     # evaluate the mirrored pair at spacing wavelength/2 by hand
     lam = cfg.wavelength
-    lay = symmetric_uniform_layout(cfg, 2, lam / 2)
-    got = array_gain_exact(lay, cfg)
+    got = array_gain_exact(symmetric_uniform_layout(2, lam / 2), cfg)
     expected = (
         2
         * cfg.eta
@@ -232,14 +236,13 @@ def test_triangle_inequality_bound(cfg):
     for _ in range(50):
         n = 2 * int(rng.integers(1, 25))
         spacing = float(rng.uniform(0.3, 3.0)) * cfg.wavelength
-        lay = symmetric_uniform_layout(cfg, n, spacing)
-        offsets = np.array(lay.positions) - lay.center
+        offsets = symmetric_uniform_layout(n, spacing)
         bound = cfg.eta / n * np.sum(1.0 / np.hypot(offsets, cfg.d_m)) ** 2
-        assert array_gain_exact(lay, cfg) <= bound * (1 + 1e-9)
+        assert array_gain_exact(offsets, cfg) <= bound * (1 + 1e-9)
 
 
 def test_loss_never_raises_gain(cfg):
-    lay = symmetric_uniform_layout(cfg, 8, 0.02)
+    lay = symmetric_uniform_layout(8, 0.02)
     alphas = [0.0, 0.02, 0.08, 0.3, 1.0]
     gains = [array_gain_exact(lay, replace(cfg, alpha_wg_db_per_m=a)) for a in alphas]
     assert all(b <= a for a, b in zip(gains, gains[1:]))
@@ -261,10 +264,9 @@ configs = st.builds(
 half_offsets = st.lists(st.floats(1e-4, 3.0), min_size=1, max_size=40).map(np.cumsum)
 
 
-def mirrored(half, cfg):
+def mirrored(half):
     half = np.asarray(half)
-    offsets = np.concatenate([-half[::-1], half])
-    return AntennaLayout(offsets=offsets, center=cfg.x_u_m, min_spacing=0.0)
+    return np.concatenate([-half[::-1], half])
 
 
 @settings(max_examples=60, deadline=None)
@@ -278,7 +280,7 @@ def test_phase_free_bound_dominates_symmetric_gain(cfg, half):
 def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
     # compared on the scale of the phase-free bound, as deep nulls have no
     # relative accuracy
-    lay = mirrored(half, cfg)
+    lay = mirrored(half)
     scale = upper_bound_sum(half, cfg)
     assert abs(array_gain_exact(lay, cfg) - gain_symmetric(half, cfg)) <= 1e-9 * scale
 
@@ -288,8 +290,8 @@ def test_exact_gain_equals_symmetric_form_anywhere(cfg, half):
 def test_lossless_gain_ignores_the_feed(cfg, half, gap):
     # the phase runs from the user's projection, so a lossless feed changes
     # no bit, however far away in the domain it is
-    lay = mirrored(half, cfg)
-    fed = replace(cfg, x_0_m=lay.positions[0] - gap)
+    lay = mirrored(half)
+    fed = replace(cfg, x_0_m=cfg.x_u_m + lay[0] - gap)
     assert array_gain_exact(lay, fed) == array_gain_exact(lay, cfg)
 
 
@@ -311,7 +313,7 @@ def test_loss_never_raises_refined_gain(cfg, n, alphas, gap):
         if "exhausted" not in str(exc):
             raise
         reject()
-    fed = cfg if gap is None else replace(cfg, x_0_m=lay.positions[0] - gap)
+    fed = cfg if gap is None else replace(cfg, x_0_m=cfg.x_u_m + lay[0] - gap)
     low, high = (array_gain_exact(lay, replace(fed, alpha_wg_db_per_m=a)) for a in alphas)
     assert high <= low * (1 + 1e-12)
 

@@ -442,7 +442,7 @@ def test_main_runs_readme_lines_without_the_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(passgain.cli, "build_parser", no_tree)
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor
+        warnings.simplefilter("error", RuntimeWarning)  # no README command floors or overflows
         assert [main(argv) for argv in readme_cli_argvs()] == [0] * len(SUBCOMMANDS)
 
 
@@ -453,7 +453,7 @@ def test_readme_library_tour_runs():
     block = block[block.index("```python") + len("```python"):]
     namespace = {}
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # the coupling floor at 0.05 wavelengths
+        warnings.simplefilter("error", RuntimeWarning)  # no call of the tour floors or overflows
         exec(block[:block.index("```")], namespace)
     assert 0 < namespace["a"] <= namespace["report"].a_hat_sum
     assert namespace["a_uni"] == namespace["report"].a_uni

@@ -57,11 +57,11 @@ def test_matrix_validation(cfg):
 
 
 def channel_rows(n, spacing, cfg):
-    """h and phi at the layout's antenna positions, as the model defines them."""
-    pos = np.asarray(symmetric_uniform_layout(cfg, n, spacing).positions)
-    r = np.hypot(cfg.x_u_m - pos, cfg.d_m)
+    """h and phi at the layout's antenna offsets, as the model defines them."""
+    off = symmetric_uniform_layout(n, spacing)
+    r = np.hypot(off, cfg.d_m)
     h = math.sqrt(cfg.eta) * np.exp(-1j * cfg.k0 * r) / r
-    return h, np.exp(-1j * cfg.k0 * cfg.n_eff * (pos - cfg.x_u_m))
+    return h, np.exp(-1j * cfg.k0 * cfg.n_eff * off)
 
 
 def test_half_wavelength_gain_has_the_identity_root(cfg):
@@ -150,8 +150,7 @@ def test_matrix_path_matches_closed_form(cfg):
 def test_half_wavelength_equals_uncoupled_gain(cfg):
     lam = cfg.wavelength
     a_mc = gain_mc(2, lam / 2, cfg)
-    lay = symmetric_uniform_layout(cfg, 2, lam / 2)
-    a_free = array_gain_exact(lay, cfg)
+    a_free = array_gain_exact(symmetric_uniform_layout(2, lam / 2), cfg)
     assert abs(a_mc - a_free) / a_free < 1e-9
 
 

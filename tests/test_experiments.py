@@ -36,11 +36,7 @@ from passgain.gain import (
     uniform_deltas,
     upper_bound_sum_uniform,
 )
-from passgain.geometry import (
-    AntennaLayout,
-    SystemConfig,
-    symmetric_uniform_layout,
-)
+from passgain.geometry import SystemConfig, symmetric_uniform_layout
 from passgain.refine import build_refined_layout, refined_half_deltas
 from reference import direct_gains, mp_gain_mc, pair_gains
 
@@ -357,10 +353,7 @@ def test_pair_gains_match_exact_channel():
         g = pair_gains(dr, dl, cfg, alpha)
         for m in (1, 3, 17, 40):
             offsets = np.concatenate([-dl[:m][::-1], dr[:m]])
-            lay = AntennaLayout(
-                offsets=offsets, center=cfg.x_u_m, min_spacing=cfg.delta_p * cfg.wavelength
-            )
-            reference = array_gain_exact(lay, replace(cfg, alpha_wg_db_per_m=alpha))
+            reference = array_gain_exact(offsets, replace(cfg, alpha_wg_db_per_m=alpha))
             fast = g[m - 1] * 10.0 ** (-alpha * (cfg.x_u_m + 30.0) / 10.0)
             assert fast == pytest.approx(reference, rel=1e-12)
 
@@ -802,7 +795,7 @@ def test_mc_sweep_rows_equal_point_by_point_reference(cfg):
     for n in (2, 8):
         xs = np.array([p.x for p in rows[f"mc_N{n}"] if p.x > 0])
         mc = [p.y for p in rows[f"mc_N{n}"] if p.x > 0]
-        layouts = [symmetric_uniform_layout(cfg, n, float(x) * lam) for x in xs]
+        layouts = [symmetric_uniform_layout(n, float(x) * lam) for x in xs]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             assert mc == [coupling.gain_mc(n, float(x) * lam, cfg) for x in xs]
@@ -876,7 +869,7 @@ FEED_INSIDE = SystemConfig(x_0_m=0.0)  # the user's projection: inside every lay
 
 
 @pytest.mark.parametrize("evaluate", [
-    lambda c: array_gain_exact(symmetric_uniform_layout(c, 4, 0.01), c),
+    lambda c: array_gain_exact(symmetric_uniform_layout(4, 0.01), c),
     lambda c: run_gain_vs_n(c, (0.5,), "1", n_max=100, n_step=2),
     lambda c: run_gain_vs_n(c, (0.5,), "2", n_max=100, n_step=2),
     lambda c: run_gain_vs_delta_mc(c, (2, 4), step=0.1),
@@ -1052,8 +1045,8 @@ def test_uniform_offsets_round_one_way_everywhere(dp):
     # bit, at spacings where (k - 1/2) delta_p wavelength rounds two ways
     cfg, n = SystemConfig(delta_p=dp), 6000
     half = uniform_deltas(n, cfg)
-    layout = symmetric_uniform_layout(cfg, n, dp * cfg.wavelength)
-    assert np.array_equal(half, layout.offsets[n // 2:])
+    layout = symmetric_uniform_layout(n, dp * cfg.wavelength)
+    assert np.array_equal(half, layout[n // 2:])
     assert np.array_equal(half, experiments._layouts(n // 2, cfg)["uniform"].dr)
 
 

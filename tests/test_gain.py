@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,21 @@ def test_image_integral_failures_raise(cfg, monkeypatch):
         gain_uniform_integral(100, cfg)
     with pytest.raises(ConfigError):
         gain_uniform_integral(101, cfg)
+
+
+def test_image_integral_memory_stays_within_its_evaluations():
+    # 490 images over 23,472 nodes were once summed from one (490, 23472)
+    # array, 176 MiB at the peak (at delta_p = 1000 and N = 8 that array took
+    # 5.68 GiB); summed image by image, a few arrays of the nodes remain
+    c = SystemConfig(delta_p=200.0, alpha_wg_db_per_m=0.0)
+    tracemalloc.start()
+    try:
+        value = gain_uniform_integral(2, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(gain_uniform(2, c), rel=1e-6)
+    assert peak < 8 * 2**20
 
 
 def test_bound_dominates_symmetric_gain(cfg):

@@ -1,14 +1,17 @@
 import math
-from dataclasses import FrozenInstanceError, fields, replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from passgain.channel import array_gain_exact
+from passgain.coupling import coupling_matrix, gain_mc
 from passgain.errors import ConfigError
+from passgain.gain import gain_uniform, uniform_deltas, upper_bound_closed, upper_bound_sum_uniform
 from passgain.geometry import (
     _DOMAIN,
     SPEED_OF_LIGHT,
-    AntennaLayout,
     SystemConfig,
     load_scenario,
     symmetric_uniform_layout,
@@ -93,16 +96,13 @@ def test_invalid_config_rejected(field, value):
         SystemConfig(**{field: value})
 
 
-def test_two_antenna_layout_straddles_user(cfg):
-    lay = symmetric_uniform_layout(cfg, 2, 0.01)
-    assert tuple(lay.positions) == (cfg.x_u_m - 0.005, cfg.x_u_m + 0.005)
-    assert lay.center == cfg.x_u_m
+def test_two_antenna_layout_straddles_user():
+    assert symmetric_uniform_layout(2, 0.01).tolist() == [-0.005, 0.005]
 
 
 def test_four_antenna_offsets(cfg):
     spacing = cfg.delta_p * cfg.wavelength
-    lay = symmetric_uniform_layout(cfg, 4, spacing)
-    deltas = [x - lay.center for x in lay.positions]
+    deltas = symmetric_uniform_layout(4, spacing)
     # outer antenna sits 1.5 spacings out
     assert deltas[-1] == pytest.approx(1.5 * spacing, rel=1e-15)
     # mirror symmetry about the user
@@ -110,82 +110,79 @@ def test_four_antenna_offsets(cfg):
     assert deltas[1] == pytest.approx(-deltas[2], rel=1e-15)
 
 
-def test_odd_count_rejected(cfg):
+def test_odd_count_rejected():
     with pytest.raises(ConfigError):
-        symmetric_uniform_layout(cfg, 5, 0.01)
+        symmetric_uniform_layout(5, 0.01)
     with pytest.raises(ConfigError):
-        symmetric_uniform_layout(cfg, 0, 0.01)
+        symmetric_uniform_layout(0, 0.01)
 
 
-def test_layout_spacing_property(cfg):
+def test_layout_spacing_property():
     rng = np.random.default_rng(101)
     for _ in range(50):
         n = 2 * int(rng.integers(1, 40))
         spacing = float(rng.uniform(1e-4, 0.5))
-        lay = symmetric_uniform_layout(cfg, n, spacing)
-        pos = np.array(lay.positions)
-        gaps = np.diff(pos)
+        lay = symmetric_uniform_layout(n, spacing)
+        assert lay.shape == (n,) and lay.dtype == np.float64
+        gaps = np.diff(lay)
         assert np.all(gaps > 0)
         assert abs(gaps.min() - spacing) < 1e-12
+    # a stack of spacings gives a stack of layouts, one per row
+    stack = symmetric_uniform_layout(4, np.array([0.01, 0.02]))
+    assert np.array_equal(stack, [symmetric_uniform_layout(4, 0.01),
+                                  symmetric_uniform_layout(4, 0.02)])
 
 
-def test_layout_validation():
-    with pytest.raises(ConfigError):
-        AntennaLayout(offsets=(0.0, 0.0), center=0.0, min_spacing=0.0)
-    with pytest.raises(ConfigError):
-        AntennaLayout(offsets=(-0.1, 0.0, 0.1), center=0.1, min_spacing=0.05)
-    with pytest.raises(ConfigError):
-        AntennaLayout(offsets=(0.0, 0.01), center=0.0, min_spacing=0.1)
-    # a gap between offsets a and b may fall short by 1e-12 m plus 3 ulp of |a| + |b|
-    a, b = 5e7, 5e7 + 0.1
-    slack = 1e-12 + 3 * math.ulp(a + b)
-    AntennaLayout(offsets=(a, b), center=1.0, min_spacing=b - a + 0.9 * slack)
-    with pytest.raises(ConfigError, match="below minimum spacing"):
-        AntennaLayout(offsets=(a, b), center=1.0, min_spacing=b - a + 1.1 * slack)
+def test_layout_validation(cfg):
+    # a layout is its offsets: the uniform builder refuses a spacing that
+    # would make them fail to increase or leave the length bound, and the
+    # exact gain refuses offsets that do not strictly increase
+    for spacing in (0.0, -0.01, math.inf, math.nan, 2e11):
+        with pytest.raises(ConfigError, match="spacing must be > 0"):
+            symmetric_uniform_layout(4, spacing)
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        array_gain_exact([0.0, 0.0], cfg)
 
 
-@pytest.mark.parametrize("offsets,center,min_spacing,match", [
-    ((0.0, math.inf), 0.0, 0.0, "finite"),
-    ((-math.inf, 0.0), 0.0, 0.0, "finite"),
-    ((0.0, math.nan), 0.0, 0.0, "finite"),
-    ((0.0, 1.0), math.nan, 0.0, "finite"),
-    ((0.0, 1.0), -math.inf, 0.0, "finite"),
-    (((0.0, 1.0), (2.0, 3.0)), 0.0, 0.0, "1-D"),
-    (0.5, 0.0, 0.0, "1-D"),
-    ((0.0, 1.0), 0.0, math.nan, "min_spacing"),
-    ((0.0, 1.0), 0.0, -0.5, "min_spacing"),
-    ((0.0, 1.0), 0.0, math.inf, "min_spacing"),
-])
-def test_layout_refuses_non_finite_input(offsets, center, min_spacing, match):
-    # such a layout would reach the gain as nan or inf with only a warning
-    with pytest.raises(ConfigError, match=match):
-        AntennaLayout(offsets=offsets, center=center, min_spacing=min_spacing)
+S_PAST = np.full(250_001, 0.01)  # at 4 pairs or entries a spacing, 4 past the 10^6 bound
 
 
-def test_layout_holds_a_read_only_copy_of_its_offsets():
-    offsets = np.array([-0.5, 0.25, 1.0, 2.0])
-    lay = AntennaLayout(offsets=offsets, center=3.0, min_spacing=0.25)
-    offsets[0] = -9.0
-    assert lay.offsets.tolist() == [-0.5, 0.25, 1.0, 2.0]
-    with pytest.raises(ValueError):
-        lay.offsets[0] = 0.0
-    with pytest.raises(FrozenInstanceError):
-        lay.offsets = offsets
-    assert np.array_equal(lay.positions, 3.0 + lay.offsets)
+@pytest.mark.parametrize("call", [
+    lambda c: symmetric_uniform_layout(10**13, 0.01),
+    lambda c: symmetric_uniform_layout(8, S_PAST),
+    lambda c: uniform_deltas(2 * 10**6 + 2, c),
+    lambda c: gain_uniform(10**13, c),
+    lambda c: upper_bound_sum_uniform(10**13, c),
+    lambda c: upper_bound_closed(10**13, c),
+    lambda c: coupling_matrix(10**6, 0.01, c),
+    lambda c: coupling_matrix(2, S_PAST, c),
+    lambda c: gain_mc(10**6, 0.01, c),
+    lambda c: gain_mc(4, S_PAST, c),
+], ids=["layout_count", "layout_stack", "uniform_deltas", "gain_uniform",
+        "upper_bound_sum_uniform", "upper_bound_closed", "coupling_count", "coupling_stack",
+        "gain_mc_count", "gain_mc_stack"])
+def test_counts_past_the_sweep_bound_are_refused_before_allocating(cfg, call):
+    # once numpy's MemoryError (36.4 TiB for gain_uniform(10**13), 7.28 TiB
+    # for coupling_matrix(10**6, ...)) or a stack of tens of MB; now the
+    # sweeps' bound on pairs and matrix entries, checked from the counts
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="exceed the limit of 1000000"):
+            call(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**21
 
 
-def test_layouts_compare_by_identity(cfg):
-    # an array field has no value ==, so layouts compare (and hash) by identity
-    a, b = (symmetric_uniform_layout(cfg, 4, 0.01) for _ in range(2))
-    assert np.array_equal(a.offsets, b.offsets) and a.center == b.center
-    assert a == a and a != b
-    assert len({a, b, a}) == 2
+def test_counts_at_the_sweep_bound_are_laid_out(cfg):
+    assert uniform_deltas(2 * 10**6, cfg).shape == (10**6,)
+    assert symmetric_uniform_layout(4, S_PAST[:-1]).shape == (250_000, 4)
 
 
 def test_feed_resolution(cfg):
     # feeds are offsets from the user's projection, as the leftmost antennas are
-    lay = symmetric_uniform_layout(cfg, 2, 0.01)
-    leftmost = lay.positions[0] - cfg.x_u_m
+    leftmost = symmetric_uniform_layout(2, 0.01)[0]
     assert resolve_feed(cfg, leftmost) == leftmost
     explicit = SystemConfig(x_0_m=-5.0, x_u_m=2.0, alpha_wg_db_per_m=0.0)
     assert resolve_feed(explicit, leftmost) == -5.0 - 2.0

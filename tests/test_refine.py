@@ -164,13 +164,13 @@ def test_refined_layout_paths_are_wavelength_multiples(cfg):
         layout = build_refined_layout(n, cfg)
         _, _, t_right = refined_half_deltas(n // 2, cfg, side="right")
         _, _, t_left = refined_half_deltas(n // 2, cfg, side="left")
-        for x, target in zip(layout.positions, np.concatenate([t_left[::-1], t_right])):
-            p = combined_path(x - cfg.x_u_m, cfg)
+        for x, target in zip(layout, np.concatenate([t_left[::-1], t_right])):
+            p = combined_path(x, cfg)
             assert abs(p - lam * round(p / lam)) <= 1e-9
             assert p == pytest.approx(target, abs=1e-9)
         # phase coherence in radians
-        for x in layout.positions:
-            p = combined_path(x - cfg.x_u_m, cfg)
+        for x in layout:
+            p = combined_path(x, cfg)
             phase = cfg.k0 * p
             err = abs(phase - 2 * math.pi * round(phase / (2 * math.pi)))
             assert err <= 1e-6
@@ -185,7 +185,7 @@ def test_refined_beats_uniform_everywhere(cfg):
 def test_refined_tracks_phase_free_bound(cfg):
     for n in range(2, 201, 2):
         layout = build_refined_layout(n, cfg)
-        half = np.asarray(layout.positions[n // 2 :]) - cfg.x_u_m
+        half = layout[n // 2 :]
         bound = upper_bound_sum(half, cfg)
         a_ref = array_gain_exact(layout, cfg)
         assert a_ref >= 0.90 * bound
@@ -193,7 +193,7 @@ def test_refined_tracks_phase_free_bound(cfg):
 
 def test_refined_spacing_preserved(cfg):
     lam = cfg.wavelength
-    gaps = np.diff(build_refined_layout(120, cfg).positions)
+    gaps = np.diff(build_refined_layout(120, cfg))
     assert gaps.min() >= cfg.delta_p * lam - 1e-12
 
 
@@ -246,9 +246,9 @@ def test_refined_prefix_and_uniform_floor(n_eff, side):
 )
 def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
     # every path on its target, every shift within its side's bound, and no
-    # gap below the nominal spacing by more than AntennaLayout's slack (beyond
-    # 8192 m float64 cannot resolve 1e-12 m), nor any offset inside its
-    # rounded seed
+    # gap below the nominal spacing by more than 1e-12 m plus 3 ulp of the two
+    # offsets (beyond 8192 m float64 cannot resolve 1e-12 m), nor any offset
+    # inside its rounded seed
     try:
         deltas, shifts, targets = refined_half_deltas(n_half, cfg, side=side)
     except NumericsError as exc:
@@ -265,7 +265,7 @@ def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
     elif cfg.n_eff > 1.0:
         assert np.all(shifts <= lam / (cfg.n_eff - 1.0))
     step = cfg.delta_p * lam
-    slack = 1e-12 + 3 * np.spacing(deltas[:-1] + deltas[1:])  # as AntennaLayout allows
+    slack = 1e-12 + 3 * np.spacing(deltas[:-1] + deltas[1:])
     assert np.all(np.diff(deltas) >= step - slack)
     assert np.all(deltas[1:] >= deltas[:-1] + step)
 
@@ -273,11 +273,14 @@ def test_refined_offsets_hold_their_bounds_anywhere(cfg, side, n_half):
 @pytest.mark.parametrize("x_u_m", [0.0, 123.456, -1e4])
 def test_refined_layout_far_out_keeps_its_gaps(x_u_m):
     # at n_eff one ulp above 1 the left side reaches 4.7e7 m, where float64
-    # cannot resolve 1e-12 m: the gaps hold the spacing to its rounding
+    # cannot resolve 1e-12 m: the gaps hold the spacing to its rounding, each
+    # antenna at or past its rounded seed, the previous one plus the spacing
     cfg = SystemConfig(f_c_hz=1e9, d_m=1.0, n_eff=1.0000000000000002, delta_p=0.5,
                        x_u_m=x_u_m)
-    positions = build_refined_layout(10, cfg).positions
-    assert positions[0] - x_u_m < -4.7e7
+    offsets, step = build_refined_layout(10, cfg), cfg.delta_p * cfg.wavelength
+    assert offsets[0] < -4.7e7
+    for side in (-offsets[4::-1], offsets[5:]):
+        assert side[0] >= step / 2 and np.all(side[1:] >= side[:-1] + step)
 
 
 def test_walk_to_a_reach_leaves_out_the_targets_beyond_it():
