@@ -31,15 +31,15 @@ import numpy as np
 
 from .channel import _nested_gains, _pair_phasors
 from .errors import ConfigError, NumericsError
-from .geometry import (SystemConfig, _check_antenna_count, _check_size, _half_offsets,
-                       _increasing_offsets)
+from .geometry import (SystemConfig, _check_antenna_count, _half_offsets, _increasing_offsets,
+                       _uniform_spacings)
 
 # The maximizer of f_ub: the float nearest the root of d f_ub / dx, that is of
 # 2x / sqrt(1 + x^2) = asinh(x), 3.31982638639514843392... (mpmath, 40 digits).
 XSTAR = 3.3198263863951483
 # Bounds of the panel quadrature in gain_uniform_integral: the largest spread
 # of its two Gauss orders, relative to the phase-free sum, and the most
-# integrand evaluations it may make.
+# integrand evaluations it may make, which bounds its whole cost.
 _QUAD_REL_TOL = 1e-10
 _QUAD_MAX_EVALS = 10**6
 
@@ -63,9 +63,8 @@ def gain_symmetric(deltas, cfg: SystemConfig) -> float:
 def uniform_deltas(n: int, cfg: SystemConfig) -> np.ndarray:
     """Positive-side offsets (k - 1/2) * (delta_p * wavelength), k = 1..n/2, as layouts
     have, within MAX_SWEEP_SIZE pairs."""
-    _check_antenna_count(n)  # the scenario bounds the spacing
-    _check_size("antenna pairs", n // 2)
-    return _half_offsets(n, cfg.delta_p * cfg.wavelength)
+    spacing = _uniform_spacings(n, cfg.delta_p * cfg.wavelength, n // 2, "antenna pairs")
+    return _half_offsets(n, spacing)
 
 
 def gain_uniform(n: int, cfg: SystemConfig) -> float:
@@ -124,7 +123,11 @@ def gain_uniform_integral(n: int, cfg: SystemConfig) -> float:
     below the peak of :func:`gain_uniform` at N = 832).  Images up to
     |m| <= K = ceil(delta_p (n_eff + 1)) + 1 are integrated explicitly: each
     antenna cell of width eps is split into ceil(K + delta_p (n_eff + 1)) equal
-    Gauss-Legendre panels, at most one cycle of the fastest phase each.  Every
+    Gauss-Legendre panels, at most one cycle of the fastest phase each.  Their
+    image factor ``1 + 2 sum_{m=1..K} (-1)^m cos(2 pi m x / eps)`` is taken in
+    closed form, ``sin((2K + 1) pi r) / sin(pi r)`` with r = x / eps + 1/2
+    reduced to [-1/2, 1/2] (and 2K + 1 at r = 0), so a node costs the same at
+    any K and ``_QUAD_MAX_EVALS`` bounds the whole cost.  Every
     further image contributes only its endpoint term; summed over |m| > K in
     closed form with sum_m (-1)^m / (a + m) = pi / sin(pi a), they give
     [exp(j phi) / (2 pi j sqrt(1 + delta_p^2 x^2)) * tail(a)] from 0 to B per
@@ -154,9 +157,10 @@ def gain_uniform_integral(n: int, cfg: SystemConfig) -> float:
     for order in orders:
         nodes, weights = np.polynomial.legendre.leggauss(order)
         x = (edges[:-1, None] + width * (nodes + 1.0) / 2.0).ravel()
-        # image by image, in the order of a sum over an (images, nodes) array, never built
-        images = 1.0 + 2.0 * sum((-1.0) ** m * np.cos(2.0 * math.pi * m * x / eps)
-                                 for m in range(1, k_img + 1))
+        r = x / eps + 0.5  # the image factor has period 1 in r: reduced to [-1/2, 1/2]
+        r -= np.round(r)
+        images = np.divide(np.sin((2 * k_img + 1) * math.pi * r), np.sin(math.pi * r),
+                           out=np.full_like(r, 2.0 * k_img + 1), where=r != 0.0)
         values = (uniform_integrand(x, cfg) * images).reshape(panels, order)
         estimates.append(np.sum(values * weights * width) / (2.0 * eps))
     spread = abs(estimates[1] - estimates[0]) / (2.0 * math.asinh(dp * upper) / (dp * eps))
@@ -227,12 +231,12 @@ class BoundReport:
 
 
 def upper_bound_closed(n: int, cfg: SystemConfig) -> BoundReport:
-    """Exact uniform gain alongside its discrete and closed bounds at count N."""
-    return BoundReport(
-        a_uni=gain_uniform(n, cfg),
-        a_hat_sum=upper_bound_sum_uniform(n, cfg),
-        a_hat_closed=float(closed_bound_value(n, cfg)),
-    )
+    """Exact uniform gain alongside its discrete and closed bounds at count N:
+    :func:`gain_uniform` and :func:`upper_bound_sum_uniform` from one layout's
+    phasors, the bound's set to 1."""
+    ph = _half_phasors(uniform_deltas(n, cfg), cfg)
+    sums = [float(_nested_gains(p, cfg, 0.0)[0][-1]) for p in (ph, ph._replace(er=1.0, el=1.0))]
+    return BoundReport(*sums, a_hat_closed=float(closed_bound_value(n, cfg)))
 
 
 def optimal_antenna_number(cfg: SystemConfig) -> int:

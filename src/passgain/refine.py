@@ -158,14 +158,11 @@ def refined_half_deltas(n_half: int, cfg: SystemConfig,
 
 
 def _refined_offsets(n_half: int, cfg: SystemConfig, reach: float = np.inf):
-    """Refined offsets ``(d_right, d_left)`` of both sides: the left side walked
-    first, up to the first antenna past ``reach``, then the right side to the
-    left side's length.  A failing right side's error is raised first."""
-    try:
-        d_left, _, _ = refined_half_deltas(n_half, cfg, side="left", reach=reach)
-    except NumericsError:  # name a failing right side first
-        refined_half_deltas(n_half, cfg, side="right")
-        raise
+    """Refined offsets ``(d_right, d_left)`` of both sides, each walked once:
+    the left side first, up to the first antenna past ``reach``, then the right
+    side to the left side's length.  A failing side raises as its walk ends, so
+    a failing left side is named before the right side is walked."""
+    d_left, _, _ = refined_half_deltas(n_half, cfg, side="left", reach=reach)
     d_right, _, _ = refined_half_deltas(d_left.size, cfg, side="right")
     return d_right, d_left
 

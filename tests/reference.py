@@ -69,6 +69,20 @@ def mp_gain_mc(n, spacing, cfg, digits=50):
         return float(abs((h * root * phi)[0]) ** 2 / n)
 
 
+def mp_direct_gain(offsets, cfg, digits=40):
+    """The lossless gain ``eta |sum_n exp(-j k0 (r_n + n_eff delta_n)) / r_n|^2 / N``
+    of the layout at signed ``offsets`` (m), in mpmath at ``digits`` digits from
+    the float inputs, one antenna at a time."""
+    import mpmath as mp
+    with mp.workdps(digits):
+        k0, ne, d = mp.mpf(cfg.k0), mp.mpf(cfg.n_eff), mp.mpf(cfg.d_m)
+        total = mp.mpc(0)
+        for o in map(mp.mpf, offsets):
+            r = mp.sqrt(o * o + d * d)
+            total += mp.expj(-k0 * (r + ne * o)) / r
+        return float(mp.mpf(cfg.eta) * abs(total) ** 2 / len(offsets))
+
+
 def gain_two_uncoupled(delta, cfg):
     """Coupling-free two-antenna gain 2 eta cos^2(n_eff k0 delta / 2) / (d^2 + delta^2/4);
     at delta = 0 this is exactly 2 eta / d^2."""

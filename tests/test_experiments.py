@@ -38,7 +38,7 @@ from passgain.gain import (
 )
 from passgain.geometry import SystemConfig, symmetric_uniform_layout
 from passgain.refine import build_refined_layout, refined_half_deltas
-from reference import direct_gains, mp_gain_mc, pair_gains
+from reference import direct_gains, mp_direct_gain, mp_gain_mc, pair_gains
 
 def expand(curves):
     """One scalar Curve per CSV row, in input order."""
@@ -480,19 +480,26 @@ def test_maxgain_matches_full_length_brute_force(x_0_m, dp, n_eff, n_max, trials
 
 
 @pytest.mark.parametrize("runner", ["gain_vs_n", "build_refined_layout"])
-def test_refinement_failing_on_both_sides_names_the_right_one(runner):
+def test_refinement_failing_on_both_sides_walks_only_the_left(runner, monkeypatch):
     # at 1 MHz and 1e6 wavelengths the right side passes the 1e11 m length
     # bound at antenna 335, and at n_eff = 1 the left targets run out at
-    # antenna 1; gain-vs-n and the layout builder walk the left side first,
-    # and still name the right side's failure.  The Monte Carlo sweep's right
-    # side stops within the reach of a feed in the domain, below 1e9 m
+    # antenna 1; gain-vs-n and the layout builder walk the left side first
+    # and raise its failure as that walk ends, without walking the right side
     cfg = SystemConfig(f_c_hz=1e6, n_eff=1.0)
     run = {
         "gain_vs_n": lambda: run_gain_vs_n(cfg, (1e6,), "1", n_max=1000, n_step=100),
         "build_refined_layout": lambda: build_refined_layout(1000, replace(cfg, delta_p=1e6)),
     }[runner]
-    with pytest.raises(NumericsError, match=r"^right-side antenna 335 lies .* past the 1e\+11 m"):
+    sides = []
+
+    def counted(n_half, cfg, side="right", reach=np.inf):
+        sides.append(side)
+        return refined_half_deltas(n_half, cfg, side, reach)
+
+    monkeypatch.setattr("passgain.refine.refined_half_deltas", counted)
+    with pytest.raises(NumericsError, match="^left-side targets are exhausted at antenna 1 "):
         run()
+    assert sides == ["left"]
 
 
 @pytest.mark.parametrize("n_max", [1, 0, -4])
@@ -647,6 +654,26 @@ def test_gain_vs_n_with_explicit_feed():
     assert "refined_dp0.5_case2" in points
     with pytest.raises(ConfigError):
         run_gain_vs_n(cfg, (0.5,), "both", n_max=40000, n_step=100)
+
+
+@pytest.mark.parametrize("f_c", [28e9, 300e9])
+def test_gain_vs_n_refined_rows_match_an_mpmath_direct_sum(f_c):
+    # the refined rows, sampled and at their peak, against the direct sum over
+    # the same refined offsets at 40 digits: at worst 2.2e-15 (28 GHz) and
+    # 1.4e-15 (300 GHz) here, 6.0e-15 and 4.4e-15 sampled up to N = 3000
+    pytest.importorskip("mpmath")
+    cfg = SystemConfig(f_c_hz=f_c, alpha_wg_db_per_m=0.0)
+    points = by_series(run_gain_vs_n(cfg, (0.5, 1.0), "1", n_max=1000, n_step=166))
+    for dp in (0.5, 1.0):
+        c = replace(cfg, delta_p=dp)
+        dr, dl = (refined_half_deltas(500, c, side=s)[0] for s in ("right", "left"))
+        series = f"refined_dp{dp:g}_case1"
+        rows = points[series] + points[f"{series}_peak"]
+        assert len(rows) == 8
+        for p in rows:
+            m = round(p.x) // 2
+            want = mp_direct_gain(np.concatenate([-dl[:m][::-1], dr[:m]]), c)
+            assert abs(p.y - want) <= 1e-13 * want, (series, p.x)
 
 
 # -------------------------------------------------- max gain versus spacing

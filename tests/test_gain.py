@@ -1,11 +1,13 @@
 import cmath
 import itertools
 import math
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from passgain.channel import _pair_phasors
 from passgain.coupling import f_mc, gain_mc_two_closed
 from passgain.errors import ConfigError, NumericsError
 from passgain.gain import (
@@ -149,7 +151,8 @@ def test_image_integral_failures_raise(cfg, monkeypatch):
 def test_image_integral_memory_stays_within_its_evaluations():
     # 490 images over 23,472 nodes were once summed from one (490, 23472)
     # array, 176 MiB at the peak (at delta_p = 1000 and N = 8 that array took
-    # 5.68 GiB); summed image by image, a few arrays of the nodes remain
+    # 5.68 GiB); their factor in closed form takes a few arrays of the nodes
+    # at any number of images
     c = SystemConfig(delta_p=200.0, alpha_wg_db_per_m=0.0)
     tracemalloc.start()
     try:
@@ -159,6 +162,25 @@ def test_image_integral_memory_stays_within_its_evaluations():
         tracemalloc.stop()
     assert value == pytest.approx(gain_uniform(2, c), rel=1e-6)
     assert peak < 8 * 2**20
+
+
+def test_image_integral_at_many_images_costs_only_its_evaluations():
+    # at delta_p = 1000, 2,441 images over 780,960 nodes: summed image by
+    # image at each node, their factor took 36 s; in closed form a node costs
+    # the same at any number of images, well inside the alarm
+    c = SystemConfig(delta_p=1000.0, alpha_wg_db_per_m=0.0)
+
+    def expire(signum, frame):
+        raise TimeoutError("gain_uniform_integral(8) took over 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5.0)
+    try:
+        value = gain_uniform_integral(8, c)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert value == pytest.approx(gain_uniform(8, c), rel=1e-5)
 
 
 def test_bound_dominates_symmetric_gain(cfg):
@@ -354,3 +376,20 @@ def test_bound_report(cfg):
     assert min(rep.a_uni, rep.a_hat_sum, rep.a_hat_closed) >= 0
     with pytest.raises(NumericsError):
         BoundReport(a_uni=1.0, a_hat_sum=0.5, a_hat_closed=0.5)
+
+
+def test_bound_report_lays_out_its_layout_once(cfg, monkeypatch):
+    # the gain and its phase-free bound are two sums over one layout's phasors,
+    # the same bits as gain_uniform and upper_bound_sum_uniform take apart
+    a_uni, a_hat_sum = gain_uniform(100, cfg), upper_bound_sum_uniform(100, cfg)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _pair_phasors(*args)
+
+    monkeypatch.setattr("passgain.gain._pair_phasors", counted)
+    rep = upper_bound_closed(100, cfg)
+    assert len(calls) == 1
+    assert (rep.a_uni, rep.a_hat_sum) == (a_uni, a_hat_sum)
+    assert rep.a_hat_closed == closed_bound_value(100, cfg)

@@ -310,8 +310,9 @@ def test_build_refined_layout_validation(cfg):
 
 
 def test_refined_layout_raises_the_left_side_failure_when_the_right_side_walks():
-    # at n_eff = 1 the left targets run out at antenna 168; the right side,
-    # walked only to name its own failure first, has none
+    # at n_eff = 1 the left targets run out at antenna 168, while the right
+    # side walks its 168 antennas without failing; the layout raises the left
+    # side's failure as its walk ends, before the right side is walked
     cfg = SystemConfig(n_eff=1.0, delta_p=4.0)
     assert refined_half_deltas(168, cfg, side="right")[0].size == 168
     with pytest.raises(NumericsError, match="^left-side targets are exhausted at antenna 168 "):
